@@ -188,8 +188,16 @@ func TestKillTileRemapShadow(t *testing.T) {
 	if v, err := m.ReadGlobal32(addr); err != nil || v != 0 {
 		t.Fatalf("shadow read = %d, %v; want 0, nil", v, err)
 	}
+	// The shadow is demand-paged: it holds no storage until written.
+	shadow := m.shadow[m.grid.Index(victim)]
+	if n := allocatedPages(shadow); n != 0 {
+		t.Errorf("fresh shadow window holds %d pages, want 0", n)
+	}
 	if err := m.WriteGlobal32(addr, 42); err != nil {
 		t.Fatal(err)
+	}
+	if n := allocatedPages(shadow); n != 1 {
+		t.Errorf("shadow window holds %d pages after one store, want 1", n)
 	}
 	// A core on a surviving tile reaches the shadow through the network.
 	c := startRemoteLoad(t, m, geom.C(0, 0), addr)

@@ -171,7 +171,8 @@ func (m *Machine) KillTile(c geom.Coord) bool {
 	m.degr.LostSharedBytes += win
 	if host, ok := m.nearestHealthy(c); ok {
 		m.remap[i] = m.grid.Index(host)
-		m.shadow[i] = make([]byte, win)
+		shadow := newPagedMem(int(win))
+		m.shadow[i] = &shadow
 		m.degr.RemappedWindows++
 		// Shadow windows previously hosted on the dead tile migrate to
 		// the new host; their storage is host-agnostic, so unlike the

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
-
 	"waferscale/internal/geom"
 	"waferscale/internal/noc"
 )
@@ -99,32 +97,6 @@ func (m *Machine) modeledRoundTrip(src, dst geom.Coord) (int64, bool) {
 	return req + resp, true
 }
 
-// applyRemote performs a remote memory op against the backing store of
-// a global address (the owner's bank, or the shadow window of a dead
-// owner) and returns the old value — serveRemote without the packet.
-func (m *Machine) applyRemote(addr uint32, op uint32, data uint32) (uint32, bool) {
-	tile, bank, off, err := m.amap.GlobalTarget(addr)
-	if err != nil {
-		return 0, false
-	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
-		return 0, false
-	}
-	old := binary.LittleEndian.Uint32(b)
-	switch op {
-	case remStore:
-		binary.LittleEndian.PutUint32(b, data)
-	case remAmoAdd:
-		binary.LittleEndian.PutUint32(b, old+data)
-	case remAmoMin:
-		if int32(data) < int32(old) {
-			binary.LittleEndian.PutUint32(b, data)
-		}
-	}
-	return old, true
-}
-
 // remoteOpModeled is remoteOp under an attached timing model: the
 // memory effect applies now, the core stalls for the modeled round
 // trip, and the eventual load/amo result is parked in the op's payload
@@ -136,23 +108,9 @@ func (m *Machine) remoteOpModeled(c *Core, in Instr, addr uint32, target geom.Co
 		m.fault(c, nil, "tile %v unreachable from %v", target, c.tile)
 		return true
 	}
-	op := uint32(remLoad)
-	reg := in.Rd
-	data := uint32(0)
-	switch in.Op {
-	case OpSw:
-		op = remStore
-		reg = -1
-		data = c.Regs[in.Rs2]
-	case OpAmoAdd:
-		op = remAmoAdd
-		data = c.Regs[in.Rs2]
-	case OpAmoMin:
-		op = remAmoMin
-		data = c.Regs[in.Rs2]
-	}
-	old, ok := m.applyRemote(addr, op, data)
-	if !ok {
+	op, reg, data := memArgs(c, in)
+	old, err := m.applyGlobal(addr, op, data)
+	if err != nil {
 		m.fault(c, nil, "remote access lost: global address %#x has no backing", addr)
 		return true
 	}

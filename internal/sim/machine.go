@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -23,13 +22,29 @@ const (
 	latOwnGlobal = 3 // own tile's shared banks through the crossbar
 )
 
-// Remote memory operation codes carried in the packet tag.
+// Memory operation codes (see pagedMem.apply), carried in the low two
+// bits of a remote request's tag.
 const (
-	remLoad = iota
-	remStore
-	remAmoAdd
-	remAmoMin
+	memLoad = iota
+	memStore
+	memAmoAdd
+	memAmoMin
 )
+
+// memArgs decodes a memory instruction into its operation code, the
+// destination register (-1 for a store) and the operand (0 for a load):
+// what a local access applies and a remote request carries.
+func memArgs(c *Core, in Instr) (op uint32, reg int, data uint32) {
+	switch in.Op {
+	case OpSw:
+		return memStore, -1, c.Regs[in.Rs2]
+	case OpAmoAdd:
+		return memAmoAdd, in.Rd, c.Regs[in.Rs2]
+	case OpAmoMin:
+		return memAmoMin, in.Rd, c.Regs[in.Rs2]
+	}
+	return memLoad, in.Rd, 0
+}
 
 // coreState is the execution state of one core.
 type coreState int
@@ -49,7 +64,7 @@ type Core struct {
 
 	Regs [16]uint32
 	PC   uint32
-	priv []byte
+	priv pagedMem
 
 	state      coreState
 	stallUntil int64
@@ -83,7 +98,9 @@ func (c *Core) Halted() bool { return c.state == coreHalted || c.state == coreFa
 type Tile struct {
 	Coord geom.Coord
 	Cores []*Core
-	banks [][]byte
+	// mem holds the banks end to end: bank b starts at b*BankBytes, the
+	// global banks first and the tile-local bank after them.
+	mem pagedMem
 	// bankBusy tracks the last cycle each bank served an access, for
 	// single-port contention.
 	bankBusy []int64
@@ -175,7 +192,7 @@ type Machine struct {
 	// dead tile's global window; shadow[tileIdx] is the zero-initialized
 	// reserve storage for that window (the data itself is lost).
 	remap  map[int]int
-	shadow map[int][]byte
+	shadow map[int]*pagedMem
 	degr   DegradationReport
 
 	// Progress, when non-nil, is invoked by RunCtx every
@@ -328,27 +345,26 @@ func NewMachineTopology(cfg arch.Config, fm *fault.Map, topology string) (*Machi
 		RemoteTimeout: int64(64 * (g.W + g.H)),
 		RemoteRetries: 3,
 		remap:         make(map[int]int),
-		shadow:        make(map[int][]byte),
+		shadow:        make(map[int]*pagedMem),
 	}
 	netSim.OnDeliver = m.onDeliver
 	m.grid.All(func(c geom.Coord) {
 		if fm.Faulty(c) {
 			return
 		}
-		t := &Tile{Coord: c}
+		t := &Tile{
+			Coord:    c,
+			mem:      newPagedMem(cfg.SharedBanksPerTile * cfg.BankBytes),
+			bankBusy: make([]int64, cfg.SharedBanksPerTile),
+		}
 		for i := 0; i < cfg.CoresPerTile; i++ {
 			t.Cores = append(t.Cores, &Core{
 				tile:    c,
 				idx:     i,
-				priv:    make([]byte, cfg.PrivateMemPerCore),
+				priv:    newPagedMem(cfg.PrivateMemPerCore),
 				state:   coreHalted, // cores start parked until a program loads
 				loadReg: -1,
 			})
-		}
-		t.banks = make([][]byte, cfg.SharedBanksPerTile)
-		t.bankBusy = make([]int64, cfg.SharedBanksPerTile)
-		for b := range t.banks {
-			t.banks[b] = make([]byte, cfg.BankBytes)
 		}
 		m.tiles[m.grid.Index(c)] = t
 	})
@@ -389,11 +405,11 @@ func (m *Machine) LoadProgram(tile geom.Coord, core int, words []uint32) error {
 		return fmt.Errorf("sim: core %d out of range", core)
 	}
 	c := t.Cores[core]
-	if len(words)*4 > len(c.priv) {
+	if len(words)*4 > c.priv.size {
 		return fmt.Errorf("sim: program (%d words) exceeds private SRAM", len(words))
 	}
 	for i, w := range words {
-		binary.LittleEndian.PutUint32(c.priv[4*i:], w)
+		c.priv.store32(uint32(4*i), w)
 	}
 	wasStopped := c.Halted()
 	c.PC = 0
@@ -411,22 +427,18 @@ func (m *Machine) LoadProgram(tile geom.Coord, core int, words []uint32) error {
 // WritePrivate32 is the host backdoor into a core's private SRAM (the
 // JTAG path in the prototype), used to pass per-core parameters.
 func (m *Machine) WritePrivate32(tile geom.Coord, core int, addr uint32, v uint32) error {
-	t := m.Tile(tile)
-	if t == nil {
-		return fmt.Errorf("sim: tile %v is faulty or out of range", tile)
-	}
-	if core < 0 || core >= len(t.Cores) {
-		return fmt.Errorf("sim: core %d out of range", core)
-	}
-	if int(addr)+4 > len(t.Cores[core].priv) || addr%4 != 0 {
-		return fmt.Errorf("sim: bad private address %#x", addr)
-	}
-	binary.LittleEndian.PutUint32(t.Cores[core].priv[addr:], v)
-	return nil
+	_, err := m.applyPrivate(tile, core, addr, memStore, v)
+	return err
 }
 
 // ReadPrivate32 is the host backdoor for reads from private SRAM.
 func (m *Machine) ReadPrivate32(tile geom.Coord, core int, addr uint32) (uint32, error) {
+	return m.applyPrivate(tile, core, addr, memLoad, 0)
+}
+
+// applyPrivate performs a host backdoor memory operation on a core's
+// private SRAM and returns the word's old value.
+func (m *Machine) applyPrivate(tile geom.Coord, core int, addr uint32, op uint32, data uint32) (uint32, error) {
 	t := m.Tile(tile)
 	if t == nil {
 		return 0, fmt.Errorf("sim: tile %v is faulty or out of range", tile)
@@ -434,10 +446,10 @@ func (m *Machine) ReadPrivate32(tile geom.Coord, core int, addr uint32) (uint32,
 	if core < 0 || core >= len(t.Cores) {
 		return 0, fmt.Errorf("sim: core %d out of range", core)
 	}
-	if int(addr)+4 > len(t.Cores[core].priv) || addr%4 != 0 {
+	if int(addr)+4 > t.Cores[core].priv.size || addr%4 != 0 {
 		return 0, fmt.Errorf("sim: bad private address %#x", addr)
 	}
-	return binary.LittleEndian.Uint32(t.Cores[core].priv[addr:]), nil
+	return t.Cores[core].priv.apply(addr, op, data), nil
 }
 
 // Broadcast loads the same program into every core of every healthy
@@ -461,26 +473,25 @@ func (m *Machine) globalID(c *Core) uint32 {
 	return uint32(m.grid.Index(c.tile)*m.Cfg.CoresPerTile + c.idx)
 }
 
-// bank32 accesses a bank word (little endian).
-func bank32(b []byte, off uint32) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
-func setBank32(b []byte, off uint32, v uint32) {
-	binary.LittleEndian.PutUint32(b[off:], v)
-}
-
-// globalSlice returns the 4-byte word backing a global (tile, bank,
-// offset) triple: the tile's own bank when it is alive, or the shadow
-// reserve storage when the tile died at runtime and its window was
-// remapped. Returns nil when the address has no backing at all.
-func (m *Machine) globalSlice(tile geom.Coord, bank int, off uint32) []byte {
+// applyGlobal performs a memory operation on the word backing a global
+// address and returns its old value. The backing is the owner's banks
+// while it is alive, or the shadow reserve storage when it died at
+// runtime and its window was remapped; an address with neither is an
+// error. The host backdoors, served remote requests and modeled remote
+// ops all go through here.
+func (m *Machine) applyGlobal(addr uint32, op uint32, data uint32) (uint32, error) {
+	tile, bank, off, err := m.amap.GlobalTarget(addr)
+	if err != nil {
+		return 0, err
+	}
 	i := m.grid.Index(tile)
+	var mem *pagedMem
 	if t := m.tiles[i]; t != nil && !t.dead {
-		return t.banks[bank][off : off+4]
+		mem = &t.mem
+	} else if mem = m.shadow[i]; mem == nil {
+		return 0, fmt.Errorf("sim: global address %#x lives on faulty tile %v", addr, tile)
 	}
-	if buf, ok := m.shadow[i]; ok {
-		o := uint32(bank)*uint32(m.Cfg.BankBytes) + off
-		return buf[o : o+4]
-	}
-	return nil
+	return mem.apply(uint32(bank)*uint32(m.Cfg.BankBytes)+off, op, data), nil
 }
 
 // routeTarget returns the tile that currently serves a global address:
@@ -505,29 +516,13 @@ func (m *Machine) routeTarget(addr uint32) (geom.Coord, error) {
 // used for workload setup and result verification. It follows runtime
 // remaps into the shadow storage.
 func (m *Machine) ReadGlobal32(addr uint32) (uint32, error) {
-	tile, bank, off, err := m.amap.GlobalTarget(addr)
-	if err != nil {
-		return 0, err
-	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
-		return 0, fmt.Errorf("sim: global address %#x lives on faulty tile %v", addr, tile)
-	}
-	return binary.LittleEndian.Uint32(b), nil
+	return m.applyGlobal(addr, memLoad, 0)
 }
 
 // WriteGlobal32 is the host backdoor for stores.
 func (m *Machine) WriteGlobal32(addr uint32, v uint32) error {
-	tile, bank, off, err := m.amap.GlobalTarget(addr)
-	if err != nil {
-		return err
-	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
-		return fmt.Errorf("sim: global address %#x lives on faulty tile %v", addr, tile)
-	}
-	binary.LittleEndian.PutUint32(b, v)
-	return nil
+	_, err := m.applyGlobal(addr, memStore, v)
+	return err
 }
 
 // onDeliver handles packets ejecting at a tile: a request is served by
@@ -591,8 +586,7 @@ func (m *Machine) onDeliver(p noc.Packet) {
 // owner's remapped (shadow) window.
 func (m *Machine) serveRemote(p noc.Packet) uint32 {
 	addr := uint32(p.Payload >> 32)
-	data := uint32(p.Payload)
-	tile, bank, off, err := m.amap.GlobalTarget(addr)
+	tile, err := m.amap.TileOf(addr)
 	if err != nil {
 		return 0xDEAD0000
 	}
@@ -602,20 +596,9 @@ func (m *Machine) serveRemote(p noc.Packet) uint32 {
 			return 0xDEAD0000
 		}
 	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
+	old, err := m.applyGlobal(addr, p.Tag&0b11, uint32(p.Payload))
+	if err != nil {
 		return 0xDEAD0001
-	}
-	old := binary.LittleEndian.Uint32(b)
-	switch p.Tag & 0b11 {
-	case remStore:
-		binary.LittleEndian.PutUint32(b, data)
-	case remAmoAdd:
-		binary.LittleEndian.PutUint32(b, old+data)
-	case remAmoMin:
-		if int32(data) < int32(old) {
-			binary.LittleEndian.PutUint32(b, data)
-		}
 	}
 	return old
 }
@@ -1047,11 +1030,11 @@ func (m *Machine) stepRemote(c *Core) {
 }
 
 func (m *Machine) execute(t *Tile, c *Core, sh *machBand) {
-	if int(c.PC)+4 > len(c.priv) {
+	if int(c.PC)+4 > c.priv.size {
 		m.fault(c, sh, "pc outside private SRAM")
 		return
 	}
-	in := Decode(binary.LittleEndian.Uint32(c.priv[c.PC:]))
+	in := Decode(c.priv.load32(c.PC))
 	m.trace(c, in)
 	next := c.PC + 4
 	r := &c.Regs
@@ -1146,22 +1129,8 @@ func (m *Machine) memOp(t *Tile, c *Core, in Instr, sh *machBand) bool {
 	}
 	switch m.amap.Region(addr) {
 	case arch.RegionPrivate:
-		switch in.Op {
-		case OpLw:
-			c.loadVal = binary.LittleEndian.Uint32(c.priv[addr:])
-			c.loadReg = in.Rd
-		case OpSw:
-			binary.LittleEndian.PutUint32(c.priv[addr:], c.Regs[in.Rs2])
-			c.loadReg = -1
-		default:
-			// Atomics on private memory are pointless but harmless.
-			old := binary.LittleEndian.Uint32(c.priv[addr:])
-			m.applyAmo(c.priv[addr:addr+4], in.Op, old, c.Regs[in.Rs2])
-			c.loadVal = old
-			c.loadReg = in.Rd
-		}
-		c.state = coreStalled
-		c.stallUntil = m.cycle + latPrivate
+		// Atomics on private memory are pointless but harmless.
+		m.access(c, in, &c.priv, addr, latPrivate)
 		return true
 
 	case arch.RegionLocalBank:
@@ -1205,34 +1174,17 @@ func (m *Machine) bankAccess(t *Tile, c *Core, in Instr, bank int, off uint32, l
 		return false
 	}
 	t.bankBusy[bank] = m.cycle
-	b := t.banks[bank]
-	old := bank32(b, off)
-	switch in.Op {
-	case OpLw:
-		c.loadVal = old
-		c.loadReg = in.Rd
-	case OpSw:
-		setBank32(b, off, c.Regs[in.Rs2])
-		c.loadReg = -1
-	default:
-		m.applyAmo(b[off:off+4], in.Op, old, c.Regs[in.Rs2])
-		c.loadVal = old
-		c.loadReg = in.Rd
-	}
-	c.state = coreStalled
-	c.stallUntil = m.cycle + lat
+	m.access(c, in, &t.mem, uint32(bank)*uint32(m.Cfg.BankBytes)+off, lat)
 	return true
 }
 
-func (m *Machine) applyAmo(word []byte, op Op, old, operand uint32) {
-	switch op {
-	case OpAmoAdd:
-		binary.LittleEndian.PutUint32(word, old+operand)
-	case OpAmoMin:
-		if int32(operand) < int32(old) {
-			binary.LittleEndian.PutUint32(word, operand)
-		}
-	}
+// access performs a fixed-latency memory instruction on the word at off
+// and stalls the core for lat cycles; a load or atomic's old value lands
+// in its destination register when the stall ends.
+func (m *Machine) access(c *Core, in Instr, mem *pagedMem, off uint32, lat int64) {
+	op, reg, data := memArgs(c, in)
+	c.loadVal, c.loadReg = mem.apply(off, op, data), reg
+	c.state, c.stallUntil = coreStalled, m.cycle+lat
 }
 
 // remoteOp issues a request packet for a remote global access. The
@@ -1260,21 +1212,7 @@ func (m *Machine) remoteOp(c *Core, in Instr, addr uint32) bool {
 		// cycles forwarding (paper Section VI software workaround).
 		first = dec.Via[0]
 	}
-	op := uint32(remLoad)
-	reg := in.Rd
-	data := uint32(0)
-	switch in.Op {
-	case OpSw:
-		op = remStore
-		reg = -1
-		data = c.Regs[in.Rs2]
-	case OpAmoAdd:
-		op = remAmoAdd
-		data = c.Regs[in.Rs2]
-	case OpAmoMin:
-		op = remAmoMin
-		data = c.Regs[in.Rs2]
-	}
+	op, reg, data := memArgs(c, in)
 	m.tagSeq++
 	tag := op | uint32(c.idx)<<2 | m.tagSeq<<6
 	c.rem.injected = false

@@ -20,6 +20,7 @@ import (
 func diffMachinesDeep(t *testing.T, sharded, ref *Machine) {
 	t.Helper()
 	diffMachines(t, sharded, ref)
+	diffMemories(t, sharded, ref)
 	if sharded.RemoteLatency != ref.RemoteLatency {
 		t.Errorf("RemoteLatency: sharded %d, ref %d", sharded.RemoteLatency, ref.RemoteLatency)
 	}

@@ -2,14 +2,16 @@ package sim
 
 import "waferscale/internal/geom"
 
-// Warm-state snapshot/fork for the cycle engine. A fork deep-copies
-// every piece of mutable run state — core registers and private SRAM,
-// shared memory banks and their busy cycles, the network simulator's
-// FIFOs and in-flight packets, pending responses/forwards, remote ops
-// with their deterministic retry/jitter state, the remap/shadow tables,
+// Warm-state snapshot/fork for the cycle engine. A fork copies every
+// piece of mutable run state — core registers, private SRAM, shared
+// memory banks and their busy cycles, the network simulator's FIFOs
+// and in-flight packets, pending responses/forwards, remote ops with
+// their deterministic retry/jitter state, the remap/shadow tables,
 // degradation bookkeeping, the fault map, the kernel's memoized routing
 // decisions, and the cycle counter — so stepping the fork is
 // bit-identical to stepping the original, at any shard or worker count.
+// Memory is demand-paged (see pagedMem), so a fork copies only the
+// pages the guest has written; the rest read zero on both sides.
 // Monte Carlo sweeps use this to run a shared fault-free prefix once
 // and fork per trial at each trial's first injected-fault cycle.
 
@@ -71,7 +73,7 @@ func (m *Machine) clone() *Machine {
 		schedEvents:    m.schedEvents, // read-only by contract (inject.Schedule)
 		schedAt:        m.schedAt,
 		remap:          make(map[int]int, len(m.remap)),
-		shadow:         make(map[int][]byte, len(m.shadow)),
+		shadow:         make(map[int]*pagedMem, len(m.shadow)),
 		RemoteRequests: m.RemoteRequests,
 		RemoteLatency:  m.RemoteLatency,
 		BankConflicts:  m.BankConflicts,
@@ -86,7 +88,8 @@ func (m *Machine) clone() *Machine {
 		n.remap[k] = v
 	}
 	for k, v := range m.shadow {
-		n.shadow[k] = append([]byte(nil), v...)
+		shadow := v.clone()
+		n.shadow[k] = &shadow
 	}
 	n.degr = m.degr
 	n.degr.KilledTiles = append([]geom.Coord(nil), m.degr.KilledTiles...)
@@ -98,7 +101,7 @@ func (m *Machine) clone() *Machine {
 		nt := &Tile{
 			Coord:    t.Coord,
 			Cores:    make([]*Core, len(t.Cores)),
-			banks:    make([][]byte, len(t.banks)),
+			mem:      t.mem.clone(),
 			bankBusy: append([]int64(nil), t.bankBusy...),
 			dead:     t.dead,
 			run:      append([]int(nil), t.run...),
@@ -107,11 +110,8 @@ func (m *Machine) clone() *Machine {
 		for j, c := range t.Cores {
 			nc := new(Core)
 			*nc = *c // registers, pipeline state and the rem struct copy by value
-			nc.priv = append([]byte(nil), c.priv...)
+			nc.priv = c.priv.clone()
 			nt.Cores[j] = nc
-		}
-		for b := range t.banks {
-			nt.banks[b] = append([]byte(nil), t.banks[b]...)
 		}
 		n.tiles[i] = nt
 	}
