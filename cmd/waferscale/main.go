@@ -37,6 +37,7 @@ import (
 	"waferscale/internal/noc"
 	"waferscale/internal/noc/analytical"
 	"waferscale/internal/pdn"
+	"waferscale/internal/sim"
 	"waferscale/internal/substrate"
 	"waferscale/internal/version"
 	"waferscale/internal/workload"
@@ -637,13 +638,8 @@ func cmdChaos(args []string) error {
 	cfg.Shards = *shards
 	cfg.ShardWorkers = *shardWorkers
 	cfg.Fork = *fork
-	cfg.Kills = cfg.Kills[:0]
-	for _, f := range strings.Split(*kills, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return fmt.Errorf("bad -kills entry %q: %v", f, err)
-		}
-		cfg.Kills = append(cfg.Kills, k)
+	if cfg.Kills, err = parseKills(*kills); err != nil {
+		return err
 	}
 	points, err := d.RunChaos(cfg)
 	if err != nil {
@@ -651,8 +647,21 @@ func cmdChaos(args []string) error {
 	}
 	fmt.Printf("runtime survival curve: %d-worker BFS on %dx%d, tiles killed mid-run in cycles [%d,%d] (%d trials each)\n",
 		cfg.Workers, cfg.Side, cfg.Side, *from, *to, cfg.Trials)
-	fmt.Print(core.FormatChaos(points))
+	fmt.Print(sim.FormatChaos(points))
 	return nil
+}
+
+// parseKills parses a -kills list of comma-separated tile kill counts.
+func parseKills(list string) ([]int, error) {
+	var kills []int
+	for _, f := range strings.Split(list, ",") {
+		k, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad -kills entry %q: %v", f, err)
+		}
+		kills = append(kills, k)
+	}
+	return kills, nil
 }
 
 func cmdPareto(args []string) error {
@@ -779,13 +788,8 @@ func cmdWorkload(args []string) error {
 		cfg.WorkersPerOp = *workersPerOp
 		cfg.OpBudget = *opBudget
 		cfg.TrialWorkers = *hostWorkers
-		cfg.Kills = cfg.Kills[:0]
-		for _, f := range strings.Split(*kills, ",") {
-			k, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return fmt.Errorf("bad -kills entry %q: %v", f, err)
-			}
-			cfg.Kills = append(cfg.Kills, k)
+		if cfg.Kills, err = parseKills(*kills); err != nil {
+			return err
 		}
 		points, err := workload.RunChaos(cfg, g)
 		if err != nil {
@@ -793,7 +797,7 @@ func cmdWorkload(args []string) error {
 		}
 		fmt.Printf("workload survival curve: %q on %dx%d, tiles killed mid-operator in cycles [%d,%d] (%d trials each)\n",
 			g.Name, cfg.Side, cfg.Side, *from, *to, cfg.Trials)
-		fmt.Print(workload.FormatChaos(points))
+		fmt.Print(sim.FormatChaos(points))
 		return nil
 	}
 

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/inject"
@@ -82,14 +80,11 @@ func DefaultChaosConfig() ChaosConfig {
 
 // Validate checks the configuration.
 func (c ChaosConfig) Validate() error {
-	if c.Side < 2 {
-		return fmt.Errorf("core: chaos side %d must be >= 2", c.Side)
+	if err := c.sweep().Validate(c.Side); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("core: chaos needs >= 1 worker")
-	}
-	if c.Trials < 1 {
-		return fmt.Errorf("core: chaos needs >= 1 trial")
 	}
 	if c.MaxCycles < 1 {
 		return fmt.Errorf("core: chaos needs a positive cycle budget")
@@ -97,46 +92,22 @@ func (c ChaosConfig) Validate() error {
 	if c.GraphSide < 2 {
 		return fmt.Errorf("core: chaos graph side %d must be >= 2", c.GraphSide)
 	}
-	for _, k := range c.Kills {
-		if k < 0 || k > c.Side*c.Side {
-			return fmt.Errorf("core: kill count %d outside 0..%d", k, c.Side*c.Side)
-		}
-	}
 	return nil
 }
 
+func (c ChaosConfig) sweep() sim.ChaosSweep {
+	return sim.ChaosSweep{
+		Trials:       c.Trials,
+		Kills:        c.Kills,
+		TrialWorkers: c.TrialWorkers,
+		Shards:       c.Shards,
+		ShardWorkers: c.ShardWorkers,
+		Progress:     c.Progress,
+	}
+}
+
 // ChaosPoint is one row of the survival curve.
-type ChaosPoint struct {
-	Kills     int
-	Trials    int
-	Completed int // runs that quiesced within the cycle budget
-	Verified  int // runs whose BFS output still matched the oracle
-
-	// Mean per-trial degradation work.
-	MeanRetries float64
-	MeanRelays  float64
-	MeanLostKiB float64
-	MeanCycles  float64
-}
-
-// CompletedRate returns the fraction of trials that quiesced.
-func (p ChaosPoint) CompletedRate() float64 {
-	return float64(p.Completed) / float64(p.Trials)
-}
-
-// VerifiedRate returns the fraction of trials with a correct answer.
-func (p ChaosPoint) VerifiedRate() float64 {
-	return float64(p.Verified) / float64(p.Trials)
-}
-
-type chaosTrial struct {
-	completed bool
-	verified  bool
-	retries   int64
-	relays    int64
-	lostBytes int64
-	cycles    int64
-}
+type ChaosPoint = sim.ChaosPoint
 
 // RunChaos executes the sweep and returns one point per kill count.
 // Trials run on independent machines over the shared bounded pool
@@ -159,110 +130,68 @@ func (d *Design) RunChaosCtx(ctx context.Context, cfg ChaosConfig) ([]ChaosPoint
 		return nil, err
 	}
 	g := sim.GridGraph(cfg.GraphSide, cfg.GraphSide).Unweighted()
-	want := g.ReferenceSSSP(0)
-
-	trialWorkers := cfg.TrialWorkers
-	if cfg.Shards > 1 && trialWorkers <= 0 {
-		// Per-cycle sharding multiplies each trial's goroutine demand;
-		// narrow the trial pool so trials x shard-gang stays within
-		// GOMAXPROCS instead of oversubscribing the host.
-		perTrial := parallel.Workers(cfg.ShardWorkers, cfg.Shards)
-		trialWorkers = parallel.Workers(0, 0) / perTrial
-		if trialWorkers < 1 {
-			trialWorkers = 1
-		}
+	b := &bfsChaos{d: d, cfg: cfg, g: g, want: g.ReferenceSSSP(0)}
+	run := sim.EachTrial(b.trial)
+	if cfg.Fork {
+		run = b.forked
 	}
-
-	var (
-		trialsDone    atomic.Int64
-		cyclesStepped atomic.Int64
-	)
-	trialsTotal := cfg.Trials * len(cfg.Kills)
-	report := func(t chaosTrial) {
-		if cfg.Progress != nil {
-			cfg.Progress(int(trialsDone.Add(1)), trialsTotal, cyclesStepped.Add(t.cycles))
-		}
-	}
-
-	points := make([]ChaosPoint, 0, len(cfg.Kills))
-	for _, kills := range cfg.Kills {
-		var trials []chaosTrial
-		var err error
-		if cfg.Fork {
-			trials, err = d.runForkedChaosPoint(ctx, cfg, g, want, kills, trialWorkers, report)
-		} else {
-			trials = make([]chaosTrial, cfg.Trials)
-			err = parallel.ForEach(ctx, cfg.Trials, trialWorkers, func(i int) error {
-				t, terr := d.runChaosTrial(ctx, cfg, g, want, kills, i)
-				if terr != nil {
-					return terr
-				}
-				trials[i] = t
-				report(t)
-				return nil
-			})
-		}
-		if err != nil {
-			return points, err
-		}
-
-		p := ChaosPoint{Kills: kills, Trials: cfg.Trials}
-		for _, t := range trials {
-			if t.completed {
-				p.Completed++
-			}
-			if t.verified {
-				p.Verified++
-			}
-			p.MeanRetries += float64(t.retries)
-			p.MeanRelays += float64(t.relays)
-			p.MeanLostKiB += float64(t.lostBytes) / 1024
-			p.MeanCycles += float64(t.cycles)
-		}
-		n := float64(cfg.Trials)
-		p.MeanRetries /= n
-		p.MeanRelays /= n
-		p.MeanLostKiB /= n
-		p.MeanCycles /= n
-		points = append(points, p)
-	}
-	return points, nil
+	return sim.RunChaosSweep(ctx, cfg.sweep(), run)
 }
 
-func (d *Design) runChaosTrial(ctx context.Context, cfg ChaosConfig, g *sim.Graph, want []int32, kills, trial int) (chaosTrial, error) {
-	m, err := d.BuildMachine(cfg.Side, nil)
+// bfsChaos runs the BFS survival sweep's trials.
+type bfsChaos struct {
+	d    *Design
+	cfg  ChaosConfig
+	g    *sim.Graph
+	want []int32
+}
+
+func (b *bfsChaos) machine() (*sim.Machine, error) {
+	m, err := b.d.BuildMachine(b.cfg.Side, nil)
 	if err != nil {
-		return chaosTrial{}, err
+		return nil, err
 	}
-	m.Shards = cfg.Shards
-	m.Workers = cfg.ShardWorkers
-	defer m.Close()
-	sched := inject.Random(m.Cfg.Grid(), kills, cfg.KillWindow, fault.TrialSeed(cfg.Seed, kills, trial), nil)
-	if err := m.AttachSchedule(sched); err != nil {
-		return chaosTrial{}, err
-	}
-	ws := sim.SpreadWorkers(m, cfg.Workers)
-	res, err := sim.RunSSSPUnderFaultsCtx(ctx, m, g, 0, ws, cfg.MaxCycles)
-	if err != nil {
-		return chaosTrial{}, err
-	}
-	t := chaosTrial{
-		completed: res.Completed,
-		retries:   res.Report.RetriedOps,
-		relays:    res.Report.RelayedRequests + res.Report.RelayedResponses,
-		lostBytes: res.Report.LostSharedBytes,
-		cycles:    res.Cycles,
-	}
+	m.Shards = b.cfg.Shards
+	m.Workers = b.cfg.ShardWorkers
+	return m, nil
+}
+
+func (b *bfsChaos) schedule(m *sim.Machine, kills, trial int) *inject.Schedule {
+	return inject.Random(m.Cfg.Grid(), kills, b.cfg.KillWindow, fault.TrialSeed(b.cfg.Seed, kills, trial), nil)
+}
+
+// outcome scores a finished run: it verifies only when the machine
+// quiesced with every distance readable and no core faulted.
+func (b *bfsChaos) outcome(m *sim.Machine, res *sim.ChaosResult) sim.ChaosTrial {
+	t := sim.NewChaosTrial(res.Completed, res.Cycles, res.Report)
 	if res.Completed && res.ReadErrors == 0 && len(m.Faults()) == 0 {
-		t.verified = sim.CountMismatches(res.Dist, want) == 0
+		t.Verified = sim.CountMismatches(res.Dist, b.want) == 0
 	}
-	return t, nil
+	return t
 }
 
-// runForkedChaosPoint runs one kill count's trials off a shared warm
-// prefix. The fault-free machine is built and the workload loaded once;
-// trials are ordered by fork cycle (the cycle before each trial's first
-// injected kill, clamped to the cycle budget), the prefix is advanced
+// trial runs one trial from scratch: the reference the forked path is
+// pinned against.
+func (b *bfsChaos) trial(ctx context.Context, kills, trial int) (sim.ChaosTrial, error) {
+	m, err := b.machine()
+	if err != nil {
+		return sim.ChaosTrial{}, err
+	}
+	defer m.Close()
+	if err := m.AttachSchedule(b.schedule(m, kills, trial)); err != nil {
+		return sim.ChaosTrial{}, err
+	}
+	res, err := sim.RunSSSPUnderFaultsCtx(ctx, m, b.g, 0, sim.SpreadWorkers(m, b.cfg.Workers), b.cfg.MaxCycles)
+	if err != nil {
+		return sim.ChaosTrial{}, err
+	}
+	return b.outcome(m, res), nil
+}
+
+// forked runs one kill count's trials off a shared warm prefix. The
+// fault-free machine is built and the workload loaded once; trials are
+// ordered by fork cycle (the cycle before each trial's first injected
+// kill, clamped to the cycle budget), the prefix is advanced
 // monotonically to each fork cycle, and an independent fork finishes
 // every trial.
 //
@@ -272,21 +201,19 @@ func (d *Design) runChaosTrial(ctx context.Context, cfg ChaosConfig, g *sim.Grap
 // stepping it from the fork cycle is the same computation from-scratch
 // stepping performs; and per-trial seeds come from fault.TrialSeed, not
 // shared state, so trial order and worker count do not matter.
-func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *sim.Graph, want []int32, kills, trialWorkers int, report func(chaosTrial)) ([]chaosTrial, error) {
-	m0, err := d.BuildMachine(cfg.Side, nil)
+func (b *bfsChaos) forked(ctx context.Context, kills, n, workers int, done func(sim.ChaosTrial)) ([]sim.ChaosTrial, error) {
+	m0, err := b.machine()
 	if err != nil {
 		return nil, err
 	}
-	m0.Shards = cfg.Shards
-	m0.Workers = cfg.ShardWorkers
 	defer m0.Close()
-	ws := sim.SpreadWorkers(m0, cfg.Workers)
-	distA, err := sim.PrepareSSSP(m0, g, 0, ws)
+	distA, err := sim.PrepareSSSP(m0, b.g, 0, sim.SpreadWorkers(m0, b.cfg.Workers))
 	if err != nil {
 		return nil, err
 	}
+	maxCycles := b.cfg.MaxCycles
 
-	trials := make([]chaosTrial, cfg.Trials)
+	trials := make([]sim.ChaosTrial, n)
 
 	// finish owns fm: it attaches the trial's schedule, runs to the
 	// absolute cycle budget, and collects the result. Each call writes a
@@ -296,48 +223,23 @@ func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *si
 		if err := fm.AttachSchedule(sched); err != nil {
 			return err
 		}
-		if err := fm.RunToCycleCtx(ctx, cfg.MaxCycles); err != nil {
+		if err := fm.RunToCycleCtx(ctx, maxCycles); err != nil {
 			return err
 		}
 		var runErr error
 		if !fm.AllHalted() {
-			runErr = &sim.BudgetError{Cycles: cfg.MaxCycles}
+			runErr = &sim.BudgetError{Cycles: maxCycles}
 		}
-		res := sim.CollectSSSP(fm, g, distA, runErr)
-		t := chaosTrial{
-			completed: res.Completed,
-			retries:   res.Report.RetriedOps,
-			relays:    res.Report.RelayedRequests + res.Report.RelayedResponses,
-			lostBytes: res.Report.LostSharedBytes,
-			cycles:    res.Cycles,
-		}
-		if res.Completed && res.ReadErrors == 0 && len(fm.Faults()) == 0 {
-			t.verified = sim.CountMismatches(res.Dist, want) == 0
-		}
-		trials[trial] = t
-		report(t)
+		trials[trial] = b.outcome(fm, sim.CollectSSSP(fm, b.g, distA, runErr))
+		done(trials[trial])
 		return nil
 	}
 
-	if kills == 0 {
-		// No events at all: every trial is the same fault-free run (the
-		// per-trial seed only feeds schedule generation). Run it once on
-		// the prefix machine itself and replicate the outcome.
-		if err := finish(m0, inject.Random(m0.Cfg.Grid(), 0, cfg.KillWindow, fault.TrialSeed(cfg.Seed, 0, 0), nil), 0); err != nil {
-			return nil, err
-		}
-		for i := 1; i < cfg.Trials; i++ {
-			trials[i] = trials[0]
-			report(trials[0])
-		}
-		return trials, nil
-	}
-
-	scheds := make([]*inject.Schedule, cfg.Trials)
-	forkAt := make([]int64, cfg.Trials)
-	order := make([]int, cfg.Trials)
+	scheds := make([]*inject.Schedule, n)
+	forkAt := make([]int64, n)
+	order := make([]int, n)
 	for i := range scheds {
-		scheds[i] = inject.Random(m0.Cfg.Grid(), kills, cfg.KillWindow, fault.TrialSeed(cfg.Seed, kills, i), nil)
+		scheds[i] = b.schedule(m0, kills, i)
 		fc := int64(0)
 		if evs := scheds[i].Events(); len(evs) > 0 {
 			// The first event at cycle k fires during the step that makes
@@ -345,18 +247,12 @@ func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *si
 			// to the budget, past which from-scratch runs never step.
 			fc = evs[0].Cycle - 1
 		}
-		if fc < 0 {
-			fc = 0
-		}
-		if fc > cfg.MaxCycles {
-			fc = cfg.MaxCycles
-		}
-		forkAt[i] = fc
+		forkAt[i] = min(max(fc, 0), maxCycles)
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return forkAt[order[a]] < forkAt[order[b]] })
 
-	workers := parallel.Workers(trialWorkers, cfg.Trials)
+	workers = parallel.Workers(workers, n)
 	if workers <= 1 {
 		for _, i := range order {
 			if err := m0.RunToCycleCtx(ctx, forkAt[i]); err != nil {
@@ -419,17 +315,4 @@ func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *si
 		return nil, poolErr
 	}
 	return trials, nil
-}
-
-// FormatChaos renders the survival curve as an aligned text table.
-func FormatChaos(points []ChaosPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s  %9s  %9s  %9s  %9s  %9s  %11s\n",
-		"kills", "completed", "verified", "retries", "relays", "lostKiB", "meanCycles")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%6d  %8.1f%%  %8.1f%%  %9.1f  %9.1f  %9.1f  %11.0f\n",
-			p.Kills, p.CompletedRate()*100, p.VerifiedRate()*100,
-			p.MeanRetries, p.MeanRelays, p.MeanLostKiB, p.MeanCycles)
-	}
-	return b.String()
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"waferscale/internal/sim"
 )
 
 func smallChaosConfig() ChaosConfig {
@@ -44,7 +46,7 @@ func TestRunChaosSweep(t *testing.T) {
 			t.Errorf("impossible point: %+v", p)
 		}
 	}
-	if out := FormatChaos(points); len(out) == 0 {
+	if out := sim.FormatChaos(points); len(out) == 0 {
 		t.Error("FormatChaos returned nothing")
 	}
 }

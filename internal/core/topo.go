@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 	"waferscale/internal/noc"
 	"waferscale/internal/noc/analytical"
-	"waferscale/internal/parallel"
 )
 
 // Topology x fault-map exploration: the DAC'21 prototype froze the
@@ -93,6 +92,10 @@ type topoCandidate struct {
 	topology string
 	faults   int
 	trial    int
+}
+
+func (c topoCandidate) String() string {
+	return fmt.Sprintf("topo point %s/%d faults/trial %d", c.topology, c.faults, c.trial)
 }
 
 // TopoModelError is the per-topology screen-vs-verified error summary.
@@ -230,25 +233,6 @@ func dominatesTopo(a, b TopoPoint) bool {
 	return geq && gt
 }
 
-// topoFrontier extracts the non-dominated subset, sorted by SatRate.
-func topoFrontier(pts []TopoPoint) []TopoPoint {
-	var frontier []TopoPoint
-	for _, p := range pts {
-		dominated := false
-		for _, q := range pts {
-			if dominatesTopo(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			frontier = append(frontier, p)
-		}
-	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i].SatRate < frontier[j].SatRate })
-	return frontier
-}
-
 // ExploreTopologies runs the sweep with background context.
 func ExploreTopologies(space TopoSweepSpace, opts TopoSweepOpts) (*TopoSweepRun, error) {
 	return ExploreTopologiesCtx(context.Background(), space, opts)
@@ -274,128 +258,74 @@ func ExploreTopologiesCtx(ctx context.Context, space TopoSweepSpace, opts TopoSw
 	if len(combos) == 0 {
 		return nil, fmt.Errorf("core: empty topology sweep space")
 	}
-	evalAll := func(cs []topoCandidate, model EvalModel, stage string) ([]TopoPoint, time.Duration, error) {
-		start := time.Now()
-		tick := progressTicker(opts.Progress, stage, len(cs))
-		pts, err := parallel.Map(ctx, len(cs), opts.Workers, func(i int) (TopoPoint, error) {
-			pt, err := evalTopoCandidate(ctx, space, cs[i], model)
-			if err != nil {
-				return TopoPoint{}, fmt.Errorf("core: topo point %s/%d faults/trial %d (%s): %w",
-					cs[i].topology, cs[i].faults, cs[i].trial, model, err)
-			}
-			if tick != nil {
-				tick()
-			}
-			return pt, nil
-		})
-		return pts, time.Since(start), err
+	tt := twoTier[topoCandidate, TopoPoint]{
+		eval: func(ctx context.Context, cs []topoCandidate, model EvalModel, tick func()) ([]TopoPoint, error) {
+			return evalAll(ctx, cs, opts.Workers, tick, func(c topoCandidate) (TopoPoint, error) {
+				return evalTopoCandidate(ctx, space, c, model)
+			})
+		},
+		rule: topoRule(opts.BandPct),
+		objectives: []func(a, b TopoPoint) bool{
+			func(a, b TopoPoint) bool { return a.SatRate > b.SatRate },
+			func(a, b TopoPoint) bool { return a.Latency < b.Latency },
+		},
+		topK:     opts.TopK,
+		progress: opts.Progress,
 	}
-	if !opts.TwoTier {
+	run := &TopoSweepRun{TwoTier: opts.TwoTier}
+	if opts.TwoTier {
+		r, err := tt.run(ctx, combos)
+		if err != nil {
+			return nil, err
+		}
+		run.Model = string(ModelCycle)
+		run.All = r.verified
+		run.Screened = r.screened
+		run.Survivors = len(r.survivors)
+		run.ScreenedOut = len(combos) - len(r.survivors)
+		run.ScreenElapsed = r.screenElapsed
+		run.VerifyElapsed = r.verifyElapsed
+		buildTopoErrorReport(run, r.screened, r.survivors, r.verified)
+	} else {
 		model, err := opts.Model.normalized()
 		if err != nil {
 			return nil, err
 		}
-		pts, elapsed, err := evalAll(combos, model, "evaluate")
-		if err != nil {
+		if run.All, run.EvalElapsed, err = tt.stage(ctx, "evaluate", combos, model); err != nil {
 			return nil, err
 		}
-		return &TopoSweepRun{
-			Model:       string(model),
-			All:         pts,
-			Frontier:    topoFrontier(pts),
-			EvalElapsed: elapsed,
-		}, nil
+		run.Model = string(model)
 	}
-
-	screened, screenElapsed, err := evalAll(combos, ModelAnalytical, "screen")
-	if err != nil {
-		return nil, err
-	}
-	surv := selectTopoSurvivors(screened, opts)
-	verifyCombos := make([]topoCandidate, len(surv))
-	for i, idx := range surv {
-		verifyCombos[i] = combos[idx]
-	}
-	verified, verifyElapsed, err := evalAll(verifyCombos, ModelCycle, "verify")
-	if err != nil {
-		return nil, err
-	}
-	run := &TopoSweepRun{
-		Model:         string(ModelCycle),
-		TwoTier:       true,
-		All:           verified,
-		Frontier:      topoFrontier(verified),
-		Screened:      screened,
-		Survivors:     len(surv),
-		ScreenedOut:   len(combos) - len(surv),
-		ScreenElapsed: screenElapsed,
-		VerifyElapsed: verifyElapsed,
-	}
-	buildTopoErrorReport(run, screened, surv, verified)
+	run.Frontier = paretoFront(run.All, dominatesTopo, func(a, b TopoPoint) bool { return a.SatRate < b.SatRate })
 	return run, nil
 }
 
-// selectTopoSurvivors returns the indices of screened candidates worth
-// a cycle evaluation, sorted ascending: every candidate not dominated
-// by a band-confident margin on both objectives, plus top-K insurance
-// per objective.
-func selectTopoSurvivors(screened []TopoPoint, opts TopoSweepOpts) []int {
-	topK := opts.TopK
-	if topK <= 0 {
-		topK = DefaultTopK
+// topoRule keeps every screened candidate that no other candidate
+// dominates by a band-confident margin of bandPct percent (0 =
+// DefaultTopoBandPct) on both objectives. Every candidate is in the
+// insurance pool.
+func topoRule(bandPct float64) func([]TopoPoint) (keep, pool []int) {
+	if bandPct <= 0 {
+		bandPct = DefaultTopoBandPct
 	}
-	band := opts.BandPct
-	if band <= 0 {
-		band = DefaultTopoBandPct
-	}
-	f := band / 100
+	f := bandPct / 100
 	confidentlyDominates := func(a, b TopoPoint) bool {
 		return a.SatRate >= b.SatRate*(1+f) && a.Latency <= b.Latency/(1+f)
 	}
-	keep := make(map[int]bool)
-	for i := range screened {
-		dominated := false
-		for j := range screened {
-			if confidentlyDominates(screened[j], screened[i]) {
-				dominated = true
-				break
+	return func(screened []TopoPoint) (keep, pool []int) {
+		for i, p := range screened {
+			pool = append(pool, i)
+			if !slices.ContainsFunc(screened, func(q TopoPoint) bool { return confidentlyDominates(q, p) }) {
+				keep = append(keep, i)
 			}
 		}
-		if !dominated {
-			keep[i] = true
-		}
+		return keep, pool
 	}
-	objectives := []func(a, b TopoPoint) bool{
-		func(a, b TopoPoint) bool { return a.SatRate > b.SatRate },
-		func(a, b TopoPoint) bool { return a.Latency < b.Latency },
-	}
-	for _, better := range objectives {
-		order := make([]int, len(screened))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(x, y int) bool { return better(screened[order[x]], screened[order[y]]) })
-		for k := 0; k < topK && k < len(order); k++ {
-			keep[order[k]] = true
-		}
-	}
-	out := make([]int, 0, len(keep))
-	for i := range keep {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func buildTopoErrorReport(run *TopoSweepRun, screened []TopoPoint, surv []int, verified []TopoPoint) {
 	if len(surv) == 0 {
 		return
-	}
-	relPct := func(model, exact float64) float64 {
-		if exact == 0 {
-			return 100 * math.Abs(model)
-		}
-		return 100 * math.Abs(model-exact) / math.Abs(exact)
 	}
 	var screenSat, exactSat, screenLat, exactLat []float64
 	perTopo := map[string]*TopoModelError{}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
@@ -195,6 +197,10 @@ type paretoCombo struct {
 	pillars int
 }
 
+func (c paretoCombo) String() string {
+	return fmt.Sprintf("point (%d,%.1fV,%dp)", c.side, c.edgeV, c.pillars)
+}
+
 func enumerateSpace(space ParetoSpace) []paretoCombo {
 	var combos []paretoCombo
 	for _, side := range space.Sides {
@@ -205,6 +211,87 @@ func enumerateSpace(space ParetoSpace) []paretoCombo {
 		}
 	}
 	return combos
+}
+
+// twoTier is the screen-then-verify pipeline every explorer shares. An
+// explorer supplies how to price a batch of candidates and which
+// screened points deserve verification; the engine runs the stages,
+// reports progress under the stage names "evaluate" (single-tier),
+// "screen" and "verify", and times each stage.
+type twoTier[C, P any] struct {
+	// eval prices cs with one backend, in candidate order, calling tick
+	// (if non-nil) after every completed point.
+	eval func(ctx context.Context, cs []C, model EvalModel, tick func()) ([]P, error)
+	// rule returns the screened indices its band logic keeps and the
+	// pool the top-K insurance draws from.
+	rule func(screened []P) (keep, pool []int)
+	// objectives order points best-first, one per objective. The topK
+	// (0 = DefaultTopK) best of the pool on each objective always
+	// survive, as insurance against model error in the ordering.
+	objectives []func(a, b P) bool
+	topK       int
+	progress   func(stage string, done, total int)
+}
+
+// tiers is the outcome of a two-tier run.
+type tiers[P any] struct {
+	screened, verified           []P
+	survivors                    []int // indices into screened, ascending
+	screenElapsed, verifyElapsed time.Duration
+}
+
+// stage evaluates cs with one backend under a progress stage name.
+func (t twoTier[C, P]) stage(ctx context.Context, name string, cs []C, model EvalModel) ([]P, time.Duration, error) {
+	start := time.Now()
+	pts, err := t.eval(ctx, cs, model, progressTicker(t.progress, name, len(cs)))
+	return pts, time.Since(start), err
+}
+
+// run screens every candidate with the analytical tier and verifies
+// the survivors with the cycle tier.
+func (t twoTier[C, P]) run(ctx context.Context, cs []C) (*tiers[P], error) {
+	screened, screenElapsed, err := t.stage(ctx, "screen", cs, ModelAnalytical)
+	if err != nil {
+		return nil, err
+	}
+	surv := t.survivors(screened)
+	verifyCs := make([]C, len(surv))
+	for i, idx := range surv {
+		verifyCs[i] = cs[idx]
+	}
+	verified, verifyElapsed, err := t.stage(ctx, "verify", verifyCs, ModelCycle)
+	if err != nil {
+		return nil, err
+	}
+	return &tiers[P]{screened, verified, surv, screenElapsed, verifyElapsed}, nil
+}
+
+// survivors applies the rule plus the top-K insurance slice per
+// objective and returns the kept indices in ascending order.
+func (t twoTier[C, P]) survivors(screened []P) []int {
+	keep, pool := t.rule(screened)
+	kept := make([]bool, len(screened))
+	for _, i := range keep {
+		kept[i] = true
+	}
+	topK := t.topK
+	if topK <= 0 {
+		topK = DefaultTopK
+	}
+	for _, better := range t.objectives {
+		order := append([]int(nil), pool...)
+		sort.SliceStable(order, func(x, y int) bool { return better(screened[order[x]], screened[order[y]]) })
+		for _, i := range order[:min(topK, len(order))] {
+			kept[i] = true
+		}
+	}
+	var out []int
+	for i, k := range kept {
+		if k {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // progressTicker serializes a Progress callback into a per-completion
@@ -222,6 +309,44 @@ func progressTicker(progress func(stage string, done, total int), stage string, 
 		done++
 		progress(stage, done, total)
 	}
+}
+
+// evalAll prices every candidate on the shared bounded pool and returns
+// the points in candidate order. It calls tick (if non-nil) after each
+// completed point and names the failing candidate in an error.
+func evalAll[C fmt.Stringer, P any](ctx context.Context, cs []C, workers int, tick func(), eval func(C) (P, error)) ([]P, error) {
+	return parallel.Map(ctx, len(cs), workers, func(i int) (P, error) {
+		p, err := eval(cs[i])
+		if err != nil {
+			return p, fmt.Errorf("core: %v: %w", cs[i], err)
+		}
+		if tick != nil {
+			tick()
+		}
+		return p, nil
+	})
+}
+
+// paretoFront returns the points no other point dominates, sorted by
+// less.
+func paretoFront[P any](pts []P, dominates, less func(a, b P) bool) []P {
+	var front []P
+	for _, p := range pts {
+		if !slices.ContainsFunc(pts, func(q P) bool { return dominates(q, p) }) {
+			front = append(front, p)
+		}
+	}
+	sort.Slice(front, func(i, j int) bool { return less(front[i], front[j]) })
+	return front
+}
+
+// relPct is a screened value's error against the verified one, in
+// percent of the verified value, or in percent of 1 when that is zero.
+func relPct(model, exact float64) float64 {
+	if exact == 0 {
+		return 100 * math.Abs(model)
+	}
+	return 100 * math.Abs(model-exact) / math.Abs(exact)
 }
 
 // evalCombos evaluates the combos with the given backend on the shared
@@ -251,16 +376,8 @@ func (d *Design) evalCombos(ctx context.Context, combos []paretoCombo, model Eva
 	for i, s := range sides {
 		probes[s] = probeVals[i]
 	}
-	return parallel.Map(ctx, len(combos), d.Workers, func(i int) (DesignPoint, error) {
-		c := combos[i]
-		pt, err := d.evaluatePoint(c.side, c.edgeV, c.pillars, model, probes[c.side])
-		if err != nil {
-			return DesignPoint{}, fmt.Errorf("core: point (%d,%.1fV,%dp): %w", c.side, c.edgeV, c.pillars, err)
-		}
-		if tick != nil {
-			tick()
-		}
-		return pt, nil
+	return evalAll(ctx, combos, d.Workers, tick, func(c paretoCombo) (DesignPoint, error) {
+		return d.evaluatePoint(c.side, c.edgeV, c.pillars, model, probes[c.side])
 	})
 }
 
@@ -280,125 +397,93 @@ func (d *Design) ExploreParetoCtx(ctx context.Context, space ParetoSpace, opts P
 	if err != nil {
 		return nil, err
 	}
+	tt := twoTier[paretoCombo, DesignPoint]{
+		eval: func(ctx context.Context, cs []paretoCombo, model EvalModel, tick func()) ([]DesignPoint, error) {
+			return d.evalCombos(ctx, cs, model, topology, tick)
+		},
+		rule: d.paretoRule(opts.BandPct),
+		objectives: []func(a, b DesignPoint) bool{
+			func(a, b DesignPoint) bool { return a.ThroughputTOPS > b.ThroughputTOPS },
+			func(a, b DesignPoint) bool { return a.EdgePowerW < b.EdgePowerW },
+			func(a, b DesignPoint) bool { return a.ExpectedBad < b.ExpectedBad },
+		},
+		topK:     opts.TopK,
+		progress: opts.Progress,
+	}
+	run := &ParetoRun{Topology: topology, TwoTier: opts.TwoTier}
+	var pts []DesignPoint
 	if opts.TwoTier {
-		return d.exploreTwoTier(ctx, combos, topology, opts)
+		r, err := tt.run(ctx, combos)
+		if err != nil {
+			return nil, err
+		}
+		pts = r.verified
+		run.Model = string(ModelCycle)
+		run.Screened = r.screened
+		run.Survivors = len(r.survivors)
+		run.ScreenedOut = len(combos) - len(r.survivors)
+		run.ModelError = buildErrorReport(r.screened, r.survivors, r.verified)
+	} else {
+		model, err := opts.Model.normalized()
+		if err != nil {
+			return nil, err
+		}
+		if pts, _, err = tt.stage(ctx, "evaluate", combos, model); err != nil {
+			return nil, err
+		}
+		run.Model = string(model)
 	}
-	model, err := opts.Model.normalized()
-	if err != nil {
-		return nil, err
+	for _, p := range pts {
+		if p.Feasible {
+			run.All = append(run.All, p)
+		}
 	}
-	pts, err := d.evalCombos(ctx, combos, model, topology, progressTicker(opts.Progress, "evaluate", len(combos)))
-	if err != nil {
-		return nil, err
-	}
-	all, frontier := feasibleFrontier(pts)
-	return &ParetoRun{Model: string(model), Topology: topology, All: all, Frontier: frontier}, nil
+	byThroughput := func(a, b DesignPoint) bool { return a.ThroughputTOPS < b.ThroughputTOPS }
+	run.Frontier = paretoFront(run.All, dominates, byThroughput)
+	sort.Slice(run.All, func(i, j int) bool { return byThroughput(run.All[i], run.All[j]) })
+	return run, nil
 }
 
-func (d *Design) exploreTwoTier(ctx context.Context, combos []paretoCombo, topology string, opts ParetoOpts) (*ParetoRun, error) {
-	topK := opts.TopK
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
-	bandPct := opts.BandPct
+// paretoRule keeps every screened point whose feasibility is plausible
+// (center voltage within the band of the LDO floor or above) and that
+// no confidently feasible point (margin above the band) dominates.
+// Objectives are exact arithmetic in both tiers, so domination
+// transfers: a point dominated by a confident survivor cannot reach the
+// verified frontier. The plausible points are the insurance pool.
+func (d *Design) paretoRule(bandPct float64) func([]DesignPoint) (keep, pool []int) {
 	if bandPct <= 0 {
 		bandPct = DefaultBandPct
 	}
 	floor := d.LDO.MinOutV + d.LDO.DropoutV
 	bandV := floor * bandPct / 100
-
-	screened, err := d.evalCombos(ctx, combos, ModelAnalytical, topology, progressTicker(opts.Progress, "screen", len(combos)))
-	if err != nil {
-		return nil, err
-	}
-	surv := d.selectSurvivors(screened, floor, bandV, topK)
-	verifyCombos := make([]paretoCombo, len(surv))
-	for i, idx := range surv {
-		verifyCombos[i] = combos[idx]
-	}
-	verified, err := d.evalCombos(ctx, verifyCombos, ModelCycle, topology, progressTicker(opts.Progress, "verify", len(verifyCombos)))
-	if err != nil {
-		return nil, err
-	}
-	all, frontier := feasibleFrontier(verified)
-	return &ParetoRun{
-		Model:       string(ModelCycle),
-		Topology:    topology,
-		TwoTier:     true,
-		All:         all,
-		Frontier:    frontier,
-		Screened:    screened,
-		Survivors:   len(surv),
-		ScreenedOut: len(combos) - len(surv),
-		ModelError:  buildErrorReport(screened, surv, verified),
-	}, nil
-}
-
-// selectSurvivors returns the indices of screened points worth an exact
-// evaluation, sorted ascending. A point survives when it is not
-// dominated by any confidently-feasible point (screen margin above the
-// band), or when its feasibility is borderline (within the band of the
-// LDO floor), plus a top-K insurance slice per objective. Objectives
-// are exact arithmetic in both tiers, so domination transfers: a point
-// dominated by a confident survivor cannot reach the verified frontier.
-func (d *Design) selectSurvivors(screened []DesignPoint, floor, bandV float64, topK int) []int {
-	var confident, candidates []int
-	for i, p := range screened {
-		// The edge-voltage bound is exact arithmetic, identical in both
-		// tiers: no band needed.
-		if p.EdgeVolts > d.LDO.MaxInV+0.5001 {
-			continue
-		}
-		if p.CenterVolt >= floor+bandV {
-			confident = append(confident, i)
-		}
-		if p.CenterVolt >= floor-bandV {
-			candidates = append(candidates, i)
-		}
-	}
-	keep := make(map[int]bool)
-	for _, i := range candidates {
-		dominated := false
-		for _, j := range confident {
-			if dominates(screened[j], screened[i]) {
-				dominated = true
-				break
+	return func(screened []DesignPoint) (keep, pool []int) {
+		var confident []int
+		for i, p := range screened {
+			// The edge-voltage bound is exact arithmetic, identical in
+			// both tiers: no band needed.
+			if !d.edgeVoltOK(p.EdgeVolts) {
+				continue
+			}
+			if p.CenterVolt >= floor+bandV {
+				confident = append(confident, i)
+			}
+			if p.CenterVolt >= floor-bandV {
+				pool = append(pool, i)
 			}
 		}
-		if !dominated {
-			keep[i] = true
+		for _, i := range pool {
+			if !slices.ContainsFunc(confident, func(j int) bool { return dominates(screened[j], screened[i]) }) {
+				keep = append(keep, i)
+			}
 		}
+		return keep, pool
 	}
-	objectives := []func(a, b DesignPoint) bool{
-		func(a, b DesignPoint) bool { return a.ThroughputTOPS > b.ThroughputTOPS },
-		func(a, b DesignPoint) bool { return a.EdgePowerW < b.EdgePowerW },
-		func(a, b DesignPoint) bool { return a.ExpectedBad < b.ExpectedBad },
-	}
-	for _, better := range objectives {
-		order := append([]int(nil), candidates...)
-		sort.SliceStable(order, func(x, y int) bool { return better(screened[order[x]], screened[order[y]]) })
-		for k := 0; k < topK && k < len(order); k++ {
-			keep[order[k]] = true
-		}
-	}
-	out := make([]int, 0, len(keep))
-	for i := range keep {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func buildErrorReport(screened []DesignPoint, surv []int, verified []DesignPoint) *ModelErrorReport {
 	rep := &ModelErrorReport{Points: len(surv)}
 	if len(surv) == 0 {
 		return rep
-	}
-	relPct := func(model, exact float64) float64 {
-		if exact == 0 {
-			return 100 * math.Abs(model)
-		}
-		return 100 * math.Abs(model-exact) / math.Abs(exact)
 	}
 	var screenVolt, exactVolt, screenLat, exactLat []float64
 	var voltSum, satSum, latSum float64
@@ -464,32 +549,4 @@ func spearmanRank(a, b []float64) float64 {
 		d2 += d * d
 	}
 	return 1 - 6*d2/(n*(n*n-1))
-}
-
-// feasibleFrontier filters the feasible points and extracts the
-// Pareto-optimal subset, both sorted by throughput.
-func feasibleFrontier(pts []DesignPoint) (all, frontier []DesignPoint) {
-	for _, pt := range pts {
-		if pt.Feasible {
-			all = append(all, pt)
-		}
-	}
-	for _, p := range all {
-		dominated := false
-		for _, q := range all {
-			if dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			frontier = append(frontier, p)
-		}
-	}
-	byThroughput := func(s []DesignPoint) {
-		sort.Slice(s, func(i, j int) bool { return s[i].ThroughputTOPS < s[j].ThroughputTOPS })
-	}
-	byThroughput(all)
-	byThroughput(frontier)
-	return all, frontier
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"waferscale/internal/noc"
-	"waferscale/internal/parallel"
 	"waferscale/internal/workload"
 )
 
@@ -50,8 +48,11 @@ type WorkloadTopoOpts struct {
 	// WorkersPerOp / OpBudget mirror workload.Options.
 	WorkersPerOp int
 	OpBudget     int64
-	Progress     func(done, total int)
 }
+
+type workloadCombo struct{ topo, place string }
+
+func (c workloadCombo) String() string { return "workload sweep " + c.topo + "/" + c.place }
 
 // ExploreWorkloadTopologies runs the sweep with background context.
 func ExploreWorkloadTopologies(g *workload.Graph, opts WorkloadTopoOpts) (*WorkloadTopoRun, error) {
@@ -83,24 +84,20 @@ func ExploreWorkloadTopologiesCtx(ctx context.Context, g *workload.Graph, opts W
 		return nil, err
 	}
 
-	type combo struct{ topo, place string }
-	var combos []combo
+	var combos []workloadCombo
 	for _, tp := range topos {
 		if tp == noc.TopoVertical && side%2 != 0 {
 			return nil, fmt.Errorf("core: workload sweep side %d is odd; vertical needs an even side", side)
 		}
 		for _, pl := range placements {
-			combos = append(combos, combo{tp, pl})
+			combos = append(combos, workloadCombo{tp, pl})
 		}
 	}
 
-	pts := make([]WorkloadTopoPoint, len(combos))
-	var done atomic.Int32
-	err = parallel.ForEach(ctx, len(combos), opts.Workers, func(i int) error {
-		c := combos[i]
+	pts, err := evalAll(ctx, combos, opts.Workers, nil, func(c workloadCombo) (WorkloadTopoPoint, error) {
 		m, err := workload.BuildMachine(side, c.topo)
 		if err != nil {
-			return fmt.Errorf("core: workload sweep %s/%s: %w", c.topo, c.place, err)
+			return WorkloadTopoPoint{}, err
 		}
 		defer m.Close()
 		outputs, rep, err := workload.RunCtx(ctx, m, g, workload.Options{
@@ -109,9 +106,9 @@ func ExploreWorkloadTopologiesCtx(ctx context.Context, g *workload.Graph, opts W
 			OpBudget:     opts.OpBudget,
 		})
 		if err != nil {
-			return fmt.Errorf("core: workload sweep %s/%s: %w", c.topo, c.place, err)
+			return WorkloadTopoPoint{}, err
 		}
-		pts[i] = WorkloadTopoPoint{
+		return WorkloadTopoPoint{
 			Topology:           c.topo,
 			Placement:          c.place,
 			Cycles:             rep.TotalCycles,
@@ -120,11 +117,7 @@ func ExploreWorkloadTopologiesCtx(ctx context.Context, g *workload.Graph, opts W
 			RemoteOps:          rep.RemoteOps,
 			AvgRemoteLatency:   m.AvgRemoteLatency(),
 			Verified:           rep.Completed && len(workload.CompareOutputs(outputs, want)) == 0,
-		}
-		if opts.Progress != nil {
-			opts.Progress(int(done.Add(1)), len(combos))
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err

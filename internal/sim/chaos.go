@@ -3,8 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync/atomic"
 
 	"waferscale/internal/arch"
+	"waferscale/internal/parallel"
 )
 
 // ChaosResult is the outcome of a workload run under runtime fault
@@ -119,4 +122,177 @@ func CollectSSSP(m *Machine, g *Graph, distA uint32, runErr error) *ChaosResult 
 		res.Dist[i] = int32(v)
 	}
 	return res
+}
+
+// Chaos sweeps. Every chaos driver (core's BFS survival curve,
+// workload's operator-graph one) runs seeded trials with tiles dying
+// mid-run and reports, per kill count, how many trials completed and
+// how many still verified against the host reference. The drivers
+// differ only in what a trial runs; the sweep below owns the rest: the
+// kill-count loop, the trial pool, the fault-free collapse, progress,
+// aggregation and the table.
+
+// ChaosPoint is one row of a survival curve. Its untagged field names
+// are the serve layer's stored wire format.
+type ChaosPoint struct {
+	Kills     int
+	Trials    int
+	Completed int // runs that quiesced within the cycle budget
+	Verified  int // runs whose output still matched the host reference
+
+	// Mean per-trial degradation work.
+	MeanRetries float64
+	MeanRelays  float64
+	MeanLostKiB float64
+	MeanCycles  float64
+}
+
+// CompletedRate returns the fraction of trials that quiesced.
+func (p ChaosPoint) CompletedRate() float64 { return float64(p.Completed) / float64(p.Trials) }
+
+// VerifiedRate returns the fraction of trials with a correct answer.
+func (p ChaosPoint) VerifiedRate() float64 { return float64(p.Verified) / float64(p.Trials) }
+
+// ChaosTrial is one trial's outcome.
+type ChaosTrial struct {
+	Completed, Verified                bool
+	Retries, Relays, LostBytes, Cycles int64
+}
+
+// NewChaosTrial records a finished run from its degradation report.
+// Verification is the driver's call.
+func NewChaosTrial(completed bool, cycles int64, rep DegradationReport) ChaosTrial {
+	return ChaosTrial{
+		Completed: completed,
+		Retries:   rep.RetriedOps,
+		Relays:    rep.RelayedRequests + rep.RelayedResponses,
+		LostBytes: rep.LostSharedBytes,
+		Cycles:    cycles,
+	}
+}
+
+// ChaosRunner runs trials 0..n-1 of one kill count on at most workers
+// host goroutines, calls done after each finished trial, and returns
+// the trials in index order.
+type ChaosRunner func(ctx context.Context, kills, n, workers int, done func(ChaosTrial)) ([]ChaosTrial, error)
+
+// EachTrial builds a ChaosRunner from a single-trial runner by fanning
+// the trials out on the bounded pool.
+func EachTrial(trial func(ctx context.Context, kills, i int) (ChaosTrial, error)) ChaosRunner {
+	return func(ctx context.Context, kills, n, workers int, done func(ChaosTrial)) ([]ChaosTrial, error) {
+		trials := make([]ChaosTrial, n)
+		err := parallel.ForEach(ctx, n, workers, func(i int) error {
+			t, err := trial(ctx, kills, i)
+			if err != nil {
+				return err
+			}
+			trials[i] = t
+			done(t)
+			return nil
+		})
+		return trials, err
+	}
+}
+
+// ChaosSweep is the part of a chaos configuration every driver shares.
+type ChaosSweep struct {
+	Trials int   // runs per kill count
+	Kills  []int // tile kill counts to sweep
+	// TrialWorkers bounds the host pool running trials (0 = GOMAXPROCS);
+	// Shards/ShardWorkers shard each trial machine's cycle engine. When
+	// Shards > 1 and TrialWorkers is 0, the trial pool is narrowed to
+	// GOMAXPROCS/ShardWorkers so the two levels do not oversubscribe the
+	// host. Results are bit-identical at any setting.
+	TrialWorkers int
+	Shards       int
+	ShardWorkers int
+	// Progress, when non-nil, is called after every finished trial with
+	// the trials done so far, the total, and the machine cycles those
+	// trials stepped. It runs on trial goroutines and must be safe for
+	// concurrent use.
+	Progress func(done, total int, cycles int64)
+}
+
+// Validate checks the sweep against a side x side machine.
+func (s ChaosSweep) Validate(side int) error {
+	if side < 2 {
+		return fmt.Errorf("chaos side %d must be >= 2", side)
+	}
+	if s.Trials < 1 {
+		return fmt.Errorf("chaos needs >= 1 trial")
+	}
+	for _, k := range s.Kills {
+		if k < 0 || k > side*side {
+			return fmt.Errorf("kill count %d outside 0..%d", k, side*side)
+		}
+	}
+	return nil
+}
+
+// RunChaosSweep runs every kill count's trials through run and returns
+// one point per kill count. A fault-free trial ignores its seed, so
+// kill count 0 runs a single trial and counts it Trials times. On an
+// error (including cancellation) it returns the points for the kill
+// counts finished before it.
+func RunChaosSweep(ctx context.Context, s ChaosSweep, run ChaosRunner) ([]ChaosPoint, error) {
+	workers := s.TrialWorkers
+	if s.Shards > 1 && workers <= 0 {
+		workers = max(1, parallel.Workers(0, 0)/parallel.Workers(s.ShardWorkers, s.Shards))
+	}
+	var done, cycles atomic.Int64
+	total := s.Trials * len(s.Kills)
+	report := func(t ChaosTrial) {
+		if s.Progress != nil {
+			s.Progress(int(done.Add(1)), total, cycles.Add(t.Cycles))
+		}
+	}
+
+	points := make([]ChaosPoint, 0, len(s.Kills))
+	for _, kills := range s.Kills {
+		n := s.Trials
+		if kills == 0 {
+			n = 1
+		}
+		trials, err := run(ctx, kills, n, workers, report)
+		if err != nil {
+			return points, err
+		}
+		for len(trials) < s.Trials {
+			trials = append(trials, trials[0])
+			report(trials[0])
+		}
+		p := ChaosPoint{Kills: kills, Trials: s.Trials}
+		for _, t := range trials {
+			if t.Completed {
+				p.Completed++
+			}
+			if t.Verified {
+				p.Verified++
+			}
+			p.MeanRetries += float64(t.Retries)
+			p.MeanRelays += float64(t.Relays)
+			p.MeanLostKiB += float64(t.LostBytes) / 1024
+			p.MeanCycles += float64(t.Cycles)
+		}
+		nt := float64(s.Trials)
+		p.MeanRetries /= nt
+		p.MeanRelays /= nt
+		p.MeanLostKiB /= nt
+		p.MeanCycles /= nt
+		points = append(points, p)
+	}
+	return points, nil
+}
+
+// FormatChaos renders a survival curve as an aligned text table.
+func FormatChaos(points []ChaosPoint) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%6s  %9s  %9s  %9s  %9s  %9s  %11s\n",
+		"kills", "completed", "verified", "retries", "relays", "lostKiB", "meanCycles")
+	for _, p := range points {
+		fmt.Fprintf(&b, "%6d  %8.1f%%  %8.1f%%  %9.1f  %9.1f  %9.1f  %11.0f\n",
+			p.Kills, p.CompletedRate()*100, p.VerifiedRate()*100,
+			p.MeanRetries, p.MeanRelays, p.MeanLostKiB, p.MeanCycles)
+	}
+	return b.String()
 }

@@ -3,13 +3,10 @@ package workload
 import (
 	"context"
 	"fmt"
-	"strings"
-	"sync/atomic"
 
 	"waferscale/internal/arch"
 	"waferscale/internal/fault"
 	"waferscale/internal/inject"
-	"waferscale/internal/parallel"
 	"waferscale/internal/sim"
 )
 
@@ -72,47 +69,30 @@ func DefaultChaosConfig() ChaosConfig {
 
 // Validate checks the configuration.
 func (c ChaosConfig) Validate() error {
-	if c.Side < 2 {
-		return fmt.Errorf("workload: chaos side %d must be >= 2", c.Side)
-	}
-	if c.Trials < 1 {
-		return fmt.Errorf("workload: chaos needs >= 1 trial")
-	}
-	for _, k := range c.Kills {
-		if k < 0 || k > c.Side*c.Side {
-			return fmt.Errorf("workload: kill count %d outside 0..%d", k, c.Side*c.Side)
-		}
+	if err := c.sweep().Validate(c.Side); err != nil {
+		return fmt.Errorf("workload: %w", err)
 	}
 	return nil
 }
 
-// ChaosPoint is one row of the survival curve.
-type ChaosPoint struct {
-	Kills     int `json:"kills"`
-	Trials    int `json:"trials"`
-	Completed int `json:"completed"` // every operator ran to quiescence
-	Verified  int `json:"verified"`  // outputs matched the host reference
-
-	MeanRetries float64 `json:"meanRetries"`
-	MeanRelays  float64 `json:"meanRelays"`
-	MeanLostKiB float64 `json:"meanLostKiB"`
-	MeanCycles  float64 `json:"meanCycles"`
+func (c ChaosConfig) sweep() sim.ChaosSweep {
+	s := sim.ChaosSweep{
+		Trials:       c.Trials,
+		Kills:        c.Kills,
+		TrialWorkers: c.TrialWorkers,
+		Shards:       c.Shards,
+		ShardWorkers: c.ShardWorkers,
+	}
+	if c.Progress != nil {
+		s.Progress = func(done, total int, _ int64) { c.Progress(done, total) }
+	}
+	return s
 }
 
-// CompletedRate returns the fraction of trials that completed.
-func (p ChaosPoint) CompletedRate() float64 { return float64(p.Completed) / float64(p.Trials) }
-
-// VerifiedRate returns the fraction of trials with bit-exact outputs.
-func (p ChaosPoint) VerifiedRate() float64 { return float64(p.Verified) / float64(p.Trials) }
-
-type chaosTrial struct {
-	completed bool
-	verified  bool
-	retries   int64
-	relays    int64
-	lostBytes int64
-	cycles    int64
-}
+// ChaosPoint is one row of the survival curve: Completed counts trials
+// whose every operator ran to quiescence, Verified those whose outputs
+// matched the host reference.
+type ChaosPoint = sim.ChaosPoint
 
 // RunChaos executes the survival sweep for g.
 func RunChaos(cfg ChaosConfig, g *Graph) ([]ChaosPoint, error) {
@@ -133,84 +113,22 @@ func RunChaosCtx(ctx context.Context, cfg ChaosConfig, g *Graph) ([]ChaosPoint, 
 	if err != nil {
 		return nil, err
 	}
-
-	trialWorkers := cfg.TrialWorkers
-	if cfg.Shards > 1 && trialWorkers <= 0 {
-		perTrial := parallel.Workers(cfg.ShardWorkers, cfg.Shards)
-		trialWorkers = parallel.Workers(0, 0) / perTrial
-		if trialWorkers < 1 {
-			trialWorkers = 1
-		}
-	}
-
-	var done atomic.Int64
-	total := cfg.Trials * len(cfg.Kills)
-	report := func() {
-		if cfg.Progress != nil {
-			cfg.Progress(int(done.Add(1)), total)
-		}
-	}
-
-	points := make([]ChaosPoint, 0, len(cfg.Kills))
-	for _, kills := range cfg.Kills {
-		trials := make([]chaosTrial, cfg.Trials)
-		runOne := func(i int) error {
-			t, err := runChaosTrial(ctx, cfg, g, want, kills, i)
-			if err != nil {
-				return err
-			}
-			trials[i] = t
-			report()
-			return nil
-		}
-		if kills == 0 {
-			// Every fault-free trial is the same deterministic run; do it
-			// once and replicate.
-			if err := runOne(0); err != nil {
-				return points, err
-			}
-			for i := 1; i < cfg.Trials; i++ {
-				trials[i] = trials[0]
-				report()
-			}
-		} else if err := parallel.ForEach(ctx, cfg.Trials, trialWorkers, runOne); err != nil {
-			return points, err
-		}
-
-		p := ChaosPoint{Kills: kills, Trials: cfg.Trials}
-		for _, t := range trials {
-			if t.completed {
-				p.Completed++
-			}
-			if t.verified {
-				p.Verified++
-			}
-			p.MeanRetries += float64(t.retries)
-			p.MeanRelays += float64(t.relays)
-			p.MeanLostKiB += float64(t.lostBytes) / 1024
-			p.MeanCycles += float64(t.cycles)
-		}
-		n := float64(cfg.Trials)
-		p.MeanRetries /= n
-		p.MeanRelays /= n
-		p.MeanLostKiB /= n
-		p.MeanCycles /= n
-		points = append(points, p)
-	}
-	return points, nil
+	return sim.RunChaosSweep(ctx, cfg.sweep(), sim.EachTrial(func(ctx context.Context, kills, trial int) (sim.ChaosTrial, error) {
+		return runChaosTrial(ctx, cfg, g, want, kills, trial)
+	}))
 }
 
-func runChaosTrial(ctx context.Context, cfg ChaosConfig, g *Graph, want map[string][]int32, kills, trial int) (chaosTrial, error) {
+func runChaosTrial(ctx context.Context, cfg ChaosConfig, g *Graph, want map[string][]int32, kills, trial int) (sim.ChaosTrial, error) {
 	m, err := BuildMachine(cfg.Side, cfg.Topology)
 	if err != nil {
-		return chaosTrial{}, err
+		return sim.ChaosTrial{}, err
 	}
 	m.Shards = cfg.Shards
 	m.Workers = cfg.ShardWorkers
 	defer m.Close()
 	sched := inject.Random(m.Cfg.Grid(), kills, cfg.KillWindow, fault.TrialSeed(cfg.Seed, kills, trial), nil)
 	if err := m.AttachSchedule(sched); err != nil {
-		return chaosTrial{}, err
+		return sim.ChaosTrial{}, err
 	}
 	outputs, rep, err := RunCtx(ctx, m, g, Options{
 		Placement:    cfg.Placement,
@@ -218,30 +136,11 @@ func runChaosTrial(ctx context.Context, cfg ChaosConfig, g *Graph, want map[stri
 		OpBudget:     cfg.OpBudget,
 	})
 	if err != nil {
-		return chaosTrial{}, err
+		return sim.ChaosTrial{}, err
 	}
-	t := chaosTrial{
-		completed: rep.Completed,
-		retries:   rep.Degradation.RetriedOps,
-		relays:    rep.Degradation.RelayedRequests + rep.Degradation.RelayedResponses,
-		lostBytes: rep.Degradation.LostSharedBytes,
-		cycles:    rep.TotalCycles,
-	}
+	t := sim.NewChaosTrial(rep.Completed, rep.TotalCycles, rep.Degradation)
 	if rep.Completed {
-		t.verified = len(CompareOutputs(outputs, want)) == 0
+		t.Verified = len(CompareOutputs(outputs, want)) == 0
 	}
 	return t, nil
-}
-
-// FormatChaos renders the survival curve as an aligned text table.
-func FormatChaos(points []ChaosPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s  %9s  %9s  %9s  %9s  %9s  %11s\n",
-		"kills", "completed", "verified", "retries", "relays", "lostKiB", "meanCycles")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%6d  %8.1f%%  %8.1f%%  %9.1f  %9.1f  %9.1f  %11.0f\n",
-			p.Kills, p.CompletedRate()*100, p.VerifiedRate()*100,
-			p.MeanRetries, p.MeanRelays, p.MeanLostKiB, p.MeanCycles)
-	}
-	return b.String()
 }

@@ -8,6 +8,7 @@ import (
 	"waferscale/internal/geom"
 	"waferscale/internal/inject"
 	"waferscale/internal/noc"
+	"waferscale/internal/sim"
 )
 
 // runVerified executes g on a fresh machine and requires completion and
@@ -234,7 +235,7 @@ func TestChaosSurvivalCurve(t *testing.T) {
 	if points[1].MeanLostKiB == 0 {
 		t.Errorf("2-kill point lost no memory: %+v", points[1])
 	}
-	if FormatChaos(points) == "" {
+	if sim.FormatChaos(points) == "" {
 		t.Error("empty chaos table")
 	}
 }
