@@ -204,9 +204,11 @@ func BenchmarkFig7PacketSimShard8(b *testing.B) { benchFig7PacketSim(b, 8) }
 
 func benchFig7PacketSim(b *testing.B, shards int) {
 	fm := fault.NewMap(geom.NewGrid(16, 16))
-	rng := rand.New(rand.NewSource(7))
 	var avgLat float64
 	for i := 0; i < b.N; i++ {
+		// Seeded per iteration: every iteration simulates identical
+		// traffic, so the reported metric does not depend on b.N.
+		rng := rand.New(rand.NewSource(7))
 		s, err := noc.NewSim(fm, noc.DefaultSimConfig())
 		if err != nil {
 			b.Fatal(err)
@@ -449,10 +451,10 @@ func BenchmarkSec3LDOTransient(b *testing.B) {
 // the problem to.
 func BenchmarkSec4JitterAccumulation(b *testing.B) {
 	j := clock.DefaultJitter()
-	rng := rand.New(rand.NewSource(1))
 	var rms float64
 	for i := 0; i < b.N; i++ {
-		rms = j.SimulateRMS(62, 500, rng)
+		// Seeded per iteration so the reported RMS does not depend on b.N.
+		rms = j.SimulateRMS(62, 500, rand.New(rand.NewSource(1)))
 	}
 	b.ReportMetric(rms, "rms62hopsPS")
 	b.ReportMetric(float64(j.MaxSafeHopsSynchronous(300e6, 0.10)), "syncHopLimit")
@@ -652,9 +654,11 @@ func BenchmarkDSEArraySweep(b *testing.B) {
 // advantage (the two-tier DSE screen budgets on >= 100x).
 func BenchmarkAnalyticalFig7(b *testing.B) {
 	fm := fault.NewMap(geom.NewGrid(16, 16))
-	rng := rand.New(rand.NewSource(7))
 	var avgLat float64
 	for i := 0; i < b.N; i++ {
+		// Seeded per iteration so the reported metric does not depend
+		// on b.N (the same pairs as BenchmarkFig7PacketSim).
+		rng := rand.New(rand.NewSource(7))
 		m, err := analytical.New(fm, analytical.Config{})
 		if err != nil {
 			b.Fatal(err)

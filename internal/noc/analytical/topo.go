@@ -205,9 +205,11 @@ func (m *TopoModel) LinkLoad(net noc.Network, c geom.Coord, port int) float64 {
 
 // routeStep resolves one routing decision: the policy's first candidate
 // port at cur, and the link it crosses. terminal is true at ejection
-// (port == local) or on a contract-violating dead end.
-func (m *TopoModel) routeStep(net noc.Network, cur, dst geom.Coord, buf []int) (port int, far geom.Coord, length int, terminal bool) {
-	pkt := noc.Packet{Net: net, Src: cur, Dst: dst}
+// (port == local) or on a contract-violating dead end. buf and pkt are
+// caller scratch, hoisted out of the route loops so the policy call
+// allocates nothing per step.
+func (m *TopoModel) routeStep(net noc.Network, cur, dst geom.Coord, buf []int, pkt *noc.Packet) (port int, far geom.Coord, length int, terminal bool) {
+	*pkt = noc.Packet{Net: net, Src: cur, Dst: dst}
 	n := m.topo.Policy().Candidates(net, pkt, cur, m.local, buf)
 	if n <= 0 {
 		return 0, cur, 0, true
@@ -234,13 +236,14 @@ func (m *TopoModel) PairLatency(net noc.Network, src, dst geom.Coord, rate float
 		return 0, false
 	}
 	var buf [noc.MaxPorts]int
+	var pkt noc.Packet
 	lat := 1.0
 	maxSteps := 4 * (m.grid.W + m.grid.H)
 	for cur, step := src, 0; ; step++ {
 		if step > maxSteps {
 			return 0, false // contract violation; treat as unreachable
 		}
-		port, far, length, terminal := m.routeStep(net, cur, dst, buf[:])
+		port, far, length, terminal := m.routeStep(net, cur, dst, buf[:], &pkt)
 		if terminal {
 			if cur != dst {
 				return 0, false
@@ -374,6 +377,7 @@ func (m *TopoModel) build() {
 	cnt := make([]int64, size)
 	var stack []int32
 	var buf [noc.MaxPorts]int
+	var pkt noc.Packet
 	var byLen [][]int32 // bucket lists, index = remaining length
 
 	for net := 0; net < 2; net++ {
@@ -390,7 +394,7 @@ func (m *TopoModel) build() {
 			maxLen := 0
 			for i := 0; i < size; i++ {
 				routeLen[i] = -1
-				port, far, length, terminal := m.routeStep(n, g.Coord(i), dst, buf[:])
+				port, far, length, terminal := m.routeStep(n, g.Coord(i), dst, buf[:], &pkt)
 				if terminal {
 					nextIdx[i] = -1
 					routeLen[i] = 0

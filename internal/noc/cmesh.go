@@ -51,7 +51,7 @@ func cmeshHubOf(c geom.Coord) geom.Coord {
 // within the block, skipping the hub's own (0,0) slot.
 func cmeshLeafOffset(j int) geom.Coord {
 	const k = CMeshConcentration
-	return geom.C((j + 1) % k, (j + 1) / k)
+	return geom.C((j+1)%k, (j+1)/k)
 }
 
 // cmeshLeafIndex is the inverse of cmeshLeafOffset for a leaf tile.
@@ -111,7 +111,7 @@ func (t cmeshTopology) Policy() RoutingPolicy { return cmeshPolicy{} }
 type cmeshPolicy struct{}
 
 // Candidates implements RoutingPolicy.
-func (cmeshPolicy) Candidates(net Network, p Packet, cur geom.Coord, _ int, buf []int) int {
+func (cmeshPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
 	if cur == p.Dst {
 		buf[0] = cmeshPorts - 1 // local
 		return 1

@@ -90,7 +90,7 @@ func (expressTopology) Policy() RoutingPolicy { return expressPolicy{} }
 type expressPolicy struct{}
 
 // Candidates implements RoutingPolicy.
-func (expressPolicy) Candidates(net Network, p Packet, cur geom.Coord, _ int, buf []int) int {
+func (expressPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
 	dx, dy := p.Dst.X-cur.X, p.Dst.Y-cur.Y
 	if dx == 0 && dy == 0 {
 		buf[0] = expressPorts - 1 // local

@@ -15,11 +15,11 @@ type pktFIFO struct {
 // len returns the number of queued packets.
 func (f *pktFIFO) len() int { return f.n }
 
-// push appends a packet at the tail. The caller has already checked
+// push appends a copy of *p at the tail. The caller has already checked
 // space (FIFODepth credit or an explicit len() comparison); overflowing
 // indicates a flow-control bug, so it panics loudly rather than
 // corrupting the ring.
-func (f *pktFIFO) push(p Packet) {
+func (f *pktFIFO) push(p *Packet) {
 	if f.n == len(f.buf) {
 		panic("noc: FIFO overflow (credit accounting bug)")
 	}
@@ -27,22 +27,21 @@ func (f *pktFIFO) push(p Packet) {
 	if i >= len(f.buf) {
 		i -= len(f.buf)
 	}
-	f.buf[i] = p
+	f.buf[i] = *p
 	f.n++
 }
 
-// pop removes and returns the head packet.
-func (f *pktFIFO) pop() Packet {
-	p := f.buf[f.head]
+// drop removes the head packet; read it through front first.
+func (f *pktFIFO) drop() {
 	f.head++
 	if f.head == len(f.buf) {
 		f.head = 0
 	}
 	f.n--
-	return p
 }
 
 // front returns a pointer to the head packet for in-place inspection or
-// mutation (CorruptPayload's head-of-queue bit-error semantics). The
-// FIFO must be non-empty.
+// mutation (routing, CorruptPayload's head-of-queue bit-error
+// semantics, traversal's copy-out before drop). The FIFO must be
+// non-empty.
 func (f *pktFIFO) front() *Packet { return &f.buf[f.head] }

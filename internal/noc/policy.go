@@ -5,21 +5,28 @@ import "waferscale/internal/geom"
 // RoutingPolicy decides which output ports a packet at cur may take,
 // in preference order. The full packet is supplied because turn-model
 // algorithms need the source column; arrivalPort is the input port the
-// packet sits in (portLocal for freshly injected packets).
+// packet sits in (portLocal for freshly injected packets). The packet
+// is passed by pointer to spare the hot loop a copy; it points into a
+// router FIFO and is read-only — a policy must never write through it
+// or retain it past the call.
 //
 // Candidates writes the ports into buf — a caller-provided scratch of
-// at least numPorts entries — and returns how many it wrote, so the
+// at least MaxPorts entries — and returns how many it wrote, so the
 // switch allocator's inner loop allocates nothing. A policy must never
-// return 0 for an in-grid destination (the packet would wedge).
+// return 0 for an in-grid destination (the packet would wedge). The
+// preference order matters to single-path consumers (the analytical
+// model and the connectivity analyzer follow buf[0]); the switch
+// allocator treats the result as a set, routes each head packet once
+// per cycle, and grants whichever candidate port wins arbitration and
+// has credit.
 //
-// When Sim.Shards > 1 the switch allocator calls Candidates from
-// multiple goroutines in the same cycle (each with its own buf), so a
-// policy must be safe for concurrent use. Stateless policies — both
-// DoRPolicy and OddEvenPolicy — satisfy this trivially; a policy that
-// keeps per-call mutable state must either synchronize it or be used
-// with the serial engine only.
+// Candidates must be a pure function of its arguments: the switch
+// allocator may call it in any order, and when Sim.Shards > 1 it calls
+// it from multiple goroutines in the same cycle (each with its own
+// buf). Stateless policies — DoRPolicy, OddEvenPolicy and every
+// shipped topology's policy — satisfy this trivially.
 type RoutingPolicy interface {
-	Candidates(net Network, p Packet, cur geom.Coord, arrivalPort int, buf []int) int
+	Candidates(net Network, p *Packet, cur geom.Coord, arrivalPort int, buf []int) int
 }
 
 // DoRPolicy is the prototype's strict dimension-ordered routing: one
@@ -27,7 +34,7 @@ type RoutingPolicy interface {
 type DoRPolicy struct{}
 
 // Candidates writes the single DoR port.
-func (DoRPolicy) Candidates(net Network, p Packet, cur geom.Coord, _ int, buf []int) int {
+func (DoRPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
 	d, ok := NextHop(net, cur, p.Dst)
 	if !ok {
 		buf[0] = portLocal
@@ -61,7 +68,7 @@ type OddEvenPolicy struct{}
 // dimensions are productive, the one with more remaining hops is
 // preferred (dimension balancing); the switch allocator takes whichever
 // candidate has credit.
-func (OddEvenPolicy) Candidates(_ Network, p Packet, cur geom.Coord, _ int, buf []int) int {
+func (OddEvenPolicy) Candidates(_ Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
 	dst, src := p.Dst, p.Src
 	e0 := dst.X - cur.X
 	e1 := dst.Y - cur.Y

@@ -37,7 +37,7 @@ func TestPolicyConcurrentCandidates(t *testing.T) {
 						g.All(func(dst geom.Coord) {
 							pkt := Packet{Net: XY, Src: cur, Dst: dst}
 							for _, net := range []Network{XY, YX} {
-								if n := pol.Candidates(net, pkt, cur, int(geom.North), buf[:]); n <= 0 {
+								if n := pol.Candidates(net, &pkt, cur, int(geom.North), buf[:]); n <= 0 {
 									t.Errorf("%s: 0 candidates at %v for %v", name, cur, dst)
 									return
 								}

@@ -18,7 +18,7 @@ func TestDoRPolicyMatchesNextHop(t *testing.T) {
 			net = YX
 		}
 		var buf [numPorts]int
-		n := DoRPolicy{}.Candidates(net, Packet{Dst: dst}, cur, portLocal, buf[:])
+		n := DoRPolicy{}.Candidates(net, &Packet{Dst: dst}, cur, portLocal, buf[:])
 		c := buf[:n]
 		if len(c) != 1 {
 			return false
@@ -51,7 +51,7 @@ func TestOddEvenCandidatesMinimalAndLegal(t *testing.T) {
 				return false // non-minimal path taken
 			}
 			var buf [numPorts]int
-			nc := pol.Candidates(XY, p, cur, portLocal, buf[:])
+			nc := pol.Candidates(XY, &p, cur, portLocal, buf[:])
 			cands := buf[:nc]
 			if len(cands) == 0 {
 				return false // ROUTE must never strand a packet

@@ -25,12 +25,35 @@ type refRouter struct {
 	rrAt [numPorts]int
 }
 
+// refFlight is the old in-flight record: an absolute arrival cycle and
+// a coordinate destination, scanned every cycle.
+type refFlight struct {
+	pkt     Packet
+	arrive  int64 // cycle it lands in the downstream FIFO
+	dstTile geom.Coord
+	dstPort int
+}
+
 // refMeshNet is the old per-network state.
 type refMeshNet struct {
 	net     Network
 	routers []*refRouter
-	flights []inFlight
+	flights []refFlight
 }
+
+// wantsPort reports whether out appears in the candidate list (the old
+// allocator's per-output candidate scan).
+func wantsPort(candidates []int, out int) bool {
+	for _, c := range candidates {
+		if c == out {
+			return true
+		}
+	}
+	return false
+}
+
+// dirOfPort converts a mesh direction-port index back to a geom.Dir.
+func dirOfPort(p int) geom.Dir { return geom.Dir(p) }
 
 // refSim is the pre-optimization engine. Its stepNet is a line-for-line
 // copy of the old Sim.stepNet, kept as the behavioral oracle.
@@ -67,8 +90,9 @@ func newRefSim(fm *fault.Map, cfg SimConfig) *refSim {
 	return s
 }
 
-func (s *refSim) Cycle() int64    { return s.cycle }
-func (s *refSim) Stats() SimStats { return s.stats }
+func (s *refSim) Cycle() int64        { return s.cycle }
+func (s *refSim) Stats() SimStats     { return s.stats }
+func (s *refSim) Delivered() []Packet { return s.delivered }
 
 func (s *refSim) Inject(net Network, src, dst geom.Coord, kind Kind, tag uint32, payload uint64) (uint64, error) {
 	if err := validatePair(s.grid, src, dst); err != nil {
@@ -222,7 +246,7 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 	}
 	candidates := func(p Packet, at geom.Coord, inPort int) []int {
 		buf := make([]int, numPorts)
-		n := s.Policy.Candidates(mn.net, p, at, inPort, buf)
+		n := s.Policy.Candidates(mn.net, &p, at, inPort, buf)
 		return buf[:n]
 	}
 	for _, r := range mn.routers {
@@ -297,7 +321,7 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 			continue
 		}
 		pkt.Hops++
-		mn.flights = append(mn.flights, inFlight{
+		mn.flights = append(mn.flights, refFlight{
 			pkt:     pkt,
 			arrive:  s.cycle + int64(s.cfg.LinkLatency),
 			dstTile: next,
@@ -336,6 +360,7 @@ type engine interface {
 	Drained() bool
 	Cycle() int64
 	Stats() SimStats
+	Delivered() []Packet
 }
 
 // scenario parametrizes one lockstep run.
@@ -345,17 +370,31 @@ type scenario struct {
 	seed        int64
 	cycles      int // injection cycles before draining
 	injectProb  float64
+	injectN     int // injection attempts per cycle (0 = 1)
 	oddEven     bool
 	chaos       bool // kills, link flaps, bit errors
 	forwardMod  uint32
-	fifoDepth   int
+	fifoDepth   int                          // 0 = DefaultSimConfig
+	linkLatency int                          // 0 = DefaultSimConfig
 	checkLiveFn func(t *testing.T, e engine) // optional per-step invariant
+
+	// burst > 0 confines injection to the first burst cycles of every
+	// burst+gap period, leaving idle gaps the network drains in.
+	burst, gap int
+	// hotKillAt > 0 steers three quarters of the injected packets to
+	// one hot tile and kills that tile's router at cycle hotKillAt,
+	// while packets are queued in it and flying toward it.
+	hotKillAt int
+	// forkAt > 0 replaces a *Sim engine by its Fork at the start of
+	// that cycle and drives the fork from then on (other engines run
+	// straight through).
+	forkAt int
 }
 
 // runScenario drives one engine through the scenario and returns its
 // outcome. Every random decision comes from a fresh rng with the
 // scenario seed, so both engines see byte-identical event sequences.
-func runScenario(t *testing.T, s scenario, e engine, retain func() []Packet) (SimStats, []Packet, int64) {
+func runScenario(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(s.seed))
 	healthy := make([]geom.Coord, 0, s.grid.Size())
@@ -369,7 +408,19 @@ func runScenario(t *testing.T, s scenario, e engine, retain func() []Packet) (Si
 	forwarded := map[uint64]bool{}
 	var pendingFwd []Packet
 	injected := 0
+	hot := healthy[len(healthy)/2]
 	for cyc := 0; cyc < s.cycles; cyc++ {
+		if s.forkAt > 0 && cyc == s.forkAt {
+			if sim, ok := e.(*Sim); ok {
+				fork := sim.Fork(sim.fm.Clone())
+				defer fork.Close()
+				e = fork
+			}
+		}
+		if s.hotKillAt > 0 && cyc == s.hotKillAt {
+			killed[hot] = true
+			e.KillRouter(hot)
+		}
 		// Chaos events at deterministic points.
 		if s.chaos {
 			if cyc%37 == 19 {
@@ -389,10 +440,19 @@ func runScenario(t *testing.T, s scenario, e engine, retain func() []Packet) (Si
 				e.CorruptPayload(healthy[rng.Intn(len(healthy))], uint64(rng.Intn(255)+1))
 			}
 		}
-		if rng.Float64() < s.injectProb {
+		for k := 0; k < max(s.injectN, 1); k++ {
+			if s.burst > 0 && cyc%(s.burst+s.gap) >= s.burst {
+				break
+			}
+			if rng.Float64() >= s.injectProb {
+				continue
+			}
 			src := healthy[rng.Intn(len(healthy))]
 			dst := healthy[rng.Intn(len(healthy))]
 			net := Network(rng.Intn(2))
+			if s.hotKillAt > 0 && rng.Intn(4) != 0 {
+				dst = hot
+			}
 			if !killed[src] {
 				if _, err := e.Inject(net, src, dst, Request, uint32(cyc), uint64(cyc)*3); err == nil {
 					injected++
@@ -414,7 +474,7 @@ func runScenario(t *testing.T, s scenario, e engine, retain func() []Packet) (Si
 		pendingFwd = retryFwd
 		e.Step()
 		if s.forwardMod > 0 {
-			for _, p := range retain() {
+			for _, p := range e.Delivered() {
 				if p.Kind == Request && p.Tag%s.forwardMod == 0 && !forwarded[p.ID] {
 					forwarded[p.ID] = true
 					pendingFwd = append(pendingFwd, p)
@@ -444,19 +504,28 @@ func runScenario(t *testing.T, s scenario, e engine, retain func() []Packet) (Si
 	if !e.Drained() {
 		t.Fatalf("engine %T did not drain", e)
 	}
-	return e.Stats(), retain(), e.Cycle()
+	return e.Stats(), e.Delivered(), e.Cycle()
 }
 
 func (s scenario) fmFaulty(fm *fault.Map, c geom.Coord) bool { return fm.Faulty(c) }
+
+// simConfig is the engine configuration the scenario runs under.
+func (s scenario) simConfig() SimConfig {
+	cfg := DefaultSimConfig()
+	if s.fifoDepth > 0 {
+		cfg.FIFODepth = s.fifoDepth
+	}
+	if s.linkLatency > 0 {
+		cfg.LinkLatency = s.linkLatency
+	}
+	return cfg
+}
 
 // diffEngines runs the scenario on the optimized and reference engines
 // and requires bit-identical stats, delivered streams and cycle counts.
 func diffEngines(t *testing.T, s scenario) {
 	t.Helper()
-	if s.fifoDepth == 0 {
-		s.fifoDepth = DefaultSimConfig().FIFODepth
-	}
-	cfg := SimConfig{FIFODepth: s.fifoDepth, LinkLatency: DefaultSimConfig().LinkLatency}
+	cfg := s.simConfig()
 
 	fmOpt := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
 	opt, err := NewSim(fmOpt, cfg)
@@ -467,14 +536,14 @@ func diffEngines(t *testing.T, s scenario) {
 	if s.oddEven {
 		opt.Policy = OddEvenPolicy{}
 	}
-	optStats, optPkts, optCycles := runScenario(t, s, opt, opt.Delivered)
+	optStats, optPkts, optCycles := runScenario(t, s, opt)
 
 	fmRef := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
 	ref := newRefSim(fmRef, cfg)
 	if s.oddEven {
 		ref.Policy = OddEvenPolicy{}
 	}
-	refStats, refPkts, refCycles := runScenario(t, s, ref, func() []Packet { return ref.delivered })
+	refStats, refPkts, refCycles := runScenario(t, s, ref)
 
 	if optStats != refStats {
 		t.Errorf("stats diverge:\n  optimized %+v\n  reference %+v", optStats, refStats)
@@ -529,6 +598,21 @@ func TestEngineDifferentialBackpressure(t *testing.T) {
 	})
 }
 
+// TestEngineDifferentialLinkLatency runs the chaos scenario, forked
+// mid-run, at link latencies other than the default against the
+// reference engine: the flight wheel has one bucket per cycle of the
+// longest link, so latency 1 drives a single-bucket wheel that every
+// cycle drains and refills.
+func TestEngineDifferentialLinkLatency(t *testing.T) {
+	for _, lat := range []int{1, 3} {
+		diffEngines(t, scenario{
+			grid: geom.NewGrid(8, 8), faults: 2, seed: 909,
+			cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 4,
+			linkLatency: lat, forkAt: 300,
+		})
+	}
+}
+
 // TestDrainedCounterMatchesScan cross-validates the O(1) live-packet
 // counter against the full-network scan it replaced, on every step of a
 // chaos run (kills and drops are exactly where the accounting could
@@ -553,5 +637,163 @@ func TestDrainedCounterMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RetainDelivered = true
-	runScenario(t, s, sim, sim.Delivered)
+	runScenario(t, s, sim)
+}
+
+// checkBusySet asserts the allocator's activity bookkeeping against a
+// full scan: per network, a router's busy bit is set exactly when its
+// queued counter is positive, which holds exactly when its FIFOs are
+// non-empty (and queued equals their total); dead routers and bits past
+// the grid are clear; and the flight wheel holds, per input slot, as
+// many flights as inAir counts.
+func checkBusySet(t *testing.T, e engine) {
+	t.Helper()
+	s := e.(*Sim)
+	for _, mn := range s.nets {
+		for i := range mn.busy {
+			for b := 0; b < 64; b++ {
+				ri := i*64 + b
+				bit := mn.busy[i]>>uint(b)&1 == 1
+				if ri >= len(mn.routers) || mn.routers[ri] == nil {
+					if bit {
+						t.Fatalf("cycle %d %v: busy bit %d set on a dead or absent router", s.Cycle(), mn.net, ri)
+					}
+					continue
+				}
+				r := mn.routers[ri]
+				sum := 0
+				for p := range r.in {
+					sum += r.in[p].len()
+				}
+				if bit != (r.queued > 0) || int(r.queued) != sum {
+					t.Fatalf("cycle %d %v router %v: busy=%v queued=%d, FIFOs hold %d",
+						s.Cycle(), mn.net, r.at, bit, r.queued, sum)
+				}
+			}
+		}
+		perSlot := make([]int32, len(mn.inAir))
+		for _, bucket := range mn.wheel {
+			for _, f := range bucket {
+				perSlot[int(f.tile)*s.np+int(f.port)]++
+			}
+		}
+		for slot, n := range perSlot {
+			if n != mn.inAir[slot] {
+				t.Fatalf("cycle %d %v slot %d: %d flights in the wheel, inAir %d",
+					s.Cycle(), mn.net, slot, n, mn.inAir[slot])
+			}
+		}
+	}
+}
+
+// TestBusySetMatchesScan cross-validates the busy-router set, the
+// per-router queued counters and the flight wheel against full scans on
+// every step of a chaos run with a mid-run Fork, on the serial and the
+// sharded engine: kills, drops and forks are where the incremental
+// bookkeeping could slip, and a stale busy bit would silently skip a
+// router's allocation.
+func TestBusySetMatchesScan(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		s := scenario{
+			grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
+			cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
+			forkAt: 250, checkLiveFn: checkBusySet,
+		}
+		fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
+		sim, err := NewSim(fm, DefaultSimConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.RetainDelivered = true
+		sim.Shards = shards
+		st, _, _ := runScenario(t, s, sim)
+		sim.Close()
+		if st.RoutersKilled == 0 || st.Forwarded == 0 || st.Delivered == 0 {
+			t.Fatalf("shards=%d: chaos scenario exercised too little: %+v", shards, st)
+		}
+	}
+}
+
+// idleGapScenario is traffic in bursts separated by idle gaps the
+// network drains in. A hot tile draws most of the first burst and is
+// killed at its end, with packets queued in it and flying toward it;
+// the fork is taken a few cycles into the following gap, with the
+// last flights still in the wheel.
+func idleGapScenario(grid geom.Grid, seed int64) scenario {
+	return scenario{
+		grid: grid, faults: 2, seed: seed,
+		cycles: 900, injectProb: 0.9, injectN: 4, forwardMod: 3,
+		burst: 60, gap: 240, hotKillAt: 58, forkAt: 62,
+	}
+}
+
+// checkIdleGapExercised runs the scenario straight through on e and
+// fails unless it did what it claims: the hot kill destroyed queued
+// packets and dropped flights headed to the dead tile, and the network
+// fully drained during the injection phase's gaps. It returns the run's
+// outcome.
+func checkIdleGapExercised(t *testing.T, name string, s scenario, e engine) (SimStats, []Packet, int64) {
+	t.Helper()
+	s.forkAt = 0
+	idle := 0
+	s.checkLiveFn = func(t *testing.T, e engine) {
+		if e.Cycle() < int64(s.cycles) && e.Drained() {
+			idle++
+		}
+	}
+	st, pkts, cycles := runScenario(t, s, e)
+	if st.RoutersKilled != 1 || st.DroppedQueued == 0 || st.DroppedInFlight == 0 {
+		t.Fatalf("%s: hot kill did not hit queued and in-flight traffic: %+v", name, st)
+	}
+	if idle == 0 {
+		t.Fatalf("%s: the network never drained during a gap", name)
+	}
+	return st, pkts, cycles
+}
+
+// TestEngineDifferentialIdleGaps pins the activity-driven allocator on
+// the mesh against the reference engine through idle gaps, a kill that
+// empties a router with flights still headed to it, and a Fork taken
+// during a gap (the optimized engine continues on the fork; the
+// reference runs straight through). The sharded engine must match too.
+func TestEngineDifferentialIdleGaps(t *testing.T) {
+	s := idleGapScenario(geom.NewGrid(8, 8), 707)
+	checkIdleGapExercised(t, TopoMesh, s, newRefSim(
+		fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed))), DefaultSimConfig()))
+	diffEngines(t, s)
+	for _, shards := range shardCounts[1:] {
+		diffSharded(t, s, shards, 0)
+	}
+}
+
+// TestTopoIdleGapsSerialShardedForked runs the idle-gap scenario on the
+// non-mesh topologies, where no reference engine exists: the serial
+// engine run straight through is the oracle, and the serial and sharded
+// engines continuing on a fork taken during a gap must match it
+// bit for bit.
+func TestTopoIdleGapsSerialShardedForked(t *testing.T) {
+	cfg := DefaultSimConfig()
+	for _, name := range newTopologies {
+		s := idleGapScenario(geom.NewGrid(10, 10), 808)
+		wantStats, wantPkts, wantCycles := checkIdleGapExercised(t, name, s, newTopoSim(t, name, s, cfg))
+		for _, shards := range []int{1, 4} {
+			sim := newTopoSim(t, name, s, cfg)
+			sim.Shards = shards
+			st, pkts, cycles := runScenario(t, s, sim)
+			sim.Close()
+			if st != wantStats || cycles != wantCycles {
+				t.Fatalf("%s shards=%d forked: stats/cycles diverge:\n  forked   %+v (%d cycles)\n  straight %+v (%d cycles)",
+					name, shards, st, cycles, wantStats, wantCycles)
+			}
+			if len(pkts) != len(wantPkts) {
+				t.Fatalf("%s shards=%d forked: delivered %d packets, straight %d", name, shards, len(pkts), len(wantPkts))
+			}
+			for i := range pkts {
+				if pkts[i] != wantPkts[i] {
+					t.Fatalf("%s shards=%d forked: delivered packet %d diverges:\n  forked   %+v\n  straight %+v",
+						name, shards, i, pkts[i], wantPkts[i])
+				}
+			}
+		}
+	}
 }

@@ -14,10 +14,7 @@ import (
 // decomposition: shard and worker counts are wall-clock knobs only.
 func diffSharded(t *testing.T, s scenario, shards, workers int) {
 	t.Helper()
-	if s.fifoDepth == 0 {
-		s.fifoDepth = DefaultSimConfig().FIFODepth
-	}
-	cfg := SimConfig{FIFODepth: s.fifoDepth, LinkLatency: DefaultSimConfig().LinkLatency}
+	cfg := s.simConfig()
 
 	serial, err := NewSim(fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed))), cfg)
 	if err != nil {
@@ -27,7 +24,7 @@ func diffSharded(t *testing.T, s scenario, shards, workers int) {
 	if s.oddEven {
 		serial.Policy = OddEvenPolicy{}
 	}
-	serStats, serPkts, serCycles := runScenario(t, s, serial, serial.Delivered)
+	serStats, serPkts, serCycles := runScenario(t, s, serial)
 
 	sharded, err := NewSim(fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed))), cfg)
 	if err != nil {
@@ -40,7 +37,7 @@ func diffSharded(t *testing.T, s scenario, shards, workers int) {
 	if s.oddEven {
 		sharded.Policy = OddEvenPolicy{}
 	}
-	shStats, shPkts, shCycles := runScenario(t, s, sharded, sharded.Delivered)
+	shStats, shPkts, shCycles := runScenario(t, s, sharded)
 
 	if shStats != serStats {
 		t.Errorf("shards=%d workers=%d: stats diverge:\n  sharded %+v\n  serial  %+v",

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"waferscale/internal/fault"
@@ -23,23 +24,26 @@ const (
 	numPorts
 )
 
-// inFlight is a packet crossing an inter-chiplet link.
+// inFlight is a packet crossing an inter-chiplet link. Its arrival
+// cycle is implied by the flight-wheel bucket holding it.
 type inFlight struct {
-	pkt     Packet
-	arrive  int64 // cycle it lands in the downstream FIFO
-	dstTile geom.Coord
-	dstPort int
+	pkt  Packet
+	tile int32 // destination tile index
+	port int32 // arrival port on that tile
 }
 
 // router is one tile's switch on one physical network: input-buffered,
 // round-robin arbitration per output port, credit (space-) checked
 // forwarding. The input FIFOs and round-robin pointers are slices into
-// per-network slabs sized by the topology's port count.
+// per-network slabs sized by the topology's port count. queued counts
+// the packets across all its input FIFOs; it is > 0 exactly when the
+// router's bit in meshNet.busy is set.
 type router struct {
-	at   geom.Coord
-	idx  int32     // grid index, for O(1) neighbor-table lookups
-	in   []pktFIFO // input FIFOs (ring buffers, FIFODepth each), one per port
-	rrAt []int     // round-robin pointer per output port
+	at     geom.Coord
+	idx    int32     // grid index, for O(1) neighbor-table lookups
+	queued int32     // packets across all input FIFOs
+	in     []pktFIFO // input FIFOs (ring buffers, FIFODepth each), one per port
+	rrAt   []int     // round-robin pointer per output port
 }
 
 // grant is one switch-allocation decision: move the head packet of
@@ -50,11 +54,21 @@ type grant struct {
 	outPort int
 }
 
-// meshNet is one of the two physical networks. Beyond the routers and
-// the in-flight link population it carries the incrementally maintained
+// meshNet is one of the two physical networks. Beyond the routers it
+// carries the in-flight link population, the incrementally maintained
 // occupancy counters and the per-cycle scratch buffers that make
 // stepNet allocation-free:
 //
+//   - wheel is a timing wheel of flights: bucket c % len(wheel) holds
+//     the flights landing at cycle c, in launch order. It has
+//     max(link latency) buckets: a cycle drains its own bucket before
+//     it launches anything, so a flight of the longest latency can
+//     reuse the bucket just drained, and every shorter one lands in a
+//     bucket due earlier;
+//   - busy has bit i set exactly when routers[i] holds a queued packet
+//     (router.queued > 0), so switch allocation visits only occupied
+//     routers. It is written only in the serial phases (injection,
+//     landing, traversal, kills); allocation bands only read it;
 //   - inAir[tile*np+port] counts flights destined for that input
 //     FIFO, updated on launch and landing, replacing an O(flights) scan
 //     per credit check;
@@ -64,11 +78,49 @@ type grant struct {
 type meshNet struct {
 	net      Network
 	routers  []*router
-	flights  []inFlight
+	wheel    [][]inFlight
+	busy     []uint64
 	inAir    []int32
 	reserved []int32
 	touched  []int32
 	grants   []grant
+}
+
+// enqueue pushes a copy of *p into r's input FIFO at port and marks r
+// busy. The caller has checked space.
+func (mn *meshNet) enqueue(r *router, port int, p *Packet) {
+	r.in[port].push(p)
+	r.queued++
+	mn.busy[r.idx>>6] |= 1 << uint(r.idx&63)
+}
+
+// dequeue drops the head packet of r's input FIFO at port, clearing r's
+// busy bit when it empties.
+func (mn *meshNet) dequeue(r *router, port int) {
+	r.in[port].drop()
+	r.queued--
+	if r.queued == 0 {
+		mn.busy[r.idx>>6] &^= 1 << uint(r.idx&63)
+	}
+}
+
+// idle reports whether no router of the network holds a queued packet.
+func (mn *meshNet) idle() bool {
+	for _, w := range mn.busy {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// flightCount returns the number of packets crossing links.
+func (mn *meshNet) flightCount() int {
+	n := 0
+	for _, b := range mn.wheel {
+		n += len(b)
+	}
+	return n
 }
 
 // Sim is the cycle-level simulator of the dual-network waferscale NoC.
@@ -217,10 +269,16 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 	for n := range s.linkUse {
 		s.linkUse[n] = make([]int64, g.Size()*np)
 	}
+	wheelLen := 1
+	for _, lat := range s.nbrLat {
+		wheelLen = max(wheelLen, int(lat))
+	}
 	for n := range s.nets {
 		mn := &meshNet{
 			net:      Network(n),
 			routers:  make([]*router, g.Size()),
+			wheel:    make([][]inFlight, wheelLen),
+			busy:     make([]uint64, (g.Size()+63)/64),
 			inAir:    make([]int32, g.Size()*np),
 			reserved: make([]int32, g.Size()*np),
 		}
@@ -353,7 +411,7 @@ func (s *Sim) Inject(net Network, src, dst geom.Coord, kind Kind, tag uint32, pa
 		ID: s.nextID, Kind: kind, Net: net, Src: src, Dst: dst,
 		Tag: tag, Payload: payload, InjectedAt: s.cycle,
 	}
-	r.in[s.local].push(p)
+	s.nets[net].enqueue(r, s.local, &p)
 	s.stats.Injected++
 	s.live++
 	return p.ID, nil
@@ -385,7 +443,7 @@ func (s *Sim) Forward(net Network, at, newDst geom.Coord, p Packet) error {
 	}
 	p.Net = net
 	p.Dst = newDst
-	r.in[s.local].push(p)
+	s.nets[net].enqueue(r, s.local, &p)
 	s.stats.Forwarded++
 	s.live++
 	return nil
@@ -412,10 +470,9 @@ func (s *Sim) KillRouter(c geom.Coord) int {
 			continue
 		}
 		killed = true
-		for p := 0; p < s.np; p++ {
-			dropped += r.in[p].len()
-		}
+		dropped += int(r.queued)
 		mn.routers[i] = nil
+		mn.busy[i>>6] &^= 1 << uint(i&63)
 	}
 	if killed {
 		s.stats.RoutersKilled++
@@ -554,18 +611,24 @@ func (s *Sim) sharding() *shardEngine {
 // order of the serial engine is preserved exactly — per network: land,
 // allocate, traverse — with only the allocation phase fanned out over
 // the row bands. Landing and traversal stay on the caller: they mutate
-// global state (stats, live counter, flight list, user callbacks) whose
-// serial ordering is part of the determinism contract.
+// global state (stats, live counter, flight wheel, busy set, user
+// callbacks) whose serial ordering is part of the determinism contract.
+// A network with no queued packet after landing has nothing to
+// allocate, so its gang release is skipped.
 func (s *Sim) stepSharded() {
 	se := s.sharding()
 	for _, mn := range s.nets {
 		s.landFlights(mn)
+		if mn.idle() {
+			continue
+		}
 		// Phase 1 (parallel): switch allocation per band. Each band
-		// reads FIFO occupancy and flight/reservation counters frozen
-		// for this cycle and writes only its own routers' round-robin
-		// state, its private grant/touched scratch, and reservation
-		// slots no other band can claim (a slot's unique writer is the
-		// router upstream of it — the validated Topology invariant).
+		// reads FIFO occupancy, the busy set and flight/reservation
+		// counters frozen for this cycle and writes only its own
+		// routers' round-robin state, its private grant/touched scratch,
+		// and reservation slots no other band can claim (a slot's unique
+		// writer is the router upstream of it — the validated Topology
+		// invariant).
 		se.curNet = mn
 		se.gang.Run(len(se.bands), se.allocFn)
 		// Phase 2 (serial commit): apply grants in band order — the
@@ -606,18 +669,15 @@ func (s *Sim) stepNet(mn *meshNet) {
 	mn.touched = mn.touched[:0]
 }
 
-// landFlights lands in-flight packets whose link delay elapsed.
+// landFlights lands the flights whose link delay elapsed this cycle:
+// the wheel bucket of the current cycle, in launch order.
 func (s *Sim) landFlights(mn *meshNet) {
-	g := s.grid
-	remaining := mn.flights[:0]
-	for _, f := range mn.flights {
-		if f.arrive > s.cycle {
-			remaining = append(remaining, f)
-			continue
-		}
-		di := g.Index(f.dstTile)
-		mn.inAir[di*s.np+f.dstPort]--
-		r := mn.routers[di]
+	np := int32(s.np)
+	b := &mn.wheel[s.cycle%int64(len(mn.wheel))]
+	for i := range *b {
+		f := &(*b)[i]
+		mn.inAir[f.tile*np+f.port]--
+		r := mn.routers[f.tile]
 		if r == nil {
 			// Link into a faulty tile: the packet is lost. The kernel's
 			// fault-map routing must make this unreachable.
@@ -626,73 +686,96 @@ func (s *Sim) landFlights(mn *meshNet) {
 			s.live--
 			continue
 		}
-		r.in[f.dstPort].push(f.pkt)
+		mn.enqueue(r, int(f.port), &f.pkt)
 	}
-	mn.flights = remaining
+	*b = (*b)[:0]
 }
 
-// allocate runs switch allocation for routers [lo, hi): per router, per
-// output port, grant one input whose head packet requests that port,
-// round-robin over inputs. Space accounting reserves downstream slots
-// before movement so a FIFO never overfills within a cycle. The grant
-// list, touched list and candidate buffer are caller-owned reused
+// allocate runs switch allocation for the busy routers in [lo, hi), in
+// ascending index order: per router, per requested output port in
+// ascending order, grant one input whose head packet requests that
+// port, round-robin over inputs. Each head is routed once — Candidates
+// is pure by the Topology contract and the allocator treats its result
+// as a set — and folded into per-output input masks; only outputs some
+// head requests are visited. Space accounting reserves downstream
+// slots before movement so a FIFO never overfills within a cycle. The
+// grant list, touched list and candidate buffer are caller-owned reused
 // scratch — this loop allocates nothing in steady state and, because it
-// only reads cycle-frozen state and writes band-local scratch plus
-// single-writer reservation slots, disjoint ranges may run concurrently
-// (the sharded engine relies on this).
+// only reads cycle-frozen state (the busy set included) and writes
+// band-local scratch plus single-writer reservation slots, disjoint
+// ranges may run concurrently (the sharded engine relies on this).
 func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32, cand []int) ([]grant, []int32) {
+	if lo >= hi {
+		return grants, touched
+	}
 	np, local := s.np, s.local
-	for ri := lo; ri < hi; ri++ {
-		r := mn.routers[ri]
-		if r == nil {
-			continue
+	last := (hi - 1) >> 6
+	for w := lo >> 6; w <= last; w++ {
+		word := mn.busy[w]
+		if w == lo>>6 {
+			word &= ^uint64(0) << uint(lo&63)
 		}
-		var taken [MaxPorts]bool // inputs already granted this cycle
-		base := ri * np
-		for out := 0; out < np; out++ {
-			if out != local && s.linkDown[base+out] {
-				continue // link out of service: packets wait upstream
-			}
-			// Round-robin: start after the last granted input.
-			for k := 1; k <= np; k++ {
-				inPort := (r.rrAt[out] + k) % np
-				if taken[inPort] {
-					continue
-				}
-				q := &r.in[inPort]
+		if w == last {
+			word &= ^uint64(0) >> uint(63-(hi-1)&63)
+		}
+		for ; word != 0; word &= word - 1 {
+			ri := w<<6 | bits.TrailingZeros64(word)
+			r := mn.routers[ri]
+			// Route every head once: req[out] is the set of inputs whose
+			// head may take output out; outs is the union of requested
+			// outputs.
+			var req [MaxPorts]uint32
+			var outs uint32
+			for in := 0; in < np; in++ {
+				q := &r.in[in]
 				if q.len() == 0 {
 					continue
 				}
-				nc := s.Policy.Candidates(mn.net, *q.front(), r.at, inPort, cand)
-				if !wantsPort(cand[:nc], out) {
+				nc := s.Policy.Candidates(mn.net, q.front(), r.at, in, cand)
+				for _, c := range cand[:nc] {
+					if uint(c) < uint(np) {
+						req[c] |= 1 << uint(in)
+						outs |= 1 << uint(c)
+					}
+				}
+			}
+			var taken uint32 // inputs already granted this cycle
+			base := ri * np
+			for ; outs != 0; outs &= outs - 1 {
+				out := bits.TrailingZeros32(outs)
+				if out != local && s.linkDown[base+out] {
+					continue // link out of service: packets wait upstream
+				}
+				ins := req[out] &^ taken
+				if ins == 0 {
 					continue
 				}
-				if out == local {
-					// Ejection always has room (the tile consumes it).
-					grants = append(grants, grant{r, inPort, out})
-					r.rrAt[out] = inPort
-					taken[inPort] = true
-					break
+				// Credit depends only on the output's downstream slot, so
+				// it is checked once: without it no input gets this port.
+				// Ejection always has room (the tile consumes it); a route
+				// off the link graph (ni < 0, defensive — in-grid
+				// destinations never produce one) is granted and dropped
+				// by traverse.
+				if out != local {
+					if ni := s.nbrTile[base+out]; ni >= 0 {
+						slot := ni*int32(np) + int32(s.nbrPort[base+out])
+						if !s.spaceFor(mn, int(ni), slot) {
+							continue
+						}
+						mn.reserved[slot]++
+						touched = append(touched, slot)
+					}
 				}
-				ni := s.nbrTile[base+out]
-				if ni < 0 {
-					// Route points off the link graph: drop (cannot happen
-					// for in-grid destinations; defensive).
-					grants = append(grants, grant{r, inPort, out})
-					r.rrAt[out] = inPort
-					taken[inPort] = true
-					break
+				// Round-robin: the first requesting input after the last
+				// granted one, wrapping around.
+				after := ins &^ (uint32(2)<<uint(r.rrAt[out]) - 1)
+				if after == 0 {
+					after = ins
 				}
-				slot := ni*int32(np) + int32(s.nbrPort[base+out])
-				if !s.spaceFor(mn, int(ni), slot) {
-					continue // no credit; try another input for this port
-				}
-				mn.reserved[slot]++
-				touched = append(touched, slot)
-				grants = append(grants, grant{r, inPort, out})
-				r.rrAt[out] = inPort
-				taken[inPort] = true
-				break
+				in := bits.TrailingZeros32(after)
+				grants = append(grants, grant{r, in, out})
+				r.rrAt[out] = in
+				taken |= 1 << uint(in)
 			}
 		}
 	}
@@ -700,12 +783,15 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 }
 
 // traverse applies the grants in list order: ejections update stats and
-// fire OnDeliver, link crossings launch flights. It must run serially —
-// list order is the delivery order the determinism contract pins.
+// fire OnDeliver, link crossings launch flights into the wheel bucket of
+// their arrival cycle. It must run serially — list order is the
+// delivery order the determinism contract pins, and appending to a
+// bucket in launch order is the landing order.
 func (s *Sim) traverse(mn *meshNet, grants []grant) {
 	for _, gr := range grants {
-		pkt := gr.r.in[gr.inPort].pop()
 		if gr.outPort == s.local {
+			pkt := *gr.r.in[gr.inPort].front()
+			mn.dequeue(gr.r, gr.inPort)
 			pkt.DeliveredAt = s.cycle
 			s.stats.Delivered++
 			s.stats.TotalLatency += pkt.Latency()
@@ -725,21 +811,19 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 		lslot := int(gr.r.idx)*s.np + gr.outPort
 		ni := s.nbrTile[lslot]
 		if ni < 0 {
+			mn.dequeue(gr.r, gr.inPort)
 			s.stats.Dropped++
 			s.stats.DroppedInFlight++ // left its router, lost in traversal
 			s.live--
 			continue
 		}
-		pkt.Hops++
 		s.linkUse[mn.net][lslot]++
-		dstPort := int(s.nbrPort[lslot])
-		mn.inAir[int(ni)*s.np+dstPort]++
-		mn.flights = append(mn.flights, inFlight{
-			pkt:     pkt,
-			arrive:  s.cycle + s.nbrLat[lslot],
-			dstTile: s.grid.Coord(int(ni)),
-			dstPort: dstPort,
-		})
+		dstPort := int32(s.nbrPort[lslot])
+		mn.inAir[ni*int32(s.np)+dstPort]++
+		b := &mn.wheel[(s.cycle+s.nbrLat[lslot])%int64(len(mn.wheel))]
+		*b = append(*b, inFlight{pkt: *gr.r.in[gr.inPort].front(), tile: ni, port: dstPort})
+		(*b)[len(*b)-1].pkt.Hops++
+		mn.dequeue(gr.r, gr.inPort)
 	}
 }
 
@@ -754,22 +838,9 @@ func (s *Sim) spaceFor(mn *meshNet, tileIdx int, slot int32) bool {
 		// arrival (hardware would see an unresponsive link).
 		return true
 	}
-	port := int(slot) % s.np
+	port := int(slot) - tileIdx*s.np
 	return r.in[port].len()+int(mn.inAir[slot])+int(mn.reserved[slot]) < s.cfg.FIFODepth
 }
-
-// wantsPort reports whether out appears in the candidate list.
-func wantsPort(candidates []int, out int) bool {
-	for _, c := range candidates {
-		if c == out {
-			return true
-		}
-	}
-	return false
-}
-
-// dirOfPort converts a mesh direction-port index back to a geom.Dir.
-func dirOfPort(p int) geom.Dir { return geom.Dir(p) }
 
 // Drained reports whether no packet remains anywhere in the network.
 // The live-packet counter makes this O(1); RunUntilDrained calls it
@@ -780,7 +851,7 @@ func (s *Sim) Drained() bool { return s.live == 0 }
 // replaced; tests cross-validate the two on every step of chaos runs.
 func (s *Sim) drainedScan() bool {
 	for _, mn := range s.nets {
-		if len(mn.flights) > 0 {
+		if mn.flightCount() > 0 {
 			return false
 		}
 		for _, r := range mn.routers {
@@ -838,11 +909,7 @@ func (s *Sim) CongestionReport(topK int) string {
 			if r == nil {
 				continue
 			}
-			n := 0
-			for p := 0; p < s.np; p++ {
-				n += r.in[p].len()
-			}
-			if n > 0 {
+			if n := int(r.queued); n > 0 {
 				queued += n
 				worst = append(worst, stuck{r.at, n})
 			}
@@ -857,7 +924,7 @@ func (s *Sim) CongestionReport(topK int) string {
 			out += "; "
 		}
 		out += fmt.Sprintf("%v: %d in flight, %d queued in %d routers",
-			mn.net, len(mn.flights), queued, len(worst))
+			mn.net, mn.flightCount(), queued, len(worst))
 		if len(worst) > topK {
 			worst = worst[:topK]
 		}

@@ -3,12 +3,13 @@ package noc
 import "waferscale/internal/fault"
 
 // Fork returns a deep copy of the simulator: every piece of mutable run
-// state — router FIFOs, in-flight link traffic, occupancy counters,
-// link outages, statistics, the cycle counter and the packet ID
-// sequence — is copied, so stepping the fork is bit-identical to
-// stepping the original while leaving the original untouched. It is the
-// NoC half of the machine-level warm-state snapshot that lets Monte
-// Carlo sweeps run a shared prefix once and fork per trial.
+// state — router FIFOs, the in-flight link wheel, occupancy counters,
+// the busy-router set, link outages, statistics, the cycle counter and
+// the packet ID sequence — is copied, so stepping the fork is
+// bit-identical to stepping the original while leaving the original
+// untouched. It is the NoC half of the machine-level warm-state
+// snapshot that lets Monte Carlo sweeps run a shared prefix once and
+// fork per trial.
 //
 // fm is the fault map the fork routes against; pass a Clone of the
 // original's map (the map is shared with the kernel and machine layers,
@@ -55,22 +56,33 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 	return n
 }
 
-// forkMeshNet deep-copies one physical network. Router existence is
-// taken from the source's router array (nil = faulty at construction or
-// killed at runtime), not from the fault map — the array is the
-// authoritative record once runtime kills start landing. The FIFO ring
-// buffers, round-robin pointers and FIFO headers are re-slabbed exactly
-// like NewSimTopology's layout, with each ring's logical contents
-// copied in order (head normalized to 0 — behaviorally identical, since
-// all access goes through the ring API).
+// forkMeshNet deep-copies one physical network, flight wheel and busy
+// set included (the wheel is indexed by absolute cycle, which the fork
+// shares). Router existence is taken from the source's router array
+// (nil = faulty at construction or killed at runtime), not from the
+// fault map — the array is the authoritative record once runtime kills
+// start landing. The FIFO ring buffers, round-robin pointers and FIFO
+// headers are re-slabbed exactly like NewSimTopology's layout, with
+// each ring's logical contents copied in order (head normalized to 0 —
+// behaviorally identical, since all access goes through the ring API).
 func forkMeshNet(src *meshNet, tiles, np, fifoDepth int) *meshNet {
 	mn := &meshNet{
 		net:      src.net,
 		routers:  make([]*router, tiles),
+		wheel:    make([][]inFlight, len(src.wheel)),
+		busy:     append([]uint64(nil), src.busy...),
 		inAir:    append([]int32(nil), src.inAir...),
 		reserved: make([]int32, tiles*np),
 	}
-	mn.flights = append([]inFlight(nil), src.flights...)
+	// One backing array for every bucket; each bucket's capacity ends at
+	// its length, so a later append reallocates instead of spilling into
+	// the next bucket.
+	flights := make([]inFlight, src.flightCount())
+	for i, b := range src.wheel {
+		n := copy(flights, b)
+		mn.wheel[i] = flights[:n:n]
+		flights = flights[n:]
+	}
 	routers := make([]router, tiles)
 	fifos := make([]pktFIFO, tiles*np)
 	rr := make([]int, tiles*np)
@@ -82,6 +94,7 @@ func forkMeshNet(src *meshNet, tiles, np, fifoDepth int) *meshNet {
 		r := &routers[i]
 		r.at = sr.at
 		r.idx = sr.idx
+		r.queued = sr.queued
 		r.in = fifos[i*np : (i+1)*np]
 		r.rrAt = rr[i*np : (i+1)*np]
 		copy(r.rrAt, sr.rrAt)

@@ -74,7 +74,6 @@ func MeasureThroughput(fm *fault.Map, cfg ThroughputConfig, rates []float64) ([]
 			deliveredInWindow int
 			latencyInWindow   int64
 			attempts, refused int
-			measureStart      int64
 		)
 		s.OnDeliver = func(p Packet) {
 			if measuring {
@@ -86,7 +85,6 @@ func MeasureThroughput(fm *fault.Map, cfg ThroughputConfig, rates []float64) ([]
 		for cyc := 0; cyc < total; cyc++ {
 			if cyc == cfg.WarmupCycles {
 				measuring = true
-				measureStart = s.Cycle()
 			}
 			for _, src := range healthy {
 				if rng.Float64() >= rate {
@@ -107,7 +105,6 @@ func MeasureThroughput(fm *fault.Map, cfg ThroughputConfig, rates []float64) ([]
 			s.Step()
 		}
 		s.Close()
-		_ = measureStart
 		window := float64(cfg.MeasureCycles) * float64(len(healthy))
 		pt := ThroughputPoint{
 			OfferedRate:   rate,

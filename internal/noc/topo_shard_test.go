@@ -36,19 +36,16 @@ func newTopoSim(t *testing.T, name string, s scenario, cfg SimConfig) *Sim {
 // delivered streams and cycle counts.
 func diffTopoSharded(t *testing.T, name string, s scenario, shards, workers int) {
 	t.Helper()
-	if s.fifoDepth == 0 {
-		s.fifoDepth = DefaultSimConfig().FIFODepth
-	}
-	cfg := SimConfig{FIFODepth: s.fifoDepth, LinkLatency: DefaultSimConfig().LinkLatency}
+	cfg := s.simConfig()
 
 	serial := newTopoSim(t, name, s, cfg)
-	serStats, serPkts, serCycles := runScenario(t, s, serial, serial.Delivered)
+	serStats, serPkts, serCycles := runScenario(t, s, serial)
 
 	sharded := newTopoSim(t, name, s, cfg)
 	defer sharded.Close()
 	sharded.Shards = shards
 	sharded.Workers = workers
-	shStats, shPkts, shCycles := runScenario(t, s, sharded, sharded.Delivered)
+	shStats, shPkts, shCycles := runScenario(t, s, sharded)
 
 	if shStats != serStats {
 		t.Errorf("%s shards=%d: stats diverge:\n  sharded %+v\n  serial  %+v", name, shards, shStats, serStats)

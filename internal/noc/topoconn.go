@@ -25,9 +25,10 @@ type TopoAnalyzer struct {
 	topo Topology
 	grid geom.Grid
 	fm   *fault.Map
-	// clear[net][src*size+dst] = route src->dst enters only healthy
-	// tiles.
-	clear [2][]bool
+	// clear[net] is a bitset over src*size+dst: a set bit means the
+	// route src->dst enters only healthy tiles. One bit per pair keeps a
+	// 32x32 analyzer at 256 KiB instead of 2 MiB.
+	clear [2][]uint64
 
 	// build scratch, retained across Reset for Monte Carlo reuse.
 	alive   []bool
@@ -56,8 +57,8 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 	g := fm.Grid()
 	size := g.Size()
 	if a.grid != g || a.topo == nil || a.topo.Name() != topo.Name() {
-		a.clear[XY] = make([]bool, size*size)
-		a.clear[YX] = make([]bool, size*size)
+		a.clear[XY] = make([]uint64, (size*size+63)/64)
+		a.clear[YX] = make([]uint64, (size*size+63)/64)
 		a.alive = make([]bool, size)
 		a.nextIdx = make([]int32, size)
 		a.state = make([]int8, size)
@@ -67,8 +68,13 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 	pol := topo.Policy()
 	local := topo.Ports() - 1
 	var buf [MaxPorts]int
+	var pkt Packet // hoisted: the policy call takes its address
 	for net := 0; net < 2; net++ {
 		n := Network(net)
+		row := a.clear[net]
+		for w := range row {
+			row[w] = 0
+		}
 		for di := 0; di < size; di++ {
 			dst := g.Coord(di)
 			// Resolve every tile's next hop toward dst; -1 = terminal
@@ -77,8 +83,8 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 			for i := 0; i < size; i++ {
 				a.state[i] = 0
 				cur := g.Coord(i)
-				pkt := Packet{Net: n, Src: cur, Dst: dst}
-				nc := pol.Candidates(n, pkt, cur, local, buf[:])
+				pkt = Packet{Net: n, Src: cur, Dst: dst}
+				nc := pol.Candidates(n, &pkt, cur, local, buf[:])
 				if nc <= 0 || buf[0] == local {
 					a.nextIdx[i] = -1
 					continue
@@ -122,9 +128,11 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 					a.state[t] = verdict
 				}
 			}
-			row := a.clear[net]
 			for i := 0; i < size; i++ {
-				row[i*size+di] = a.state[i] == 1
+				if a.state[i] == 1 {
+					k := i*size + di
+					row[k>>6] |= 1 << uint(k&63)
+				}
 			}
 		}
 	}
@@ -133,7 +141,8 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 // PathClear reports whether the topology's route from src to dst on the
 // given network passes only healthy tiles (endpoints included).
 func (a *TopoAnalyzer) PathClear(net Network, src, dst geom.Coord) bool {
-	return a.clear[net][a.grid.Index(src)*a.grid.Size()+a.grid.Index(dst)]
+	k := a.grid.Index(src)*a.grid.Size() + a.grid.Index(dst)
+	return a.clear[net][k>>6]>>uint(k&63)&1 != 0
 }
 
 // PairUsableSingle mirrors Analyzer.PairUsableSingle: two-way

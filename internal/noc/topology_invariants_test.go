@@ -94,7 +94,7 @@ func walkRoute(t *testing.T, topo Topology, net Network, src, dst geom.Coord) in
 		if hop > maxHops {
 			t.Fatalf("%s %v->%v net %v: route exceeds %d hops (stuck at %v)", topo.Name(), src, dst, net, maxHops, cur)
 		}
-		n := pol.Candidates(net, pkt, cur, arrival, buf[:])
+		n := pol.Candidates(net, &pkt, cur, arrival, buf[:])
 		if n <= 0 {
 			t.Fatalf("%s %v->%v net %v: Candidates returned %d at %v (wedge)", topo.Name(), src, dst, net, n, cur)
 		}

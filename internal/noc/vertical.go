@@ -84,7 +84,7 @@ func (t verticalTopology) Policy() RoutingPolicy { return verticalPolicy{layerH:
 type verticalPolicy struct{ layerH int }
 
 // Candidates implements RoutingPolicy.
-func (v verticalPolicy) Candidates(net Network, p Packet, cur geom.Coord, _ int, buf []int) int {
+func (v verticalPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
 	if cur == p.Dst {
 		buf[0] = verticalPorts - 1 // local
 		return 1
