@@ -8,6 +8,7 @@ package waferscale
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -187,6 +188,44 @@ func BenchmarkFig6DisconnectedPairs(b *testing.B) {
 	}
 	b.ReportMetric(pts[0].PctSingle.Mean, "disc1net%@5")
 	b.ReportMetric(pts[0].PctDual.Mean, "disc2net%@5")
+}
+
+// BenchmarkFig6Trial times one Fig. 6 trial on the full 32x32 array —
+// one analyzer Reset on a seeded fault map plus one AllPairs — for the
+// prefix-sum mesh Analyzer and for TopoAnalyzer on every topology.
+// Comparing prefixsum against mesh measures what the mesh-only fast
+// path buys over the topology-generic analyzer.
+func BenchmarkFig6Trial(b *testing.B) {
+	grid := geom.NewGrid(32, 32)
+	for _, analyzer := range append([]string{"prefixsum"}, noc.TopologyNames()...) {
+		for _, faults := range []int{5, 10} {
+			b.Run(fmt.Sprintf("%s/faults=%d", analyzer, faults), func(b *testing.B) {
+				fm := fault.Random(grid, faults, rand.New(rand.NewSource(2021)))
+				var st noc.PairStats
+				if analyzer == "prefixsum" {
+					var a noc.Analyzer
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						a.Reset(fm)
+						st = a.AllPairs()
+					}
+				} else {
+					topo, err := noc.NewTopology(analyzer, grid)
+					if err != nil {
+						b.Fatal(err)
+					}
+					var a noc.TopoAnalyzer
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						a.Reset(topo, fm)
+						st = a.AllPairs()
+					}
+				}
+				b.ReportMetric(st.PctSingle(), "disc1net%")
+				b.ReportMetric(st.PctDual(), "disc2net%")
+			})
+		}
+	}
 }
 
 // BenchmarkFig7PacketSim drives request/response traffic through the

@@ -15,7 +15,9 @@ import "waferscale/internal/geom"
 // switch allocator's inner loop allocates nothing. A policy must never
 // return 0 for an in-grid destination (the packet would wedge). The
 // preference order matters to single-path consumers (the analytical
-// model and the connectivity analyzer follow buf[0]); the switch
+// model and the connectivity analyzer follow buf[0], and a policy a
+// Topology returns must pick buf[0] from (net, cur, p.Dst) alone, with
+// the local port only at p.Dst — see the Topology contract); the switch
 // allocator treats the result as a set, routes each head packet once
 // per cycle, and grants whichever candidate port wins arbitration and
 // has credit.

@@ -32,9 +32,17 @@ import (
 //     writer router — so NewSimTopology validates it at construction.
 //   - The local inject/eject port is always Ports()-1 and carries no
 //     link.
+//   - Routing is destination-driven: the policy's first candidate
+//     depends only on (network, current tile, destination) — never on
+//     the packet's source or arrival port — and it is the local port
+//     at the destination and nowhere else. The routes toward one
+//     destination then form an in-tree, which TopoAnalyzer walks
+//     backwards from the faulty tiles and the analytical TopoModel
+//     aggregates over.
 //
 // These invariants are exercised for every shipped topology by the
-// invariant and fuzz tests in topology_invariants_test.go.
+// invariant and fuzz tests in topology_invariants_test.go
+// (TestTopologyNextHopSourceFree checks the routing one).
 type Topology interface {
 	// Name is the normalized topology identifier (one of
 	// TopologyNames).

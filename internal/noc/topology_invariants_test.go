@@ -138,6 +138,52 @@ func TestTopologyRoutesTerminate(t *testing.T) {
 	}
 }
 
+// TestTopologyNextHopSourceFree checks the routing contract the
+// connectivity analyzer's backward walk relies on, for every (src, cur,
+// dst) on both networks: the first candidate depends only on (network,
+// cur, dst) — not on the packet's source or the port it arrived on —
+// and it is the local port exactly when cur is the destination.
+func TestTopologyNextHopSourceFree(t *testing.T) {
+	for _, name := range TopologyNames() {
+		for _, g := range []geom.Grid{geom.NewGrid(8, 8), geom.NewGrid(9, 6)} {
+			topo, err := NewTopology(name, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol := topo.Policy()
+			local := topo.Ports() - 1
+			var buf [MaxPorts]int
+			next := func(net Network, src, cur, dst geom.Coord, arrival int) int {
+				pkt := Packet{Net: net, Src: src, Dst: dst}
+				if n := pol.Candidates(net, &pkt, cur, arrival, buf[:]); n <= 0 {
+					t.Fatalf("%s %v: Candidates returned %d at %v for %v", name, g, n, cur, dst)
+				}
+				return buf[0]
+			}
+			for _, net := range []Network{XY, YX} {
+				g.All(func(cur geom.Coord) {
+					g.All(func(dst geom.Coord) {
+						want := next(net, cur, cur, dst, local)
+						if (want == local) != (cur == dst) {
+							t.Fatalf("%s %v net %v: first candidate at %v toward %v is port %d (local = %d)", name, g, net, cur, dst, want, local)
+						}
+						g.All(func(src geom.Coord) {
+							if got := next(net, src, cur, dst, local); got != want {
+								t.Fatalf("%s %v net %v: at %v toward %v, source %v picks port %d, source %v picks %d", name, g, net, cur, dst, src, got, cur, want)
+							}
+						})
+						for arrival := 0; arrival < local; arrival++ {
+							if got := next(net, cur, cur, dst, arrival); got != want {
+								t.Fatalf("%s %v net %v: at %v toward %v, arrival port %d picks port %d, local arrival %d", name, g, net, cur, dst, arrival, got, want)
+							}
+						}
+					})
+				})
+			}
+		}
+	}
+}
+
 // TestTopologyRouteImprovement pins what each topology buys: on a
 // 16x16 grid, worst-case CMesh/express/vertical hop counts must beat
 // the plain mesh's worst case (the whole point of the new link

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the cycle-engine benchmarks (NoC packet simulation, throughput
 # sweep, graph workloads, chaos survival — from-scratch and warm-state
-# forked — plus their sharded-engine variants) and records the results
+# forked — plus their sharded-engine variants) and the per-trial Fig. 6
+# connectivity analyzers, and records the results
 # as JSON in BENCH_noc.json so CI and
 # successive optimization PRs can track ns/op and allocs/op over time.
 #
@@ -18,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalFig7|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock}"
+PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalFig7|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial}"
 TIME="${BENCH_TIME:-3s}"
 COUNT="${BENCH_COUNT:-3}"
 OUT="${BENCH_OUT:-BENCH_noc.json}"
