@@ -56,35 +56,47 @@ func (r Region) String() string {
 	return fmt.Sprintf("Region(%d)", int(r))
 }
 
-// AddressMap resolves 32-bit addresses against a configuration.
+// AddressMap resolves 32-bit addresses against a configuration. The
+// region bounds are precomputed at construction: Region runs on every
+// simulated memory instruction, and deriving them through the
+// value-receiver Config methods would copy the whole Config each time.
 type AddressMap struct {
 	cfg  Config
 	grid geom.Grid
+
+	privateLimit uint32 // first address above core-private SRAM
+	localLimit   uint32 // first address above the tile-local bank
+	window       uint32 // per-tile global window bytes
+	globalLimit  uint64 // first address above the global region
 }
 
 // NewAddressMap builds the resolver for a validated configuration.
 func NewAddressMap(cfg Config) *AddressMap {
-	return &AddressMap{cfg: cfg, grid: cfg.Grid()}
+	window := uint32(cfg.SharedMemPerTile())
+	return &AddressMap{
+		cfg:          cfg,
+		grid:         cfg.Grid(),
+		privateLimit: uint32(cfg.PrivateMemPerCore),
+		localLimit:   LocalBankBase + uint32(cfg.LocalBankBytesPerTile()),
+		window:       window,
+		globalLimit:  uint64(GlobalBase) + uint64(cfg.Tiles())*uint64(window),
+	}
 }
 
 // GlobalWindowBytes returns the per-tile global window size.
-func (m *AddressMap) GlobalWindowBytes() uint32 {
-	return uint32(m.cfg.SharedMemPerTile())
-}
+func (m *AddressMap) GlobalWindowBytes() uint32 { return m.window }
 
 // GlobalLimit returns the first address above the global region.
-func (m *AddressMap) GlobalLimit() uint64 {
-	return uint64(GlobalBase) + uint64(m.cfg.Tiles())*uint64(m.GlobalWindowBytes())
-}
+func (m *AddressMap) GlobalLimit() uint64 { return m.globalLimit }
 
 // Region classifies an address.
 func (m *AddressMap) Region(addr uint32) Region {
 	switch {
-	case addr < uint32(m.cfg.PrivateMemPerCore):
+	case addr < m.privateLimit:
 		return RegionPrivate
-	case addr >= LocalBankBase && addr < LocalBankBase+uint32(m.cfg.LocalBankBytesPerTile()):
+	case addr >= LocalBankBase && addr < m.localLimit:
 		return RegionLocalBank
-	case addr >= GlobalBase && uint64(addr) < m.GlobalLimit():
+	case addr >= GlobalBase && uint64(addr) < m.globalLimit:
 		return RegionGlobal
 	default:
 		return RegionUnmapped

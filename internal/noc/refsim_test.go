@@ -389,6 +389,27 @@ type scenario struct {
 	// that cycle and drives the fork from then on (other engines run
 	// straight through).
 	forkAt int
+	// respond answers every delivered request from inside OnDeliver,
+	// as the machine's remote-memory protocol does: a response back to
+	// the source on each network.
+	respond bool
+}
+
+// wireResponder installs the respond scenario's OnDeliver on e.
+func wireResponder(e engine) {
+	respond := func(p Packet) {
+		if p.Kind != Request {
+			return
+		}
+		e.Inject(p.Net.Complement(), p.Dst, p.Src, Response, p.Tag, p.Payload^1)
+		e.Inject(p.Net, p.Dst, p.Src, Response, p.Tag, p.Payload^2)
+	}
+	switch x := e.(type) {
+	case *Sim:
+		x.OnDeliver = respond
+	case *refSim:
+		x.OnDeliver = respond
+	}
 }
 
 // runScenario drives one engine through the scenario and returns its
@@ -409,12 +430,18 @@ func runScenario(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64)
 	var pendingFwd []Packet
 	injected := 0
 	hot := healthy[len(healthy)/2]
+	if s.respond {
+		wireResponder(e)
+	}
 	for cyc := 0; cyc < s.cycles; cyc++ {
 		if s.forkAt > 0 && cyc == s.forkAt {
 			if sim, ok := e.(*Sim); ok {
 				fork := sim.Fork(sim.fm.Clone())
 				defer fork.Close()
 				e = fork
+				if s.respond {
+					wireResponder(e)
+				}
 			}
 		}
 		if s.hotKillAt > 0 && cyc == s.hotKillAt {
@@ -614,16 +641,16 @@ func TestEngineDifferentialLinkLatency(t *testing.T) {
 }
 
 // TestDrainedCounterMatchesScan cross-validates the O(1) live-packet
-// counter against the full-network scan it replaced, on every step of a
-// chaos run (kills and drops are exactly where the accounting could
-// slip).
+// count (arena handles not free) against the full-network scan it
+// replaced, on every step of a chaos run (kills and drops are exactly
+// where the accounting could slip).
 func TestDrainedCounterMatchesScan(t *testing.T) {
 	check := func(t *testing.T, e engine) {
 		t.Helper()
 		s := e.(*Sim)
 		if s.Drained() != s.drainedScan() {
 			t.Fatalf("cycle %d: Drained()=%v but scan says %v (live=%d)",
-				s.Cycle(), s.Drained(), s.drainedScan(), s.live)
+				s.Cycle(), s.Drained(), s.drainedScan(), len(s.pkts)-len(s.free))
 		}
 	}
 	s := scenario{

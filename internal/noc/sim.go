@@ -27,7 +27,7 @@ const (
 // inFlight is a packet crossing an inter-chiplet link. Its arrival
 // cycle is implied by the flight-wheel bucket holding it.
 type inFlight struct {
-	pkt  Packet
+	h    int32 // packet handle in Sim.pkts
 	tile int32 // destination tile index
 	port int32 // arrival port on that tile
 }
@@ -74,10 +74,13 @@ type grant struct {
 //     per credit check;
 //   - reserved[...] holds this cycle's switch-allocation reservations
 //     (zeroed via the touched list after traversal);
-//   - grants is the reusable grant list.
+//   - grants is the reusable grant list;
+//   - slab backs every input FIFO ring, FIFODepth handles per
+//     (tile, port).
 type meshNet struct {
 	net      Network
 	routers  []*router
+	slab     []int32
 	wheel    [][]inFlight
 	busy     []uint64
 	inAir    []int32
@@ -86,10 +89,10 @@ type meshNet struct {
 	grants   []grant
 }
 
-// enqueue pushes a copy of *p into r's input FIFO at port and marks r
+// enqueue pushes handle h into r's input FIFO at port and marks r
 // busy. The caller has checked space.
-func (mn *meshNet) enqueue(r *router, port int, p *Packet) {
-	r.in[port].push(p)
+func (mn *meshNet) enqueue(r *router, port int, h int32) {
+	r.in[port].push(h)
 	r.queued++
 	mn.busy[r.idx>>6] |= 1 << uint(r.idx&63)
 }
@@ -101,6 +104,29 @@ func (mn *meshNet) dequeue(r *router, port int) {
 	r.queued--
 	if r.queued == 0 {
 		mn.busy[r.idx>>6] &^= 1 << uint(r.idx&63)
+	}
+}
+
+// addRouters instantiates the router of every tile i for which alive(i)
+// holds, carving its FIFO rings out of mn.slab (which must hold
+// FIFODepth handles per (tile, port)) and its headers and round-robin
+// pointers out of two more slabs — a handful of allocations per
+// network keeps NewSim cheap inside Monte Carlo loops.
+func (mn *meshNet) addRouters(g geom.Grid, np, depth int, alive func(i int) bool) {
+	routers := make([]router, g.Size())
+	fifos := make([]pktFIFO, g.Size()*np)
+	rr := make([]int, g.Size()*np)
+	for i := range routers {
+		if !alive(i) {
+			continue
+		}
+		r := &routers[i]
+		*r = router{at: g.Coord(i), idx: int32(i), in: fifos[i*np : (i+1)*np], rrAt: rr[i*np : (i+1)*np]}
+		for p := range r.in {
+			k := i*np + p
+			r.in[p].buf = mn.slab[k*depth : (k+1)*depth]
+		}
+		mn.routers[i] = r
 	}
 }
 
@@ -163,11 +189,15 @@ type Sim struct {
 	// wait; they are not lost.
 	linkDown []bool
 
-	// live counts packets currently in the system (queued or in flight,
-	// both networks), so Drained is O(1) instead of a full scan per
-	// RunUntilDrained iteration. Every injection and forward increments
-	// it; every delivery and drop decrements it.
-	live int
+	// pkts is the packet arena: every packet in the system (queued or
+	// in flight, both networks) is stored here once, and FIFOs and
+	// flights carry its int32 handle. free is the LIFO of released
+	// handles, so len(pkts)-len(free) counts the live packets and
+	// Drained is O(1). The arena grows only in serial phases (Inject,
+	// Forward, OnDeliver callbacks), so sharded allocation may read
+	// packets through it concurrently.
+	pkts []Packet
+	free []int32
 
 	// candBuf is the scratch buffer RoutingPolicy.Candidates writes
 	// into (stepNet runs the two networks sequentially, so one buffer
@@ -191,8 +221,10 @@ type Sim struct {
 	// slot has exactly one possible writer router — the Topology
 	// contract NewSimTopology validates — and grants are committed
 	// serially in band order, which is exactly the serial engine's
-	// ascending router order. See EXPERIMENTS.md ("Sharded cycle
-	// engine") for when this beats per-trial parallelism.
+	// ascending router order. See EXPERIMENTS.md ("Deterministic
+	// sharded cycle engine") for the trade-off against per-trial
+	// parallelism. On the 1- and 2-vCPU hosts measured so far, no
+	// sharded configuration has beaten the serial engine beyond noise.
 	Shards int
 	// Workers caps the gang width driving the shard bands (0 =
 	// GOMAXPROCS, clamped to Shards). Purely a wall-clock knob.
@@ -277,34 +309,13 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 		mn := &meshNet{
 			net:      Network(n),
 			routers:  make([]*router, g.Size()),
+			slab:     make([]int32, g.Size()*np*cfg.FIFODepth),
 			wheel:    make([][]inFlight, wheelLen),
 			busy:     make([]uint64, (g.Size()+63)/64),
 			inAir:    make([]int32, g.Size()*np),
 			reserved: make([]int32, g.Size()*np),
 		}
-		// All routers of a mesh and their ring buffers, FIFO headers and
-		// round-robin pointers come from four slab allocations, keeping
-		// NewSim cheap inside Monte Carlo loops.
-		routers := make([]router, g.Size())
-		fifos := make([]pktFIFO, g.Size()*np)
-		rr := make([]int, g.Size()*np)
-		slab := make([]Packet, g.Size()*np*cfg.FIFODepth)
-		g.All(func(c geom.Coord) {
-			if !fm.Healthy(c) {
-				return
-			}
-			i := g.Index(c)
-			r := &routers[i]
-			r.at = c
-			r.idx = int32(i)
-			r.in = fifos[i*np : (i+1)*np]
-			r.rrAt = rr[i*np : (i+1)*np]
-			base := i * np * cfg.FIFODepth
-			for p := 0; p < np; p++ {
-				r.in[p].buf = slab[base+p*cfg.FIFODepth : base+(p+1)*cfg.FIFODepth]
-			}
-			mn.routers[i] = r
-		})
+		mn.addRouters(g, np, cfg.FIFODepth, func(i int) bool { return fm.Healthy(g.Coord(i)) })
 		s.nets[n] = mn
 	}
 	return s, nil
@@ -407,14 +418,24 @@ func (s *Sim) Inject(net Network, src, dst geom.Coord, kind Kind, tag uint32, pa
 		return 0, ErrBackpressure
 	}
 	s.nextID++
-	p := Packet{
+	s.nets[net].enqueue(r, s.local, s.take(Packet{
 		ID: s.nextID, Kind: kind, Net: net, Src: src, Dst: dst,
 		Tag: tag, Payload: payload, InjectedAt: s.cycle,
-	}
-	s.nets[net].enqueue(r, s.local, &p)
+	}))
 	s.stats.Injected++
-	s.live++
-	return p.ID, nil
+	return s.nextID, nil
+}
+
+// take stores p in the arena, reusing the most recently freed handle.
+func (s *Sim) take(p Packet) int32 {
+	if n := len(s.free); n > 0 {
+		h := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.pkts[h] = p
+		return h
+	}
+	s.pkts = append(s.pkts, p)
+	return int32(len(s.pkts) - 1)
 }
 
 // ErrBackpressure reports a full injection FIFO.
@@ -443,9 +464,8 @@ func (s *Sim) Forward(net Network, at, newDst geom.Coord, p Packet) error {
 	}
 	p.Net = net
 	p.Dst = newDst
-	s.nets[net].enqueue(r, s.local, &p)
+	s.nets[net].enqueue(r, s.local, s.take(p))
 	s.stats.Forwarded++
-	s.live++
 	return nil
 }
 
@@ -471,6 +491,11 @@ func (s *Sim) KillRouter(c geom.Coord) int {
 		}
 		killed = true
 		dropped += int(r.queued)
+		for p := range r.in {
+			for q := &r.in[p]; q.len() > 0; q.drop() {
+				s.free = append(s.free, q.front())
+			}
+		}
 		mn.routers[i] = nil
 		mn.busy[i>>6] &^= 1 << uint(i&63)
 	}
@@ -478,7 +503,6 @@ func (s *Sim) KillRouter(c geom.Coord) int {
 		s.stats.RoutersKilled++
 		s.stats.Dropped += dropped
 		s.stats.DroppedQueued += dropped
-		s.live -= dropped
 	}
 	return dropped
 }
@@ -538,7 +562,7 @@ func (s *Sim) CorruptPayload(c geom.Coord, mask uint64) bool {
 		}
 		for p := 0; p < s.np; p++ {
 			if r.in[p].len() > 0 {
-				r.in[p].front().Payload ^= mask
+				s.pkts[r.in[p].front()].Payload ^= mask
 				s.stats.BitErrors++
 				return true
 			}
@@ -611,7 +635,7 @@ func (s *Sim) sharding() *shardEngine {
 // order of the serial engine is preserved exactly — per network: land,
 // allocate, traverse — with only the allocation phase fanned out over
 // the row bands. Landing and traversal stay on the caller: they mutate
-// global state (stats, live counter, flight wheel, busy set, user
+// global state (stats, packet arena, flight wheel, busy set, user
 // callbacks) whose serial ordering is part of the determinism contract.
 // A network with no queued packet after landing has nothing to
 // allocate, so its gang release is skipped.
@@ -683,10 +707,10 @@ func (s *Sim) landFlights(mn *meshNet) {
 			// fault-map routing must make this unreachable.
 			s.stats.Dropped++
 			s.stats.DroppedInFlight++
-			s.live--
+			s.free = append(s.free, f.h)
 			continue
 		}
-		mn.enqueue(r, int(f.port), &f.pkt)
+		mn.enqueue(r, int(f.port), f.h)
 	}
 	*b = (*b)[:0]
 }
@@ -731,7 +755,7 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 				if q.len() == 0 {
 					continue
 				}
-				nc := s.Policy.Candidates(mn.net, q.front(), r.at, in, cand)
+				nc := s.Policy.Candidates(mn.net, &s.pkts[q.front()], r.at, in, cand)
 				for _, c := range cand[:nc] {
 					if uint(c) < uint(np) {
 						req[c] |= 1 << uint(in)
@@ -786,12 +810,16 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 // fire OnDeliver, link crossings launch flights into the wheel bucket of
 // their arrival cycle. It must run serially — list order is the
 // delivery order the determinism contract pins, and appending to a
-// bucket in launch order is the landing order.
+// bucket in launch order is the landing order. An ejected packet is
+// copied out of the arena and its handle freed before OnDeliver runs:
+// the callback may inject, which can reuse the handle or grow the arena.
 func (s *Sim) traverse(mn *meshNet, grants []grant) {
 	for _, gr := range grants {
+		h := gr.r.in[gr.inPort].front()
+		mn.dequeue(gr.r, gr.inPort)
 		if gr.outPort == s.local {
-			pkt := *gr.r.in[gr.inPort].front()
-			mn.dequeue(gr.r, gr.inPort)
+			pkt := s.pkts[h]
+			s.free = append(s.free, h)
 			pkt.DeliveredAt = s.cycle
 			s.stats.Delivered++
 			s.stats.TotalLatency += pkt.Latency()
@@ -799,7 +827,6 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 			if pkt.Latency() > s.stats.MaxLatency {
 				s.stats.MaxLatency = pkt.Latency()
 			}
-			s.live--
 			if s.RetainDelivered {
 				s.delivered = append(s.delivered, pkt)
 			}
@@ -811,19 +838,17 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 		lslot := int(gr.r.idx)*s.np + gr.outPort
 		ni := s.nbrTile[lslot]
 		if ni < 0 {
-			mn.dequeue(gr.r, gr.inPort)
 			s.stats.Dropped++
 			s.stats.DroppedInFlight++ // left its router, lost in traversal
-			s.live--
+			s.free = append(s.free, h)
 			continue
 		}
 		s.linkUse[mn.net][lslot]++
 		dstPort := int32(s.nbrPort[lslot])
 		mn.inAir[ni*int32(s.np)+dstPort]++
 		b := &mn.wheel[(s.cycle+s.nbrLat[lslot])%int64(len(mn.wheel))]
-		*b = append(*b, inFlight{pkt: *gr.r.in[gr.inPort].front(), tile: ni, port: dstPort})
-		(*b)[len(*b)-1].pkt.Hops++
-		mn.dequeue(gr.r, gr.inPort)
+		*b = append(*b, inFlight{h: h, tile: ni, port: dstPort})
+		s.pkts[h].Hops++
 	}
 }
 
@@ -842,12 +867,11 @@ func (s *Sim) spaceFor(mn *meshNet, tileIdx int, slot int32) bool {
 	return r.in[port].len()+int(mn.inAir[slot])+int(mn.reserved[slot]) < s.cfg.FIFODepth
 }
 
-// Drained reports whether no packet remains anywhere in the network.
-// The live-packet counter makes this O(1); RunUntilDrained calls it
-// every cycle.
-func (s *Sim) Drained() bool { return s.live == 0 }
+// Drained reports whether no packet remains anywhere in the network:
+// every arena handle is free. RunUntilDrained calls it every cycle.
+func (s *Sim) Drained() bool { return len(s.free) == len(s.pkts) }
 
-// drainedScan is the reference O(routers) drain check the live counter
+// drainedScan is the reference O(routers) drain check the arena count
 // replaced; tests cross-validate the two on every step of chaos runs.
 func (s *Sim) drainedScan() bool {
 	for _, mn := range s.nets {

@@ -1,15 +1,18 @@
 package noc
 
-import "waferscale/internal/fault"
+import (
+	"waferscale/internal/fault"
+	"waferscale/internal/geom"
+)
 
 // Fork returns a deep copy of the simulator: every piece of mutable run
-// state — router FIFOs, the in-flight link wheel, occupancy counters,
-// the busy-router set, link outages, statistics, the cycle counter and
-// the packet ID sequence — is copied, so stepping the fork is
-// bit-identical to stepping the original while leaving the original
-// untouched. It is the NoC half of the machine-level warm-state
-// snapshot that lets Monte Carlo sweeps run a shared prefix once and
-// fork per trial.
+// state — the packet arena and its free list, router FIFOs, the
+// in-flight link wheel, occupancy counters, the busy-router set, link
+// outages, statistics, the cycle counter and the packet ID sequence —
+// is copied, so stepping the fork is bit-identical to stepping the
+// original while leaving the original untouched. It is the NoC half of
+// the machine-level warm-state snapshot that lets Monte Carlo sweeps
+// run a shared prefix once and fork per trial.
 //
 // fm is the fault map the fork routes against; pass a Clone of the
 // original's map (the map is shared with the kernel and machine layers,
@@ -38,7 +41,6 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 		cycle:           s.cycle,
 		nextID:          s.nextID,
 		stats:           s.stats,
-		live:            s.live,
 		RetainDelivered: s.RetainDelivered,
 		Shards:          s.Shards,
 		Workers:         s.Workers,
@@ -50,8 +52,10 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 	if s.delivered != nil {
 		n.delivered = append([]Packet(nil), s.delivered...)
 	}
+	n.pkts = append([]Packet(nil), s.pkts...)
+	n.free = append([]int32(nil), s.free...)
 	for i, mn := range s.nets {
-		n.nets[i] = forkMeshNet(mn, s.grid.Size(), s.np, s.cfg.FIFODepth)
+		n.nets[i] = forkMeshNet(mn, s.grid, s.np, s.cfg.FIFODepth)
 	}
 	return n
 }
@@ -61,18 +65,17 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 // shares). Router existence is taken from the source's router array
 // (nil = faulty at construction or killed at runtime), not from the
 // fault map — the array is the authoritative record once runtime kills
-// start landing. The FIFO ring buffers, round-robin pointers and FIFO
-// headers are re-slabbed exactly like NewSimTopology's layout, with
-// each ring's logical contents copied in order (head normalized to 0 —
-// behaviorally identical, since all access goes through the ring API).
-func forkMeshNet(src *meshNet, tiles, np, fifoDepth int) *meshNet {
+// start landing. The handle slab backing every FIFO ring is copied
+// whole; each ring then takes the source's head and length.
+func forkMeshNet(src *meshNet, g geom.Grid, np, fifoDepth int) *meshNet {
 	mn := &meshNet{
 		net:      src.net,
-		routers:  make([]*router, tiles),
+		routers:  make([]*router, g.Size()),
+		slab:     append([]int32(nil), src.slab...),
 		wheel:    make([][]inFlight, len(src.wheel)),
 		busy:     append([]uint64(nil), src.busy...),
 		inAir:    append([]int32(nil), src.inAir...),
-		reserved: make([]int32, tiles*np),
+		reserved: make([]int32, g.Size()*np),
 	}
 	// One backing array for every bucket; each bucket's capacity ends at
 	// its length, so a later append reallocates instead of spilling into
@@ -83,35 +86,17 @@ func forkMeshNet(src *meshNet, tiles, np, fifoDepth int) *meshNet {
 		mn.wheel[i] = flights[:n:n]
 		flights = flights[n:]
 	}
-	routers := make([]router, tiles)
-	fifos := make([]pktFIFO, tiles*np)
-	rr := make([]int, tiles*np)
-	slab := make([]Packet, tiles*np*fifoDepth)
-	for i, sr := range src.routers {
-		if sr == nil {
+	mn.addRouters(g, np, fifoDepth, func(i int) bool { return src.routers[i] != nil })
+	for i, r := range mn.routers {
+		if r == nil {
 			continue
 		}
-		r := &routers[i]
-		r.at = sr.at
-		r.idx = sr.idx
+		sr := src.routers[i]
 		r.queued = sr.queued
-		r.in = fifos[i*np : (i+1)*np]
-		r.rrAt = rr[i*np : (i+1)*np]
 		copy(r.rrAt, sr.rrAt)
-		base := i * np * fifoDepth
-		for p := 0; p < np; p++ {
-			buf := slab[base+p*fifoDepth : base+(p+1)*fifoDepth]
-			sq := &sr.in[p]
-			for k := 0; k < sq.n; k++ {
-				j := sq.head + k
-				if j >= len(sq.buf) {
-					j -= len(sq.buf)
-				}
-				buf[k] = sq.buf[j]
-			}
-			r.in[p] = pktFIFO{buf: buf, head: 0, n: sq.n}
+		for p := range r.in {
+			r.in[p].head, r.in[p].n = sr.in[p].head, sr.in[p].n
 		}
-		mn.routers[i] = r
 	}
 	return mn
 }

@@ -27,7 +27,8 @@ type Options struct {
 	// WorkersPerOp bounds the cores launched per operator (default 8).
 	WorkersPerOp int
 	// OpBudget is the per-operator cycle budget (default 4,000,000) —
-	// the never-hang bound; exceeding it fails the run.
+	// the never-hang bound; exceeding it fails the run, which ends at
+	// that operator (later operators are not launched).
 	OpBudget int64
 }
 
@@ -71,6 +72,10 @@ type OpMetrics struct {
 	// window, or ran out of budget.
 	Failed bool   `json:"failed,omitempty"`
 	Error  string `json:"error,omitempty"`
+
+	// expired marks an operator that ran out of budget. Its cores are
+	// still running, so no later operator could quiesce: the run ends.
+	expired bool
 }
 
 // WorkloadReport is the per-run account: one row per operator plus
@@ -192,6 +197,9 @@ func RunCtx(ctx context.Context, m *sim.Machine, g *Graph, opt Options) (map[str
 			rep.Completed = false
 			rep.FailedOp = op.ID
 		}
+		if om.expired {
+			break
+		}
 	}
 
 	rep.TotalCycles = m.Cycle() - startCycle
@@ -305,6 +313,7 @@ func runOp(ctx context.Context, m *sim.Machine, g *Graph, idx int, shapes map[st
 	}
 
 	if timedOut {
+		om.expired = true
 		return fail("budget of %d cycles expired", opt.OpBudget)
 	}
 	if len(faults) > 0 {

@@ -3,6 +3,7 @@ package workload
 import (
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"waferscale/internal/geom"
@@ -237,6 +238,51 @@ func TestChaosSurvivalCurve(t *testing.T) {
 	}
 	if sim.FormatChaos(points) == "" {
 		t.Error("empty chaos table")
+	}
+}
+
+// TestBudgetExpiryEndsRun is the regression for operators launched
+// after an earlier one ran out of budget: the expired operator's cores
+// keep running, so no later operator can quiesce and each burned its
+// own full budget. The bench chaos sweep at seed 60 draws a kill of
+// tile (1,2) at cycle 3344 that wedges the "disp" operator; the run
+// must end there.
+func TestBudgetExpiryEndsRun(t *testing.T) {
+	g := TransformerBlock(0, 0, 0)
+	m, err := BuildMachine(4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.AttachSchedule(inject.NewSchedule().KillTileAt(3344, geom.C(1, 2))); err != nil {
+		t.Fatal(err)
+	}
+	budget := Options{}.withDefaults().OpBudget
+	_, rep, err := Run(m, g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed || len(rep.Ops) == 0 {
+		t.Fatalf("kill did not fail the run: %+v", rep)
+	}
+	last := rep.Ops[len(rep.Ops)-1]
+	if rep.FailedOp != last.ID || !strings.Contains(last.Error, "budget") {
+		t.Fatalf("run did not end at the budget-expired op: failed %q, last op %+v", rep.FailedOp, last)
+	}
+	if len(rep.Ops) == len(g.Ops) || rep.TotalCycles >= 2*budget {
+		t.Fatalf("ops launched after the expiry: %d of %d ops ran, %d cycles", len(rep.Ops), len(g.Ops), rep.TotalCycles)
+	}
+
+	// The same trial inside the bench chaos configuration: one expired
+	// trial of two costs about one budget, not one per remaining op.
+	cfg := DefaultChaosConfig()
+	cfg.Kills, cfg.Trials, cfg.TrialWorkers, cfg.Seed = []int{1}, 2, 2, 60
+	points, err := RunChaos(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := points[0]; p.Completed != 1 || p.MeanCycles >= float64(budget) {
+		t.Fatalf("seed 60 kills=1: %d of 2 trials completed, mean %.0f cycles, want 1 and < %d", p.Completed, p.MeanCycles, budget)
 	}
 }
 
