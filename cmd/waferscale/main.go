@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"waferscale/internal/arch"
@@ -35,7 +33,6 @@ import (
 	"waferscale/internal/geom"
 	"waferscale/internal/jtag"
 	"waferscale/internal/noc"
-	"waferscale/internal/noc/analytical"
 	"waferscale/internal/pdn"
 	"waferscale/internal/sim"
 	"waferscale/internal/substrate"
@@ -61,32 +58,24 @@ func main() {
 		err = cmdClock(args)
 	case "yield":
 		err = cmdYield(args)
-	case "nocmc":
-		err = cmdNocMC(args)
 	case "jtag":
 		err = cmdJTAG(args)
 	case "route":
 		err = cmdRoute(args)
-	case "dse":
-		err = cmdDSE(args)
 	case "transient":
 		err = cmdTransient(args)
-	case "throughput":
-		err = cmdThroughput(args)
 	case "kgd":
 		err = cmdKGD(args)
 	case "place":
 		err = cmdPlace(args)
 	case "validate":
 		err = cmdValidate(args)
-	case "pareto":
-		err = cmdPareto(args)
 	case "toposweep":
 		err = cmdTopoSweep(args)
-	case "chaos":
-		err = cmdChaos(args)
 	case "workload":
 		err = cmdWorkload(args)
+	case "nocmc", "throughput", "chaos", "pareto", "dse":
+		err = runRouted(cmd, args)
 	case "version", "-version", "--version":
 		fmt.Println(version.String())
 	case "help", "-h", "--help":
@@ -126,7 +115,7 @@ commands:
   workload   compile an operator graph onto the wafer and run it
   version    print build information
 
-most commands accept -config <file.json> to evaluate a custom design`)
+spec, report and validate accept -config <file.json> to evaluate a custom design`)
 }
 
 func cmdSpec(args []string) error {
@@ -241,50 +230,6 @@ func cmdYield(args []string) error {
 	return nil
 }
 
-func cmdNocMC(args []string) error {
-	fs := flag.NewFlagSet("nocmc", flag.ExitOnError)
-	trials := fs.Int("trials", 16, "Monte Carlo trials per fault count")
-	seed := fs.Int64("seed", 2021, "random seed")
-	max := fs.Int("max", 20, "max fault count")
-	chiplet := fs.Bool("chiplet", false, "fault at chiplet granularity (memory faults only cut N-S links)")
-	workers := fs.Int("workers", 0, "host goroutines running trials (0 = GOMAXPROCS)")
-	topology := fs.String("topology", "", "NoC link graph: mesh (default) | cmesh | express | vertical")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	d := core.NewDesign()
-	var counts []int
-	for n := 1; n <= *max; n += maxInt(1, *max/10) {
-		counts = append(counts, n)
-	}
-	if *chiplet {
-		if *topology != "" {
-			return fmt.Errorf("-chiplet sweeps are mesh-only")
-		}
-		fmt.Printf("Fig. 6 at chiplet granularity (32x32, %d trials)\n", *trials)
-		fmt.Printf("%8s  %14s  %14s\n", "chiplets", "1 DoR network", "2 DoR networks")
-		for _, p := range noc.ChipletFig6Sweep(d.Cfg.Grid(), counts, *trials, *seed, *workers) {
-			fmt.Printf("%8d  %13.2f%%  %13.3f%%\n", p.Chiplets, p.PctSingle.Mean, p.PctDual.Mean)
-		}
-		return nil
-	}
-	name, err := noc.NormalizeTopology(*topology)
-	if err != nil {
-		return err
-	}
-	pts, err := noc.TopoFig6SweepCtx(context.Background(), name, d.Cfg.Grid(), counts, *trials, *seed,
-		noc.Fig6Opts{Workers: *workers})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Fig. 6: %% disconnected source-destination pairs (32x32 %s, %d trials)\n", name, *trials)
-	fmt.Printf("%8s  %14s  %14s\n", "faults", "1 DoR network", "2 DoR networks")
-	for _, p := range pts {
-		fmt.Printf("%8d  %13.2f%%  %13.3f%%\n", p.Faults, p.PctSingle.Mean, p.PctDual.Mean)
-	}
-	return nil
-}
-
 func cmdJTAG(args []string) error {
 	fs := flag.NewFlagSet("jtag", flag.ExitOnError)
 	if err := fs.Parse(args); err != nil {
@@ -335,75 +280,20 @@ func cmdRoute(args []string) error {
 	return nil
 }
 
-func cmdDSE(args []string) error {
-	fs := flag.NewFlagSet("dse", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "host goroutines for the sweeps (0 = GOMAXPROCS)")
-	model := fs.String("model", "cycle", "evaluation backend: cycle (exact) | analytical (approximate fast path)")
-	topology := fs.String("topology", "", "NoC link graph for the per-side probes: mesh (default) | cmesh | express | vertical")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	d := core.NewDesign()
-	d.Workers = *workers
-	fmt.Printf("array-size sweep (fixed per-tile design; model=%s, topology=%s):\n", *model, topoLabel(*topology))
-	pts, err := d.SweepArraySizeCtx(context.Background(), []int{8, 16, 24, 32, 40, 48},
-		core.SweepOpts{Model: core.EvalModel(*model), Topology: *topology})
-	if err != nil {
-		return err
-	}
-	fmt.Print(core.FormatArraySweep(pts))
-
-	fmt.Println("\npillar-redundancy sweep:")
-	for _, p := range d.SweepPillarRedundancy(3) {
-		fmt.Printf("  %d pillars/pad: chiplet yield %.4f%%, expected bad %.2f, pad height %.0f um\n",
-			p.PillarsPerPad, p.ChipletYield*100, p.ExpectedBad, p.PadHeightUM)
-	}
-
-	fmt.Println("\nJTAG chain-count sweep:")
-	chains, err := d.SweepChains([]int{1, 2, 4, 8, 16, 32})
-	if err != nil {
-		return err
-	}
-	for _, p := range chains {
-		fmt.Printf("  %2d chains: %v\n", p.Chains, p.LoadTime.Round(time.Second))
-	}
-
-	fmt.Println("\ndecap-technology sweep (20 nF per-tile budget):")
-	for _, p := range d.SweepDecapTech() {
-		fmt.Printf("  %-30s %6.2f nF/mm2 -> %5.2f mm2 (%.1f%% of tile)\n",
-			p.Tech, p.DensityNFMM2, p.AreaMM2, p.TileAreaPct)
-	}
-	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // cmdTopoSweep explores the topology x fault-map space: every shipped
 // topology against random fault populations, screened analytically and
 // (by default) cycle-verified two-tier.
 func cmdTopoSweep(args []string) error {
 	fs := flag.NewFlagSet("toposweep", flag.ExitOnError)
 	side := fs.Int("side", 16, "array side (vertical needs it even)")
-	faults := fs.String("faults", "0,4,8", "comma-separated fault counts")
+	counts := intList{0, 4, 8}
+	fs.Var(&counts, "faults", "comma-separated fault counts")
 	trials := fs.Int("trials", 2, "random fault maps per nonzero count")
 	seed := fs.Int64("seed", 2021, "fault-map seed")
 	workers := fs.Int("workers", 0, "host goroutines evaluating candidates (0 = GOMAXPROCS)")
 	mode := fs.String("mode", "twotier", "evaluation strategy: exact | screen (analytical only) | twotier (screen then verify)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var counts []int
-	for _, part := range strings.Split(*faults, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("bad -faults entry %q: %v", part, err)
-		}
-		counts = append(counts, n)
 	}
 	space := core.TopoSweepSpace{Side: *side, FaultCounts: counts, Trials: *trials, Seed: *seed}
 	opts := core.TopoSweepOpts{Workers: *workers}
@@ -477,52 +367,6 @@ func cmdTransient(args []string) error {
 		return err
 	}
 	fmt.Printf("  minimum decap for this step: %.1f nF (paper budget: 20 nF)\n", min*1e9)
-	return nil
-}
-
-func cmdThroughput(args []string) error {
-	fs := flag.NewFlagSet("throughput", flag.ExitOnError)
-	side := fs.Int("side", 8, "array side")
-	faults := fs.Int("faults", 0, "random faulty tiles")
-	seed := fs.Int64("seed", 1, "random seed")
-	shards := fs.Int("shards", 1, "spatial shards stepping the mesh per cycle (1 = serial engine)")
-	shardWorkers := fs.Int("shard-workers", 0, "host goroutines per sharded sim (0 = min(shards, GOMAXPROCS))")
-	model := fs.String("model", "cycle", "timing backend: cycle (packet simulation) | analytical (closed-form, approximate)")
-	topology := fs.String("topology", "", "NoC link graph: mesh (default) | cmesh | express | vertical (needs an even side)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	grid := geom.NewGrid(*side, *side)
-	fm := fault.Random(grid, *faults, rand.New(rand.NewSource(*seed)))
-	rates := []float64{0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0}
-	var pts []noc.ThroughputPoint
-	var err error
-	switch *model {
-	case "cycle":
-		tcfg := noc.DefaultThroughputConfig()
-		tcfg.Shards = *shards
-		tcfg.ShardWorkers = *shardWorkers
-		tcfg.Topology = *topology
-		pts, err = noc.MeasureThroughput(fm, tcfg, rates)
-	case "analytical":
-		var am noc.LatencyModel
-		am, err = analytical.NewForTopology(*topology, fm, analytical.Config{})
-		if err == nil {
-			pts, err = am.ThroughputCurve(context.Background(), rates)
-		}
-	default:
-		return fmt.Errorf("unknown -model %q (want cycle|analytical)", *model)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("uniform random traffic on %dx%d %s (%d faults, model=%s); saturation bound %.3f pkt/tile/cyc\n",
-		*side, *side, topoLabel(*topology), *faults, *model, noc.IdealSaturation(*topology, grid))
-	fmt.Printf("%10s %12s %12s %14s\n", "offered", "delivered", "avg latency", "backpressured")
-	for _, p := range pts {
-		fmt.Printf("%10.3f %12.4f %11.1fcy %13.1f%%\n",
-			p.OfferedRate, p.DeliveredRate, p.AvgLatency, p.Backpressured*100)
-	}
 	return nil
 }
 
@@ -603,122 +447,6 @@ func cmdValidate(args []string) error {
 	return nil
 }
 
-func cmdChaos(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	side := fs.Int("side", 8, "reduced machine array side")
-	workers := fs.Int("workers", 16, "BFS worker cores")
-	trials := fs.Int("trials", 8, "trials per kill count")
-	seed := fs.Int64("seed", 2021, "master seed (per-trial seeds are derived)")
-	kills := fs.String("kills", "0,1,2,4,8", "comma-separated tile kill counts to sweep")
-	from := fs.Int64("kill-from", 500, "earliest kill cycle")
-	to := fs.Int64("kill-to", 5000, "latest kill cycle")
-	maxCycles := fs.Int64("max-cycles", 400_000, "per-trial cycle budget (never-hang bound)")
-	graphSide := fs.Int("graph", 8, "BFS mesh graph side")
-	hostWorkers := fs.Int("host-workers", 0, "host goroutines running trials (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "spatial shards stepping each trial machine per cycle (1 = serial engine)")
-	shardWorkers := fs.Int("shard-workers", 0, "host goroutines per sharded machine (0 = min(shards, GOMAXPROCS))")
-	fork := fs.Bool("fork", true, "fork each trial from a shared warm prefix (bit-identical results, skips replaying the fault-free prefix)")
-	cfgPath := fs.String("config", "", "JSON config file overriding the prototype design")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	d, err := loadDesign(*cfgPath)
-	if err != nil {
-		return err
-	}
-	cfg := core.DefaultChaosConfig()
-	cfg.Side = *side
-	cfg.Workers = *workers
-	cfg.Trials = *trials
-	cfg.Seed = *seed
-	cfg.KillWindow = [2]int64{*from, *to}
-	cfg.MaxCycles = *maxCycles
-	cfg.GraphSide = *graphSide
-	cfg.TrialWorkers = *hostWorkers
-	cfg.Shards = *shards
-	cfg.ShardWorkers = *shardWorkers
-	cfg.Fork = *fork
-	if cfg.Kills, err = parseKills(*kills); err != nil {
-		return err
-	}
-	points, err := d.RunChaos(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("runtime survival curve: %d-worker BFS on %dx%d, tiles killed mid-run in cycles [%d,%d] (%d trials each)\n",
-		cfg.Workers, cfg.Side, cfg.Side, *from, *to, cfg.Trials)
-	fmt.Print(sim.FormatChaos(points))
-	return nil
-}
-
-// parseKills parses a -kills list of comma-separated tile kill counts.
-func parseKills(list string) ([]int, error) {
-	var kills []int
-	for _, f := range strings.Split(list, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad -kills entry %q: %v", f, err)
-		}
-		kills = append(kills, k)
-	}
-	return kills, nil
-}
-
-func cmdPareto(args []string) error {
-	fs := flag.NewFlagSet("pareto", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "host goroutines evaluating candidates (0 = GOMAXPROCS)")
-	mode := fs.String("mode", "exact", "evaluation strategy: exact | screen (analytical, approximate) | twotier (screen then verify)")
-	topK := fs.Int("topk", core.DefaultTopK, "twotier: always verify the top K screened points per objective")
-	band := fs.Float64("band", core.DefaultBandPct, "twotier: feasibility safety band around the droop floor, % of floor voltage")
-	topology := fs.String("topology", "", "NoC link graph behind every design point: mesh (default) | cmesh | express | vertical")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	d := core.NewDesign()
-	d.Workers = *workers
-	opts := core.ParetoOpts{Topology: *topology}
-	switch *mode {
-	case "exact":
-	case "screen":
-		opts.Model = core.ModelAnalytical
-	case "twotier":
-		opts.TwoTier = true
-		opts.TopK = *topK
-		opts.BandPct = *band
-	default:
-		return fmt.Errorf("unknown -mode %q (want exact|screen|twotier)", *mode)
-	}
-	run, err := d.ExploreParetoCtx(context.Background(), core.DefaultParetoSpace(), opts)
-	if err != nil {
-		return err
-	}
-	onFrontier := map[core.DesignPoint]bool{}
-	for _, p := range run.Frontier {
-		onFrontier[p] = true
-	}
-	fmt.Printf("%d feasible points, %d on the Pareto frontier (throughput vs power vs yield; model=%s, topology=%s)\n",
-		len(run.All), len(run.Frontier), run.Model, run.Topology)
-	fmt.Printf("%6s %7s %8s %10s %10s %10s %9s %8s\n",
-		"side", "edge V", "pillars", "TOPS", "power W", "exp. bad", "center V", "pareto")
-	for _, p := range run.All {
-		fmt.Printf("%6d %7.1f %8d %10.2f %10.0f %10.2f %9.2f %8v\n",
-			p.ArraySide, p.EdgeVolts, p.PillarsPerPad, p.ThroughputTOPS,
-			p.EdgePowerW, p.ExpectedBad, p.CenterVolt, onFrontier[p])
-	}
-	if run.TwoTier {
-		fmt.Printf("\ntwo-tier screen: %d of %d points verified cycle-accurately, %d screened out analytically\n",
-			run.Survivors, run.Survivors+run.ScreenedOut, run.ScreenedOut)
-		if me := run.ModelError; me != nil && me.Points > 0 {
-			fmt.Printf("model error over verified points: center V mean %.3f%% max %.3f%% (rank corr %.3f), "+
-				"noc latency mean %.1f%% max %.1f%% (rank corr %.3f), feasibility agreement %d/%d\n",
-				me.CenterVoltMeanPct, me.CenterVoltMaxPct, me.CenterVoltRankCorr,
-				me.NoCLatencyMeanPct, me.NoCLatencyMaxPct, me.NoCLatencyRankCorr,
-				me.FeasibilityMatches, me.Points)
-		}
-	}
-	return nil
-}
-
 // cmdWorkload compiles an operator graph (a built-in or a JSON file)
 // onto a reduced machine and either runs it once with per-operator
 // metrics, sweeps every topology x placement combination ranked by
@@ -740,7 +468,8 @@ func cmdWorkload(args []string) error {
 	sweep := fs.Bool("sweep", false, "rank every topology x placement combination by end-to-end cycles")
 	chaos := fs.Bool("chaos", false, "run the Monte-Carlo survival curve (tiles killed mid-operator)")
 	trials := fs.Int("trials", 8, "chaos trials per kill count")
-	kills := fs.String("kills", "0,1,2,4", "chaos comma-separated tile kill counts")
+	kills := intList{0, 1, 2, 4}
+	fs.Var(&kills, "kills", "chaos comma-separated tile kill counts")
 	seed := fs.Int64("seed", 2021, "chaos master seed (per-trial seeds are derived)")
 	from := fs.Int64("kill-from", 200, "chaos earliest kill cycle")
 	to := fs.Int64("kill-to", 4000, "chaos latest kill cycle")
@@ -788,9 +517,7 @@ func cmdWorkload(args []string) error {
 		cfg.WorkersPerOp = *workersPerOp
 		cfg.OpBudget = *opBudget
 		cfg.TrialWorkers = *hostWorkers
-		if cfg.Kills, err = parseKills(*kills); err != nil {
-			return err
-		}
+		cfg.Kills = kills
 		points, err := workload.RunChaos(cfg, g)
 		if err != nil {
 			return err

@@ -266,21 +266,15 @@ type ChipletFig6Point struct {
 	PctDual   fault.Stats
 }
 
-// ChipletFig6Sweep is the chiplet-granularity Monte Carlo behind the
+// ChipletFig6SweepCtx is the chiplet-granularity Monte Carlo behind the
 // `waferscale nocmc -chiplet` refinement: for each faulty-chiplet
 // count, the disconnected-pair percentages are averaged over trials
 // random chiplet fault maps. Trials run on the shared bounded pool
-// (workers 0 means GOMAXPROCS) with per-trial seeds derived through
-// fault.TrialSeed, so the curves are bit-identical at any worker count.
-func ChipletFig6Sweep(grid geom.Grid, chipletCounts []int, trials int, seed int64, workers int) []ChipletFig6Point {
-	out, _ := ChipletFig6SweepCtx(context.Background(), grid, chipletCounts, trials, seed, Fig6Opts{Workers: workers})
-	return out
-}
-
-// ChipletFig6SweepCtx is ChipletFig6Sweep with cancellation and
-// optional progress, mirroring Fig6SweepCtx: on ctx cancellation the
-// points for fully-completed chiplet counts (a prefix, possibly empty)
-// are returned with ctx.Err().
+// (opts.Workers 0 means GOMAXPROCS) with per-trial seeds derived
+// through fault.TrialSeed, so the curves are bit-identical at any
+// worker count. Cancellation and progress mirror Fig6SweepCtx: on ctx
+// cancellation the points for fully-completed chiplet counts (a
+// prefix, possibly empty) are returned with ctx.Err().
 func ChipletFig6SweepCtx(ctx context.Context, grid geom.Grid, chipletCounts []int, trials int, seed int64, opts Fig6Opts) ([]ChipletFig6Point, error) {
 	total := len(chipletCounts) * trials
 	var cum atomic.Int64

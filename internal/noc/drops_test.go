@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -83,9 +84,16 @@ func TestDropInvariantStaticFaults(t *testing.T) {
 func TestChipletFig6SweepWorkerInvariance(t *testing.T) {
 	grid := geom.NewGrid(8, 8)
 	counts := []int{2, 6}
-	ref := ChipletFig6Sweep(grid, counts, 6, 2021, 1)
+	sweep := func(workers int) []ChipletFig6Point {
+		pts, err := ChipletFig6SweepCtx(context.Background(), grid, counts, 6, 2021, Fig6Opts{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	ref := sweep(1)
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got := ChipletFig6Sweep(grid, counts, 6, 2021, workers)
+		got := sweep(workers)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: point %d = %+v, serial %+v", workers, i, got[i], ref[i])
