@@ -384,9 +384,10 @@ func BenchmarkSec8SubstrateRoute(b *testing.B) {
 // stand-in) and verifies against the host reference.
 func BenchmarkE1GraphWorkloads(b *testing.B) { benchE1GraphWorkloads(b, 1) }
 
-// Sharded variants: the same BFS run stepped by 2/4 spatial shards of
-// the machine's core loop and NoC (bit-identical result and cycle
-// count). 8 shards would exceed the 4-row grid, so the curve stops at 4.
+// Sharded variants: the same BFS run with the machine's NoC stepped by
+// 2/4 spatial shards (noc.Sim.Shards; bit-identical result and cycle
+// count). The core loop always steps serially. 8 shards would exceed
+// the 4-row grid, so the curve stops at 4.
 func BenchmarkE1GraphWorkloadsShard2(b *testing.B) { benchE1GraphWorkloads(b, 2) }
 func BenchmarkE1GraphWorkloadsShard4(b *testing.B) { benchE1GraphWorkloads(b, 4) }
 
@@ -401,7 +402,6 @@ func benchE1GraphWorkloads(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.Shards = shards
 		m.Net().Shards = shards
 		res, err := sim.RunBFS(m, g, 0, sim.AllWorkers(m, 16), 50_000_000)
 		if err != nil {
@@ -440,7 +440,7 @@ func BenchmarkAblationDetour(b *testing.B) {
 	fm := fault.Random(grid, 10, rand.New(rand.NewSource(11)))
 	var direct, detoured, unreachable int
 	for i := 0; i < b.N; i++ {
-		k := noc.NewKernel(fm)
+		k := noc.NewKernel(noc.MeshTopology(grid), fm)
 		direct, detoured, unreachable = k.PlanAll()
 	}
 	total := float64(direct + detoured + unreachable)

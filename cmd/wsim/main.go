@@ -48,8 +48,6 @@ func main() {
 	trials := flag.Int("trials", 1, "fault-survival trials (with -faults; each draws fresh victims)")
 	fork := flag.Bool("fork", true, "run -trials off one warm prefix forked per trial (bit-identical, skips replaying the fault-free prefix)")
 	hostWorkers := flag.Int("host-workers", 0, "host goroutines running trials (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "spatial shards stepping the wafer per cycle (1 = serial engine)")
-	shardWorkers := flag.Int("shard-workers", 0, "host goroutines per sharded machine (0 = min(shards, GOMAXPROCS))")
 	latencyModel := flag.String("latency-model", "cycle",
 		"remote-op timing backend: cycle (exact network simulation) | analytical (closed-form model; approximate timing, exact results)")
 	topoFlag := flag.String("topology", "",
@@ -70,10 +68,10 @@ func main() {
 	var err error
 	if *trials > 1 {
 		err = runTrials(*workload, *side, *cores, *vertices, *edges, *workers, *src, *seed, *maxCycles,
-			*faults, *faultSeed, *faultAt, *trials, *hostWorkers, *shards, *shardWorkers, *fork)
+			*faults, *faultSeed, *faultAt, *trials, *hostWorkers, *fork)
 	} else {
 		err = run(*workload, *side, *cores, *vertices, *edges, *workers, *src, *seed, *maxCycles, *profile,
-			*faults, *faultSeed, *kill, *faultAt, *shards, *shardWorkers)
+			*faults, *faultSeed, *kill, *faultAt)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsim: %v\n", err)
@@ -161,7 +159,7 @@ func buildSchedule(grid geom.Grid, faults int, faultSeed int64, kill string, at 
 }
 
 func run(workload string, side, cores, vertices, edges, workers, src int, seed, maxCycles int64, profile bool,
-	faults int, faultSeed int64, kill string, faultAt int64, shards, shardWorkers int) error {
+	faults int, faultSeed int64, kill string, faultAt int64) error {
 	cfg := arch.DefaultConfig()
 	cfg.TilesX, cfg.TilesY = side, side
 	cfg.CoresPerTile = cores
@@ -173,9 +171,6 @@ func run(workload string, side, cores, vertices, edges, workers, src int, seed, 
 	if err != nil {
 		return err
 	}
-	m.Shards = shards
-	m.Workers = shardWorkers
-	defer m.Close()
 	sched, err := buildSchedule(cfg.Grid(), faults, faultSeed, kill, faultAt)
 	if err != nil {
 		return err
@@ -237,7 +232,7 @@ func run(workload string, side, cores, vertices, edges, workers, src int, seed, 
 // fault.TrialSeed, so the survival counts are identical at any
 // -host-workers value.
 func runTrials(workload string, side, cores, vertices, edges, workers, src int, seed, maxCycles int64,
-	faults int, faultSeed, faultAt int64, trials, hostWorkers, shards, shardWorkers int, fork bool) error {
+	faults int, faultSeed, faultAt int64, trials, hostWorkers int, fork bool) error {
 	if workload != "bfs" && workload != "sssp" {
 		return fmt.Errorf("-trials supports bfs|sssp, not %q", workload)
 	}
@@ -261,16 +256,6 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 	fmt.Printf("%s under faults: %d trials x %d kills, %d vertices, %d workers on a %dx%d machine\n",
 		workload, trials, faults, g.N, workers, side, side)
 
-	if shards > 1 && hostWorkers <= 0 {
-		// Per-cycle sharding inside each trial multiplies goroutine
-		// demand; narrow the trial pool so the two levels compose
-		// without oversubscribing the host.
-		hostWorkers = parallel.Workers(0, 0) / parallel.Workers(shardWorkers, shards)
-		if hostWorkers < 1 {
-			hostWorkers = 1
-		}
-	}
-
 	type outcome struct {
 		completed bool
 		verified  bool
@@ -287,12 +272,9 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 		if merr != nil {
 			return merr
 		}
-		m0.Shards = shards
-		m0.Workers = shardWorkers
 		ws := sim.AllWorkers(m0, workers)
 		distA, perr := sim.PrepareSSSP(m0, g, src, ws)
 		if perr != nil {
-			m0.Close()
 			return perr
 		}
 		forkAt := faultAt - 1
@@ -303,15 +285,12 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 			forkAt = maxCycles
 		}
 		if rerr := m0.RunToCycleCtx(context.Background(), forkAt); rerr != nil {
-			m0.Close()
 			return rerr
 		}
 		snap := m0.Snapshot()
-		m0.Close()
 		fmt.Printf("warm prefix: %d of %d cycles shared per trial\n", snap.Cycle(), maxCycles)
 		results, err = parallel.Map(nil, trials, hostWorkers, func(i int) (outcome, error) {
 			m := snap.Fork()
-			defer m.Close()
 			sched := inject.Random(cfg.Grid(), faults, [2]int64{faultAt, faultAt},
 				fault.TrialSeed(faultSeed, faults, i), nil)
 			if err := m.AttachSchedule(sched); err != nil {
@@ -336,9 +315,6 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 			if err != nil {
 				return outcome{}, err
 			}
-			m.Shards = shards
-			m.Workers = shardWorkers
-			defer m.Close()
 			sched := inject.Random(cfg.Grid(), faults, [2]int64{faultAt, faultAt},
 				fault.TrialSeed(faultSeed, faults, i), nil)
 			if err := m.AttachSchedule(sched); err != nil {

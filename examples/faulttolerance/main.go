@@ -62,7 +62,7 @@ func run() error {
 		st := noc.NewAnalyzer(fm).AllPairs()
 
 		dfm := fault.Random(detourGrid, faults, rand.New(rand.NewSource(int64(faults)*97)))
-		k := noc.NewKernel(dfm)
+		k := noc.NewKernel(noc.MeshTopology(detourGrid), dfm)
 		_, _, unreachable := k.PlanAll()
 		healthy := dfm.HealthyCount()
 		pairs := healthy * (healthy - 1)

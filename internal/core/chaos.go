@@ -31,26 +31,20 @@ type ChaosConfig struct {
 	MaxCycles  int64    // per-run cycle budget (the never-hang bound)
 	GraphSide  int      // workload is BFS on a GraphSide x GraphSide mesh
 	// TrialWorkers bounds the host goroutine pool running trials
-	// (0 = GOMAXPROCS). Workers above is the number of *simulated* BFS
-	// worker cores, a property of the experiment, not the host.
+	// (0 = GOMAXPROCS); each trial machine steps serially, so host
+	// parallelism is across trials only. Workers above is the number of
+	// *simulated* BFS worker cores, a property of the experiment, not
+	// the host.
 	TrialWorkers int
-	// Shards/ShardWorkers shard each trial machine's cycle engine (core
-	// loop and NoC) spatially — see sim.Machine.Shards. Per-trial
-	// parallelism and per-cycle sharding compose: when Shards > 1 and
-	// TrialWorkers is left 0, the trial pool is narrowed to
-	// GOMAXPROCS/ShardWorkers so the two levels do not oversubscribe
-	// the host. Results are bit-identical at any setting.
-	Shards       int
-	ShardWorkers int
 
 	// Fork runs each kill count's trials off a shared warm prefix: the
 	// fault-free machine is built and prepared once, advanced to each
 	// trial's fork cycle (the cycle before its first injected kill) and
 	// forked per trial, instead of replaying the identical fault-free
 	// prefix from cycle 0 in every trial. Results are bit-identical to
-	// the from-scratch path at any trial-worker, shard and shard-worker
-	// setting; only wall clock changes. Fork is a host execution knob
-	// like TrialWorkers — it must not enter spec hashes or cache keys.
+	// the from-scratch path at any trial-worker setting; only wall clock
+	// changes. Fork is a host execution knob like TrialWorkers — it must
+	// not enter spec hashes or cache keys.
 	Fork bool
 
 	// Progress, when non-nil, is invoked after every completed trial
@@ -100,8 +94,6 @@ func (c ChaosConfig) sweep() sim.ChaosSweep {
 		Trials:       c.Trials,
 		Kills:        c.Kills,
 		TrialWorkers: c.TrialWorkers,
-		Shards:       c.Shards,
-		ShardWorkers: c.ShardWorkers,
 		Progress:     c.Progress,
 	}
 }
@@ -146,16 +138,6 @@ type bfsChaos struct {
 	want []int32
 }
 
-func (b *bfsChaos) machine() (*sim.Machine, error) {
-	m, err := b.d.BuildMachine(b.cfg.Side, nil)
-	if err != nil {
-		return nil, err
-	}
-	m.Shards = b.cfg.Shards
-	m.Workers = b.cfg.ShardWorkers
-	return m, nil
-}
-
 func (b *bfsChaos) schedule(m *sim.Machine, kills, trial int) *inject.Schedule {
 	return inject.Random(m.Cfg.Grid(), kills, b.cfg.KillWindow, fault.TrialSeed(b.cfg.Seed, kills, trial), nil)
 }
@@ -173,11 +155,10 @@ func (b *bfsChaos) outcome(m *sim.Machine, res *sim.ChaosResult) sim.ChaosTrial 
 // trial runs one trial from scratch: the reference the forked path is
 // pinned against.
 func (b *bfsChaos) trial(ctx context.Context, kills, trial int) (sim.ChaosTrial, error) {
-	m, err := b.machine()
+	m, err := b.d.BuildMachine(b.cfg.Side, nil)
 	if err != nil {
 		return sim.ChaosTrial{}, err
 	}
-	defer m.Close()
 	if err := m.AttachSchedule(b.schedule(m, kills, trial)); err != nil {
 		return sim.ChaosTrial{}, err
 	}
@@ -202,11 +183,10 @@ func (b *bfsChaos) trial(ctx context.Context, kills, trial int) (sim.ChaosTrial,
 // stepping performs; and per-trial seeds come from fault.TrialSeed, not
 // shared state, so trial order and worker count do not matter.
 func (b *bfsChaos) forked(ctx context.Context, kills, n, workers int, done func(sim.ChaosTrial)) ([]sim.ChaosTrial, error) {
-	m0, err := b.machine()
+	m0, err := b.d.BuildMachine(b.cfg.Side, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer m0.Close()
 	distA, err := sim.PrepareSSSP(m0, b.g, 0, sim.SpreadWorkers(m0, b.cfg.Workers))
 	if err != nil {
 		return nil, err
@@ -219,7 +199,6 @@ func (b *bfsChaos) forked(ctx context.Context, kills, n, workers int, done func(
 	// absolute cycle budget, and collects the result. Each call writes a
 	// distinct trials slot, so concurrent finishes do not race.
 	finish := func(fm *sim.Machine, sched *inject.Schedule, trial int) error {
-		defer fm.Close()
 		if err := fm.AttachSchedule(sched); err != nil {
 			return err
 		}

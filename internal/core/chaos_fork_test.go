@@ -7,8 +7,7 @@ import (
 
 // TestRunChaosForkDifferential pins the warm-state forked sweep to the
 // from-scratch path: identical ChaosPoints — every counter and mean,
-// via DeepEqual — regardless of trial-worker count or per-cycle
-// sharding on either side. This is the end-to-end statement of the
+// via DeepEqual — regardless of trial-worker count. This is the end-to-end statement of the
 // fork's bit-identity contract at the Monte Carlo driver level.
 func TestRunChaosForkDifferential(t *testing.T) {
 	d := NewDesign()
@@ -31,7 +30,6 @@ func TestRunChaosForkDifferential(t *testing.T) {
 		{"serialWorkers", func(c *ChaosConfig) { c.TrialWorkers = 1 }},
 		{"pooledWorkers", func(c *ChaosConfig) { c.TrialWorkers = 3 }},
 		{"defaultWorkers", func(c *ChaosConfig) { c.TrialWorkers = 0 }},
-		{"sharded", func(c *ChaosConfig) { c.Shards = 2; c.ShardWorkers = 1 }},
 	}
 	for _, tc := range cases {
 		cfg := base

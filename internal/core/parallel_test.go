@@ -33,30 +33,6 @@ func TestRunChaosWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRunChaosShardInvariance pins the composition of the two
-// parallelism levels: trial machines stepped by the sharded per-cycle
-// engine (ChaosConfig.Shards) must reproduce the serial survival curve
-// exactly, at divisor and non-divisor shard counts and with the
-// oversubscription-narrowed trial pool in play (TrialWorkers left 0).
-func TestRunChaosShardInvariance(t *testing.T) {
-	d := NewDesign()
-	cfg := smallChaosConfig()
-	ref, err := d.RunChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 3} {
-		cfg.Shards = shards
-		got, err := d.RunChaos(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("Shards=%d changed the survival curve:\n%v\nvs serial\n%v", shards, got, ref)
-		}
-	}
-}
-
 func TestWriteFullReportWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report is slow")

@@ -13,13 +13,16 @@ import (
 // which network carries the requests (responses use the complement),
 // balances pairs across the two networks when both paths are clear,
 // and — for the residual disconnected pairs — relays packets through
-// one or more intermediate tiles.
+// one or more intermediate tiles. It plans on the topology the packets
+// actually ride: XY and YX name the topology's two route networks, and
+// a route counts as usable when every tile it enters is healthy.
 //
 // Packet ordering: all communication between one source-destination
 // pair is pinned to a single network (and relay chain), so packets of
 // a pair never race each other (the paper's in-order guarantee).
 type Kernel struct {
-	an *Analyzer
+	fm *fault.Map
+	an *TopoAnalyzer
 	// balance alternates assignments when both networks are usable so
 	// the two are equally utilized.
 	balance int
@@ -30,8 +33,8 @@ type Kernel struct {
 
 // Decision is the kernel's routing decision for a pair.
 type Decision struct {
-	// Reachable is false when no route exists at all (the endpoints lie
-	// in different 4-connected components of the healthy array).
+	// Reachable is false when no route exists at all: no chain of clear
+	// routes through healthy relay tiles joins the endpoints.
 	Reachable bool
 	// Request is the network carrying the first leg of requests;
 	// responses retrace the legs on complementary networks.
@@ -43,27 +46,31 @@ type Decision struct {
 	Via []geom.Coord
 }
 
-// NewKernel builds the routing policy for a fault map.
-func NewKernel(fm *fault.Map) *Kernel {
+// NewKernel builds the routing policy for a topology over a fault map.
+// The kernel keeps reading fm for endpoint health; call Refresh after
+// mutating it.
+func NewKernel(topo Topology, fm *fault.Map) *Kernel {
 	return &Kernel{
-		an:       NewAnalyzer(fm),
+		fm:       fm,
+		an:       NewTopoAnalyzer(topo, fm),
 		assigned: make(map[[2]geom.Coord]Decision),
 	}
 }
 
 // Analyzer exposes the underlying path oracle.
-func (k *Kernel) Analyzer() *Analyzer { return k.an }
+func (k *Kernel) Analyzer() *TopoAnalyzer { return k.an }
 
 // Fork returns an independent copy of the kernel planning against fm
 // (the caller's clone of the original fault map): the path oracle is
-// rebuilt over fm and the balancing counter plus every memoized pair
+// built over fm and the balancing counter plus every memoized pair
 // decision carry over, so the fork decides future pairs exactly as the
 // original would. Decision Via chains are shared — they are built once
 // and never mutated. Fork only reads the receiver, so concurrent forks
 // of the same kernel are safe.
 func (k *Kernel) Fork(fm *fault.Map) *Kernel {
 	n := &Kernel{
-		an:       NewAnalyzer(fm),
+		fm:       fm,
+		an:       NewTopoAnalyzer(k.an.topo, fm),
 		balance:  k.balance,
 		assigned: make(map[[2]geom.Coord]Decision, len(k.assigned)),
 	}
@@ -74,23 +81,23 @@ func (k *Kernel) Fork(fm *fault.Map) *Kernel {
 }
 
 // Refresh re-plans against the current state of the fault map: the
-// path oracle's prefix sums are rebuilt and every memoized pair
+// path oracle is rebuilt in place and every memoized pair
 // decision is discarded. Call it after marking tiles faulty at runtime
 // — this is the kernel relearning the network after a mid-run failure
 // (the paper's fault map is written once after assembly; a live system
 // updates it whenever the wafer degrades). Network balancing state is
 // kept so re-planned pairs continue to alternate.
 func (k *Kernel) Refresh() {
-	k.an = NewAnalyzer(k.an.fm)
+	k.an.Reset(k.an.topo, k.fm)
 	k.assigned = make(map[[2]geom.Coord]Decision)
 }
 
 // Decide returns (and memoizes) the routing decision for src -> dst.
 func (k *Kernel) Decide(src, dst geom.Coord) (Decision, error) {
-	if err := validatePair(k.an.grid, src, dst); err != nil {
+	if err := validatePair(k.an.Grid(), src, dst); err != nil {
 		return Decision{}, err
 	}
-	if k.an.fm.Faulty(src) || k.an.fm.Faulty(dst) {
+	if k.fm.Faulty(src) || k.fm.Faulty(dst) {
 		return Decision{}, fmt.Errorf("noc: endpoint of %v->%v is faulty", src, dst)
 	}
 	key := [2]geom.Coord{src, dst}
@@ -129,20 +136,19 @@ func (k *Kernel) decide(src, dst geom.Coord) Decision {
 }
 
 // findRelayChain searches breadth-first for the fewest-leg relay chain:
-// graph nodes are healthy tiles, with an edge u-v whenever some DoR
-// network has a clear path u->v. Adjacent healthy tiles always have a
-// clear (single-hop) path, so reachability in this graph equals
-// 4-connected-component membership — the kernel can always route
-// within a component.
+// graph nodes are healthy tiles, with an edge u->v whenever the
+// topology's XY or YX route u->v is clear. On the mesh, adjacent healthy
+// tiles always have a clear single-hop route, so reachability there
+// equals 4-connected-component membership.
 func (k *Kernel) findRelayChain(src, dst geom.Coord) ([]geom.Coord, bool) {
-	g := k.an.grid
+	g := k.an.Grid()
 	prev := make([]int, g.Size())
 	for i := range prev {
 		prev[i] = -1
 	}
 	srcIdx := g.Index(src)
 	prev[srcIdx] = srcIdx
-	healthy := k.an.fm.HealthyCoords()
+	healthy := k.fm.HealthyCoords()
 	queue := []geom.Coord{src}
 	for len(queue) > 0 {
 		cur := queue[0]
@@ -169,7 +175,7 @@ func (k *Kernel) findRelayChain(src, dst geom.Coord) ([]geom.Coord, bool) {
 			if prev[i] >= 0 || next == cur {
 				continue
 			}
-			if k.an.PairConnected(cur, next, true) {
+			if k.an.PathClear(XY, cur, next) || k.an.PathClear(YX, cur, next) {
 				prev[i] = g.Index(cur)
 				queue = append(queue, next)
 			}
@@ -209,7 +215,7 @@ func (k *Kernel) Legs(src, dst geom.Coord, d Decision) []Leg {
 }
 
 // RequestPath returns the tiles a request visits under a decision, one
-// slice per leg.
+// slice per leg, as mesh DoR routes (Route): exact on the mesh only.
 func (k *Kernel) RequestPath(src, dst geom.Coord, d Decision) [][]geom.Coord {
 	legs := k.Legs(src, dst, d)
 	out := make([][]geom.Coord, len(legs))
@@ -241,7 +247,7 @@ func (k *Kernel) Utilization() (xy, yx, detoured, unreachable int) {
 // summary counts; used to quantify the detour ablation (how many of
 // the dual-network residual disconnections relays repair).
 func (k *Kernel) PlanAll() (reachableDirect, reachableViaDetour, unreachable int) {
-	healthy := k.an.fm.HealthyCoords()
+	healthy := k.fm.HealthyCoords()
 	for _, s := range healthy {
 		for _, d := range healthy {
 			if s == d {

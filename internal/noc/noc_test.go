@@ -253,7 +253,7 @@ func TestResidualDisconnectionsAreSameRowCol(t *testing.T) {
 
 func TestKernelDirectSelection(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	d, err := k.Decide(geom.C(0, 0), geom.C(5, 5))
 	if err != nil || !d.Reachable || len(d.Via) != 0 {
 		t.Fatalf("decision = %+v, %v", d, err)
@@ -267,7 +267,7 @@ func TestKernelDirectSelection(t *testing.T) {
 
 func TestKernelLoadBalancing(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	k.PlanAll()
 	xy, yx, detoured, unreachable := k.Utilization()
 	if detoured != 0 || unreachable != 0 {
@@ -289,7 +289,7 @@ func TestKernelLoadBalancing(t *testing.T) {
 func TestKernelFaultAwareSelection(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	fm.MarkFaulty(geom.C(2, 0)) // blocks XY route (0,0)->(4,4)
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	d, err := k.Decide(geom.C(0, 0), geom.C(4, 4))
 	if err != nil || !d.Reachable {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestKernelDetour(t *testing.T) {
 	// coincide and are blocked; a detour through another row fixes it.
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	fm.MarkFaulty(geom.C(3, 0))
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	src, dst := geom.C(0, 0), geom.C(6, 0)
 	d, err := k.Decide(src, dst)
 	if err != nil {
@@ -351,7 +351,7 @@ func TestKernelUnreachable(t *testing.T) {
 	for _, n := range dst.Neighbors() {
 		fm.MarkFaulty(n)
 	}
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	d, err := k.Decide(geom.C(0, 0), dst)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestKernelUnreachable(t *testing.T) {
 func TestKernelErrors(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(4, 4))
 	fm.MarkFaulty(geom.C(1, 1))
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	if _, err := k.Decide(geom.C(9, 9), geom.C(0, 0)); err == nil {
 		t.Error("off-grid source accepted")
 	}
@@ -383,7 +383,7 @@ func TestDetourRepairsResiduals(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		fm := fault.Random(g, 10, rng)
 		st := NewAnalyzer(fm).AllPairs()
-		k := NewKernel(fm)
+		k := NewKernel(MeshTopology(fm.Grid()), fm)
 		_, detoured, unreachable := k.PlanAll()
 		_ = detoured
 		if st.DisconnectedDual == 0 {
@@ -443,7 +443,7 @@ func components(fm *fault.Map) []int {
 func TestKernelPlanAllCounts(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(6, 6))
 	fm.MarkFaulty(geom.C(3, 3))
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	direct, detour, unreachable := k.PlanAll()
 	healthy := fm.HealthyCount()
 	if direct+detour+unreachable != healthy*(healthy-1) {

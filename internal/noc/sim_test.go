@@ -228,7 +228,7 @@ func TestSimRoutesAroundFaultsViaKernel(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	fm.MarkFaulty(geom.C(3, 0))
 	fm.MarkFaulty(geom.C(5, 5))
-	k := NewKernel(fm)
+	k := NewKernel(MeshTopology(fm.Grid()), fm)
 	s := newSim(t, fm)
 	rng := rand.New(rand.NewSource(9))
 	healthy := fm.HealthyCoords()

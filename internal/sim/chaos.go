@@ -40,11 +40,10 @@ type ChaosResult struct {
 // fault schedule to the machine before calling. The returned error is
 // non-nil only for setup problems (bad graph, unloadable program).
 //
-// The run honours the machine's sharded cycle engine: set m.Shards
-// (and optionally m.Workers) before calling to step the wafer in
-// parallel — the result is bit-identical to a serial run, including
-// the degradation report. Call m.Close after the run to release the
-// shard worker goroutines.
+// The machine's core loop steps serially; its network may be sharded
+// (set m.Net().Shards before calling) with a bit-identical result,
+// degradation report included. Call m.Close after such a run to
+// release the network's worker goroutines.
 func RunSSSPUnderFaults(m *Machine, g *Graph, src int, workers []WorkerRef, maxCycles int64) (*ChaosResult, error) {
 	return RunSSSPUnderFaultsCtx(context.Background(), m, g, src, workers, maxCycles)
 }
@@ -198,14 +197,9 @@ func EachTrial(trial func(ctx context.Context, kills, i int) (ChaosTrial, error)
 type ChaosSweep struct {
 	Trials int   // runs per kill count
 	Kills  []int // tile kill counts to sweep
-	// TrialWorkers bounds the host pool running trials (0 = GOMAXPROCS);
-	// Shards/ShardWorkers shard each trial machine's cycle engine. When
-	// Shards > 1 and TrialWorkers is 0, the trial pool is narrowed to
-	// GOMAXPROCS/ShardWorkers so the two levels do not oversubscribe the
-	// host. Results are bit-identical at any setting.
+	// TrialWorkers bounds the host pool running trials (0 = GOMAXPROCS).
+	// Results are bit-identical at any setting.
 	TrialWorkers int
-	Shards       int
-	ShardWorkers int
 	// Progress, when non-nil, is called after every finished trial with
 	// the trials done so far, the total, and the machine cycles those
 	// trials stepped. It runs on trial goroutines and must be safe for
@@ -235,10 +229,6 @@ func (s ChaosSweep) Validate(side int) error {
 // error (including cancellation) it returns the points for the kill
 // counts finished before it.
 func RunChaosSweep(ctx context.Context, s ChaosSweep, run ChaosRunner) ([]ChaosPoint, error) {
-	workers := s.TrialWorkers
-	if s.Shards > 1 && workers <= 0 {
-		workers = max(1, parallel.Workers(0, 0)/parallel.Workers(s.ShardWorkers, s.Shards))
-	}
 	var done, cycles atomic.Int64
 	total := s.Trials * len(s.Kills)
 	report := func(t ChaosTrial) {
@@ -253,7 +243,7 @@ func RunChaosSweep(ctx context.Context, s ChaosSweep, run ChaosRunner) ([]ChaosP
 		if kills == 0 {
 			n = 1
 		}
-		trials, err := run(ctx, kills, n, workers, report)
+		trials, err := run(ctx, kills, n, s.TrialWorkers, report)
 		if err != nil {
 			return points, err
 		}

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"waferscale/internal/parallel"
 )
 
 // fakeTrial is a deterministic stand-in for a machine run: every field
@@ -94,39 +92,6 @@ func TestChaosSweepWorkerInvariance(t *testing.T) {
 		if calls != 15 || lastDone != 15 || cycles != int64(wantCycles) {
 			t.Errorf("TrialWorkers=%d: %d progress calls (last done %d, %d cycles), want 15 (15, %d)",
 				workers, calls, lastDone, cycles, int64(wantCycles))
-		}
-	}
-}
-
-// TestChaosSweepNarrowsTrialPool: with a sharded engine and no explicit
-// trial pool, the sweep hands the runner GOMAXPROCS/ShardWorkers
-// workers (at least one) so trials x shard gangs fit the host; an
-// explicit TrialWorkers passes through unchanged.
-func TestChaosSweepNarrowsTrialPool(t *testing.T) {
-	var got []int
-	run := func(_ context.Context, kills, n, workers int, done func(ChaosTrial)) ([]ChaosTrial, error) {
-		got = append(got, workers)
-		trials := make([]ChaosTrial, n)
-		for range trials {
-			done(ChaosTrial{})
-		}
-		return trials, nil
-	}
-	for _, tc := range []struct {
-		sweep ChaosSweep
-		want  int
-	}{
-		{ChaosSweep{Trials: 2, Kills: []int{1}, Shards: 2, ShardWorkers: 1}, parallel.Workers(0, 0)},
-		{ChaosSweep{Trials: 2, Kills: []int{1}, Shards: 1 << 20}, 1},
-		{ChaosSweep{Trials: 2, Kills: []int{1}, Shards: 4, TrialWorkers: 3}, 3},
-		{ChaosSweep{Trials: 2, Kills: []int{1}}, 0},
-	} {
-		got = nil
-		if _, err := RunChaosSweep(context.Background(), tc.sweep, run); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0] != tc.want {
-			t.Errorf("%+v: runner got workers %v, want %d", tc.sweep, got, tc.want)
 		}
 	}
 }

@@ -16,15 +16,10 @@ import (
 // an explanation instead of hanging or panicking.
 type DegradationReport struct {
 	// Topology names the NoC link graph the machine ran, so degraded
-	// runs are attributable to the interconnect they happened on. Note
-	// the relay planner reasons in mesh row/column terms on every
-	// topology: on cmesh and express (whose link graphs contain the
-	// mesh) the planned detours are correct but not necessarily
-	// minimal; on vertical, whose fold replaces the mesh links between
-	// the two layers, a mesh-planned detour can be unroutable, in which
-	// case the op exhausts its retries and faults its core with a
-	// structured error rather than hanging. See
-	// TestRelayDetourNonMeshTopologies for both behaviors.
+	// runs are attributable to the interconnect they happened on. The
+	// relay planner plans on that same graph, so relays appear exactly
+	// where both of its direct routes are blocked (see
+	// TestRelayDetourNonMeshTopologies).
 	Topology string
 	// KilledTiles lists tiles killed at runtime, in kill order.
 	KilledTiles []geom.Coord
@@ -164,7 +159,7 @@ func (m *Machine) KillTile(c geom.Coord) bool {
 		if core.state != coreHalted && core.state != coreFaulted {
 			core.Err = fmt.Errorf("tile %v killed at cycle %d", c, m.cycle)
 			core.state = coreFaulted
-			m.coreStopped(core, nil)
+			m.coreStopped(core)
 		}
 	}
 	win := int64(m.amap.GlobalWindowBytes())

@@ -105,13 +105,13 @@ func (m *Machine) remoteOpModeled(c *Core, in Instr, addr uint32, target geom.Co
 	rt, ok := m.modeledRoundTrip(c.tile, target)
 	if !ok {
 		m.degr.markDegradedOnce(target)
-		m.fault(c, nil, "tile %v unreachable from %v", target, c.tile)
+		m.fault(c, "tile %v unreachable from %v", target, c.tile)
 		return true
 	}
 	op, reg, data := memArgs(c, in)
 	old, err := m.applyGlobal(addr, op, data)
 	if err != nil {
-		m.fault(c, nil, "remote access lost: global address %#x has no backing", addr)
+		m.fault(c, "remote access lost: global address %#x has no backing", addr)
 		return true
 	}
 	m.tagSeq++

@@ -139,31 +139,3 @@ func TestModeledSnapshotFork(t *testing.T) {
 		}
 	}
 }
-
-// The modeled engine must stay bit-identical across shard counts, like
-// the cycle engine: staged remote ops commit in serial order.
-func TestModeledShardInvariance(t *testing.T) {
-	run := func(shards int) ([]int32, int64) {
-		cfg := smallConfig()
-		m := newMachine(t, cfg, nil)
-		attachAnalytical(t, m, fault.NewMap(cfg.Grid()))
-		m.Shards = shards
-		defer m.Close()
-		a, x := RandomMatrix(10, 17)
-		y, res, err := RunMatVec(m, a, x, SpreadWorkers(m, 8), 2_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return y, res.Cycles
-	}
-	y1, c1 := run(1)
-	y4, c4 := run(4)
-	if c1 != c4 {
-		t.Fatalf("modeled run cycles differ across shards: %d vs %d", c1, c4)
-	}
-	for i := range y1 {
-		if y1[i] != y4[i] {
-			t.Fatalf("modeled results differ across shards at %d", i)
-		}
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"waferscale/internal/geom"
 	"waferscale/internal/inject"
 	"waferscale/internal/noc"
-	"waferscale/internal/parallel"
 )
 
 // Fixed intra-tile access latencies in cycles. Remote latencies emerge
@@ -214,66 +213,6 @@ type Machine struct {
 	// pre-optimization engine. Differential tests flip this to prove the
 	// fast path is behavior-identical; it is never set in production.
 	fullScan bool
-
-	// Shards partitions the tile grid into that many contiguous row
-	// bands whose core pipelines advance concurrently (<= 1 keeps the
-	// serial loop). The decomposition is bit-identical to the serial
-	// machine at any shard or worker count: a core's in-cycle execution
-	// reads only core/tile-local state plus cycle-frozen machine state,
-	// and every shared-state action — remote-op issue, the per-cycle
-	// step of a core awaiting a remote response, injection retries — is
-	// staged into per-band lists that a serial commit replays in (band,
-	// tile, rotated-core) order, which is exactly the serial order.
-	// Tracing (SetTrace) forces the serial loop. The network engine is
-	// sharded independently via Net().Shards.
-	Shards int
-	// Workers caps the gang width driving the shard bands (0 =
-	// GOMAXPROCS, clamped to Shards). Purely a wall-clock knob.
-	Workers int
-	msh     *machEngine
-}
-
-// stagedKind discriminates the shared-state actions a band defers to
-// the serial commit.
-type stagedKind uint8
-
-const (
-	// stageIssue replays remoteOp: a core executed a memory instruction
-	// targeting another tile and must issue the request packet.
-	stageIssue stagedKind = iota
-	// stageRemoteStep replays the per-cycle step of a core in
-	// coreRemote state: injection retry and deadline handling.
-	stageRemoteStep
-)
-
-// stagedOp is one deferred shared-state action.
-type stagedOp struct {
-	kind stagedKind
-	c    *Core
-	in   Instr
-	addr uint32
-}
-
-// machBand is one contiguous row band of tiles with its staged ops and
-// private counters. The pad keeps the append-mutated headers of
-// neighboring bands off a shared cache line.
-type machBand struct {
-	lo, hi        int // tile index range [lo, hi)
-	ops           []stagedOp
-	bankConflicts int64
-	runningDelta  int
-	_             [64]byte
-}
-
-// machEngine is the lazily built sharded-stepping state.
-type machEngine struct {
-	shards  int
-	workers int
-	gang    *parallel.Gang
-	bands   []machBand
-	// stepFn is the hoisted phase-1 closure handed to gang.Run, built
-	// once so the per-cycle loop allocates nothing.
-	stepFn func(b int)
 }
 
 type responseToSend struct {
@@ -302,11 +241,10 @@ func NewMachine(cfg arch.Config, fm *fault.Map) (*Machine, error) {
 // NewMachineTopology builds a machine whose interconnect uses the named
 // NoC topology ("" = the prototype's dual-DoR mesh; see
 // noc.TopologyNames). Transport — every remote load/store, DMA and
-// barrier packet — rides the named link graph; the fault-bypass relay
-// planner (noc.Kernel) still reasons in mesh row/column terms, so on
-// non-mesh topologies relays are a conservative fallback: correct
-// (relay hops are ordinary packets on the real topology) but not
-// necessarily minimal.
+// barrier packet — rides the named link graph, and the fault-bypass
+// relay planner (noc.Kernel) plans on the same graph: a pair is served
+// directly when the topology's XY or YX route is clear, and through
+// the fewest relay tiles otherwise.
 func NewMachineTopology(cfg arch.Config, fm *fault.Map, topology string) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -335,7 +273,7 @@ func NewMachineTopology(cfg arch.Config, fm *fault.Map, topology string) (*Machi
 		grid:     g,
 		fm:       fm,
 		amap:     arch.NewAddressMap(cfg),
-		kernel:   noc.NewKernel(fm),
+		kernel:   noc.NewKernel(topo, fm),
 		net:      netSim,
 		tiles:    make([]*Tile, g.Size()),
 		topoName: name,
@@ -616,104 +554,22 @@ func (m *Machine) Step() {
 		m.stepCoresFullScan()
 		return
 	}
-	if m.Shards > 1 && m.traceW == nil {
-		m.stepCoresSharded()
-		return
-	}
 	for _, t := range m.tiles {
 		if t == nil || t.dead {
 			continue
 		}
-		m.stepTile(t, nil)
+		m.stepTile(t)
 	}
 }
 
-// Close releases the worker goroutines behind a sharded machine and its
-// network simulator. It is a no-op for serial machines and idempotent;
-// the machine remains usable (stepping re-creates the gangs on demand).
-func (m *Machine) Close() {
-	if m.msh != nil {
-		m.msh.gang.Close()
-		m.msh = nil
-	}
-	m.net.Close()
-}
+// Close releases the worker goroutines behind a sharded network
+// simulator (see noc.Sim.Shards). It is a no-op when the network steps
+// serially and idempotent; the machine remains usable (stepping
+// re-creates the gang on demand).
+func (m *Machine) Close() { m.net.Close() }
 
-// sharding returns the shard engine for the current Shards/Workers
-// settings, (re)building bands and gang when the knobs changed.
-func (m *Machine) sharding() *machEngine {
-	shards := m.Shards
-	if shards > m.grid.H {
-		shards = m.grid.H // at most one band per tile row
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	workers := parallel.Workers(m.Workers, shards)
-	if me := m.msh; me != nil && me.shards == shards && me.workers == workers {
-		return me
-	}
-	if m.msh != nil {
-		m.msh.gang.Close()
-	}
-	me := &machEngine{
-		shards:  shards,
-		workers: workers,
-		gang:    parallel.NewGang(workers),
-		bands:   make([]machBand, shards),
-	}
-	for b := 0; b < shards; b++ {
-		me.bands[b].lo = b * m.grid.H / shards * m.grid.W
-		me.bands[b].hi = (b + 1) * m.grid.H / shards * m.grid.W
-	}
-	me.stepFn = func(b int) {
-		sh := &me.bands[b]
-		for ti := sh.lo; ti < sh.hi; ti++ {
-			t := m.tiles[ti]
-			if t == nil || t.dead {
-				continue
-			}
-			m.stepTile(t, sh)
-		}
-	}
-	m.msh = me
-	return me
-}
-
-// stepCoresSharded is the parallel core loop. Phase 1 advances each
-// band's core pipelines concurrently; in-cycle execution touches only
-// core/tile-local state plus cycle-frozen machine state (address map,
-// remap table, fault view, cycle counter), while every action against
-// shared mutable state — packet injection, tag-sequence allocation,
-// kernel re-planning, degradation accounting — is staged into the
-// band's op list. Phase 2 folds the bands' private counters and replays
-// the staged ops serially in band order, which concatenates to exactly
-// the serial engine's (tile, rotated-core) order, so injection
-// backpressure, tag values and degradation reports are bit-identical.
-func (m *Machine) stepCoresSharded() {
-	me := m.sharding()
-	me.gang.Run(len(me.bands), me.stepFn)
-	for b := range me.bands {
-		sh := &me.bands[b]
-		m.BankConflicts += sh.bankConflicts
-		m.running += sh.runningDelta
-		sh.bankConflicts, sh.runningDelta = 0, 0
-		for i := range sh.ops {
-			op := &sh.ops[i]
-			switch op.kind {
-			case stageIssue:
-				m.remoteOp(op.c, op.in, op.addr)
-			case stageRemoteStep:
-				m.stepRemote(op.c)
-			}
-		}
-		sh.ops = sh.ops[:0]
-	}
-}
-
-// stepTile advances every runnable core of one tile. sh is nil on the
-// serial path; when non-nil, shared-state actions are staged into it.
-func (m *Machine) stepTile(t *Tile, sh *machBand) {
+// stepTile advances every runnable core of one tile.
+func (m *Machine) stepTile(t *Tile) {
 	if t.runDirty {
 		t.compactRun()
 	}
@@ -734,7 +590,7 @@ func (m *Machine) stepTile(t *Tile, sh *machBand) {
 		if j >= nr {
 			j -= nr
 		}
-		m.stepCore(t, t.Cores[t.run[j]], sh)
+		m.stepCore(t, t.Cores[t.run[j]])
 	}
 }
 
@@ -749,7 +605,7 @@ func (m *Machine) stepCoresFullScan() {
 		n := len(t.Cores)
 		start := int(m.cycle) % n
 		for i := 0; i < n; i++ {
-			m.stepCore(t, t.Cores[(start+i)%n], nil)
+			m.stepCore(t, t.Cores[(start+i)%n])
 		}
 	}
 }
@@ -956,32 +812,25 @@ func (m *Machine) AvgRemoteLatency() float64 {
 	return float64(m.RemoteLatency) / float64(m.RemoteRequests)
 }
 
-// fault stops a core with a structured error. sh is the band staging
-// context when called from a parallel phase (nil on serial paths).
-func (m *Machine) fault(c *Core, sh *machBand, format string, args ...any) {
+// fault stops a core with a structured error.
+func (m *Machine) fault(c *Core, format string, args ...any) {
 	c.Err = fmt.Errorf(format, args...)
 	c.state = coreFaulted
-	m.coreStopped(c, sh)
+	m.coreStopped(c)
 }
 
 // coreStopped books a running → halted/faulted transition: the machine
 // counter backs O(1) AllHalted and the tile's runnable list is marked
 // for compaction. Callers must only invoke it for cores that were not
-// already stopped. During a sharded phase the counter update lands in
-// the band's private delta (folded at commit); the runnable-list mark
-// is tile-local and therefore band-local.
-func (m *Machine) coreStopped(c *Core, sh *machBand) {
-	if sh != nil {
-		sh.runningDelta--
-	} else {
-		m.running--
-	}
+// already stopped.
+func (m *Machine) coreStopped(c *Core) {
+	m.running--
 	if t := m.tiles[m.grid.Index(c.tile)]; t != nil {
 		t.runDirty = true
 	}
 }
 
-func (m *Machine) stepCore(t *Tile, c *Core, sh *machBand) {
+func (m *Machine) stepCore(t *Tile, c *Core) {
 	switch c.state {
 	case coreHalted, coreFaulted:
 		return
@@ -997,22 +846,15 @@ func (m *Machine) stepCore(t *Tile, c *Core, sh *machBand) {
 		c.state = coreRunning
 		return // the completing cycle does not also execute
 	case coreRemote:
-		// Injection retries and deadline handling touch the network and
-		// the degradation report: staged when stepping in parallel.
-		if sh != nil {
-			sh.ops = append(sh.ops, stagedOp{kind: stageRemoteStep, c: c})
-			return
-		}
 		m.stepRemote(c)
 		return
 	}
-	m.execute(t, c, sh)
+	m.execute(t, c)
 }
 
 // stepRemote is the per-cycle step of a core awaiting a remote
 // response: retry the injection if it met backpressure, and declare the
-// op lost when its deadline expires. Runs serially (directly on the
-// serial path, via the staged-op commit on the sharded path).
+// op lost when its deadline expires.
 func (m *Machine) stepRemote(c *Core) {
 	if m.LatencyModel != nil {
 		m.stepRemoteModeled(c)
@@ -1029,9 +871,9 @@ func (m *Machine) stepRemote(c *Core) {
 	}
 }
 
-func (m *Machine) execute(t *Tile, c *Core, sh *machBand) {
+func (m *Machine) execute(t *Tile, c *Core) {
 	if int(c.PC)+4 > c.priv.size {
-		m.fault(c, sh, "pc outside private SRAM")
+		m.fault(c, "pc outside private SRAM")
 		return
 	}
 	in := Decode(c.priv.load32(c.PC))
@@ -1042,7 +884,7 @@ func (m *Machine) execute(t *Tile, c *Core, sh *machBand) {
 	case OpNop:
 	case OpHalt:
 		c.state = coreHalted
-		m.coreStopped(c, sh)
+		m.coreStopped(c)
 		c.Instret++
 		return
 	case OpLI:
@@ -1099,14 +941,14 @@ func (m *Machine) execute(t *Tile, c *Core, sh *machBand) {
 	case OpNCores:
 		r[in.Rd] = uint32(m.Cfg.TotalCores())
 	case OpLw, OpSw, OpAmoAdd, OpAmoMin:
-		if !m.memOp(t, c, in, sh) {
+		if !m.memOp(t, c, in) {
 			return // retry same instruction next cycle (bank conflict)
 		}
 		c.Instret++
 		c.PC = next
 		return
 	default:
-		m.fault(c, sh, "illegal opcode %d", int(in.Op))
+		m.fault(c, "illegal opcode %d", int(in.Op))
 		return
 	}
 	r[0] = 0 // r0 is hardwired zero
@@ -1116,7 +958,7 @@ func (m *Machine) execute(t *Tile, c *Core, sh *machBand) {
 
 // memOp issues a memory instruction; it returns false when the access
 // must retry next cycle (crossbar bank conflict).
-func (m *Machine) memOp(t *Tile, c *Core, in Instr, sh *machBand) bool {
+func (m *Machine) memOp(t *Tile, c *Core, in Instr) bool {
 	var addr uint32
 	if in.Op == OpAmoAdd || in.Op == OpAmoMin {
 		addr = c.Regs[in.Rs1]
@@ -1124,7 +966,7 @@ func (m *Machine) memOp(t *Tile, c *Core, in Instr, sh *machBand) bool {
 		addr = c.Regs[in.Rs1] + uint32(in.Imm)
 	}
 	if addr%4 != 0 {
-		m.fault(c, sh, "unaligned access %#x", addr)
+		m.fault(c, "unaligned access %#x", addr)
 		return true
 	}
 	switch m.amap.Region(addr) {
@@ -1136,40 +978,28 @@ func (m *Machine) memOp(t *Tile, c *Core, in Instr, sh *machBand) bool {
 	case arch.RegionLocalBank:
 		bank := m.Cfg.GlobalBanksPerTile // the tile-local bank
 		off := addr - arch.LocalBankBase
-		return m.bankAccess(t, c, in, bank, off, latLocalBank, sh)
+		return m.bankAccess(t, c, in, bank, off, latLocalBank)
 
 	case arch.RegionGlobal:
 		tile, bank, off, err := m.amap.GlobalTarget(addr)
 		if err != nil {
-			m.fault(c, sh, "bad global address %#x: %v", addr, err)
+			m.fault(c, "bad global address %#x: %v", addr, err)
 			return true
 		}
 		if tile == c.tile {
-			return m.bankAccess(t, c, in, bank, off, latOwnGlobal, sh)
-		}
-		if sh != nil {
-			// Remote issue touches the tag sequence, the kernel and the
-			// network: staged for the serial commit. The serial engine
-			// also advances PC/Instret on this path regardless of the
-			// issue outcome, so returning true here is exact.
-			sh.ops = append(sh.ops, stagedOp{kind: stageIssue, c: c, in: in, addr: addr})
-			return true
+			return m.bankAccess(t, c, in, bank, off, latOwnGlobal)
 		}
 		return m.remoteOp(c, in, addr)
 	}
-	m.fault(c, sh, "unmapped address %#x", addr)
+	m.fault(c, "unmapped address %#x", addr)
 	return true
 }
 
 // bankAccess models the intra-tile crossbar: each bank serves one
 // access per cycle; a conflicting core retries next cycle.
-func (m *Machine) bankAccess(t *Tile, c *Core, in Instr, bank int, off uint32, lat int64, sh *machBand) bool {
+func (m *Machine) bankAccess(t *Tile, c *Core, in Instr, bank int, off uint32, lat int64) bool {
 	if t.bankBusy[bank] == m.cycle {
-		if sh != nil {
-			sh.bankConflicts++
-		} else {
-			m.BankConflicts++
-		}
+		m.BankConflicts++
 		c.RetryCycles++
 		return false
 	}
@@ -1194,7 +1024,7 @@ func (m *Machine) access(c *Core, in Instr, mem *pagedMem, off uint32, lat int64
 func (m *Machine) remoteOp(c *Core, in Instr, addr uint32) bool {
 	target, err := m.routeTarget(addr)
 	if err != nil {
-		m.fault(c, nil, "remote access lost: %v", err)
+		m.fault(c, "remote access lost: %v", err)
 		return true
 	}
 	if m.LatencyModel != nil {
@@ -1203,7 +1033,7 @@ func (m *Machine) remoteOp(c *Core, in Instr, addr uint32) bool {
 	dec, err := m.kernel.Decide(c.tile, target)
 	if err != nil || !dec.Reachable {
 		m.degr.markDegradedOnce(target)
-		m.fault(c, nil, "tile %v unreachable from %v", target, c.tile)
+		m.fault(c, "tile %v unreachable from %v", target, c.tile)
 		return true
 	}
 	first := target
@@ -1245,21 +1075,21 @@ func (m *Machine) retryRemote(c *Core) {
 	if c.rem.attempts >= m.RemoteRetries {
 		m.degr.ExhaustedOps++
 		m.degr.markDegradedOnce(c.rem.dst)
-		m.fault(c, nil, "remote access %#x gave up after %d attempts (last hop %v, cycle %d)",
+		m.fault(c, "remote access %#x gave up after %d attempts (last hop %v, cycle %d)",
 			addr, c.rem.attempts+1, c.rem.dst, m.cycle)
 		return
 	}
 	target, err := m.routeTarget(addr)
 	if err != nil {
 		m.degr.ExhaustedOps++
-		m.fault(c, nil, "remote access lost: %v", err)
+		m.fault(c, "remote access lost: %v", err)
 		return
 	}
 	dec, derr := m.kernel.Decide(c.tile, target)
 	if derr != nil || !dec.Reachable {
 		m.degr.ExhaustedOps++
 		m.degr.markDegradedOnce(target)
-		m.fault(c, nil, "tile %v unreachable from %v after re-plan (attempt %d)", target, c.tile, c.rem.attempts+1)
+		m.fault(c, "tile %v unreachable from %v after re-plan (attempt %d)", target, c.tile, c.rem.attempts+1)
 		return
 	}
 	first := target
@@ -1281,7 +1111,7 @@ func (m *Machine) retryRemote(c *Core) {
 	// cores that lost traffic to the same dead router would otherwise
 	// all re-expire on the same cycle and re-collide forever. The
 	// jitter is hashed from the op's identity, not drawn from a shared
-	// RNG, so runs stay bit-identical at any shard or worker count.
+	// RNG, so a replayed or forked run stays bit-identical.
 	base := m.RemoteTimeout << uint(c.rem.attempts)
 	c.rem.deadline = m.cycle + base + backoffJitter(c.rem.tag, m.cycle, c.tile, c.idx, base/2)
 	if _, err := m.net.Inject(dec.Request, c.tile, first, noc.Request, c.rem.tag, c.rem.payload); err == nil {
@@ -1292,7 +1122,7 @@ func (m *Machine) retryRemote(c *Core) {
 // backoffJitter maps a retried op's identity — reissue tag, current
 // cycle, and the retrying core's tile and lane — to a jitter in
 // [0, span) via a splitmix64 finalizer. Pure and seed-free: the same
-// machine replayed (serially or sharded) retries on exactly the same
+// machine replayed (from scratch or forked) retries on exactly the same
 // cycles, preserving the engine's determinism contract, while distinct
 // cores (or the same core on later attempts) spread apart.
 func backoffJitter(tag uint32, cycle int64, tile geom.Coord, lane int, span int64) int64 {

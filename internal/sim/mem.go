@@ -9,9 +9,7 @@ const pageBytes = 4096
 // memory-chiplet banks laid end to end, or a dead tile's shadow window.
 // A page that was never written reads as zero and costs no host memory;
 // the first nonzero store to a page allocates it. Words are 32-bit
-// little endian. The page table's length is fixed at construction, so
-// allocating a page writes only this memory's own slot — the sharded
-// engine's bands never touch each other's memories.
+// little endian. The page table's length is fixed at construction.
 type pagedMem struct {
 	pages []*[pageBytes]byte
 	size  int

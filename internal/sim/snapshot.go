@@ -9,7 +9,7 @@ import "waferscale/internal/geom"
 // their deterministic retry/jitter state, the remap/shadow tables,
 // degradation bookkeeping, the fault map, the kernel's memoized routing
 // decisions, and the cycle counter — so stepping the fork is
-// bit-identical to stepping the original, at any shard or worker count.
+// bit-identical to stepping the original.
 // Memory is demand-paged (see pagedMem), so a fork copies only the
 // pages the guest has written; the rest read zero on both sides.
 // Monte Carlo sweeps use this to run a shared fault-free prefix once
@@ -35,7 +35,7 @@ func (s *Snapshot) Cycle() int64 { return s.m.cycle }
 
 // Fork materializes an independent machine from the snapshot. Safe for
 // concurrent use: forking only reads the frozen state. Close each fork
-// after use if it ran sharded.
+// after use if its network ran sharded.
 func (s *Snapshot) Fork() *Machine { return s.m.clone() }
 
 // Fork returns an independent deep copy of the machine, equivalent to
@@ -45,11 +45,10 @@ func (s *Snapshot) Fork() *Machine { return s.m.clone() }
 func (m *Machine) Fork() *Machine { return m.clone() }
 
 // clone is the one copy routine behind Snapshot and Fork. Not copied,
-// by design: the trace writer and filter (tracing forces the serial
-// loop and captures the original's writer), the Progress callback
-// (callers wire their own), and the lazily built shard engine (rebuilt
-// on first step from the copied Shards/Workers knobs). The address map
-// is shared — it is immutable after construction. The fault map is
+// by design: the trace writer and filter (a fork would interleave its
+// lines into the original's trace) and the Progress callback (callers
+// wire their own). The address map is shared — it is immutable after
+// construction. The fault map is
 // cloned exactly once and shared by the fork's machine, network and
 // kernel layers, preserving the original's aliasing (KillTile marks the
 // one map all three read).
@@ -79,8 +78,6 @@ func (m *Machine) clone() *Machine {
 		BankConflicts:  m.BankConflicts,
 		running:        m.running,
 		fullScan:       m.fullScan,
-		Shards:         m.Shards,
-		Workers:        m.Workers,
 	}
 	n.pending = append([]responseToSend(nil), m.pending...)
 	n.pendingFwd = append([]forwardToSend(nil), m.pendingFwd...)

@@ -15,11 +15,10 @@ import (
 // engine: a machine forked at any cycle — zero, the pre-fault boundary,
 // or deep inside a degraded run — and stepped to the end must be
 // bit-identical to a machine stepped from cycle 0, on every observable
-// diffMachinesDeep covers, at any shard/worker combination on either
-// side of the fork.
+// diffMachinesDeep covers.
 
 // chaosSchedule is the standard dirty-run schedule shared with the
-// sharded differential: a worker tile killed mid-run, a link flap and a
+// network-sharded differential: a worker tile killed mid-run, a link flap and a
 // bit error, so the fork must carry remap/shadow state, degradation
 // accounting, retry bookkeeping and mid-stream schedule position.
 func chaosSchedule() *inject.Schedule {
@@ -45,15 +44,14 @@ func runChaosReference(t *testing.T, g *Graph, budget int64) (*ChaosResult, *Mac
 }
 
 // runChaosForked runs the same workload but forks at forkAt: the prefix
-// machine (prefixShards wide) is advanced to the fork cycle, forked,
-// closed, and the fork (shards/workers wide) finishes the run. When
+// machine is advanced to the fork cycle and forked, and the fork
+// finishes the run. When
 // attachEarly is set the schedule rides on the prefix — the post-fault
 // fork case — otherwise it is attached to the fork, the Monte Carlo
 // driver's shape.
-func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bool, prefixShards, shards, workers int) (*ChaosResult, *Machine) {
+func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bool) (*ChaosResult, *Machine) {
 	t.Helper()
 	m0 := chaosBFSMachine(t)
-	m0.Shards = prefixShards
 	if attachEarly {
 		if err := m0.AttachSchedule(chaosSchedule()); err != nil {
 			t.Fatal(err)
@@ -67,9 +65,6 @@ func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bo
 		t.Fatal(err)
 	}
 	f := m0.Fork()
-	m0.Close()
-	f.Shards = shards
-	f.Workers = workers
 	if !attachEarly {
 		if err := f.AttachSchedule(chaosSchedule()); err != nil {
 			t.Fatal(err)
@@ -82,9 +77,7 @@ func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bo
 	if !f.AllHalted() {
 		runErr = &BudgetError{Cycles: budget}
 	}
-	res := CollectSSSP(f, g, distA, runErr)
-	f.Close()
-	return res, f
+	return CollectSSSP(f, g, distA, runErr), f
 }
 
 func diffChaosResults(t *testing.T, label string, got, ref *ChaosResult) {
@@ -143,25 +136,8 @@ func TestMachineForkDifferentialChaos(t *testing.T) {
 		{"postAllFaults", 2500, true},    // kill at 2000 already landed
 	}
 	for _, tc := range cases {
-		res, f := runChaosForked(t, g, budget, tc.forkAt, tc.attachEarly, 1, 1, 0)
+		res, f := runChaosForked(t, g, budget, tc.forkAt, tc.attachEarly)
 		diffChaosResults(t, tc.name, res, refRes)
-		diffMachinesDeep(t, f, ref)
-	}
-}
-
-// TestMachineForkShardComposition crosses fork with the sharded cycle
-// engine: serial prefix into sharded forks, and a sharded prefix into a
-// serial fork, all pinned to the serial from-scratch reference.
-func TestMachineForkShardComposition(t *testing.T) {
-	const budget = 60_000
-	g := GridGraph(8, 8).Unweighted()
-	refRes, ref := runChaosReference(t, g, budget)
-
-	for _, sw := range [][3]int{{1, 2, 0}, {1, 4, 3}, {4, 1, 0}, {2, 4, 1}} {
-		prefixShards, shards, workers := sw[0], sw[1], sw[2]
-		res, f := runChaosForked(t, g, budget, 999, false, prefixShards, shards, workers)
-		label := fmt.Sprintf("prefixShards=%d shards=%d workers=%d", prefixShards, shards, workers)
-		diffChaosResults(t, label, res, refRes)
 		diffMachinesDeep(t, f, ref)
 	}
 }

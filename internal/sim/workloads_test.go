@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"waferscale/internal/arch"
@@ -261,24 +260,20 @@ func TestHistogramAllTopologies(t *testing.T) {
 	}
 }
 
-// TestRelayDetourNonMeshTopologies pins the documented relay-planner
-// gap (see DegradationReport.Topology): the planner reasons in mesh
-// row/column terms on every topology. On cmesh and express — link
-// supersets of the mesh — the mesh-shaped detour around a
-// double-blocked path is correct (just not necessarily minimal), and
-// the access completes through relays. On vertical, whose fold
-// replaces the cross-layer mesh links, the mesh-planned detour can be
-// unroutable; the machine must then fail closed — exhaust retries,
-// fault the core with a structured error, and still quiesce — rather
-// than hang. Every topology must name itself in the report.
+// TestRelayDetourNonMeshTopologies: the relay planner plans on the
+// machine's own topology (see DegradationReport.Topology). Faults at
+// (1,0) and (0,3) block both mesh DoR routes between (0,0) and (3,3)
+// in both directions. On every topology the remote load must return
+// its value with no core fault, and relays must appear exactly where
+// that topology's own XY and YX routes are both blocked: requests for
+// (0,0)->(3,3), responses for (3,3)->(0,0). Every topology must name
+// itself in the report.
 func TestRelayDetourNonMeshTopologies(t *testing.T) {
+	src, dst := geom.C(0, 0), geom.C(3, 3)
 	for _, topo := range noc.TopologyNames() {
 		topo := topo
 		t.Run(topo, func(t *testing.T) {
-			// 4x4 (vertical needs an even row count); faults at (1,0)
-			// and (0,3) block both DoR paths between (0,0) and (3,3)
-			// in both directions, so only a relay detour connects them.
-			cfg := smallConfig()
+			cfg := smallConfig() // 4x4: vertical needs an even row count
 			fm := fault.NewMap(cfg.Grid())
 			fm.MarkFaulty(geom.C(1, 0))
 			fm.MarkFaulty(geom.C(0, 3))
@@ -286,11 +281,22 @@ func TestRelayDetourNonMeshTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			addr := globalWindowAddr(cfg, geom.C(3, 3))
+			lt, err := noc.NewTopology(topo, cfg.Grid())
+			if err != nil {
+				t.Fatal(err)
+			}
+			an := noc.NewTopoAnalyzer(lt, fm)
+			blocked := func(s, d geom.Coord) bool {
+				return !an.PathClear(noc.XY, s, d) && !an.PathClear(noc.YX, s, d)
+			}
+			if topo == noc.TopoMesh && !(blocked(src, dst) && blocked(dst, src)) {
+				t.Fatal("fixture no longer blocks both mesh routes")
+			}
+			addr := globalWindowAddr(cfg, dst)
 			if err := m.WriteGlobal32(addr, 77); err != nil {
 				t.Fatal(err)
 			}
-			c := startRemoteLoad(t, m, geom.C(0, 0), addr)
+			c := startRemoteLoad(t, m, src, addr)
 			if err := m.Run(20_000); err != nil {
 				t.Fatalf("machine did not quiesce: %v", err)
 			}
@@ -298,26 +304,17 @@ func TestRelayDetourNonMeshTopologies(t *testing.T) {
 			if rep.Topology != topo {
 				t.Errorf("report topology = %q, want %q", rep.Topology, topo)
 			}
-			if topo == noc.TopoVertical {
-				// The fold breaks the mesh-planned detour: the op must
-				// fail closed with a structured per-core error.
-				faults := m.Faults()
-				if len(faults) != 1 || !strings.Contains(faults[0].Error(), "gave up") {
-					t.Fatalf("faults = %v, want one 'gave up' error", faults)
-				}
-				if rep.ExhaustedOps == 0 {
-					t.Errorf("expected exhausted ops: %+v", rep)
-				}
-				return
-			}
 			if faults := m.Faults(); len(faults) > 0 {
 				t.Fatalf("faults: %v", faults)
 			}
 			if c.Regs[2] != 77 {
 				t.Errorf("loaded %d, want 77", c.Regs[2])
 			}
-			if rep.RelayedRequests == 0 || rep.RelayedResponses == 0 {
-				t.Errorf("mesh-planned detour did not relay: %+v", rep)
+			if got, want := rep.RelayedRequests > 0, blocked(src, dst); got != want {
+				t.Errorf("relayed requests %d, want relays %v: %+v", rep.RelayedRequests, want, rep)
+			}
+			if got, want := rep.RelayedResponses > 0, blocked(dst, src); got != want {
+				t.Errorf("relayed responses %d, want relays %v: %+v", rep.RelayedResponses, want, rep)
 			}
 		})
 	}

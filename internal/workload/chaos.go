@@ -45,12 +45,9 @@ type ChaosConfig struct {
 	WorkersPerOp int
 	OpBudget     int64
 	// TrialWorkers bounds the host pool running trials (0 = GOMAXPROCS);
-	// Shards/ShardWorkers shard each trial machine's cycle engine. All
-	// three are wall-clock knobs — results are bit-identical at any
-	// setting.
+	// each trial machine steps serially. A wall-clock knob: results are
+	// bit-identical at any setting.
 	TrialWorkers int
-	Shards       int
-	ShardWorkers int
 	// Progress, when non-nil, is called after each finished trial with
 	// cumulative counts. Concurrency-safe required.
 	Progress func(done, total int)
@@ -80,8 +77,6 @@ func (c ChaosConfig) sweep() sim.ChaosSweep {
 		Trials:       c.Trials,
 		Kills:        c.Kills,
 		TrialWorkers: c.TrialWorkers,
-		Shards:       c.Shards,
-		ShardWorkers: c.ShardWorkers,
 	}
 	if c.Progress != nil {
 		s.Progress = func(done, total int, _ int64) { c.Progress(done, total) }
@@ -123,9 +118,6 @@ func runChaosTrial(ctx context.Context, cfg ChaosConfig, g *Graph, want map[stri
 	if err != nil {
 		return sim.ChaosTrial{}, err
 	}
-	m.Shards = cfg.Shards
-	m.Workers = cfg.ShardWorkers
-	defer m.Close()
 	sched := inject.Random(m.Cfg.Grid(), kills, cfg.KillWindow, fault.TrialSeed(cfg.Seed, kills, trial), nil)
 	if err := m.AttachSchedule(sched); err != nil {
 		return sim.ChaosTrial{}, err

@@ -88,39 +88,6 @@ func TestPerOperatorMetrics(t *testing.T) {
 	}
 }
 
-// TestShardInvariance: identical outputs and cycle counts at shard
-// counts {1, 2, 4, 7}.
-func TestShardInvariance(t *testing.T) {
-	g := TransformerBlock(0, 0, 0)
-	var baseOut map[string][]int32
-	var baseRep *WorkloadReport
-	for _, shards := range []int{1, 2, 4, 7} {
-		m, err := BuildMachine(4, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Shards = shards
-		outputs, rep, err := Run(m, g, Options{})
-		m.Close()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !rep.Completed {
-			t.Fatalf("shards=%d failed at %q", shards, rep.FailedOp)
-		}
-		if baseOut == nil {
-			baseOut, baseRep = outputs, rep
-			continue
-		}
-		if !reflect.DeepEqual(outputs, baseOut) {
-			t.Errorf("shards=%d: outputs diverged from serial", shards)
-		}
-		if rep.TotalCycles != baseRep.TotalCycles {
-			t.Errorf("shards=%d: %d cycles, serial %d", shards, rep.TotalCycles, baseRep.TotalCycles)
-		}
-	}
-}
-
 // TestForkInvariance: a fork taken before execution runs the graph
 // bit-identically to the original machine.
 func TestForkInvariance(t *testing.T) {
