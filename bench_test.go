@@ -698,7 +698,7 @@ func BenchmarkAnalyticalFig7(b *testing.B) {
 		// Seeded per iteration so the reported metric does not depend
 		// on b.N (the same pairs as BenchmarkFig7PacketSim).
 		rng := rand.New(rand.NewSource(7))
-		m, err := analytical.New(fm, analytical.Config{})
+		m, err := analytical.NewForTopology(noc.TopoMesh, fm)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -102,7 +102,7 @@ func newWsimMachine(cfg arch.Config) (*sim.Machine, error) {
 	switch timingModel {
 	case "", "cycle":
 	case "analytical":
-		model, err := analytical.NewForTopology(topology, fm, analytical.Config{})
+		model, err := analytical.NewForTopology(topology, fm)
 		if err != nil {
 			return nil, err
 		}

@@ -59,7 +59,7 @@ func run() error {
 			return err
 		}
 
-		st := noc.NewAnalyzer(fm).AllPairs()
+		st := noc.NewTopoAnalyzer(noc.MeshTopology(grid), fm).AllPairs()
 
 		dfm := fault.Random(detourGrid, faults, rand.New(rand.NewSource(int64(faults)*97)))
 		k := noc.NewKernel(noc.MeshTopology(detourGrid), dfm)

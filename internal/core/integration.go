@@ -50,7 +50,7 @@ func (d *Design) YieldToConnectivity(pillarsPerPad, trials int, seed int64) (*Yi
 		rng := rand.New(rand.NewSource(mixSeed(seed, pillarsPerPad, i)))
 		fm := fault.FromYield(grid, p, rng)
 		faultSum += float64(fm.Count())
-		discSum += noc.NewAnalyzer(fm).AllPairs().PctDual()
+		discSum += noc.NewTopoAnalyzer(noc.MeshTopology(grid), fm).AllPairs().PctDual()
 	}
 	if trials > 0 {
 		out.MeanDisconnected = discSum / float64(trials)

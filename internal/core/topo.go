@@ -20,8 +20,8 @@ import (
 // which fault population best. The candidate space — topologies crossed
 // with random fault maps — is priced per point by a saturation and a
 // loaded-latency probe, so the same two-tier trick as ExploreParetoCtx
-// applies: screen every candidate with the closed-form TopoModel,
-// cycle-verify only the plausible frontier.
+// applies: screen every candidate with the closed-form analytical
+// model, cycle-verify only the plausible frontier.
 
 // TopoSweepSpace enumerates the candidate (topology, fault map) grid.
 type TopoSweepSpace struct {
@@ -41,7 +41,7 @@ type TopoSweepSpace struct {
 
 // TopoSweepOpts configures ExploreTopologiesCtx.
 type TopoSweepOpts struct {
-	// TwoTier screens with the analytical TopoModel and verifies only
+	// TwoTier screens with the analytical model and verifies only
 	// the surviving candidates with the cycle engine.
 	TwoTier bool
 	// Model picks the backend for a single-tier run ("" = cycle).
@@ -195,17 +195,13 @@ func evalTopoCandidate(ctx context.Context, space TopoSweepSpace, c topoCandidat
 	pt := TopoPoint{Topology: c.topology, Faults: c.faults, Trial: c.trial, Model: string(model)}
 	switch model {
 	case ModelAnalytical:
-		m, err := analytical.NewForTopology(c.topology, fm, analytical.Config{})
+		m, err := analytical.NewForTopology(c.topology, fm)
 		if err != nil {
 			return TopoPoint{}, err
 		}
-		// Both shipped analytical backends expose the exact fraction of
-		// fault-free paths; delivered saturation is capacity times that.
-		reach, ok := m.(interface{ ReachableFraction() float64 })
-		if !ok {
-			return TopoPoint{}, fmt.Errorf("core: analytical backend for %q lacks ReachableFraction", c.topology)
-		}
-		pt.SatRate = m.SaturationRate() * reach.ReachableFraction()
+		// The model knows the exact fraction of fault-free paths;
+		// delivered saturation is capacity times that.
+		pt.SatRate = m.SaturationRate() * m.(*analytical.Model).ReachableFraction()
 		pts, err := m.ThroughputCurve(ctx, []float64{rate})
 		if err != nil {
 			return TopoPoint{}, err

@@ -53,7 +53,8 @@ func (m EvalModel) normalized() (EvalModel, error) {
 // saturation bound (noc.IdealSaturation) the NoC latency probe loads
 // the network at. It is model-independent (so the two tiers answer the
 // same question) and sits below every topology's measured plateau
-// (~0.53-0.74 of the bound, see analytical.DefaultTopoAllocEfficiency),
+// (~0.53-0.74 of the bound: the analytical model's per-topology
+// allocation efficiencies, analytical.DefaultTopoAllocEfficiency),
 // keeping the probe in the stable region of the latency-throughput
 // curve.
 const probeLoadFraction = 0.4
@@ -72,7 +73,7 @@ func probeNoC(ctx context.Context, side int, model EvalModel, topology string) (
 	var lm noc.LatencyModel
 	switch model {
 	case ModelAnalytical:
-		m, err := analytical.NewForTopology(topology, fm, analytical.Config{})
+		m, err := analytical.NewForTopology(topology, fm)
 		if err != nil {
 			return nocProbe{}, err
 		}

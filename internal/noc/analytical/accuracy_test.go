@@ -13,10 +13,11 @@ import (
 )
 
 // Accuracy validation of the analytical fast path against the
-// cycle-accurate engine — the oracle contract of ROADMAP item 5. The
-// configurations are pinned (the Fig. 7 16x16 array, fault-free and
-// with a seeded fault map) and every tolerance below is a documented
-// model-error budget, not an exact-equality claim:
+// cycle-accurate engine — the oracle contract of ROADMAP item 5. Every
+// shipped topology is held to the same budget. The configurations are
+// pinned (the Fig. 7 16x16 array, fault-free and with a seeded fault
+// map) and every tolerance below is a documented model-error budget,
+// not an exact-equality claim:
 //
 //   - delivered throughput below saturation: <= 10% relative error
 //     (the cycle engine loses a little offered traffic to injection
@@ -79,94 +80,191 @@ func fig7Maps(t *testing.T) map[string]*fault.Map {
 	}
 }
 
-// Latency-throughput curves: the analytical sweep must track the
-// measured curve point-by-point below saturation.
-func TestAccuracyThroughputCurve(t *testing.T) {
+// cycleModel is the cycle engine on a topology; probeCfg selects the
+// short probe configuration the pair-latency checks use.
+func cycleModel(topo string, fm *fault.Map, probeCfg bool) *noc.CycleModel {
+	cfg := noc.DefaultThroughputConfig()
+	if probeCfg {
+		cfg = noc.ProbeThroughputConfig()
+	}
+	cfg.Topology = topo
+	return &noc.CycleModel{FM: fm, Cfg: cfg}
+}
+
+// TestTopoModelMatchesMeshModel cross-validates the two marginal
+// builds: on the mesh topology the in-tree aggregation and the prefix
+// sums count exactly the same crossings, so every aggregate, link load
+// and loaded pair latency must agree.
+func TestTopoModelMatchesMeshModel(t *testing.T) {
+	const tol = 1e-9
+	close := func(a, b float64) bool {
+		return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+	}
 	for name, fm := range fig7Maps(t) {
 		t.Run(name, func(t *testing.T) {
-			model := mustModel(t, fm)
-			cycle := noc.NewCycleModel(fm)
-			sat := model.SaturationRate()
-			rates := []float64{0.1 * sat, 0.3 * sat, 0.6 * sat}
-			mpts, err := model.ThroughputCurve(context.Background(), rates)
+			ref := mustModel(t, noc.TopoMesh, fm)
+			g := fm.Grid()
+			tm, err := newModel(noc.MeshTopology(g), fm, (*Model).buildInTree)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cpts, err := cycle.ThroughputCurve(context.Background(), rates)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range rates {
-				if e := relErr(mpts[i].DeliveredRate, cpts[i].DeliveredRate); e > tolDelivered {
-					t.Errorf("rate %.3f: delivered model %.4f vs cycle %.4f (rel %.3f > %.2f)",
-						rates[i], mpts[i].DeliveredRate, cpts[i].DeliveredRate, e, tolDelivered)
+			for _, agg := range []struct {
+				name         string
+				intree, mesh float64
+			}{
+				{"ideal saturation", tm.IdealSaturationRate(), ref.IdealSaturationRate()},
+				{"saturation", tm.SaturationRate(), ref.SaturationRate()},
+				{"reachable", tm.ReachableFraction(), ref.ReachableFraction()},
+				{"avg route length", tm.AvgRouteLength(), ref.AvgRouteLength()},
+				{"max link load", tm.MaxLinkLoad(), ref.MaxLinkLoad()},
+			} {
+				if !close(agg.intree, agg.mesh) {
+					t.Errorf("%s: in-tree %.12f vs prefix sums %.12f", agg.name, agg.intree, agg.mesh)
 				}
-				if e := relErr(mpts[i].AvgLatency, cpts[i].AvgLatency); e > tolLatency {
-					t.Errorf("rate %.3f: latency model %.2f vs cycle %.2f (rel %.3f > %.2f)",
-						rates[i], mpts[i].AvgLatency, cpts[i].AvgLatency, e, tolLatency)
-				}
 			}
-		})
-	}
-}
-
-// Saturation throughput: closed-form capacity vs the measured
-// delivered-rate plateau.
-func TestAccuracySaturation(t *testing.T) {
-	for name, fm := range fig7Maps(t) {
-		t.Run(name, func(t *testing.T) {
-			model := mustModel(t, fm)
-			cycle := noc.NewCycleModel(fm)
-			// The plateau delivers only the reachable fraction of the
-			// capacity the hottest link admits; compare like with like.
-			analytic := model.SaturationRate() * model.ReachableFraction()
-			measured := cycle.SaturationRate()
-			if e := relErr(analytic, measured); e > tolSat {
-				t.Errorf("saturation: model %.4f vs measured plateau %.4f (rel %.3f > %.2f)",
-					analytic, measured, e, tolSat)
+			for _, net := range []noc.Network{noc.XY, noc.YX} {
+				g.All(func(c geom.Coord) {
+					for _, d := range geom.Dirs() {
+						if a, b := tm.LinkLoad(net, c, int(d)), ref.LinkLoad(net, c, int(d)); !close(a, b) {
+							t.Errorf("link load %v %v %v: in-tree %.12f vs prefix sums %.12f", net, c, d, a, b)
+						}
+					}
+				})
 			}
-		})
-	}
-}
-
-// Zero-load pair latency: with no background traffic the cycle engine
-// is deterministic and the model must match it exactly, including on
-// a faulted map (clear pairs) and in its blocked-pair verdicts.
-func TestAccuracyZeroLoadPairsExact(t *testing.T) {
-	for name, fm := range fig7Maps(t) {
-		t.Run(name, func(t *testing.T) {
-			model := mustModel(t, fm)
-			cycle := &noc.CycleModel{FM: fm, Cfg: noc.ProbeThroughputConfig(), ProbePackets: 1}
+			rng := rand.New(rand.NewSource(7))
 			healthy := fm.HealthyCoords()
-			rng := rand.New(rand.NewSource(42))
-			for i := 0; i < 24; i++ {
+			for i := 0; i < 32; i++ {
+				net := noc.Network(i % 2)
 				src := healthy[rng.Intn(len(healthy))]
 				dst := healthy[rng.Intn(len(healthy))]
 				if src == dst {
 					continue
 				}
-				net := noc.Network(i % 2)
-				mlat, mok := model.PairLatency(net, src, dst, 0)
-				clat, cok := cycle.PairLatency(net, src, dst, 0)
-				if mok != cok {
-					t.Fatalf("%v %v->%v: model ok=%v cycle ok=%v", net, src, dst, mok, cok)
-				}
-				if mok && mlat != clat {
-					t.Errorf("%v %v->%v: zero-load model %.1f vs cycle %.1f", net, src, dst, mlat, clat)
+				tl, tok := tm.PairLatency(net, src, dst, 0.05)
+				rl, rok := ref.PairLatency(net, src, dst, 0.05)
+				if tok != rok || (tok && !close(tl, rl)) {
+					t.Errorf("pair %v %v->%v: in-tree %.12f,%v vs prefix sums %.12f,%v", net, src, dst, tl, tok, rl, rok)
 				}
 			}
 		})
 	}
 }
 
+// The accuracy table is one check per property over every topology in
+// noc.TopologyNames(), with the same budget for each. The mesh cases
+// run under TestAccuracy* (subtests named by fault map), the others
+// under TestTopoAccuracy* (subtests named topology/fault map).
+
+// forAccuracyCases runs check on the Fig. 7 fault maps for the mesh
+// alone (mesh) or for every other topology (!mesh).
+func forAccuracyCases(t *testing.T, mesh bool, check func(t *testing.T, topo string, fm *fault.Map)) {
+	for _, topo := range noc.TopologyNames() {
+		if (topo == noc.TopoMesh) != mesh {
+			continue
+		}
+		for name, fm := range fig7Maps(t) {
+			sub := name
+			if !mesh {
+				sub = topo + "/" + name
+			}
+			t.Run(sub, func(t *testing.T) { check(t, topo, fm) })
+		}
+	}
+}
+
+// Latency-throughput curves: the analytical sweep must track the
+// measured curve point-by-point below saturation.
+func checkThroughputCurve(t *testing.T, topo string, fm *fault.Map) {
+	model := mustForTopology(t, topo, fm)
+	cycle := cycleModel(topo, fm, false)
+	sat := model.SaturationRate()
+	rates := []float64{0.1 * sat, 0.3 * sat, 0.6 * sat}
+	mpts, err := model.ThroughputCurve(context.Background(), rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpts, err := cycle.ThroughputCurve(context.Background(), rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rates {
+		if e := relErr(mpts[i].DeliveredRate, cpts[i].DeliveredRate); e > tolDelivered {
+			t.Errorf("rate %.3f: delivered model %.4f vs cycle %.4f (rel %.3f > %.2f)",
+				rates[i], mpts[i].DeliveredRate, cpts[i].DeliveredRate, e, tolDelivered)
+		}
+		if e := relErr(mpts[i].AvgLatency, cpts[i].AvgLatency); e > tolLatency {
+			t.Errorf("rate %.3f: latency model %.2f vs cycle %.2f (rel %.3f > %.2f)",
+				rates[i], mpts[i].AvgLatency, cpts[i].AvgLatency, e, tolLatency)
+		}
+	}
+}
+
+func TestAccuracyThroughputCurve(t *testing.T) { forAccuracyCases(t, true, checkThroughputCurve) }
+
+func TestTopoAccuracyThroughputCurve(t *testing.T) { forAccuracyCases(t, false, checkThroughputCurve) }
+
+// Saturation throughput: closed-form capacity (including the
+// credit-capacity normalization of long links) vs the measured
+// delivered-rate plateau.
+func checkSaturation(t *testing.T, topo string, fm *fault.Map) {
+	model := mustModel(t, topo, fm)
+	cycle := cycleModel(topo, fm, false)
+	// The plateau delivers only the reachable fraction of the
+	// capacity the hottest link admits; compare like with like.
+	analytic := model.SaturationRate() * model.ReachableFraction()
+	measured := cycle.SaturationRate()
+	if e := relErr(analytic, measured); e > tolSat {
+		t.Errorf("saturation: model %.4f vs measured plateau %.4f (rel %.3f > %.2f)",
+			analytic, measured, e, tolSat)
+	}
+}
+
+func TestAccuracySaturation(t *testing.T) { forAccuracyCases(t, true, checkSaturation) }
+
+func TestTopoAccuracySaturation(t *testing.T) { forAccuracyCases(t, false, checkSaturation) }
+
+// Zero-load pair latency: with no background traffic the cycle engine
+// is deterministic — hop count and link lengths only — so the model
+// must match it exactly, including on a faulted map (clear pairs) and
+// in its blocked-pair verdicts.
+func checkZeroLoadPairsExact(t *testing.T, topo string, fm *fault.Map) {
+	model := mustForTopology(t, topo, fm)
+	cycle := cycleModel(topo, fm, true)
+	cycle.ProbePackets = 1
+	healthy := fm.HealthyCoords()
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 24; i++ {
+		src := healthy[rng.Intn(len(healthy))]
+		dst := healthy[rng.Intn(len(healthy))]
+		if src == dst {
+			continue
+		}
+		net := noc.Network(i % 2)
+		mlat, mok := model.PairLatency(net, src, dst, 0)
+		clat, cok := cycle.PairLatency(net, src, dst, 0)
+		if mok != cok {
+			t.Fatalf("%v %v->%v: model ok=%v cycle ok=%v", net, src, dst, mok, cok)
+		}
+		if mok && mlat != clat {
+			t.Errorf("%v %v->%v: zero-load model %.1f vs cycle %.1f", net, src, dst, mlat, clat)
+		}
+	}
+}
+
+func TestAccuracyZeroLoadPairsExact(t *testing.T) { forAccuracyCases(t, true, checkZeroLoadPairsExact) }
+
+func TestTopoAccuracyZeroLoadPairsExact(t *testing.T) {
+	forAccuracyCases(t, false, checkZeroLoadPairsExact)
+}
+
 // Pair-latency ordering under load: the two-tier screen ranks design
 // points by modeled latency, so the ordering — not the absolute value
 // — is the contract. Sampled over pairs of spread-out distances at a
-// moderate background load.
-func TestAccuracyPairRankCorrelation(t *testing.T) {
+// moderate background load, fault-free.
+func checkPairRankCorrelation(t *testing.T, topo string) {
 	fm := fault.NewMap(geom.NewGrid(16, 16))
-	model := mustModel(t, fm)
-	cycle := &noc.CycleModel{FM: fm, Cfg: noc.ProbeThroughputConfig()}
+	model := mustForTopology(t, topo, fm)
+	cycle := cycleModel(topo, fm, true)
 	rate := 0.4 * model.SaturationRate()
 	rng := rand.New(rand.NewSource(9))
 	var ml, cl []float64
@@ -186,5 +284,16 @@ func TestAccuracyPairRankCorrelation(t *testing.T) {
 	}
 	if rho := spearman(ml, cl); rho < minRankCorr {
 		t.Errorf("pair-latency rank correlation %.3f < %.2f\nmodel: %v\ncycle: %v", rho, minRankCorr, ml, cl)
+	}
+}
+
+func TestAccuracyPairRankCorrelation(t *testing.T) { checkPairRankCorrelation(t, noc.TopoMesh) }
+
+func TestTopoAccuracyPairRankCorrelation(t *testing.T) {
+	for _, topo := range noc.TopologyNames() {
+		if topo == noc.TopoMesh {
+			continue
+		}
+		t.Run(topo, func(t *testing.T) { checkPairRankCorrelation(t, topo) })
 	}
 }

@@ -1,45 +1,52 @@
 // Package analytical is the closed-form fast path behind the
-// noc.LatencyModel seam: a queueing-style timing model of the dual
-// dimension-ordered mesh that answers the cycle engine's questions —
-// per-hop latency under load, link utilization, saturation throughput,
-// fault-aware path degradation — without stepping cycles. Building a
-// model is O(N^2) in the array side and every query is O(1) or
-// O(path), which makes it ~10^2-10^4x cheaper per design point than a
-// packet simulation (BenchmarkAnalyticalFig7 vs BenchmarkFig7PacketSim)
-// and lets the two-tier DSE screen hundreds of candidates before the
-// cycle-accurate engine verifies the survivors.
+// noc.LatencyModel seam: a queueing-style timing model of any shipped
+// noc.Topology that answers the cycle engine's questions — per-hop
+// latency under load, link utilization, saturation throughput,
+// fault-aware path degradation — without stepping cycles. Every query
+// is O(1) or O(path), which makes a design point ~10^2-10^4x cheaper
+// than a packet simulation (BenchmarkAnalyticalFig7 vs
+// BenchmarkFig7PacketSim) and lets the two-tier DSE screen hundreds of
+// candidates before the cycle-accurate engine verifies the survivors.
 //
-// The model, in three layers:
+// There is one model type, Model, built by NewForTopology. It has three
+// layers:
 //
 //  1. Traffic marginals. Under uniform random traffic every healthy
 //     tile injects at per-tile rate r, splitting packets evenly across
-//     the X-Y and Y-X networks with destinations uniform over the
-//     other healthy tiles. Because dimension-ordered routes are
-//     unique, the expected crossing rate of every directed link is a
-//     product of two healthy-tile counts (sources that can reach the
-//     link through their fault-free row/column run, times destinations
-//     beyond it), all computable from row/column prefix sums in O(1)
-//     per link. Packets that will later be dropped at a fault still
-//     load the links they traverse first, and the marginals count that
-//     partial traversal.
+//     the two networks with destinations uniform over the other
+//     healthy tiles. Routes are deterministic functions of (network,
+//     current tile, destination), so the expected crossing rate of
+//     every (tile, port) link is an exact count of the ordered pairs
+//     whose route uses it. Packets that will later be dropped at a
+//     fault still load the links they traverse first; the crossing
+//     into the faulty tile itself is not counted. The counts come from
+//     one of two builds that produce identical counts on the mesh
+//     (TestTopoModelMatchesMeshModel):
+//     - the mesh: row/column prefix sums of healthy tiles and their
+//     fault-free runs, O(1) per link and O(tiles) per model;
+//     - every other topology: source counts flowed down the in-tree of
+//     routes toward each destination, O(tiles) per destination and
+//     O(tiles^2) per model.
 //
-//  2. Queueing. Each directed link serves at most one packet per
-//     cycle, so a link with utilization rho adds an M/D/1-style
-//     queueing wait rho/(2(1-rho)) per crossing; the same term applied
-//     to the ejection port models destination contention. Utilization
-//     is clamped below 1 so post-saturation queries stay finite (the
-//     cycle engine's latency diverges there; the model's clamped value
-//     just means "saturated").
+//  2. Queueing. Each link serves at most one packet per cycle, or less
+//     when the downstream FIFO's credits run out on a long link, so a
+//     link with utilization rho adds an M/D/1-style queueing wait
+//     rho/(2(1-rho)) per crossing; the same term applied to the
+//     ejection port models destination contention. Utilization is
+//     clamped below 1 so post-saturation queries stay finite (the cycle
+//     engine's latency diverges there; the model's clamped value just
+//     means "saturated").
 //
 //  3. Aggregates. Saturation is the injection rate at which the
 //     hottest link reaches service capacity: the ideal bound (for the
 //     fault-free N x N mesh exactly the 8/N bisection bound of
-//     noc.TheoreticalSaturation) scaled by a calibrated switch
-//     allocation efficiency (see DefaultAllocEfficiency). Delivered
-//     throughput is the offered rate capped at saturation and scaled
-//     by the exact fraction of fault-free source-destination paths
-//     (computed, not sampled, via the same run-length prefix sums).
+//     noc.TheoreticalSaturation) scaled by a per-topology calibrated
+//     switch allocation efficiency (see DefaultTopoAllocEfficiency).
+//     Delivered throughput is the offered rate capped at saturation and
+//     scaled by the exact fraction of fault-free source-destination
+//     paths.
 //
+// The model mirrors the router parameters of noc.DefaultSimConfig.
 // Accuracy against the cycle engine is measured, not assumed — see
 // accuracy_test.go for the pinned tolerances.
 package analytical
@@ -47,29 +54,15 @@ package analytical
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 	"waferscale/internal/noc"
 )
 
-// Config parametrizes the model.
-type Config struct {
-	// Sim supplies the router parameters the model mirrors; the zero
-	// value means noc.DefaultSimConfig (4-deep FIFOs, 2-cycle links).
-	Sim noc.SimConfig
-	// MaxUtilization clamps per-link utilization inside the queueing
-	// terms so saturated queries return large-but-finite latencies;
-	// 0 means 0.97.
-	MaxUtilization float64
-	// AllocEfficiency is the fraction of a link's one-packet-per-cycle
-	// capacity the input-buffered round-robin switch actually sustains
-	// under uniform traffic; 0 means DefaultAllocEfficiency.
-	AllocEfficiency float64
-}
-
 // DefaultAllocEfficiency is the switch-allocation efficiency of the
-// input-buffered router. Like pdn.DefaultSheetResistanceOhm it is
+// input-buffered mesh router. Like pdn.DefaultSheetResistanceOhm it is
 // calibrated once — against the cycle engine's measured 16x16
 // delivered-throughput plateau, which lands at ~71-78% of the ideal
 // bisection bound (the classic head-of-line/allocation loss of
@@ -78,66 +71,161 @@ type Config struct {
 // from the traffic marginals.
 const DefaultAllocEfficiency = 0.75
 
-// Model is an immutable closed-form timing model over one fault map.
-// Build one with New; queries are cheap and safe for concurrent use.
-type Model struct {
-	grid    geom.Grid
-	an      *noc.Analyzer
-	sim     noc.SimConfig
-	clamp   float64
-	eff     float64
-	healthy int
+// maxUtilization clamps per-link utilization inside the queueing terms
+// so saturated queries return large-but-finite latencies.
+const maxUtilization = 0.97
 
-	// norm holds, per network and directed link (tile, dir), the
-	// expected crossings per cycle at unit per-tile injection rate.
-	norm [2][]float64
-	// ejNorm holds per-tile ejection arrivals at unit rate.
-	ejNorm  []float64
-	maxNorm float64
-	sat     float64
-	avgHops float64
-	reach   float64 // fraction of ordered pairs with a fault-free path on their network
+// DefaultTopoAllocEfficiency returns the calibrated switch-allocation
+// efficiency for a topology name, calibrated once per topology against
+// the cycle engine's measured fault-free 16x16 delivered-throughput
+// plateau (measured/capacity-normalized ideal: mesh 0.713, cmesh 0.525,
+// express 0.731, vertical 0.740). The mesh gets DefaultAllocEfficiency.
+// Concentration funnels four tiles' traffic through one input-buffered
+// hub, costing extra head-of-line loss; express and vertical links keep
+// the mesh's allocator geometry on the hot links and calibrate close to
+// it.
+func DefaultTopoAllocEfficiency(topology string) float64 {
+	name, err := noc.NormalizeTopology(topology)
+	if err != nil {
+		return DefaultAllocEfficiency
+	}
+	switch name {
+	case noc.TopoCMesh:
+		return 0.53
+	case noc.TopoExpress:
+		return 0.73
+	case noc.TopoVertical:
+		return 0.74
+	}
+	return DefaultAllocEfficiency
 }
 
-// New builds the model for a fault map. The fault map is read during
-// construction only; later mutations of fm do not affect the model.
-func New(fm *fault.Map, cfg Config) (*Model, error) {
-	g := fm.Grid()
-	if g.W < 2 || g.H < 2 {
-		return nil, fmt.Errorf("analytical: grid %v too small", g)
-	}
-	if cfg.Sim.FIFODepth == 0 && cfg.Sim.LinkLatency == 0 {
-		cfg.Sim = noc.DefaultSimConfig()
-	}
-	if err := cfg.Sim.Validate(); err != nil {
+// Model is an immutable closed-form timing model of one topology over
+// one fault map. Build one with NewForTopology; queries are cheap and
+// safe for concurrent use.
+type Model struct {
+	topo    noc.Topology
+	grid    geom.Grid
+	mesh    bool    // PairLatency's summation order; see there
+	hop     float64 // cycles per unit of link length
+	eff     float64
+	healthy int
+	alive   []bool // health snapshot at construction
+
+	np    int
+	local int
+
+	// norm holds, per network and (tile, port) link, the expected
+	// crossings per cycle at unit per-tile injection rate; ejNorm the
+	// per-tile ejection arrivals.
+	norm   [2][]float64
+	ejNorm []float64
+	// capInv is 1/capacity per (tile, port) link. A length-L link is
+	// credit-limited by the downstream FIFO: at most FIFODepth packets
+	// may be queued-or-in-flight toward one input port, and each flight
+	// takes L*LinkLatency cycles, so sustained service caps at
+	// min(1, FIFODepth/(L*LinkLatency)) packets per cycle. Unit mesh
+	// links are uncapped (capInv exactly 1); express links (L=4) cap at
+	// 0.5 — the engine effect that dominates their saturation.
+	capInv  []float64
+	maxNorm float64
+	sat     float64
+	avgLen  float64 // expected route length (mesh-hop units) over all pairs
+	reach   float64 // fraction of ordered pairs with a fault-free route on their network
+}
+
+// NewForTopology builds the closed-form model for the named topology
+// ("" = mesh) over a fault map, with the topology's calibrated
+// allocation efficiency. The mesh fills its marginals from prefix sums,
+// every other topology by in-tree aggregation over its routes. The
+// fault map is read during construction only.
+func NewForTopology(topology string, fm *fault.Map) (noc.LatencyModel, error) {
+	topo, err := noc.NewTopology(topology, fm.Grid())
+	if err != nil {
 		return nil, err
 	}
-	clamp := cfg.MaxUtilization
-	if clamp <= 0 {
-		clamp = 0.97
+	build := (*Model).buildInTree
+	if topo.Name() == noc.TopoMesh {
+		build = (*Model).buildPrefixSums
 	}
-	if clamp >= 1 {
-		return nil, fmt.Errorf("analytical: max utilization %.3g must be < 1", clamp)
+	m, err := newModel(topo, fm, build)
+	if err != nil {
+		return nil, err
 	}
-	eff := cfg.AllocEfficiency
-	if eff <= 0 {
-		eff = DefaultAllocEfficiency
-	}
-	if eff > 1 {
-		return nil, fmt.Errorf("analytical: allocation efficiency %.3g must be <= 1", eff)
-	}
+	return m, nil
+}
+
+// newModel builds a model whose marginals come from build. build fills
+// norm and ejNorm with integer pair counts and returns the summed route
+// length over both networks and the clear-route pair count per network.
+func newModel(topo noc.Topology, fm *fault.Map, build func(*Model) (lenSum int64, clearPairs [2]int64)) (*Model, error) {
+	g := fm.Grid()
+	cfg := noc.DefaultSimConfig()
 	m := &Model{
+		topo:    topo,
 		grid:    g,
-		an:      noc.NewAnalyzer(fm),
-		sim:     cfg.Sim,
-		clamp:   clamp,
-		eff:     eff,
+		mesh:    topo.Name() == noc.TopoMesh,
+		hop:     float64(cfg.LinkLatency),
+		eff:     DefaultTopoAllocEfficiency(topo.Name()),
 		healthy: fm.HealthyCount(),
+		np:      topo.Ports(),
+		local:   topo.Ports() - 1,
 	}
 	if m.healthy < 2 {
 		return nil, fmt.Errorf("analytical: %d healthy tiles, need at least 2", m.healthy)
 	}
-	m.build(fm)
+	size := g.Size()
+	m.alive = make([]bool, size)
+	g.All(func(c geom.Coord) { m.alive[g.Index(c)] = fm.Healthy(c) })
+	m.capInv = make([]float64, size*m.np)
+	g.All(func(c geom.Coord) {
+		for p := 0; p < m.local; p++ {
+			_, _, length, ok := topo.Link(c, p)
+			if !ok {
+				continue
+			}
+			inv := float64(length*cfg.LinkLatency) / float64(cfg.FIFODepth)
+			if inv < 1 {
+				inv = 1
+			}
+			m.capInv[g.Index(c)*m.np+p] = inv
+		}
+	})
+	m.norm[noc.XY] = make([]float64, size*m.np)
+	m.norm[noc.YX] = make([]float64, size*m.np)
+	m.ejNorm = make([]float64, size)
+	lenSum, clearPairs := build(m)
+
+	// Scale the counts by the per-network pair probability at unit
+	// rate. Counts are exact integers in float64, so both builds give
+	// the same bits for the same counts.
+	perPair := 1 / (2 * float64(m.healthy-1))
+	for net := 0; net < 2; net++ {
+		for i, c := range m.norm[net] {
+			if c == 0 {
+				continue
+			}
+			v := c * perPair
+			m.norm[net][i] = v
+			if u := v * m.capInv[i]; u > m.maxNorm {
+				m.maxNorm = u
+			}
+		}
+	}
+	for i, c := range m.ejNorm {
+		v := c * perPair
+		m.ejNorm[i] = v
+		if v > m.maxNorm {
+			m.maxNorm = v
+		}
+	}
+	m.sat = 1.0
+	if m.maxNorm > 1 {
+		m.sat = 1 / m.maxNorm
+	}
+	pairs := float64(m.healthy) * float64(m.healthy-1)
+	m.avgLen = float64(lenSum) / (2 * pairs)
+	m.reach = float64(clearPairs[noc.XY]+clearPairs[noc.YX]) / (2 * pairs)
 	return m, nil
 }
 
@@ -158,51 +246,123 @@ func (m *Model) SaturationRate() float64 { return m.sat * m.eff }
 // is exactly noc.TheoreticalSaturation's 8/N bisection bound.
 func (m *Model) IdealSaturationRate() float64 { return m.sat }
 
-// AvgHops returns the expected router-to-router traversals of a
-// uniform-random packet (the Manhattan distance between healthy pairs).
-func (m *Model) AvgHops() float64 { return m.avgHops }
+// AvgRouteLength returns the expected route length in mesh-hop units
+// (link lengths summed along the topology's routes) of a uniform-random
+// packet; on the mesh, the Manhattan distance between healthy pairs.
+func (m *Model) AvgRouteLength() float64 { return m.avgLen }
 
 // ReachableFraction returns the fraction of ordered healthy pairs
-// whose dimension-ordered path on the injected network is fault-free —
-// the delivered fraction of offered traffic, since blocked packets are
-// dropped at the first faulty router.
+// whose route on the injected network is fault-free — the delivered
+// fraction of offered traffic, since blocked packets are dropped at
+// the first faulty router.
 func (m *Model) ReachableFraction() float64 { return m.reach }
 
-// MaxLinkLoad returns the expected crossings per cycle of the hottest
-// directed link at unit per-tile injection rate (so utilization at
-// rate r is r*MaxLinkLoad).
+// MaxLinkLoad returns the highest capacity-normalized link utilization
+// (crossings over link capacity, or ejection arrivals) at unit per-tile
+// injection rate; saturation is its reciprocal.
 func (m *Model) MaxLinkLoad() float64 { return m.maxNorm }
 
 // LinkLoad returns the expected crossings per cycle, at unit per-tile
-// injection rate, of the directed link leaving tile c toward dir on
-// the given network — the analytical counterpart of the cycle engine's
-// per-link traversal counters (noc.Sim.LinkUse).
-func (m *Model) LinkLoad(net noc.Network, c geom.Coord, dir geom.Dir) float64 {
-	if !m.grid.In(c) {
+// injection rate, of the link leaving (c, port) on the given network —
+// the analytical counterpart of the cycle engine's per-link traversal
+// counters (noc.Sim.LinkUse). On the mesh, port is a geom.Dir.
+func (m *Model) LinkLoad(net noc.Network, c geom.Coord, port int) float64 {
+	if !m.grid.In(c) || port < 0 || port >= m.local {
 		return 0
 	}
-	return m.norm[net][m.linkIndex(c, dir)]
+	return m.norm[net][m.grid.Index(c)*m.np+port]
 }
+
+// routeStep resolves one routing decision for pkt, which carries the
+// network and destination: the policy's first candidate port at cur,
+// and the link it crosses. terminal is true at ejection (port == local)
+// or on a contract-violating dead end. buf and pkt are caller scratch,
+// hoisted out of the route loops so the policy call allocates nothing
+// per step; by the noc.Topology routing contract the packet's source
+// and arrival port do not matter.
+func (m *Model) routeStep(cur geom.Coord, pkt *noc.Packet, buf []int) (port int, far geom.Coord, length int, terminal bool) {
+	n := m.topo.Policy().Candidates(pkt.Net, pkt, cur, m.local, buf)
+	if n <= 0 {
+		return 0, cur, 0, true
+	}
+	port = buf[0]
+	if port == m.local {
+		return port, cur, 0, true
+	}
+	far, _, length, ok := m.topo.Link(cur, port)
+	if !ok {
+		return port, cur, 0, true
+	}
+	return port, far, length, false
+}
+
+// routeScratch is the scratch of one PairLatency route walk. The
+// routing policy is called through an interface, so its buffer and
+// packet would escape to the heap on every query; PairLatency takes
+// them from scratchPool instead, which keeps the model safe for
+// concurrent use.
+type routeScratch struct {
+	buf [noc.MaxPorts]int
+	pkt noc.Packet
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 
 // PairLatency implements noc.LatencyModel: the expected cycles for a
 // packet src->dst on the given network when every healthy tile offers
 // `rate` packets per cycle of background traffic. ok is false when the
-// DoR path crosses a faulty tile (the packet would be dropped).
+// route crosses a faulty tile (the packet would be dropped).
+//
+// Zero-load latency is route length * LinkLatency + 1: in the cycle
+// engine a landing packet wins allocation and relaunches in the same
+// cycle, so each hop costs exactly its link flight, and only the
+// injection FIFO's first allocation adds the +1. The mesh adds its
+// whole Manhattan flight before the waits; other topologies add each
+// link's flight as they walk it. The two orders round differently, and
+// testdata/model.golden pins each bit for bit.
 func (m *Model) PairLatency(net noc.Network, src, dst geom.Coord, rate float64) (float64, bool) {
 	if src == dst || !m.grid.In(src) || !m.grid.In(dst) {
 		return 0, false
 	}
-	if !m.an.PathClear(net, src, dst) {
+	ci, di := m.grid.Index(src), m.grid.Index(dst)
+	if !m.alive[ci] || !m.alive[di] {
 		return 0, false
 	}
-	lat := float64(src.Manhattan(dst))*m.perHop() + 1
-	if rate > 0 {
-		for cur := src; cur != dst; {
-			dir, _ := noc.NextHop(net, cur, dst)
-			lat += m.wait(rate * m.norm[net][m.linkIndex(cur, dir)])
-			cur = cur.Step(dir)
+	sc := scratchPool.Get().(*routeScratch)
+	defer scratchPool.Put(sc)
+	sc.pkt = noc.Packet{Net: net, Src: src, Dst: dst}
+	lat := 1.0
+	if m.mesh {
+		lat += float64(src.Manhattan(dst)) * m.hop
+	}
+	norm := m.norm[net]
+	maxSteps := 4 * (m.grid.W + m.grid.H)
+	for cur, step := src, 0; ; step++ {
+		if step > maxSteps {
+			return 0, false // contract violation; treat as unreachable
 		}
-		lat += m.wait(rate * m.ejNorm[m.grid.Index(dst)])
+		port, far, length, terminal := m.routeStep(cur, &sc.pkt, sc.buf[:])
+		if terminal {
+			if cur != dst {
+				return 0, false
+			}
+			break
+		}
+		fi := m.grid.Index(far)
+		if !m.alive[fi] {
+			return 0, false // dropped entering the faulty tile
+		}
+		if !m.mesh {
+			lat += float64(length) * m.hop
+		}
+		if rate > 0 {
+			slot := ci*m.np + port
+			lat += m.wait(rate * norm[slot] * m.capInv[slot])
+		}
+		cur, ci = far, fi
+	}
+	if rate > 0 {
+		lat += m.wait(rate * m.ejNorm[di])
 	}
 	return lat, true
 }
@@ -234,16 +394,16 @@ func (m *Model) point(rate float64) noc.ThroughputPoint {
 	}
 	pt.DeliveredRate = delivered * m.reach
 	if rate == 0 {
-		pt.AvgLatency = m.avgHops*m.perHop() + 1
+		pt.AvgLatency = m.avgLen*m.hop + 1
 		return pt
 	}
 	// Expected per-packet queueing: each link contributes its wait
 	// weighted by the expected crossings per packet (norm/healthy).
 	var qwait float64
 	for net := 0; net < 2; net++ {
-		for _, n := range m.norm[net] {
+		for i, n := range m.norm[net] {
 			if n > 0 {
-				qwait += n * m.wait(rate*n)
+				qwait += n * m.wait(rate*n*m.capInv[i])
 			}
 		}
 	}
@@ -252,248 +412,21 @@ func (m *Model) point(rate float64) noc.ThroughputPoint {
 			qwait += n * m.wait(rate*n)
 		}
 	}
-	pt.AvgLatency = m.avgHops*m.perHop() + 1 + qwait/float64(m.healthy)
+	pt.AvgLatency = m.avgLen*m.hop + 1 + qwait/float64(m.healthy)
 	return pt
 }
 
-// perHop is the unloaded cycles per router-to-router traversal. In the
-// cycle engine a landing packet wins allocation and relaunches in the
-// same cycle, so each hop costs exactly the link flight; only the
-// injection FIFO's first allocation adds the +1 constant (zero-load
-// latency is hops*LinkLatency + 1, verified exactly against the
-// engine in the accuracy suite).
-func (m *Model) perHop() float64 {
-	l := m.sim.LinkLatency
-	if l < 1 {
-		l = 1
-	}
-	return float64(l)
-}
-
 // wait is the M/D/1-style queueing delay of a link carrying `load`
-// expected packets per cycle: utilization is load over the effective
-// (allocation-limited) service rate, clamped so saturated links stay
-// finite.
+// expected packets per cycle per unit of capacity: utilization is load
+// over the effective (allocation-limited) service rate, clamped so
+// saturated links stay finite.
 func (m *Model) wait(load float64) float64 {
 	if load <= 0 {
 		return 0
 	}
 	rho := load / m.eff
-	if rho > m.clamp {
-		rho = m.clamp
+	if rho > maxUtilization {
+		rho = maxUtilization
 	}
 	return rho / (2 * (1 - rho))
-}
-
-func (m *Model) linkIndex(c geom.Coord, dir geom.Dir) int {
-	return m.grid.Index(c)*geom.NumDirs + int(dir)
-}
-
-// build computes the traffic marginals. All counts are over ordered
-// (src, dst) pairs of healthy tiles; each pair carries probability
-// rate/(2*(healthy-1)) per network per cycle.
-func (m *Model) build(fm *fault.Map) {
-	g := m.grid
-	W, H := g.W, g.H
-	healthyAt := func(x, y int) bool { return fm.Healthy(geom.C(x, y)) }
-
-	// Row/column healthy-count prefix sums (index i holds count over
-	// coordinates < i, so ranges are half-open and the zero case is
-	// free) and maximal fault-free run bounds per tile.
-	rowPre := make([][]int, H) // rowPre[y][x] = healthy in row y, cols [0,x)
-	colPre := make([][]int, W)
-	rowRunStart := make([]int, W*H) // valid where healthy
-	rowRunEnd := make([]int, W*H)
-	colRunStart := make([]int, W*H)
-	colRunEnd := make([]int, W*H)
-	for y := 0; y < H; y++ {
-		rowPre[y] = make([]int, W+1)
-		start := 0
-		for x := 0; x < W; x++ {
-			rowPre[y][x+1] = rowPre[y][x]
-			if healthyAt(x, y) {
-				rowPre[y][x+1]++
-			} else {
-				start = x + 1
-			}
-			rowRunStart[y*W+x] = start
-		}
-		end := W - 1
-		for x := W - 1; x >= 0; x-- {
-			if !healthyAt(x, y) {
-				end = x - 1
-			}
-			rowRunEnd[y*W+x] = end
-		}
-	}
-	for x := 0; x < W; x++ {
-		colPre[x] = make([]int, H+1)
-		start := 0
-		for y := 0; y < H; y++ {
-			colPre[x][y+1] = colPre[x][y]
-			if healthyAt(x, y) {
-				colPre[x][y+1]++
-			} else {
-				start = y + 1
-			}
-			colRunStart[y*W+x] = start
-		}
-		end := H - 1
-		for y := H - 1; y >= 0; y-- {
-			if !healthyAt(x, y) {
-				end = y - 1
-			}
-			colRunEnd[y*W+x] = end
-		}
-	}
-	// Totals across whole columns/rows, as prefix sums over the axis.
-	colTotPre := make([]int, W+1) // healthy in cols [0,x)
-	for x := 0; x < W; x++ {
-		colTotPre[x+1] = colTotPre[x] + colPre[x][H]
-	}
-	rowTotPre := make([]int, H+1)
-	for y := 0; y < H; y++ {
-		rowTotPre[y+1] = rowTotPre[y] + rowPre[y][W]
-	}
-	// Run-length prefix sums: srowPre[x][y] = sum over rows t < y of
-	// the horizontal run length around column x in row t (0 where
-	// (x,t) is faulty); scolPre mirrors it per row. These answer "how
-	// many sources can route cleanly into column x at or below row y"
-	// in O(1).
-	srowPre := make([][]int, W)
-	for x := 0; x < W; x++ {
-		srowPre[x] = make([]int, H+1)
-		for y := 0; y < H; y++ {
-			srowPre[x][y+1] = srowPre[x][y]
-			if healthyAt(x, y) {
-				srowPre[x][y+1] += rowRunEnd[y*W+x] - rowRunStart[y*W+x] + 1
-			}
-		}
-	}
-	scolPre := make([][]int, H)
-	for y := 0; y < H; y++ {
-		scolPre[y] = make([]int, W+1)
-		for x := 0; x < W; x++ {
-			scolPre[y][x+1] = scolPre[y][x]
-			if healthyAt(x, y) {
-				scolPre[y][x+1] += colRunEnd[y*W+x] - colRunStart[y*W+x] + 1
-			}
-		}
-	}
-
-	perPair := 1 / (2 * float64(m.healthy-1)) // per-net pair probability at unit rate
-	m.norm[noc.XY] = make([]float64, W*H*geom.NumDirs)
-	m.norm[noc.YX] = make([]float64, W*H*geom.NumDirs)
-	m.ejNorm = make([]float64, W*H)
-	var clearPairs [2]int64
-	for y := 0; y < H; y++ {
-		for x := 0; x < W; x++ {
-			if !healthyAt(x, y) {
-				continue
-			}
-			i := y*W + x
-			c := geom.C(x, y)
-			rs, re := rowRunStart[i], rowRunEnd[i]
-			cs, ce := colRunStart[i], colRunEnd[i]
-
-			// X-Y network. X phase runs along the source row: a packet
-			// crosses the east link of (x,y) when its source sits in
-			// the same fault-free run at column <= x and its
-			// destination column is beyond x (wherever its row is —
-			// packets dropped later still cross here).
-			if healthyAt(x+1, y) {
-				srcs := x - rs + 1
-				dsts := colTotPre[W] - colTotPre[x+1]
-				m.norm[noc.XY][m.linkIndex(c, geom.East)] = float64(srcs) * float64(dsts) * perPair
-			}
-			if x > 0 && healthyAt(x-1, y) {
-				srcs := re - x + 1
-				dsts := colTotPre[x]
-				m.norm[noc.XY][m.linkIndex(c, geom.West)] = float64(srcs) * float64(dsts) * perPair
-			}
-			// Y phase runs up/down the destination column: sources are
-			// every tile that routes cleanly into column x from a row
-			// inside this column's fault-free run, destinations the
-			// healthy tiles of column x beyond y.
-			if healthyAt(x, y+1) {
-				srcs := srowPre[x][y+1] - srowPre[x][cs]
-				dsts := colPre[x][H] - colPre[x][y+1]
-				m.norm[noc.XY][m.linkIndex(c, geom.North)] = float64(srcs) * float64(dsts) * perPair
-			}
-			if y > 0 && healthyAt(x, y-1) {
-				srcs := srowPre[x][ce+1] - srowPre[x][y]
-				dsts := colPre[x][y]
-				m.norm[noc.XY][m.linkIndex(c, geom.South)] = float64(srcs) * float64(dsts) * perPair
-			}
-
-			// Y-X network: the mirror image.
-			if healthyAt(x, y+1) {
-				srcs := y - cs + 1
-				dsts := rowTotPre[H] - rowTotPre[y+1]
-				m.norm[noc.YX][m.linkIndex(c, geom.North)] = float64(srcs) * float64(dsts) * perPair
-			}
-			if y > 0 && healthyAt(x, y-1) {
-				srcs := ce - y + 1
-				dsts := rowTotPre[y]
-				m.norm[noc.YX][m.linkIndex(c, geom.South)] = float64(srcs) * float64(dsts) * perPair
-			}
-			if healthyAt(x+1, y) {
-				srcs := scolPre[y][x+1] - scolPre[y][rs]
-				dsts := rowPre[y][W] - rowPre[y][x+1]
-				m.norm[noc.YX][m.linkIndex(c, geom.East)] = float64(srcs) * float64(dsts) * perPair
-			}
-			if x > 0 && healthyAt(x-1, y) {
-				srcs := scolPre[y][re+1] - scolPre[y][x]
-				dsts := rowPre[y][x]
-				m.norm[noc.YX][m.linkIndex(c, geom.West)] = float64(srcs) * float64(dsts) * perPair
-			}
-
-			// Clear-path pair counts and ejection load. outXY counts
-			// destinations this source reaches fault-free on X-Y (every
-			// column in its row run, then that column's run); by the
-			// src<->dst mirror symmetry the same sum taken column-first
-			// is simultaneously "sources reaching c on X-Y" (inXY) and
-			// "destinations c reaches on Y-X" (outYX).
-			outXY := scolPre[y][re+1] - scolPre[y][rs] - 1
-			outYX := srowPre[x][ce+1] - srowPre[x][cs] - 1
-			clearPairs[noc.XY] += int64(outXY)
-			clearPairs[noc.YX] += int64(outYX)
-			// Ejection arrivals at c: sources reaching c on each net.
-			m.ejNorm[i] = float64(outYX+outXY) * perPair
-		}
-	}
-
-	for net := 0; net < 2; net++ {
-		for _, n := range m.norm[net] {
-			if n > m.maxNorm {
-				m.maxNorm = n
-			}
-		}
-	}
-	for _, n := range m.ejNorm {
-		if n > m.maxNorm {
-			m.maxNorm = n
-		}
-	}
-	m.sat = 1.0
-	if m.maxNorm > 1 {
-		m.sat = 1 / m.maxNorm
-	}
-
-	// Average hops: E|dx| + E|dy| over ordered healthy pairs, from the
-	// per-axis marginals (the src==dst diagonal contributes zero).
-	pairs := float64(m.healthy) * float64(m.healthy-1)
-	var num float64
-	for x1 := 0; x1 < W; x1++ {
-		for x2 := x1 + 1; x2 < W; x2++ {
-			num += 2 * float64(colPre[x1][H]) * float64(colPre[x2][H]) * float64(x2-x1)
-		}
-	}
-	for y1 := 0; y1 < H; y1++ {
-		for y2 := y1 + 1; y2 < H; y2++ {
-			num += 2 * float64(rowPre[y1][W]) * float64(rowPre[y2][W]) * float64(y2-y1)
-		}
-	}
-	m.avgHops = num / pairs
-	m.reach = float64(clearPairs[noc.XY]+clearPairs[noc.YX]) / (2 * pairs)
 }

@@ -11,13 +11,22 @@ import (
 	"waferscale/internal/noc"
 )
 
-func mustModel(t *testing.T, fm *fault.Map) *Model {
+// mustForTopology builds the model production callers get for a
+// topology name.
+func mustForTopology(t *testing.T, name string, fm *fault.Map) noc.LatencyModel {
 	t.Helper()
-	m, err := New(fm, Config{})
+	m, err := NewForTopology(name, fm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// mustModel is mustForTopology with the concrete type, whose accessors
+// go beyond noc.LatencyModel.
+func mustModel(t *testing.T, name string, fm *fault.Map) *Model {
+	t.Helper()
+	return mustForTopology(t, name, fm).(*Model)
 }
 
 // The fault-free model must recover the closed-form bisection bound
@@ -26,7 +35,7 @@ func mustModel(t *testing.T, fm *fault.Map) *Model {
 func TestSaturationMatchesTheory(t *testing.T) {
 	for _, side := range []int{8, 16, 32} {
 		g := geom.NewGrid(side, side)
-		m := mustModel(t, fault.NewMap(g))
+		m := mustModel(t, noc.TopoMesh, fault.NewMap(g))
 		bound := noc.TheoreticalSaturation(g)
 		if rel := math.Abs(m.IdealSaturationRate()-bound) / bound; rel > 0.02 {
 			t.Errorf("side %d: ideal saturation %.4f vs 8/N bound %.4f (rel %.3f)",
@@ -42,7 +51,7 @@ func TestSaturationMatchesTheory(t *testing.T) {
 // latency) with no queueing terms.
 func TestZeroLoadPairLatencyExact(t *testing.T) {
 	g := geom.NewGrid(12, 12)
-	m := mustModel(t, fault.NewMap(g))
+	m := mustModel(t, noc.TopoMesh, fault.NewMap(g))
 	perHop := float64(noc.DefaultSimConfig().LinkLatency)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
@@ -68,7 +77,7 @@ func TestZeroLoadPairLatencyExact(t *testing.T) {
 func TestPairBlockingMatchesAnalyzer(t *testing.T) {
 	g := geom.NewGrid(10, 10)
 	fm := fault.Random(g, 9, rand.New(rand.NewSource(2021)))
-	m := mustModel(t, fm)
+	m := mustModel(t, noc.TopoMesh, fm)
 	an := noc.NewAnalyzer(fm)
 	healthy := fm.HealthyCoords()
 	for _, src := range healthy {
@@ -93,7 +102,7 @@ func TestPairBlockingMatchesAnalyzer(t *testing.T) {
 // fractions are mirror images so reach must be exactly 1.
 func TestLinkLoadConservation(t *testing.T) {
 	g := geom.NewGrid(9, 9)
-	m := mustModel(t, fault.NewMap(g))
+	m := mustModel(t, noc.TopoMesh, fault.NewMap(g))
 	if m.ReachableFraction() != 1 {
 		t.Errorf("fault-free reach %.6f, want 1", m.ReachableFraction())
 	}
@@ -102,14 +111,14 @@ func TestLinkLoadConservation(t *testing.T) {
 		for y := 0; y < g.H; y++ {
 			for x := 0; x < g.W; x++ {
 				for _, d := range geom.Dirs() {
-					sum += m.LinkLoad(net, geom.C(x, y), d)
+					sum += m.LinkLoad(net, geom.C(x, y), int(d))
 				}
 			}
 		}
 	}
 	healthy := float64(g.Size())
-	if rel := math.Abs(sum-healthy*m.AvgHops()) / (healthy * m.AvgHops()); rel > 1e-9 {
-		t.Errorf("sum of link loads %.4f, want healthy*avgHops = %.4f", sum, healthy*m.AvgHops())
+	if rel := math.Abs(sum-healthy*m.AvgRouteLength()) / (healthy * m.AvgRouteLength()); rel > 1e-9 {
+		t.Errorf("sum of link loads %.4f, want healthy*avgRouteLength = %.4f", sum, healthy*m.AvgRouteLength())
 	}
 }
 
@@ -119,7 +128,7 @@ func TestLinkLoadConservation(t *testing.T) {
 // only appears past saturation.
 func TestThroughputCurveShape(t *testing.T) {
 	g := geom.NewGrid(16, 16)
-	m := mustModel(t, fault.NewMap(g))
+	m := mustModel(t, noc.TopoMesh, fault.NewMap(g))
 	rates := []float64{0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.7, 1.0}
 	pts, err := m.ThroughputCurve(context.Background(), rates)
 	if err != nil {
@@ -159,11 +168,11 @@ func TestThroughputCurveShape(t *testing.T) {
 // keep loading links on partial paths toward dropped destinations.
 func TestFaultsDegradeModel(t *testing.T) {
 	g := geom.NewGrid(12, 12)
-	clean := mustModel(t, fault.NewMap(g))
+	clean := mustModel(t, noc.TopoMesh, fault.NewMap(g))
 	fm := fault.NewMap(g)
 	fm.MarkFaulty(geom.C(6, 6))
 	fm.MarkFaulty(geom.C(3, 5))
-	m := mustModel(t, fm)
+	m := mustModel(t, noc.TopoMesh, fm)
 	if m.SaturationRate() > clean.SaturationRate()+1e-9 {
 		t.Errorf("faulty saturation %.4f above clean %.4f", m.SaturationRate(), clean.SaturationRate())
 	}
@@ -177,9 +186,6 @@ func TestFaultsDegradeModel(t *testing.T) {
 	}
 	if _, ok := m.PairLatency(noc.YX, geom.C(4, 6), geom.C(8, 7), 0); !ok {
 		t.Error("YX route around dead tile reported blocked")
-	}
-	if _, err := New(fm, Config{MaxUtilization: 1.5}); err == nil {
-		t.Error("utilization clamp >= 1 accepted")
 	}
 }
 

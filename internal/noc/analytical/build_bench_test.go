@@ -10,32 +10,26 @@ import (
 )
 
 // BenchmarkAnalyticalBuild times model construction on the fault-free
-// mesh: the prefix-sum Model against the route-walking TopoModel, whose
-// in-tree flow aggregation walks every (source, destination) pair and
-// so grows as tiles². The gap is why NewForTopology keeps Model as the
-// mesh fast path.
+// mesh through both marginal builds: the prefix sums NewForTopology
+// uses for the mesh, against the in-tree aggregation every other
+// topology uses, which walks every (source, destination) pair and so
+// grows as tiles². The gap is why the mesh keeps its own build.
 func BenchmarkAnalyticalBuild(b *testing.B) {
-	build := map[string]func(fm *fault.Map) error{
-		"model": func(fm *fault.Map) error {
-			_, err := New(fm, Config{})
-			return err
-		},
-		"topo": func(fm *fault.Map) error {
-			topo, err := noc.NewTopology(noc.TopoMesh, fm.Grid())
-			if err != nil {
-				return err
-			}
-			_, err = NewTopoModel(topo, fm, Config{})
-			return err
-		},
+	builds := []struct {
+		name  string
+		build func(*Model) (int64, [2]int64)
+	}{
+		{"prefixsum", (*Model).buildPrefixSums},
+		{"intree", (*Model).buildInTree},
 	}
-	for _, kind := range []string{"model", "topo"} {
-		b.Run(kind, func(b *testing.B) {
+	for _, bl := range builds {
+		b.Run(bl.name, func(b *testing.B) {
 			for _, side := range []int{16, 32, 64} {
 				fm := fault.NewMap(geom.NewGrid(side, side))
+				topo := noc.MeshTopology(fm.Grid())
 				b.Run(fmt.Sprintf("side=%d", side), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if err := build[kind](fm); err != nil {
+						if _, err := newModel(topo, fm, bl.build); err != nil {
 							b.Fatal(err)
 						}
 					}

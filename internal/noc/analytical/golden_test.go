@@ -1,0 +1,74 @@
+package analytical
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"waferscale/internal/noc"
+)
+
+// goldenRates are the serve daemon's default throughput sweep rates.
+var goldenRates = []float64{0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0}
+
+// TestModelGolden pins every number the model's production callers
+// read, bit for bit (%v prints the shortest round-tripping form), on
+// both fig7Maps fault maps and every shipped topology: saturation,
+// reachability, the throughput curve at the serve default rates, and
+// pair latencies on both networks for a seeded pair set at zero and
+// moderate load.
+func TestModelGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "model.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := modelGolden(t); got != string(want) {
+		t.Errorf("model.golden differs from the model:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func modelGolden(t *testing.T) string {
+	maps := fig7Maps(t)
+	names := make([]string, 0, len(maps))
+	for name := range maps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, mapName := range names {
+		fm := maps[mapName]
+		for _, topo := range noc.TopologyNames() {
+			m := mustForTopology(t, topo, fm)
+			fmt.Fprintf(&b, "%s %s sat %v", mapName, topo, m.SaturationRate())
+			if r, ok := m.(interface{ ReachableFraction() float64 }); ok {
+				fmt.Fprintf(&b, " reach %v", r.ReachableFraction())
+			}
+			b.WriteByte('\n')
+			pts, err := m.ThroughputCurve(context.Background(), goldenRates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts {
+				fmt.Fprintf(&b, "  curve %v\n", p)
+			}
+			healthy := fm.HealthyCoords()
+			rng := rand.New(rand.NewSource(42))
+			for i := 0; i < 24; i++ {
+				src := healthy[rng.Intn(len(healthy))]
+				dst := healthy[rng.Intn(len(healthy))]
+				for _, net := range []noc.Network{noc.XY, noc.YX} {
+					for _, rate := range []float64{0, 0.05} {
+						lat, ok := m.PairLatency(net, src, dst, rate)
+						fmt.Fprintf(&b, "  pair %v %v->%v @%v %v %v\n", net, src, dst, rate, lat, ok)
+					}
+				}
+			}
+		}
+	}
+	return b.String()
+}

@@ -15,13 +15,13 @@ import (
 // trick needs DoR row/column route shapes; a generic topology instead
 // gets its route-clear relation built from the faulty tiles outward.
 // Routes toward one destination form an in-tree (the same property the
-// analytical TopoModel exploits), and a route is blocked exactly when
-// its source is a descendant of a faulty tile in that tree. So per
-// (network, healthy destination) Reset starts from the healthy-tile
-// set and walks backwards from every faulty tile, clearing the tiles
-// whose next hop leads into an already blocked one: the build costs
-// O(blocked pairs x ports) routing decisions instead of O(tiles^2),
-// and every PathClear query afterwards is O(1).
+// analytical model's in-tree build exploits), and a route is blocked
+// exactly when its source is a descendant of a faulty tile in that
+// tree. So per (network, healthy destination) Reset starts from the
+// healthy-tile set and walks backwards from every faulty tile,
+// clearing the tiles whose next hop leads into an already blocked
+// one: the build costs O(blocked pairs x ports) routing decisions
+// instead of O(tiles^2), and every PathClear query afterwards is O(1).
 //
 // The backward walk relies on the routing contract on Topology: the
 // next hop depends only on (network, current tile, destination) and

@@ -37,8 +37,8 @@ import (
 //     the packet's source or arrival port — and it is the local port
 //     at the destination and nowhere else. The routes toward one
 //     destination then form an in-tree, which TopoAnalyzer walks
-//     backwards from the faulty tiles and the analytical TopoModel
-//     aggregates over.
+//     backwards from the faulty tiles and the analytical model's
+//     in-tree build aggregates over.
 //
 // These invariants are exercised for every shipped topology by the
 // invariant and fuzz tests in topology_invariants_test.go

@@ -193,7 +193,7 @@ func runThroughput(ctx context.Context, sp *ThroughputSpec, emit func(Event)) (a
 		Topology:   sp.Topology,
 	}
 	if sp.Model == noc.ModelNameAnalytical {
-		model, err := analytical.NewForTopology(sp.Topology, fm, analytical.Config{})
+		model, err := analytical.NewForTopology(sp.Topology, fm)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,7 @@ import (
 
 func attachAnalytical(t *testing.T, m *Machine, fm *fault.Map) {
 	t.Helper()
-	model, err := analytical.New(fm, analytical.Config{})
+	model, err := analytical.NewForTopology(noc.TopoMesh, fm)
 	if err != nil {
 		t.Fatal(err)
 	}
