@@ -75,7 +75,7 @@ func pdnBenchConfig() pdn.Config {
 // red-black SOR solver on a 70x70 array.
 func BenchmarkPDNSolveSerial(b *testing.B) {
 	cfg := pdnBenchConfig()
-	cfg.Serial = true
+	cfg.Workers = 1
 	for i := 0; i < b.N; i++ {
 		if _, err := pdn.Solve(cfg); err != nil {
 			b.Fatal(err)
@@ -183,8 +183,11 @@ func BenchmarkFig5IOYield(b *testing.B) {
 func BenchmarkFig6DisconnectedPairs(b *testing.B) {
 	grid := geom.NewGrid(32, 32)
 	var pts []noc.Fig6Point
+	var err error
 	for i := 0; i < b.N; i++ {
-		pts = noc.Fig6Sweep(grid, []int{5}, 8, 2021)
+		if pts, err = noc.Fig6SweepCtx(context.Background(), grid, []int{5}, 8, 2021, noc.Fig6Opts{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(pts[0].PctSingle.Mean, "disc1net%@5")
 	b.ReportMetric(pts[0].PctDual.Mean, "disc2net%@5")

@@ -146,6 +146,12 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *trials < 1 {
+		return fmt.Errorf("trials %d < 1", *trials)
+	}
+	if tiles := d.Cfg.Tiles(); *faults < 0 || *faults > tiles {
+		return fmt.Errorf("faults %d outside 0..%d", *faults, tiles)
+	}
 	d.Workers = *workers
 	fm := fault.Random(d.Cfg.Grid(), *faults, rand.New(rand.NewSource(*seed)))
 	return d.WriteFullReport(os.Stdout, fm, *trials, *seed)

@@ -111,6 +111,26 @@ func TestThroughputRejectsTooManyFaults(t *testing.T) {
 	}
 }
 
+// TestReportRejectsBadCounts: a trial count below one or a fault count
+// outside the array fails before any analysis runs instead of
+// panicking in the Monte Carlo or the fault-map draw.
+func TestReportRejectsBadCounts(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"report", "-trials", "-1"}, "trials -1 < 1"},
+		{[]string{"report", "-trials", "0"}, "trials 0 < 1"},
+		{[]string{"report", "-faults", "-1"}, "faults -1 outside 0..1024"},
+		{[]string{"report", "-faults", "1025"}, "faults 1025 outside 0..1024"},
+	} {
+		out, stderr, code := runCLI(t, c.args...)
+		if code != 1 || out != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1, no stdout, %q", c.args, code, out, stderr, c.want)
+		}
+	}
+}
+
 // TestNocMCZeroTrialsIsDefault: -trials 0 means the default trial
 // count, as it does in the daemon, not a sweep of zero trials.
 func TestNocMCZeroTrialsIsDefault(t *testing.T) {

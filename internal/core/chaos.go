@@ -13,7 +13,7 @@ import (
 )
 
 // Chaos Monte Carlo: the runtime analogue of the Fig. 6 static yield
-// sweep. Where fault.MonteCarlo asks "what fraction of randomly-faulty
+// sweep. Where noc.Fig6SweepCtx asks "what fraction of randomly-faulty
 // wafers is still connected?", RunChaos asks "what fraction of live
 // BFS runs survives tiles dying mid-run?" — it executes the kernel on
 // the functional simulator under seeded inject.Schedules and reports

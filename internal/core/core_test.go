@@ -161,7 +161,10 @@ func TestAnalyzeYield(t *testing.T) {
 func TestAnalyzeNetwork(t *testing.T) {
 	d := NewDesign()
 	d.Cfg.TilesX, d.Cfg.TilesY, d.Cfg.JTAGChains = 16, 16, 16
-	rep := d.AnalyzeNetwork([]int{2, 6}, 4, 7)
+	rep, err := d.AnalyzeNetwork([]int{2, 6}, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Fig6) != 2 {
 		t.Fatalf("points = %d", len(rep.Fig6))
 	}
@@ -172,6 +175,9 @@ func TestAnalyzeNetwork(t *testing.T) {
 	}
 	if rep.Bandwidth.AggregateBps <= 0 {
 		t.Error("bandwidth not computed")
+	}
+	if _, err := d.AnalyzeNetwork([]int{2}, 0, 7); err == nil {
+		t.Error("zero trials accepted")
 	}
 }
 
@@ -315,5 +321,11 @@ func TestWriteFullReport(t *testing.T) {
 	bad.PillarYield = 0
 	if err := bad.WriteFullReport(&buf, fm, 1, 1); err == nil {
 		t.Error("invalid design reported")
+	}
+	// A failing section (here the Monte Carlo) fails the report before
+	// anything is written.
+	buf.Reset()
+	if err := d.WriteFullReport(&buf, fm, 0, 1); err == nil || buf.Len() != 0 {
+		t.Errorf("zero-trial report: err %v, %d bytes written", err, buf.Len())
 	}
 }

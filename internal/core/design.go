@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -230,16 +231,17 @@ type NetworkReport struct {
 }
 
 // AnalyzeNetwork runs the Fig. 6 Monte Carlo at the given fault counts.
-func (d *Design) AnalyzeNetwork(faultCounts []int, trials int, seed int64) *NetworkReport {
+func (d *Design) AnalyzeNetwork(faultCounts []int, trials int, seed int64) (*NetworkReport, error) {
+	fig6, err := noc.Fig6SweepCtx(context.Background(), d.Cfg.Grid(), faultCounts, trials, seed, noc.Fig6Opts{Workers: d.Workers})
+	if err != nil {
+		return nil, err
+	}
 	link := noc.DefaultLinkSpec(d.Cfg.TileWidthMM())
 	link.ClockHz = d.Cfg.FreqHz
 	link.PayloadBits = d.Cfg.PayloadBitsPerBus
 	link.PacketBits = d.Cfg.PacketWidthBits
 	link.Buses = d.Cfg.BusesPerTileSide
-	return &NetworkReport{
-		Fig6:      noc.Fig6SweepWorkers(d.Cfg.Grid(), faultCounts, trials, seed, d.Workers),
-		Bandwidth: noc.ComputeBandwidth(d.Cfg.Grid(), link),
-	}
+	return &NetworkReport{Fig6: fig6, Bandwidth: noc.ComputeBandwidth(d.Cfg.Grid(), link)}, nil
 }
 
 // TestReport is the Section VII analysis result.

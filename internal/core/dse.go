@@ -101,7 +101,7 @@ func (d *Design) SweepArraySizeCtx(ctx context.Context, sides []int, opts SweepO
 			EdgeVolts:    cfg.EdgeSupplyVolts,
 			TileCurrentA: cfg.PeakTilePowerW / cfg.FastCornerVolts,
 			SheetOhm:     d.SheetOhm,
-			Serial:       true, // outer loop owns the pool
+			Workers:      1, // outer loop owns the pool
 		}
 		var minV float64
 		var regOK bool

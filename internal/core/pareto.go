@@ -115,7 +115,7 @@ func (d *Design) evaluatePoint(side int, edgeV float64, pillars int, model EvalM
 		EdgeVolts:    edgeV,
 		TileCurrentA: cfg.PeakTilePowerW / cfg.FastCornerVolts,
 		SheetOhm:     d.SheetOhm,
-		Serial:       true, // outer loop owns the pool
+		Workers:      1, // outer loop owns the pool
 	}
 	// Feasibility: the LDO must regulate at every tile. A higher edge
 	// voltage extends droop headroom but must stay within the LDO's

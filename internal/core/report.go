@@ -40,7 +40,7 @@ func (d *Design) WriteFullReport(w io.Writer, fm *fault.Map, mcTrials int, seed 
 		func() (e error) { power, e = d.AnalyzePower(); return },
 		func() (e error) { clk, e = d.AnalyzeClock(fm); return },
 		func() (e error) { yld, e = d.AnalyzeYield(); return },
-		func() error { net = d.AnalyzeNetwork([]int{1, 5, 10}, mcTrials, seed); return nil },
+		func() (e error) { net, e = d.AnalyzeNetwork([]int{1, 5, 10}, mcTrials, seed); return },
 		func() (e error) { tst, e = d.AnalyzeTest(); return },
 		func() (e error) { sub, e = d.AnalyzeSubstrate(); return },
 		func() (e error) { tr, e = d.AnalyzeTransient(); return },

@@ -1,11 +1,9 @@
 package fault
 
 import (
-	"context"
 	"math/rand"
 
 	"waferscale/internal/geom"
-	"waferscale/internal/parallel"
 )
 
 // Clustered fault generation. The paper's Fig. 6 Monte Carlo uses
@@ -76,42 +74,4 @@ func ClusterStats(m *Map) float64 {
 		}
 	}
 	return float64(adj) / float64(len(faulty))
-}
-
-// ClusteredMonteCarlo mirrors MonteCarlo but draws clustered maps.
-type ClusteredMonteCarlo struct {
-	Grid    geom.Grid
-	Cluster ClusterConfig
-	Trials  int
-	Seed    int64
-	// Workers caps trial parallelism; 0 means GOMAXPROCS.
-	Workers int
-}
-
-// Samples evaluates the metric over clustered fault maps, trials fanned
-// out on the shared pool with per-trial derived seeds (bit-identical at
-// any worker count).
-func (mc ClusteredMonteCarlo) Samples(faults int, metric Metric) []float64 {
-	out, _ := mc.SamplesCtx(context.Background(), faults, metric)
-	return out
-}
-
-// SamplesCtx is Samples with cancellation: trials not yet dispatched
-// when ctx is cancelled are skipped and (nil, ctx.Err()) is returned —
-// the sample slice would have undefined holes, so no partial result is
-// exposed. In-flight trials finish normally.
-func (mc ClusteredMonteCarlo) SamplesCtx(ctx context.Context, faults int, metric Metric) ([]float64, error) {
-	if mc.Trials <= 0 {
-		return nil, nil
-	}
-	out := make([]float64, mc.Trials)
-	err := parallel.ForEach(ctx, mc.Trials, mc.Workers, func(i int) error {
-		rng := rand.New(rand.NewSource(TrialSeed(mc.Seed, faults, i)))
-		out[i] = metric(Clustered(mc.Grid, faults, mc.Cluster, rng))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -16,6 +16,12 @@ func TestClusteredExactCount(t *testing.T) {
 			t.Errorf("Clustered(%d) placed %d", n, m.Count())
 		}
 	}
+	// The same seed draws the same map.
+	a := Clustered(g, 20, DefaultClusters(), rand.New(rand.NewSource(3)))
+	b := Clustered(g, 20, DefaultClusters(), rand.New(rand.NewSource(3)))
+	if a.String() != b.String() {
+		t.Error("Clustered is not deterministic per seed")
+	}
 }
 
 func TestClusteredPanicsOutOfRange(t *testing.T) {
@@ -49,24 +55,6 @@ func TestClusteredIsClumpier(t *testing.T) {
 func TestClusterStatsEmpty(t *testing.T) {
 	if ClusterStats(NewMap(geom.NewGrid(4, 4))) != 0 {
 		t.Error("empty map should score 0")
-	}
-}
-
-func TestClusteredMonteCarloDeterministic(t *testing.T) {
-	mc := ClusteredMonteCarlo{
-		Grid: geom.NewGrid(16, 16), Cluster: DefaultClusters(),
-		Trials: 8, Seed: 3,
-	}
-	metric := func(m *Map) float64 { return ClusterStats(m) }
-	a := mc.Samples(10, metric)
-	b := mc.Samples(10, metric)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trial %d not deterministic", i)
-		}
-	}
-	if mc2 := (ClusteredMonteCarlo{Trials: 0}); mc2.Samples(1, metric) != nil {
-		t.Error("zero trials should return nil")
 	}
 }
 

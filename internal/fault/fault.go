@@ -1,7 +1,7 @@
 // Package fault provides fault maps over the waferscale tile array and
-// the seeded Monte-Carlo machinery used by the resiliency analyses
-// (network connectivity in Fig. 6, clock forwarding in Fig. 4, and the
-// bonding-yield estimates in Section V).
+// the seeded draws and summary statistics behind the resiliency Monte
+// Carlos (network connectivity in Fig. 6, clock forwarding in Fig. 4,
+// and the bonding-yield estimates in Section V).
 //
 // The paper treats faults at chiplet granularity; because the compute
 // chiplet carries the routers and clock circuitry and the memory chiplet
@@ -179,6 +179,21 @@ func FromYield(grid geom.Grid, p float64, rng *rand.Rand) *Map {
 		}
 	})
 	return m
+}
+
+// TrialSeed derives a per-trial seed from a base seed and a stratum
+// (e.g. the fault or kill count) via a splitmix64-style mix, so trials
+// are decorrelated even for adjacent indices. Every Monte Carlo in the
+// repository (fault maps, chiplet faults, chaos runs) derives its
+// per-trial rand.Rand through this one function, which is what makes
+// the parallel fan-out reproducible per seed.
+func TrialSeed(base int64, stratum, trial int) int64 {
+	z := uint64(base) ^ uint64(stratum)<<32 ^ uint64(trial)
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z)
 }
 
 // Parse builds a map from the String drawing format ('.'/'X', north row

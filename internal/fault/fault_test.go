@@ -295,51 +295,3 @@ func TestPercentile(t *testing.T) {
 		t.Error("Percentile mutated its input")
 	}
 }
-
-func TestMonteCarloDeterminism(t *testing.T) {
-	mc := MonteCarlo{Grid: geom.NewGrid(16, 16), Trials: 32, Seed: 99}
-	metric := func(m *Map) float64 { return float64(len(m.Isolated())) }
-	a := mc.Samples(8, metric)
-	b := mc.Samples(8, metric)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trial %d differs between identical runs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// Different worker counts must not change results.
-	for _, workers := range []int{1, 4} {
-		mc.Workers = workers
-		c := mc.Samples(8, metric)
-		for i := range a {
-			if a[i] != c[i] {
-				t.Fatalf("trial %d differs with %d workers", i, workers)
-			}
-		}
-	}
-}
-
-func TestMonteCarloSweep(t *testing.T) {
-	mc := MonteCarlo{Grid: geom.NewGrid(8, 8), Trials: 16, Seed: 5}
-	counts := []int{0, 4, 16}
-	stats := mc.Sweep(counts, func(m *Map) float64 { return float64(m.Count()) })
-	for i, st := range stats {
-		if st.Mean != float64(counts[i]) {
-			t.Errorf("sweep[%d] mean = %v, want %d", i, st.Mean, counts[i])
-		}
-	}
-}
-
-func TestMonteCarloZeroTrials(t *testing.T) {
-	mc := MonteCarlo{Grid: geom.NewGrid(4, 4), Trials: 0, Seed: 1}
-	if s := mc.Samples(2, func(*Map) float64 { return 1 }); s != nil {
-		t.Errorf("zero trials should return nil, got %v", s)
-	}
-}
-
-func TestFormatSweep(t *testing.T) {
-	pts := []SweepPoint{{Faults: 5, Stats: Collect([]float64{1, 2, 3})}}
-	s := FormatSweep(pts, "disc%")
-	if !strings.Contains(s, "disc% mean") || !strings.Contains(s, "5") {
-		t.Errorf("formatted sweep missing content:\n%s", s)
-	}
-}

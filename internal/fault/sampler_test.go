@@ -58,27 +58,3 @@ func TestSamplerPanicsOutOfRange(t *testing.T) {
 	}()
 	NewSampler(geom.NewGrid(2, 2)).Draw(5, rand.New(rand.NewSource(1)))
 }
-
-// TestForEachMapPooledDifferential: the pooled ForEachMap must hand
-// every trial the exact map the unpooled implementation (fresh Random
-// per trial) would have produced, at several worker counts.
-func TestForEachMapPooledDifferential(t *testing.T) {
-	grid := geom.NewGrid(8, 8)
-	const trials, faults, seed = 16, 6, 77
-
-	want := make([][]geom.Coord, trials)
-	for i := 0; i < trials; i++ {
-		rng := rand.New(rand.NewSource(TrialSeed(seed, faults, i)))
-		want[i] = Random(grid, faults, rng).FaultyCoords()
-	}
-	for _, workers := range []int{1, 3, 8} {
-		mc := MonteCarlo{Grid: grid, Trials: trials, Seed: seed, Workers: workers}
-		got := make([][]geom.Coord, trials)
-		mc.ForEachMap(faults, func(trial int, m *Map) {
-			got[trial] = m.FaultyCoords()
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: pooled maps diverge from fresh Random maps", workers)
-		}
-	}
-}

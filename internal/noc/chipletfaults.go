@@ -3,11 +3,9 @@ package noc
 import (
 	"context"
 	"math/rand"
-	"sync/atomic"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
-	"waferscale/internal/parallel"
 )
 
 // Chiplet-granularity fault modelling. Fig. 6's x-axis counts faulty
@@ -269,39 +267,17 @@ type ChipletFig6Point struct {
 // ChipletFig6SweepCtx is the chiplet-granularity Monte Carlo behind the
 // `waferscale nocmc -chiplet` refinement: for each faulty-chiplet
 // count, the disconnected-pair percentages are averaged over trials
-// random chiplet fault maps. Trials run on the shared bounded pool
-// (opts.Workers 0 means GOMAXPROCS) with per-trial seeds derived
-// through fault.TrialSeed, so the curves are bit-identical at any
-// worker count. Cancellation and progress mirror Fig6SweepCtx: on ctx
-// cancellation the points for fully-completed chiplet counts (a
-// prefix, possibly empty) are returned with ctx.Err().
+// random chiplet fault maps. Seeding, cancellation and progress are
+// fig6Sweep's, as for Fig6SweepCtx.
 func ChipletFig6SweepCtx(ctx context.Context, grid geom.Grid, chipletCounts []int, trials int, seed int64, opts Fig6Opts) ([]ChipletFig6Point, error) {
-	total := len(chipletCounts) * trials
-	var cum atomic.Int64
-	out := make([]ChipletFig6Point, 0, len(chipletCounts))
-	for _, n := range chipletCounts {
-		single := make([]float64, trials)
-		dual := make([]float64, trials)
-		err := parallel.ForEach(ctx, trials, opts.Workers, func(i int) error {
-			rng := rand.New(rand.NewSource(fault.TrialSeed(seed, n, i)))
-			st := NewChipletAnalyzer(RandomChiplets(grid, n, rng)).AllPairs()
-			single[i] = st.PctSingle()
-			dual[i] = st.PctDual()
-			if opts.Progress != nil {
-				opts.Progress(int(cum.Add(1)), total)
-			}
-			return nil
-		})
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ChipletFig6Point{
-			Chiplets:  n,
-			PctSingle: fault.Collect(single),
-			PctDual:   fault.Collect(dual),
-		})
+	pts, err := fig6Sweep(ctx, chipletCounts, 2*grid.Size(), trials, seed, opts, func(n int, rng *rand.Rand) PairStats {
+		return NewChipletAnalyzer(RandomChiplets(grid, n, rng)).AllPairs()
+	})
+	out := make([]ChipletFig6Point, len(pts))
+	for i, p := range pts {
+		out[i] = ChipletFig6Point{Chiplets: p.Faults, PctSingle: p.PctSingle, PctDual: p.PctDual}
 	}
-	return out, nil
+	return out, err
 }
 
 func minInt(a, b int) int {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 
 	"waferscale/internal/fault"
@@ -20,14 +21,12 @@ func TestClusteredFaultsAblation(t *testing.T) {
 	const faults = 12
 	const trials = 10
 
-	uniformMC := fault.MonteCarlo{Grid: grid, Trials: trials, Seed: 77}
-	clusterMC := fault.ClusteredMonteCarlo{
-		Grid: grid, Cluster: fault.DefaultClusters(), Trials: trials, Seed: 77,
-	}
+	uniform := uniformMaps(grid)
+	clustered := clusteredMaps(grid, fault.DefaultClusters())
 	single := func(m *fault.Map) float64 { return NewAnalyzer(m).AllPairs().PctSingle() }
 
-	uni := fault.Collect(uniformMC.Samples(faults, single))
-	clu := fault.Collect(clusterMC.Samples(faults, single))
+	uni := sampleMaps(trials, faults, 77, uniform, single)
+	clu := sampleMaps(trials, faults, 77, clustered, single)
 	if clu.Mean >= uni.Mean {
 		t.Errorf("clustered single-net disconnection %.2f%% should be below uniform %.2f%%",
 			clu.Mean, uni.Mean)
@@ -36,7 +35,7 @@ func TestClusteredFaultsAblation(t *testing.T) {
 	// Dual-network residuals stay small either way — the scheme is
 	// robust to the fault distribution, not just its count.
 	dual := func(m *fault.Map) float64 { return NewAnalyzer(m).AllPairs().PctDual() }
-	cluDual := fault.Collect(clusterMC.Samples(faults, dual))
+	cluDual := sampleMaps(trials, faults, 77, clustered, dual)
 	if cluDual.Mean > 5 {
 		t.Errorf("clustered dual-net disconnection %.2f%% unexpectedly large", cluDual.Mean)
 	}
@@ -49,12 +48,29 @@ func TestClusteredIsolationRisk(t *testing.T) {
 	const faults = 40
 	const trials = 40
 	iso := func(m *fault.Map) float64 { return float64(len(m.Isolated())) }
-	uni := fault.Collect(fault.MonteCarlo{Grid: grid, Trials: trials, Seed: 3}.Samples(faults, iso))
-	clu := fault.Collect(fault.ClusteredMonteCarlo{
-		Grid: grid, Cluster: fault.ClusterConfig{MeanClusterSize: 5, Radius: 1},
-		Trials: trials, Seed: 3,
-	}.Samples(faults, iso))
+	uni := sampleMaps(trials, faults, 3, uniformMaps(grid), iso)
+	clu := sampleMaps(trials, faults, 3, clusteredMaps(grid, fault.ClusterConfig{MeanClusterSize: 5, Radius: 1}), iso)
 	if clu.Mean < uni.Mean {
 		t.Errorf("clustered isolation %.3f should be >= uniform %.3f", clu.Mean, uni.Mean)
 	}
+}
+
+// sampleMaps evaluates metric over trials fault maps with n faults
+// each, trial i drawn from its own rand.Rand seeded by
+// fault.TrialSeed(seed, n, i) — the seeding of every Monte Carlo in the
+// repository — and summarizes the samples.
+func sampleMaps(trials, n int, seed int64, draw func(int, *rand.Rand) *fault.Map, metric func(*fault.Map) float64) fault.Stats {
+	samples := make([]float64, trials)
+	for i := range samples {
+		samples[i] = metric(draw(n, rand.New(rand.NewSource(fault.TrialSeed(seed, n, i)))))
+	}
+	return fault.Collect(samples)
+}
+
+func uniformMaps(grid geom.Grid) func(int, *rand.Rand) *fault.Map {
+	return func(n int, rng *rand.Rand) *fault.Map { return fault.Random(grid, n, rng) }
+}
+
+func clusteredMaps(grid geom.Grid, cfg fault.ClusterConfig) func(int, *rand.Rand) *fault.Map {
+	return func(n int, rng *rand.Rand) *fault.Map { return fault.Clustered(grid, n, cfg, rng) }
 }

@@ -2,11 +2,14 @@ package noc
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
+	"waferscale/internal/parallel"
 )
 
 // Analyzer answers path-clear queries against one fault map in O(1)
@@ -207,22 +210,6 @@ type Fig6Point struct {
 	PctDual   fault.Stats // % disconnected pairs, two DoR networks
 }
 
-// Fig6Sweep runs the paper's Monte Carlo: for each fault count, average
-// the percentage of disconnected source-destination pairs over randomly
-// generated fault maps, for the conventional single-network scheme and
-// the dual-network scheme. Trials fan out over GOMAXPROCS workers; use
-// Fig6SweepWorkers to bound the pool.
-func Fig6Sweep(grid geom.Grid, faultCounts []int, trials int, seed int64) []Fig6Point {
-	return Fig6SweepWorkers(grid, faultCounts, trials, seed, 0)
-}
-
-// Fig6SweepWorkers is Fig6Sweep with an explicit trial-pool bound
-// (0 means GOMAXPROCS). Results are bit-identical at any worker count.
-func Fig6SweepWorkers(grid geom.Grid, faultCounts []int, trials int, seed int64, workers int) []Fig6Point {
-	out, _ := Fig6SweepCtx(context.Background(), grid, faultCounts, trials, seed, Fig6Opts{Workers: workers})
-	return out
-}
-
 // Fig6Opts carries the host-side knobs of a Fig. 6 sweep — none of
 // them affect the computed curves.
 type Fig6Opts struct {
@@ -235,44 +222,71 @@ type Fig6Opts struct {
 	Progress func(done, total int)
 }
 
-// Fig6SweepCtx is the cancellable Fig. 6 Monte Carlo. On ctx
-// cancellation it returns the points for the fault counts fully
-// completed before the cancel (a prefix of faultCounts, possibly
-// empty) together with ctx.Err(); trials already in flight finish but
-// their half-swept count is discarded.
+// Fig6SweepCtx is the paper's Fig. 6 Monte Carlo on the mesh: for each
+// fault count, the percentage of disconnected source-destination pairs
+// averaged over randomly generated tile fault maps, for the
+// conventional single-network scheme and the dual-network scheme. It
+// uses the prefix-sum Analyzer; cancellation, progress and seeding are
+// fig6Sweep's.
 func Fig6SweepCtx(ctx context.Context, grid geom.Grid, faultCounts []int, trials int, seed int64, opts Fig6Opts) ([]Fig6Point, error) {
-	mc := fault.MonteCarlo{Grid: grid, Trials: trials, Seed: seed, Workers: opts.Workers}
-	total := len(faultCounts) * trials
-	var cum atomic.Int64
-	if opts.Progress != nil {
-		mc.Progress = func(int, int) { opts.Progress(int(cum.Add(1)), total) }
+	// Each worker recycles a sampler and an analyzer via Reset instead
+	// of allocating a map, a permutation and prefix-sum slabs per trial
+	// (both are pure scratch; pooling cannot affect the results).
+	type scratch struct {
+		s *fault.Sampler
+		a Analyzer
 	}
-	// Each worker recycles an Analyzer via Reset instead of allocating
-	// fresh prefix-sum slabs per trial map (the analyzer is pure scratch;
-	// pooling cannot affect the per-trial results).
-	pool := sync.Pool{New: func() any { return &Analyzer{} }}
-	out := make([]Fig6Point, 0, len(faultCounts))
+	pool := sync.Pool{New: func() any { return &scratch{s: fault.NewSampler(grid)} }}
+	return fig6Sweep(ctx, faultCounts, grid.Size(), trials, seed, opts, func(n int, rng *rand.Rand) PairStats {
+		sc := pool.Get().(*scratch)
+		defer pool.Put(sc)
+		sc.a.Reset(sc.s.Draw(n, rng))
+		return sc.a.AllPairs()
+	})
+}
+
+// fig6Sweep is the one Fig. 6 loop behind the mesh, topology and
+// chiplet sweeps. For each fault count n (each within 0..maxFaults) it
+// runs trials calls of trial on the bounded pool (opts.Workers); trial
+// i of count n draws from its own rand.Rand seeded by
+// fault.TrialSeed(seed, n, i), so the curves are bit-identical at any
+// worker count. One trial yields both curves, so the single- and
+// dual-network samples are paired per fault map. On ctx cancellation
+// it returns the points of the counts whose every trial finished (a
+// prefix of faultCounts, possibly empty) together with ctx.Err();
+// trials already in flight finish but a half-swept count is discarded.
+func fig6Sweep(ctx context.Context, faultCounts []int, maxFaults, trials int, seed int64, opts Fig6Opts, trial func(n int, rng *rand.Rand) PairStats) ([]Fig6Point, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("noc: Fig. 6 trials %d < 1", trials)
+	}
 	for _, n := range faultCounts {
-		// One pass over each map computes both curves, so the single-
-		// and dual-network samples are paired per fault map.
-		single := make([]float64, trials)
-		dual := make([]float64, trials)
-		err := mc.ForEachMapCtx(ctx, n, func(trial int, m *fault.Map) {
-			a := pool.Get().(*Analyzer)
-			a.Reset(m)
-			st := a.AllPairs()
-			pool.Put(a)
-			single[trial] = st.PctSingle()
-			dual[trial] = st.PctDual()
+		if n < 0 || n > maxFaults {
+			return nil, fmt.Errorf("noc: Fig. 6 fault count %d outside 0..%d", n, maxFaults)
+		}
+	}
+	total := len(faultCounts) * trials
+	var done atomic.Int64
+	single := make([]float64, trials)
+	dual := make([]float64, trials)
+	out := make([]Fig6Point, 0, len(faultCounts))
+	for k, n := range faultCounts {
+		err := parallel.ForEach(ctx, trials, opts.Workers, func(i int) error {
+			st := trial(n, rand.New(rand.NewSource(fault.TrialSeed(seed, n, i))))
+			single[i], dual[i] = st.PctSingle(), st.PctDual()
+			d := done.Add(1)
+			if opts.Progress != nil {
+				opts.Progress(int(d), total)
+			}
+			return nil
 		})
+		// A cancel that lands as the count's last trial finishes still
+		// leaves every sample of the count in place.
+		if done.Load() == int64((k+1)*trials) {
+			out = append(out, Fig6Point{Faults: n, PctSingle: fault.Collect(single), PctDual: fault.Collect(dual)})
+		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, Fig6Point{
-			Faults:    n,
-			PctSingle: fault.Collect(single),
-			PctDual:   fault.Collect(dual),
-		})
 	}
 	return out, nil
 }

@@ -110,13 +110,13 @@ func TestChipletFig6SweepWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestFig6SweepWorkerInvariance: the tile-level Fig. 6 sweep through
-// fault.MonteCarlo is likewise worker-count invariant.
+// TestFig6SweepWorkerInvariance: the tile-level Fig. 6 sweep is
+// likewise worker-count invariant.
 func TestFig6SweepWorkerInvariance(t *testing.T) {
 	grid := geom.NewGrid(8, 8)
-	ref := Fig6SweepWorkers(grid, []int{3}, 8, 7, 1)
+	ref := mustFig6(t, grid, []int{3}, 8, 7, 1)
 	for _, workers := range []int{4, 0} {
-		got := Fig6SweepWorkers(grid, []int{3}, 8, 7, workers)
+		got := mustFig6(t, grid, []int{3}, 8, 7, workers)
 		if got[0] != ref[0] {
 			t.Fatalf("workers=%d: %+v != serial %+v", workers, got[0], ref[0])
 		}

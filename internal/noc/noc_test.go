@@ -177,7 +177,7 @@ func TestFig6Headline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-array Monte Carlo")
 	}
-	pts := Fig6Sweep(geom.NewGrid(32, 32), []int{5}, 12, 2021)
+	pts := mustFig6(t, geom.NewGrid(32, 32), []int{5}, 12, 2021, 0)
 	p := pts[0]
 	if p.PctSingle.Mean <= 10 {
 		t.Errorf("single-network disconnect at 5 faults = %.2f%%, paper reports >12%%", p.PctSingle.Mean)
@@ -198,7 +198,7 @@ func TestFig6MonotoneAndDominant(t *testing.T) {
 		t.Skip("Monte Carlo sweep")
 	}
 	counts := []int{1, 3, 5, 10, 20}
-	pts := Fig6Sweep(geom.NewGrid(16, 16), counts, 10, 7)
+	pts := mustFig6(t, geom.NewGrid(16, 16), counts, 10, 7, 0)
 	for i, p := range pts {
 		if p.PctDual.Mean > p.PctSingle.Mean {
 			t.Errorf("faults=%d: dual %.2f%% > single %.2f%%", p.Faults, p.PctDual.Mean, p.PctSingle.Mean)

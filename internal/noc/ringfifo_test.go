@@ -165,31 +165,32 @@ func TestAnalyzerResetMatchesNew(t *testing.T) {
 
 // TestFig6SweepPooledAnalyzersBitIdentical: the pooled-Reset Monte
 // Carlo must reproduce the exact point values of a per-trial
-// NewAnalyzer loop (here recomputed directly), at several worker
-// counts.
+// fresh-map, NewAnalyzer loop (here recomputed directly), at several
+// worker counts.
 func TestFig6SweepPooledAnalyzersBitIdentical(t *testing.T) {
 	grid := geom.NewGrid(12, 12)
 	counts := []int{2, 5}
 	const trials, seed = 6, 77
-	want := Fig6SweepWorkers(grid, counts, trials, seed, 1)
+	want := mustFig6(t, grid, counts, trials, seed, 1)
 	for _, workers := range []int{2, 4} {
-		got := Fig6SweepWorkers(grid, counts, trials, seed, workers)
+		got := mustFig6(t, grid, counts, trials, seed, workers)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("workers=%d point %d: %+v != %+v", workers, i, got[i], want[i])
 			}
 		}
 	}
-	// And against the manual per-trial fresh-analyzer computation.
-	mc := fault.MonteCarlo{Grid: grid, Trials: trials, Seed: seed, Workers: 1}
+	// And against the manual per-trial fresh-map, fresh-analyzer
+	// computation.
 	for i, n := range counts {
 		single := make([]float64, trials)
 		dual := make([]float64, trials)
-		mc.ForEachMap(n, func(trial int, m *fault.Map) {
-			st := NewAnalyzer(m).AllPairs()
+		for trial := range single {
+			rng := rand.New(rand.NewSource(fault.TrialSeed(seed, n, trial)))
+			st := NewAnalyzer(fault.Random(grid, n, rng)).AllPairs()
 			single[trial] = st.PctSingle()
 			dual[trial] = st.PctDual()
-		})
+		}
 		if want[i].PctSingle != fault.Collect(single) || want[i].PctDual != fault.Collect(dual) {
 			t.Errorf("fault count %d: pooled sweep diverges from fresh-analyzer reference", n)
 		}

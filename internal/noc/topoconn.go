@@ -3,8 +3,8 @@ package noc
 import (
 	"context"
 	"math/bits"
+	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
@@ -255,18 +255,12 @@ func (a *TopoAnalyzer) AllPairs() PairStats {
 	return st
 }
 
-// TopoFig6Sweep runs the Fig. 6 Monte Carlo on the named topology with
-// default options; see TopoFig6SweepCtx.
-func TopoFig6Sweep(topology string, grid geom.Grid, faultCounts []int, trials int, seed int64) ([]Fig6Point, error) {
-	return TopoFig6SweepCtx(context.Background(), topology, grid, faultCounts, trials, seed, Fig6Opts{})
-}
-
 // TopoFig6SweepCtx is Fig6SweepCtx generalized over topologies: the
 // percentage of disconnected pairs per fault count, averaged over
 // random fault maps, on the named topology's link graph ("" = mesh).
-// The mesh delegates to the prefix-sum sweep, so mesh results are
-// bit-identical to Fig6SweepCtx at any worker count; other topologies
-// use TopoAnalyzer with the same trial maps (same grid, seed and trial
+// The mesh delegates to Fig6SweepCtx, so mesh results are
+// bit-identical to it at any worker count; other topologies use
+// TopoAnalyzer with the same trial maps (same grid, seed and trial
 // derivation), so curves are comparable across topologies point by
 // point. A trial costs one TopoAnalyzer Reset — O(blocked pairs x
 // ports) routing decisions into a destination-major bit relation, 2
@@ -281,43 +275,21 @@ func TopoFig6SweepCtx(ctx context.Context, topology string, grid geom.Grid, faul
 	if name == TopoMesh {
 		return Fig6SweepCtx(ctx, grid, faultCounts, trials, seed, opts)
 	}
-	if _, err := NewTopology(name, grid); err != nil {
+	topo, err := NewTopology(name, grid)
+	if err != nil {
 		return nil, err
 	}
-	mc := fault.MonteCarlo{Grid: grid, Trials: trials, Seed: seed, Workers: opts.Workers}
-	total := len(faultCounts) * trials
-	var cum atomic.Int64
-	if opts.Progress != nil {
-		mc.Progress = func(int, int) { opts.Progress(int(cum.Add(1)), total) }
+	// The topology is shared (the Topology contract makes it safe for
+	// concurrent use); samplers and analyzers are per-worker scratch.
+	type scratch struct {
+		s *fault.Sampler
+		a TopoAnalyzer
 	}
-	pool := sync.Pool{New: func() any { return &TopoAnalyzer{} }}
-	out := make([]Fig6Point, 0, len(faultCounts))
-	for _, n := range faultCounts {
-		single := make([]float64, trials)
-		dual := make([]float64, trials)
-		err := mc.ForEachMapCtx(ctx, n, func(trial int, m *fault.Map) {
-			// Each trial builds its own topology value (they are immutable
-			// and cheap: a grid and a couple of ints) so pooled analyzers
-			// never share one across goroutines.
-			topo, terr := NewTopology(name, grid)
-			if terr != nil {
-				return // validated above; unreachable
-			}
-			a := pool.Get().(*TopoAnalyzer)
-			a.Reset(topo, m)
-			st := a.AllPairs()
-			pool.Put(a)
-			single[trial] = st.PctSingle()
-			dual[trial] = st.PctDual()
-		})
-		if err != nil {
-			return out, err
-		}
-		out = append(out, Fig6Point{
-			Faults:    n,
-			PctSingle: fault.Collect(single),
-			PctDual:   fault.Collect(dual),
-		})
-	}
-	return out, nil
+	pool := sync.Pool{New: func() any { return &scratch{s: fault.NewSampler(grid)} }}
+	return fig6Sweep(ctx, faultCounts, grid.Size(), trials, seed, opts, func(n int, rng *rand.Rand) PairStats {
+		sc := pool.Get().(*scratch)
+		defer pool.Put(sc)
+		sc.a.Reset(topo, sc.s.Draw(n, rng))
+		return sc.a.AllPairs()
+	})
 }

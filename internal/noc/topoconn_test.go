@@ -91,9 +91,9 @@ func TestTopoFig6Sweep(t *testing.T) {
 	g := geom.NewGrid(10, 10)
 	counts := []int{0, 2, 5}
 	const trials, seed = 4, 99
-	ref := Fig6SweepWorkers(g, counts, trials, seed, 0)
+	ref := mustFig6(t, g, counts, trials, seed, 0)
 	for _, name := range TopologyNames() {
-		pts, err := TopoFig6Sweep(name, g, counts, trials, seed)
+		pts, err := TopoFig6SweepCtx(context.Background(), name, g, counts, trials, seed, Fig6Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestTopoFig6Sweep(t *testing.T) {
 		}
 		for i, p := range pts {
 			if name == TopoMesh && p != ref[i] {
-				t.Errorf("mesh point %d: %+v differs from Fig6Sweep %+v", i, p, ref[i])
+				t.Errorf("mesh point %d: %+v differs from Fig6SweepCtx %+v", i, p, ref[i])
 			}
 			if p.PctDual.Mean > p.PctSingle.Mean+1e-12 {
 				t.Errorf("%s faults=%d: dual %.4f%% above single %.4f%%", name, p.Faults, p.PctDual.Mean, p.PctSingle.Mean)
@@ -112,7 +112,7 @@ func TestTopoFig6Sweep(t *testing.T) {
 			}
 		}
 	}
-	if _, err := TopoFig6Sweep("torus", g, counts, trials, seed); err == nil {
+	if _, err := TopoFig6SweepCtx(context.Background(), "torus", g, counts, trials, seed, Fig6Opts{}); err == nil {
 		t.Error("unknown topology accepted")
 	}
 }

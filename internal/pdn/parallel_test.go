@@ -15,7 +15,7 @@ import (
 // race or a schedule-dependent float path crept in.
 func TestSolveParallelMatchesSerial(t *testing.T) {
 	cfg := DefaultConfig(geom.NewGrid(33, 29), 0.27) // odd, non-square on purpose
-	cfg.Serial = true
+	cfg.Workers = 1
 	ref, err := Solve(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,20 +43,19 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 // when Dirichlet nodes sit mid-array (TWV scheme), where fixed nodes
 // interleave with both colors.
 func TestSolveParallelWithInteriorSupplies(t *testing.T) {
-	mk := func(workers int, serial bool) *Solution {
+	mk := func(workers int) *Solution {
 		cfg := DefaultConfig(geom.NewGrid(24, 24), 0.29)
 		cfg.InteriorSupplies = twvSupplies(cfg.Grid, 6)
 		cfg.Workers = workers
-		cfg.Serial = serial
 		sol, err := Solve(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sol
 	}
-	ref := mk(0, true)
-	for _, workers := range []int{1, 3, 8} {
-		sol := mk(workers, false)
+	ref := mk(1)
+	for _, workers := range []int{0, 3, 8} {
+		sol := mk(workers)
 		for i := range ref.Volts {
 			if sol.Volts[i] != ref.Volts[i] {
 				t.Fatalf("workers=%d: node %d differs from serial", workers, i)

@@ -69,10 +69,6 @@ type Config struct {
 	// red-black half-sweep; 0 means GOMAXPROCS. The voltage map is
 	// bit-identical at every worker count.
 	Workers int
-	// Serial forces the single-goroutine path regardless of Workers —
-	// the escape hatch the differential tests use to prove the parallel
-	// schedule changes nothing.
-	Serial bool
 
 	// Progress, when non-nil, is invoked every ProgressEvery sweeps
 	// with the sweep count so far and the scaled residual of the last
@@ -210,9 +206,6 @@ func SolveCtx(ctx context.Context, cfg Config) (*Solution, error) {
 	}
 
 	workers := parallel.Workers(cfg.Workers, g.H)
-	if cfg.Serial {
-		workers = 1
-	}
 
 	// sweep runs both half-sweeps (red then black, with a barrier
 	// between) and returns the worst scaled residual observed.
