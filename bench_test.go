@@ -688,43 +688,29 @@ func BenchmarkDSEArraySweep(b *testing.B) {
 	b.ReportMetric(float64(knee), "largestRegulatingTiles")
 }
 
-// BenchmarkAnalyticalFig7 answers the same question as
-// BenchmarkFig7PacketSim — per-pair latency statistics for 512 random
-// request/response pairs on a fault-free 16x16 mesh — through the
-// closed-form analytical model instead of stepping cycles. Compare
-// ns/op against BenchmarkFig7PacketSim for the fast path's per-point
-// advantage (the two-tier DSE screen budgets on >= 100x).
-func BenchmarkAnalyticalFig7(b *testing.B) {
-	fm := fault.NewMap(geom.NewGrid(16, 16))
-	var avgLat float64
+// BenchmarkAnalyticalThroughput answers the same question as
+// BenchmarkNoCThroughput/mesh — the latency-throughput curve of a
+// fault-free 8x8 mesh at 0.05 and at its ideal saturation bound —
+// through the closed-form analytical model instead of stepping cycles.
+// The model is built inside the loop, as the two-tier DSE screen builds
+// one per design point, so the ns/op ratio against
+// BenchmarkNoCThroughput/mesh is the screen's per-point advantage.
+func BenchmarkAnalyticalThroughput(b *testing.B) {
+	grid := geom.NewGrid(8, 8)
+	fm := fault.NewMap(grid)
+	rates := []float64{0.05, noc.IdealSaturation(noc.TopoMesh, grid)}
+	var pts []noc.ThroughputPoint
 	for i := 0; i < b.N; i++ {
-		// Seeded per iteration so the reported metric does not depend
-		// on b.N (the same pairs as BenchmarkFig7PacketSim).
-		rng := rand.New(rand.NewSource(7))
 		m, err := analytical.NewForTopology(noc.TopoMesh, fm)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var sum float64
-		n := 0
-		for j := 0; j < 512; j++ {
-			src := geom.C(rng.Intn(16), rng.Intn(16))
-			dst := geom.C(rng.Intn(16), rng.Intn(16))
-			req := noc.Network(j % 2)
-			lat, ok := m.PairLatency(req, src, dst, 0.05)
-			if !ok {
-				continue
-			}
-			rsp, ok2 := m.PairLatency(req.Complement(), dst, src, 0.05)
-			if !ok2 {
-				continue
-			}
-			sum += lat + rsp
-			n++
+		if pts, err = m.ThroughputCurve(context.Background(), rates); err != nil {
+			b.Fatal(err)
 		}
-		avgLat = sum / float64(n)
 	}
-	b.ReportMetric(avgLat, "avgRoundTripCyc")
+	b.ReportMetric(pts[0].AvgLatency, "lowLoadLatency")
+	b.ReportMetric(pts[1].DeliveredRate, "saturatedRate")
 }
 
 // twoTierBenchSpace is a 105-point design grid spanning the scale-up

@@ -23,7 +23,6 @@ import (
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 	"waferscale/internal/inject"
-	"waferscale/internal/noc/analytical"
 	"waferscale/internal/parallel"
 	"waferscale/internal/sim"
 	"waferscale/internal/version"
@@ -48,15 +47,12 @@ func main() {
 	trials := flag.Int("trials", 1, "fault-survival trials (with -faults; each draws fresh victims)")
 	fork := flag.Bool("fork", true, "run -trials off one warm prefix forked per trial (bit-identical, skips replaying the fault-free prefix)")
 	hostWorkers := flag.Int("host-workers", 0, "host goroutines running trials (0 = GOMAXPROCS)")
-	latencyModel := flag.String("latency-model", "cycle",
-		"remote-op timing backend: cycle (exact network simulation) | analytical (closed-form model; approximate timing, exact results)")
 	topoFlag := flag.String("topology", "",
 		"NoC link graph: mesh (default) | cmesh | express | vertical (needs an even side)")
 	placementFlag := flag.String("placement", "",
 		"operator-graph tensor placement: rowmajor (default) | blocked | bandwidth")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
-	timingModel = *latencyModel
 	topology = *topoFlag
 	placement = *placementFlag
 
@@ -79,38 +75,34 @@ func main() {
 	}
 }
 
-// timingModel is the -latency-model selection and topology the
-// -topology selection; newWsimMachine applies both to every machine
-// the CLI builds.
+// topology is the -topology selection, which newWsimMachine applies to
+// every machine the CLI builds, and placement the -placement selection
+// runTransformer places the operator graph with.
 var (
-	timingModel = "cycle"
-	topology    = ""
-	placement   = ""
+	topology  = ""
+	placement = ""
 )
 
-// newWsimMachine builds a machine on a fresh fault map and attaches
-// the selected timing backend and NoC topology. The analytical backend
-// replaces the cycle-stepped network with closed-form latencies:
-// computed results stay exact, reported cycle counts are approximate
-// and labeled.
+// newWsimMachine builds a machine with the selected NoC topology on a
+// fresh fault map.
 func newWsimMachine(cfg arch.Config) (*sim.Machine, error) {
-	fm := fault.NewMap(cfg.Grid())
-	m, err := sim.NewMachineTopology(cfg, fm, topology)
-	if err != nil {
-		return nil, err
+	return sim.NewMachineTopology(cfg, fault.NewMap(cfg.Grid()), topology)
+}
+
+// machineConfig is the prototype design cut to a side×side array of
+// cores-per-tile tiles, with -faults checked against its tile count.
+func machineConfig(side, cores, faults int) (arch.Config, error) {
+	cfg := arch.DefaultConfig()
+	cfg.TilesX, cfg.TilesY = side, side
+	cfg.CoresPerTile = cores
+	cfg.JTAGChains = side
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
 	}
-	switch timingModel {
-	case "", "cycle":
-	case "analytical":
-		model, err := analytical.NewForTopology(topology, fm)
-		if err != nil {
-			return nil, err
-		}
-		m.LatencyModel = model
-	default:
-		return nil, fmt.Errorf("unknown -latency-model %q (want cycle|analytical)", timingModel)
+	if tiles := cfg.Tiles(); faults < 0 || faults > tiles {
+		return cfg, fmt.Errorf("faults %d outside 0..%d", faults, tiles)
 	}
-	return m, nil
+	return cfg, nil
 }
 
 // parseCoords parses a semicolon-separated coordinate list like "1,0;2,3".
@@ -160,11 +152,8 @@ func buildSchedule(grid geom.Grid, faults int, faultSeed int64, kill string, at 
 
 func run(workload string, side, cores, vertices, edges, workers, src int, seed, maxCycles int64, profile bool,
 	faults int, faultSeed int64, kill string, faultAt int64) error {
-	cfg := arch.DefaultConfig()
-	cfg.TilesX, cfg.TilesY = side, side
-	cfg.CoresPerTile = cores
-	cfg.JTAGChains = side
-	if err := cfg.Validate(); err != nil {
+	cfg, err := machineConfig(side, cores, faults)
+	if err != nil {
 		return err
 	}
 	m, err := newWsimMachine(cfg)
@@ -236,15 +225,12 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 	if workload != "bfs" && workload != "sssp" {
 		return fmt.Errorf("-trials supports bfs|sssp, not %q", workload)
 	}
-	if faults <= 0 {
-		return fmt.Errorf("-trials needs -faults > 0 (fresh random victims per trial)")
-	}
-	cfg := arch.DefaultConfig()
-	cfg.TilesX, cfg.TilesY = side, side
-	cfg.CoresPerTile = cores
-	cfg.JTAGChains = side
-	if err := cfg.Validate(); err != nil {
+	cfg, err := machineConfig(side, cores, faults)
+	if err != nil {
 		return err
+	}
+	if faults == 0 {
+		return fmt.Errorf("-trials needs -faults > 0 (fresh random victims per trial)")
 	}
 	var g *sim.Graph
 	if workload == "bfs" {
@@ -262,7 +248,6 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 		cycles    int64
 	}
 	var results []outcome
-	var err error
 	if fork {
 		// Every trial's kills land at the same cycle, so one warm prefix
 		// serves them all: advance a fault-free machine to the cycle

@@ -1,0 +1,85 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// cliEnv makes the test binary act as the CLI: TestMain hands its
+// arguments to main, so tests run wsim in a child process and see its
+// real stdout, stderr and exit status.
+const cliEnv = "WSIM_TEST_CLI"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(cliEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCLI runs `wsim args...` and returns its stdout, stderr and exit
+// code.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var exitErr *exec.ExitError
+	if err := cmd.Run(); errors.As(err, &exitErr) {
+		code = exitErr.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// TestFaultCountOutOfRange: a fault count outside 0..tiles is an input
+// error on both the single-run and the -trials path — exit 1 with one
+// line on stderr, before anything runs — not a panic from the fault
+// sampler or a silently fault-free run.
+func TestFaultCountOutOfRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-side", "4", "-faults", "99999"},
+		{"-side", "4", "-faults", "17"},
+		{"-side", "4", "-faults", "-1"},
+		{"-side", "4", "-faults", "-1", "-trials", "2"},
+		{"-side", "4", "-faults", "17", "-trials", "2"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			out, stderr, code := runCLI(t, args...)
+			want := "wsim: faults " + args[3] + " outside 0..16\n"
+			if code != 1 || out != "" || stderr != want {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr %q", code, out, stderr, want)
+			}
+		})
+	}
+}
+
+// TestFaultCountAtBounds: the range is inclusive, so every tile of a
+// 2×2 array may die and the run still ends with a degradation report
+// and exit 0.
+func TestFaultCountAtBounds(t *testing.T) {
+	out, stderr, code := runCLI(t, "-side", "2", "-faults", "4", "-vertices", "8", "-edges", "8",
+		"-workers", "4", "-fault-at-cycle", "10", "-max-cycles", "20000")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(out, "fault schedule: 4 events") || !strings.Contains(out, "tiles killed      4 ") {
+		t.Fatalf("want a 4-kill schedule and its degradation report, got:\n%s", out)
+	}
+}
+
+// TestRemovedLatencyModelFlag: remote ops have one timing semantics,
+// the cycle-stepped network, so -latency-model is an unknown flag.
+func TestRemovedLatencyModelFlag(t *testing.T) {
+	_, stderr, code := runCLI(t, "-latency-model", "analytical")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -latency-model") {
+		t.Fatalf("exit %d, stderr %q; want exit 2 for an unknown flag", code, stderr)
+	}
+}

@@ -1,12 +1,14 @@
 // Package analytical is the closed-form fast path behind the
 // noc.LatencyModel seam: a queueing-style timing model of any shipped
-// noc.Topology that answers the cycle engine's questions — per-hop
+// noc.Topology that answers the cycle engine's questions — mean
 // latency under load, link utilization, saturation throughput,
-// fault-aware path degradation — without stepping cycles. Every query
-// is O(1) or O(path), which makes a design point ~10^2-10^4x cheaper
-// than a packet simulation (BenchmarkAnalyticalFig7 vs
-// BenchmarkFig7PacketSim) and lets the two-tier DSE screen hundreds of
-// candidates before the cycle-accurate engine verifies the survivors.
+// fault-aware reachability — without stepping cycles. A model is
+// built once per design point; every query after that is O(links) or
+// cheaper. A whole latency-throughput curve, build included, costs
+// ~10^3x less than measuring it on the packet simulation
+// (BenchmarkAnalyticalThroughput vs BenchmarkNoCThroughput/mesh), which
+// lets the two-tier DSE screen hundreds of candidates before the
+// cycle-accurate engine verifies the survivors.
 //
 // There is one model type, Model, built by NewForTopology. It has three
 // layers:
@@ -54,7 +56,6 @@ package analytical
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
@@ -106,7 +107,6 @@ func DefaultTopoAllocEfficiency(topology string) float64 {
 type Model struct {
 	topo    noc.Topology
 	grid    geom.Grid
-	mesh    bool    // PairLatency's summation order; see there
 	hop     float64 // cycles per unit of link length
 	eff     float64
 	healthy int
@@ -164,7 +164,6 @@ func newModel(topo noc.Topology, fm *fault.Map, build func(*Model) (lenSum int64
 	m := &Model{
 		topo:    topo,
 		grid:    g,
-		mesh:    topo.Name() == noc.TopoMesh,
 		hop:     float64(cfg.LinkLatency),
 		eff:     DefaultTopoAllocEfficiency(topo.Name()),
 		healthy: fm.HealthyCount(),
@@ -294,77 +293,6 @@ func (m *Model) routeStep(cur geom.Coord, pkt *noc.Packet, buf []int) (port int,
 		return port, cur, 0, true
 	}
 	return port, far, length, false
-}
-
-// routeScratch is the scratch of one PairLatency route walk. The
-// routing policy is called through an interface, so its buffer and
-// packet would escape to the heap on every query; PairLatency takes
-// them from scratchPool instead, which keeps the model safe for
-// concurrent use.
-type routeScratch struct {
-	buf [noc.MaxPorts]int
-	pkt noc.Packet
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
-
-// PairLatency implements noc.LatencyModel: the expected cycles for a
-// packet src->dst on the given network when every healthy tile offers
-// `rate` packets per cycle of background traffic. ok is false when the
-// route crosses a faulty tile (the packet would be dropped).
-//
-// Zero-load latency is route length * LinkLatency + 1: in the cycle
-// engine a landing packet wins allocation and relaunches in the same
-// cycle, so each hop costs exactly its link flight, and only the
-// injection FIFO's first allocation adds the +1. The mesh adds its
-// whole Manhattan flight before the waits; other topologies add each
-// link's flight as they walk it. The two orders round differently, and
-// testdata/model.golden pins each bit for bit.
-func (m *Model) PairLatency(net noc.Network, src, dst geom.Coord, rate float64) (float64, bool) {
-	if src == dst || !m.grid.In(src) || !m.grid.In(dst) {
-		return 0, false
-	}
-	ci, di := m.grid.Index(src), m.grid.Index(dst)
-	if !m.alive[ci] || !m.alive[di] {
-		return 0, false
-	}
-	sc := scratchPool.Get().(*routeScratch)
-	defer scratchPool.Put(sc)
-	sc.pkt = noc.Packet{Net: net, Src: src, Dst: dst}
-	lat := 1.0
-	if m.mesh {
-		lat += float64(src.Manhattan(dst)) * m.hop
-	}
-	norm := m.norm[net]
-	maxSteps := 4 * (m.grid.W + m.grid.H)
-	for cur, step := src, 0; ; step++ {
-		if step > maxSteps {
-			return 0, false // contract violation; treat as unreachable
-		}
-		port, far, length, terminal := m.routeStep(cur, &sc.pkt, sc.buf[:])
-		if terminal {
-			if cur != dst {
-				return 0, false
-			}
-			break
-		}
-		fi := m.grid.Index(far)
-		if !m.alive[fi] {
-			return 0, false // dropped entering the faulty tile
-		}
-		if !m.mesh {
-			lat += float64(length) * m.hop
-		}
-		if rate > 0 {
-			slot := ci*m.np + port
-			lat += m.wait(rate * norm[slot] * m.capInv[slot])
-		}
-		cur, ci = far, fi
-	}
-	if rate > 0 {
-		lat += m.wait(rate * m.ejNorm[di])
-	}
-	return lat, true
 }
 
 // ThroughputCurve implements noc.LatencyModel: the closed-form

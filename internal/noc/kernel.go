@@ -184,47 +184,6 @@ func (k *Kernel) findRelayChain(src, dst geom.Coord) ([]geom.Coord, bool) {
 	return nil, false
 }
 
-// Legs returns the consecutive (from, to, network) segments of a
-// decision: requests traverse them in order; responses retrace them in
-// reverse on complementary networks.
-type Leg struct {
-	From, To geom.Coord
-	Net      Network
-}
-
-// Legs expands a decision into its request legs.
-func (k *Kernel) Legs(src, dst geom.Coord, d Decision) []Leg {
-	if !d.Reachable {
-		return nil
-	}
-	stops := make([]geom.Coord, 0, len(d.Via)+2)
-	stops = append(stops, src)
-	stops = append(stops, d.Via...)
-	stops = append(stops, dst)
-	legs := make([]Leg, 0, len(stops)-1)
-	for i := 0; i+1 < len(stops); i++ {
-		net := XY
-		if !k.an.PathClear(XY, stops[i], stops[i+1]) {
-			net = YX
-		} else if i == 0 && d.Request == YX && k.an.PathClear(YX, stops[0], stops[1]) {
-			net = YX
-		}
-		legs = append(legs, Leg{From: stops[i], To: stops[i+1], Net: net})
-	}
-	return legs
-}
-
-// RequestPath returns the tiles a request visits under a decision, one
-// slice per leg, as mesh DoR routes (Route): exact on the mesh only.
-func (k *Kernel) RequestPath(src, dst geom.Coord, d Decision) [][]geom.Coord {
-	legs := k.Legs(src, dst, d)
-	out := make([][]geom.Coord, len(legs))
-	for i, l := range legs {
-		out[i] = Route(l.Net, l.From, l.To)
-	}
-	return out
-}
-
 // Utilization reports how many pairs the kernel has pinned to each
 // network (requests only).
 func (k *Kernel) Utilization() (xy, yx, detoured, unreachable int) {

@@ -286,6 +286,17 @@ func TestKernelLoadBalancing(t *testing.T) {
 	}
 }
 
+// meshLegClear reports whether the mesh DoR route from a to b on net
+// avoids every faulty tile.
+func meshLegClear(fm *fault.Map, net Network, a, b geom.Coord) bool {
+	for _, c := range Route(net, a, b) {
+		if fm.Faulty(c) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestKernelFaultAwareSelection(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	fm.MarkFaulty(geom.C(2, 0)) // blocks XY route (0,0)->(4,4)
@@ -297,14 +308,8 @@ func TestKernelFaultAwareSelection(t *testing.T) {
 	if d.Request != YX || len(d.Via) != 0 {
 		t.Errorf("decision = %+v, want direct YX", d)
 	}
-	paths := k.RequestPath(geom.C(0, 0), geom.C(4, 4), d)
-	if len(paths) != 1 {
-		t.Fatalf("paths = %v", paths)
-	}
-	for _, c := range paths[0] {
-		if fm.Faulty(c) {
-			t.Errorf("request path crosses faulty tile %v", c)
-		}
+	if !meshLegClear(fm, d.Request, geom.C(0, 0), geom.C(4, 4)) {
+		t.Error("request route crosses a faulty tile")
 	}
 }
 
@@ -322,25 +327,28 @@ func TestKernelDetour(t *testing.T) {
 	if !d.Reachable || len(d.Via) == 0 {
 		t.Fatalf("decision = %+v, want detour", d)
 	}
-	paths := k.RequestPath(src, dst, d)
-	if len(paths) != 2 {
-		t.Fatalf("detour should have two legs, got %d", len(paths))
+	// The first leg rides the decided network; a relay re-plans, so
+	// every later leg needs a clear route on some network.
+	stops := decisionStops(src, dst, d)
+	if len(stops) != 3 {
+		t.Fatalf("detour should have two legs, got stops %v", stops)
 	}
-	for _, leg := range paths {
-		for _, c := range leg {
-			if fm.Faulty(c) {
-				t.Errorf("detour leg crosses faulty tile %v", c)
-			}
+	hops := 0
+	for i := 0; i+1 < len(stops); i++ {
+		a, b := stops[i], stops[i+1]
+		clear := meshLegClear(fm, d.Request, a, b)
+		if i > 0 {
+			clear = meshLegClear(fm, XY, a, b) || meshLegClear(fm, YX, a, b)
 		}
-	}
-	if paths[0][len(paths[0])-1] != d.Via[0] || paths[1][0] != d.Via[0] {
-		t.Error("legs do not meet at the relay")
+		if !clear {
+			t.Errorf("detour leg %v->%v crosses a faulty tile", a, b)
+		}
+		hops += a.Manhattan(b)
 	}
 	// The relay adds minimal hops: total length should be the direct
 	// distance plus a small dogleg (2 extra steps for adjacent row).
-	total := len(paths[0]) + len(paths[1]) - 2 // hops
-	if total > src.Manhattan(dst)+2 {
-		t.Errorf("detour hops = %d, want <= %d", total, src.Manhattan(dst)+2)
+	if hops > src.Manhattan(dst)+2 {
+		t.Errorf("detour hops = %d, want <= %d", hops, src.Manhattan(dst)+2)
 	}
 }
 

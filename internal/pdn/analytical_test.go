@@ -29,7 +29,7 @@ func TestEstimateDroopMatchesSolve(t *testing.T) {
 			t.Errorf("side %d: analytic MinAt %v holds %.6f V, SOR min %.6f at %v", side, est.MinAt, av, min, at)
 		}
 		// Off-center nodes too: the series is a full map, not a center fit.
-		for _, c := range []geom.Coord{geom.C(1, 1), geom.C(side / 4, side / 2), geom.C(side - 2, 1)} {
+		for _, c := range []geom.Coord{geom.C(1, 1), geom.C(side/4, side/2), geom.C(side-2, 1)} {
 			v, err := AnalyticVoltAt(cfg, c)
 			if err != nil {
 				t.Fatalf("side %d: AnalyticVoltAt(%v): %v", side, c, err)

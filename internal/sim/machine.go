@@ -162,19 +162,6 @@ type Machine struct {
 	traceW      io.Writer
 	traceFilter TraceFilter
 
-	// LatencyModel, when set, replaces the cycle-stepped packet network
-	// with a timing model: remote memory ops apply immediately and their
-	// cores stall for the modeled round trip, and Step skips the network
-	// simulation entirely (see latmodel.go). Runs with a model attached
-	// are approximate; label results with TimingModelName and never
-	// cache-key them as cycle-exact. Set only between cycles on a
-	// machine with no remote ops in flight.
-	LatencyModel noc.LatencyModel
-	// LatencyRate is the uniform background load (packets/tile/cycle)
-	// the model's queueing terms are evaluated at; 0 prices unloaded
-	// round trips.
-	LatencyRate float64
-
 	// Remote-op robustness knobs. A remote access outstanding past
 	// RemoteTimeout cycles is declared lost and reissued along a freshly
 	// planned route; after RemoteRetries reissues the destination is
@@ -415,8 +402,8 @@ func (m *Machine) globalID(c *Core) uint32 {
 // address and returns its old value. The backing is the owner's banks
 // while it is alive, or the shadow reserve storage when it died at
 // runtime and its window was remapped; an address with neither is an
-// error. The host backdoors, served remote requests and modeled remote
-// ops all go through here.
+// error. The host backdoors and served remote requests both go through
+// here.
 func (m *Machine) applyGlobal(addr uint32, op uint32, data uint32) (uint32, error) {
 	tile, bank, off, err := m.amap.GlobalTarget(addr)
 	if err != nil {
@@ -545,11 +532,9 @@ func (m *Machine) serveRemote(p noc.Packet) uint32 {
 func (m *Machine) Step() {
 	m.cycle++
 	m.applyScheduled()
-	if m.LatencyModel == nil {
-		m.net.Step()
-		m.flushResponses()
-		m.flushForwards()
-	}
+	m.net.Step()
+	m.flushResponses()
+	m.flushForwards()
 	if m.fullScan {
 		m.stepCoresFullScan()
 		return
@@ -856,10 +841,6 @@ func (m *Machine) stepCore(t *Tile, c *Core) {
 // response: retry the injection if it met backpressure, and declare the
 // op lost when its deadline expires.
 func (m *Machine) stepRemote(c *Core) {
-	if m.LatencyModel != nil {
-		m.stepRemoteModeled(c)
-		return
-	}
 	c.StallRemote++
 	if !c.rem.injected {
 		if _, err := m.net.Inject(c.rem.net, c.tile, c.rem.dst, noc.Request, c.rem.tag, c.rem.payload); err == nil {
@@ -1026,9 +1007,6 @@ func (m *Machine) remoteOp(c *Core, in Instr, addr uint32) bool {
 	if err != nil {
 		m.fault(c, "remote access lost: %v", err)
 		return true
-	}
-	if m.LatencyModel != nil {
-		return m.remoteOpModeled(c, in, addr, target)
 	}
 	dec, err := m.kernel.Decide(c.tile, target)
 	if err != nil || !dec.Reachable {

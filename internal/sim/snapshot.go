@@ -65,8 +65,6 @@ func (m *Machine) clone() *Machine {
 		tiles:          make([]*Tile, len(m.tiles)),
 		cycle:          m.cycle,
 		tagSeq:         m.tagSeq,
-		LatencyModel:   m.LatencyModel, // models are immutable after build
-		LatencyRate:    m.LatencyRate,
 		RemoteTimeout:  m.RemoteTimeout,
 		RemoteRetries:  m.RemoteRetries,
 		schedEvents:    m.schedEvents, // read-only by contract (inject.Schedule)
