@@ -197,7 +197,10 @@ func BenchmarkFig6DisconnectedPairs(b *testing.B) {
 // one analyzer Reset on a seeded fault map plus one AllPairs — for the
 // prefix-sum mesh Analyzer and for TopoAnalyzer on every topology.
 // Comparing prefixsum against mesh measures what the mesh-only fast
-// path buys over the topology-generic analyzer.
+// path buys over the topology-generic analyzer. The chiplet rows time
+// the chiplet-granularity trial — a seeded draw of that many faulty
+// chiplets, a masked TopoAnalyzer Reset and AllPairs — as b.N trials
+// of one serial sweep, since its scratch is internal to the sweep.
 func BenchmarkFig6Trial(b *testing.B) {
 	grid := geom.NewGrid(32, 32)
 	for _, analyzer := range append([]string{"prefixsum"}, noc.TopologyNames()...) {
@@ -228,6 +231,17 @@ func BenchmarkFig6Trial(b *testing.B) {
 				b.ReportMetric(st.PctDual(), "disc2net%")
 			})
 		}
+	}
+	for _, chiplets := range []int{5, 10} {
+		b.Run(fmt.Sprintf("chiplet/faults=%d", chiplets), func(b *testing.B) {
+			b.ReportAllocs()
+			pts, err := noc.ChipletFig6SweepCtx(context.Background(), grid, []int{chiplets}, b.N, 2021, noc.Fig6Opts{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(pts[0].PctSingle.Mean, "disc1net%")
+			b.ReportMetric(pts[0].PctDual.Mean, "disc2net%")
+		})
 	}
 }
 

@@ -44,7 +44,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for random mid-run kills")
 	kill := flag.String("kill", "", `explicit tiles to kill, e.g. "1,0;2,3"`)
 	faultAt := flag.Int64("fault-at-cycle", 1000, "cycle the kills land at")
-	trials := flag.Int("trials", 1, "fault-survival trials (with -faults; each draws fresh victims)")
+	trials := flag.Int("trials", 1, "fault-survival trials (with -faults; each draws fresh victims; 1 = one run)")
 	fork := flag.Bool("fork", true, "run -trials off one warm prefix forked per trial (bit-identical, skips replaying the fault-free prefix)")
 	hostWorkers := flag.Int("host-workers", 0, "host goroutines running trials (0 = GOMAXPROCS)")
 	topoFlag := flag.String("topology", "",
@@ -62,10 +62,13 @@ func main() {
 	}
 
 	var err error
-	if *trials > 1 {
+	switch {
+	case *trials < 1:
+		err = fmt.Errorf("trials %d below 1", *trials)
+	case *trials > 1:
 		err = runTrials(*workload, *side, *cores, *vertices, *edges, *workers, *src, *seed, *maxCycles,
 			*faults, *faultSeed, *faultAt, *trials, *hostWorkers, *fork)
-	} else {
+	default:
 		err = run(*workload, *side, *cores, *vertices, *edges, *workers, *src, *seed, *maxCycles, *profile,
 			*faults, *faultSeed, *kill, *faultAt)
 	}

@@ -61,6 +61,21 @@ func TestFaultCountOutOfRange(t *testing.T) {
 	}
 }
 
+// TestTrialsBelowOne: -trials 1 is the single run, and a trial count
+// below one is an input error (exit 1, one line on stderr) rather than
+// a silent single run.
+func TestTrialsBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		t.Run(n, func(t *testing.T) {
+			out, stderr, code := runCLI(t, "-side", "4", "-trials", n)
+			want := "wsim: trials " + n + " below 1\n"
+			if code != 1 || out != "" || stderr != want {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr %q", code, out, stderr, want)
+			}
+		})
+	}
+}
+
 // TestFaultCountAtBounds: the range is inclusive, so every tile of a
 // 2×2 array may die and the run still ends with a degradation report
 // and exit 0.

@@ -3,6 +3,7 @@ package noc
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
@@ -16,246 +17,15 @@ import (
 //     routes nothing at all;
 //   - the memory chiplet only carries the buffered feedthroughs for
 //     the north-south links (paper Section II): if it dies, the tile
-//     still routes east-west, but vertical paths through it are cut
-//     (and its shared banks are lost).
+//     still routes east-west and still ejects, but nothing departs it
+//     north or south (and its shared banks are lost).
 //
 // The tile-level analyses elsewhere in this package conservatively
-// treat any chiplet fault as a whole-tile fault; ChipletAnalyzer
-// refines that, and the comparison quantifies how much pessimism the
-// tile-level abstraction costs.
-
-// ChipletFaultMap tracks per-chiplet health.
-type ChipletFaultMap struct {
-	grid    geom.Grid
-	compute []bool // true = faulty
-	memory  []bool
-	count   int
-}
-
-// NewChipletFaultMap returns an all-healthy map.
-func NewChipletFaultMap(grid geom.Grid) *ChipletFaultMap {
-	return &ChipletFaultMap{
-		grid:    grid,
-		compute: make([]bool, grid.Size()),
-		memory:  make([]bool, grid.Size()),
-	}
-}
-
-// Grid returns the tile array shape.
-func (m *ChipletFaultMap) Grid() geom.Grid { return m.grid }
-
-// Count returns the number of faulty chiplets.
-func (m *ChipletFaultMap) Count() int { return m.count }
-
-// MarkComputeFaulty kills a tile's compute chiplet.
-func (m *ChipletFaultMap) MarkComputeFaulty(c geom.Coord) {
-	i := m.grid.Index(c)
-	if !m.compute[i] {
-		m.compute[i] = true
-		m.count++
-	}
-}
-
-// MarkMemoryFaulty kills a tile's memory chiplet.
-func (m *ChipletFaultMap) MarkMemoryFaulty(c geom.Coord) {
-	i := m.grid.Index(c)
-	if !m.memory[i] {
-		m.memory[i] = true
-		m.count++
-	}
-}
-
-// RoutesEW reports whether the tile can carry east-west traffic (its
-// compute chiplet, hence its routers, must work).
-func (m *ChipletFaultMap) RoutesEW(c geom.Coord) bool {
-	if !m.grid.In(c) {
-		return false
-	}
-	return !m.compute[m.grid.Index(c)]
-}
-
-// RoutesNS reports whether the tile can carry north-south traffic
-// (routers working AND the memory chiplet's feedthroughs intact).
-func (m *ChipletFaultMap) RoutesNS(c geom.Coord) bool {
-	if !m.grid.In(c) {
-		return false
-	}
-	i := m.grid.Index(c)
-	return !m.compute[i] && !m.memory[i]
-}
-
-// TileUsable reports whether a tile can source/sink traffic (compute
-// chiplet alive; a dead memory chiplet loses capacity, not the cores).
-func (m *ChipletFaultMap) TileUsable(c geom.Coord) bool { return m.RoutesEW(c) }
-
-// ToTileMap returns the conservative tile-level projection every other
-// analysis uses: a tile is faulty if either chiplet is.
-func (m *ChipletFaultMap) ToTileMap() *fault.Map {
-	fm := fault.NewMap(m.grid)
-	m.grid.All(func(c geom.Coord) {
-		i := m.grid.Index(c)
-		if m.compute[i] || m.memory[i] {
-			fm.MarkFaulty(c)
-		}
-	})
-	return fm
-}
-
-// RandomChiplets marks exactly n distinct faulty chiplets drawn
-// uniformly from the 2*tiles chiplet population.
-func RandomChiplets(grid geom.Grid, n int, rng *rand.Rand) *ChipletFaultMap {
-	total := 2 * grid.Size()
-	if n < 0 || n > total {
-		panic("noc: chiplet fault count out of range")
-	}
-	m := NewChipletFaultMap(grid)
-	perm := rng.Perm(total)
-	for _, idx := range perm[:n] {
-		tile := grid.Coord(idx / 2)
-		if idx%2 == 0 {
-			m.MarkComputeFaulty(tile)
-		} else {
-			m.MarkMemoryFaulty(tile)
-		}
-	}
-	return m
-}
-
-// ChipletAnalyzer answers path queries against chiplet-level faults
-// with the same prefix-sum trick as Analyzer: horizontal segments need
-// RoutesEW along the row; vertical segments need RoutesNS along the
-// column.
-type ChipletAnalyzer struct {
-	grid geom.Grid
-	m    *ChipletFaultMap
-	// rowPrefix[y][x]: tiles in row y, cols [0,x), that cannot route EW.
-	rowPrefix [][]int
-	// colPrefix[x][y]: tiles in col x, rows [0,y), that cannot route NS.
-	colPrefix [][]int
-}
-
-// NewChipletAnalyzer builds the prefix sums.
-func NewChipletAnalyzer(m *ChipletFaultMap) *ChipletAnalyzer {
-	g := m.grid
-	a := &ChipletAnalyzer{grid: g, m: m,
-		rowPrefix: make([][]int, g.H), colPrefix: make([][]int, g.W)}
-	for y := 0; y < g.H; y++ {
-		a.rowPrefix[y] = make([]int, g.W+1)
-		for x := 0; x < g.W; x++ {
-			v := 0
-			if !m.RoutesEW(geom.C(x, y)) {
-				v = 1
-			}
-			a.rowPrefix[y][x+1] = a.rowPrefix[y][x] + v
-		}
-	}
-	for x := 0; x < g.W; x++ {
-		a.colPrefix[x] = make([]int, g.H+1)
-		for y := 0; y < g.H; y++ {
-			v := 0
-			if !m.RoutesNS(geom.C(x, y)) {
-				v = 1
-			}
-			a.colPrefix[x][y+1] = a.colPrefix[x][y] + v
-		}
-	}
-	return a
-}
-
-func (a *ChipletAnalyzer) rowBlocked(y, x0, x1 int) bool {
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	return a.rowPrefix[y][x1+1]-a.rowPrefix[y][x0] > 0
-}
-
-func (a *ChipletAnalyzer) colBlocked(x, y0, y1 int) bool {
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	return a.colPrefix[x][y1+1]-a.colPrefix[x][y0] > 0
-}
-
-// PathClear reports whether the DoR route passes. Horizontal travel
-// needs working routers; vertical travel additionally needs the
-// feedthroughs of every tile it passes — including the turn tile and
-// the endpoints of the vertical segment, except that a vertical
-// segment's final stop (ejection) only needs the router.
-func (a *ChipletAnalyzer) PathClear(net Network, src, dst geom.Coord) bool {
-	if !a.m.TileUsable(src) || !a.m.TileUsable(dst) {
-		return false
-	}
-	if net == XY {
-		if a.rowBlocked(src.Y, src.X, dst.X) {
-			return false
-		}
-		if src.Y == dst.Y {
-			return true
-		}
-		// Vertical segment along column dst.X: intermediate tiles need
-		// feedthroughs; the final tile only ejects.
-		lo, hi := minInt(src.Y, dst.Y), maxInt(src.Y, dst.Y)
-		if src.Y < dst.Y {
-			hi-- // dst is the top: ejection, no feedthrough needed
-		} else {
-			lo++ // dst is the bottom
-		}
-		return !a.colBlocked(dst.X, lo, hi)
-	}
-	// YX: vertical first along src.X (the starting tile injects, no
-	// feedthrough needed for itself... it does need NS to forward
-	// upward: injection enters the router and leaves vertically, which
-	// crosses its own feedthrough toward the neighbor; conservatively
-	// require NS on all but the last vertical tile).
-	if src.Y != dst.Y {
-		lo, hi := minInt(src.Y, dst.Y), maxInt(src.Y, dst.Y)
-		if src.Y < dst.Y {
-			hi--
-		} else {
-			lo++
-		}
-		if a.colBlocked(src.X, lo, hi) {
-			return false
-		}
-	}
-	return !a.rowBlocked(dst.Y, src.X, dst.X)
-}
-
-// PairUsableDual mirrors Analyzer.PairUsableDual at chiplet granularity.
-func (a *ChipletAnalyzer) PairUsableDual(s, d geom.Coord) bool {
-	return a.PathClear(XY, s, d) || a.PathClear(YX, s, d)
-}
-
-// PairUsableSingle mirrors Analyzer.PairUsableSingle.
-func (a *ChipletAnalyzer) PairUsableSingle(s, d geom.Coord) bool {
-	return a.PathClear(XY, s, d) && a.PathClear(XY, d, s)
-}
-
-// AllPairs aggregates over unordered usable-tile pairs.
-func (a *ChipletAnalyzer) AllPairs() PairStats {
-	var usable []geom.Coord
-	a.grid.All(func(c geom.Coord) {
-		if a.m.TileUsable(c) {
-			usable = append(usable, c)
-		}
-	})
-	st := PairStats{HealthyTiles: len(usable)}
-	for i, s := range usable {
-		for _, d := range usable[i+1:] {
-			st.Pairs++
-			if !a.PairUsableSingle(s, d) {
-				st.DisconnectedSingle++
-			}
-			if !a.PairUsableDual(s, d) {
-				st.DisconnectedDual++
-				if SameRowOrColumn(s, d) {
-					st.DualSameRowCol++
-				}
-			}
-		}
-	}
-	return st
-}
+// treat any chiplet fault as a whole-tile fault. The chiplet sweep
+// refines that on TopoAnalyzer itself: a dead compute chiplet is a
+// faulty tile, and a dead memory chiplet is a fault on its tile's
+// directed N and S out-ports. The comparison quantifies how much
+// pessimism the tile-level abstraction costs.
 
 // ChipletFig6Point is one row of the chiplet-granularity Fig. 6 sweep.
 type ChipletFig6Point struct {
@@ -265,13 +35,20 @@ type ChipletFig6Point struct {
 }
 
 // ChipletFig6SweepCtx is the chiplet-granularity Monte Carlo behind the
-// `waferscale nocmc -chiplet` refinement: for each faulty-chiplet
-// count, the disconnected-pair percentages are averaged over trials
-// random chiplet fault maps. Seeding, cancellation and progress are
-// fig6Sweep's, as for Fig6SweepCtx.
+// `waferscale nocmc -chiplet` refinement on the mesh: for each
+// faulty-chiplet count, the disconnected-pair percentages are averaged
+// over trials random chiplet fault maps. Seeding, cancellation and
+// progress are fig6Sweep's, as for Fig6SweepCtx; pooled per-worker
+// scratch keeps a steady-state trial allocation-free.
 func ChipletFig6SweepCtx(ctx context.Context, grid geom.Grid, chipletCounts []int, trials int, seed int64, opts Fig6Opts) ([]ChipletFig6Point, error) {
+	topo := MeshTopology(grid)
+	pool := sync.Pool{New: func() any { return newChipletScratch(grid) }}
 	pts, err := fig6Sweep(ctx, chipletCounts, 2*grid.Size(), trials, seed, opts, func(n int, rng *rand.Rand) PairStats {
-		return NewChipletAnalyzer(RandomChiplets(grid, n, rng)).AllPairs()
+		sc := pool.Get().(*chipletScratch)
+		defer pool.Put(sc)
+		sc.draw(n, rng)
+		sc.a.reset(topo, sc.compute, sc.blocked)
+		return sc.a.AllPairs()
 	})
 	out := make([]ChipletFig6Point, len(pts))
 	for i, p := range pts {
@@ -280,16 +57,40 @@ func ChipletFig6SweepCtx(ctx context.Context, grid geom.Grid, chipletCounts []in
 	return out, err
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// chipletScratch is one worker's chiplet-trial storage.
+type chipletScratch struct {
+	// s samples the 2*tiles chiplet population as a grid twice as wide
+	// as the tile grid: tile (x, y) owns cells (2x, y), its compute
+	// chiplet, and (2x+1, y), its memory chiplet. Cell (x, y)'s
+	// row-major index is then 2*tile+kind, the chiplet index a
+	// rand.Perm(2*tiles) draw names, so Draw replays that draw exactly.
+	s       *fault.Sampler
+	compute *fault.Map // tiles whose compute chiplet is dead
+	blocked []uint16   // N|S out-port masks of live tiles with a dead memory chiplet
+	a       TopoAnalyzer
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+func newChipletScratch(grid geom.Grid) *chipletScratch {
+	return &chipletScratch{
+		s:       fault.NewSampler(geom.NewGrid(2*grid.W, grid.H)),
+		compute: fault.NewMap(grid),
+		blocked: make([]uint16, grid.Size()),
 	}
-	return b
+}
+
+// draw marks exactly n distinct faulty chiplets drawn uniformly from
+// rng into the scratch's compute map and port masks.
+func (sc *chipletScratch) draw(n int, rng *rand.Rand) {
+	chiplets := sc.s.Draw(n, rng)
+	sc.compute.Reset()
+	g := sc.compute.Grid()
+	for i := range sc.blocked {
+		c := g.Coord(i)
+		sc.blocked[i] = 0
+		if chiplets.Faulty(geom.C(2*c.X, c.Y)) {
+			sc.compute.MarkFaulty(c)
+		} else if chiplets.Faulty(geom.C(2*c.X+1, c.Y)) {
+			sc.blocked[i] = 1<<portN | 1<<portS
+		}
+	}
 }

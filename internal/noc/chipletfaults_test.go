@@ -4,79 +4,158 @@ import (
 	"math/rand"
 	"testing"
 
+	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 )
 
-func TestChipletFaultMapBasics(t *testing.T) {
-	m := NewChipletFaultMap(geom.NewGrid(4, 4))
-	c := geom.C(1, 1)
-	if !m.RoutesEW(c) || !m.RoutesNS(c) || !m.TileUsable(c) {
-		t.Fatal("fresh tile should be fully functional")
-	}
-	m.MarkMemoryFaulty(c)
-	if !m.RoutesEW(c) {
-		t.Error("dead memory chiplet must not stop east-west routing")
-	}
-	if m.RoutesNS(c) {
-		t.Error("dead memory chiplet must cut the north-south feedthroughs")
-	}
-	if !m.TileUsable(c) {
-		t.Error("cores live on the compute chiplet; tile stays usable")
-	}
-	m.MarkComputeFaulty(c)
-	if m.RoutesEW(c) || m.TileUsable(c) {
-		t.Error("dead compute chiplet kills the tile")
-	}
-	if m.Count() != 2 {
-		t.Errorf("count = %d", m.Count())
-	}
-	m.MarkComputeFaulty(c) // idempotent
-	if m.Count() != 2 {
-		t.Errorf("double mark changed count to %d", m.Count())
-	}
-	// Off-grid coordinates route nothing.
-	if m.RoutesEW(geom.C(-1, 0)) || m.RoutesNS(geom.C(9, 9)) {
-		t.Error("off-grid tiles should not route")
-	}
+// chipletFaults is a test-side chiplet fault set: which tiles have a
+// dead compute chiplet and which a dead memory chiplet.
+type chipletFaults struct {
+	grid            geom.Grid
+	compute, memory []bool
 }
 
-func TestChipletToTileProjection(t *testing.T) {
-	m := NewChipletFaultMap(geom.NewGrid(4, 4))
-	m.MarkMemoryFaulty(geom.C(0, 0))
-	m.MarkComputeFaulty(geom.C(2, 2))
-	fm := m.ToTileMap()
-	if !fm.Faulty(geom.C(0, 0)) || !fm.Faulty(geom.C(2, 2)) {
-		t.Error("projection missed a fault")
-	}
-	if fm.Count() != 2 {
-		t.Errorf("tile projection count = %d", fm.Count())
-	}
+func newChipletFaults(g geom.Grid) *chipletFaults {
+	return &chipletFaults{grid: g, compute: make([]bool, g.Size()), memory: make([]bool, g.Size())}
 }
 
-func TestRandomChipletsExactCount(t *testing.T) {
-	g := geom.NewGrid(8, 8)
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 5, 40, 128} {
-		m := RandomChiplets(g, n, rng)
-		if m.Count() != n {
-			t.Errorf("RandomChiplets(%d) placed %d", n, m.Count())
+// randomChipletFaults marks the first n chiplets of rng.Perm(2*tiles),
+// where chiplet 2*tile is the tile's compute chiplet and 2*tile+1 its
+// memory chiplet.
+func randomChipletFaults(g geom.Grid, n int, rng *rand.Rand) *chipletFaults {
+	f := newChipletFaults(g)
+	for _, idx := range rng.Perm(2 * g.Size())[:n] {
+		if idx%2 == 0 {
+			f.compute[idx/2] = true
+		} else {
+			f.memory[idx/2] = true
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("overfill should panic")
+	return f
+}
+
+// scratch projects the faults the way the chiplet sweep's draw does: a
+// dead compute chiplet is a faulty tile, and a dead memory chiplet
+// blocks the N and S out-ports of a live tile.
+func (f *chipletFaults) scratch() *chipletScratch {
+	sc := newChipletScratch(f.grid)
+	for i := range sc.blocked {
+		switch {
+		case f.compute[i]:
+			sc.compute.MarkFaulty(f.grid.Coord(i))
+		case f.memory[i]:
+			sc.blocked[i] = 1<<portN | 1<<portS
 		}
-	}()
-	RandomChiplets(g, 1000, rng)
+	}
+	return sc
+}
+
+// analyzer is the masked TopoAnalyzer over the faults on the mesh.
+func (f *chipletFaults) analyzer() *TopoAnalyzer {
+	sc := f.scratch()
+	sc.a.reset(MeshTopology(f.grid), sc.compute, sc.blocked)
+	return &sc.a
+}
+
+// tileMap is the conservative projection the tile-level analyses use:
+// a tile is faulty if either of its chiplets is.
+func (f *chipletFaults) tileMap() *fault.Map {
+	fm := fault.NewMap(f.grid)
+	for i := range f.compute {
+		if f.compute[i] || f.memory[i] {
+			fm.MarkFaulty(f.grid.Coord(i))
+		}
+	}
+	return fm
+}
+
+// routeClear is the brute-force reference, walking Route tile by tile:
+// every tile the route enters (endpoints included) needs a live compute
+// chiplet, and no tile may depart north or south with a dead memory
+// chiplet. Arriving vertically and ejecting is fine.
+func (f *chipletFaults) routeClear(net Network, s, d geom.Coord) bool {
+	path := Route(net, s, d)
+	for k, c := range path {
+		i := f.grid.Index(c)
+		if f.compute[i] || f.memory[i] && k+1 < len(path) && path[k+1].X == c.X {
+			return false
+		}
+	}
+	return true
+}
+
+// allPairs is AllPairs by brute force over routeClear.
+func (f *chipletFaults) allPairs() PairStats {
+	var live []geom.Coord
+	f.grid.All(func(c geom.Coord) {
+		if !f.compute[f.grid.Index(c)] {
+			live = append(live, c)
+		}
+	})
+	st := PairStats{HealthyTiles: len(live)}
+	for i, s := range live {
+		for _, d := range live[i+1:] {
+			st.Pairs++
+			if !f.routeClear(XY, s, d) || !f.routeClear(XY, d, s) {
+				st.DisconnectedSingle++
+			}
+			if !f.routeClear(XY, s, d) && !f.routeClear(YX, s, d) {
+				st.DisconnectedDual++
+				if SameRowOrColumn(s, d) {
+					st.DualSameRowCol++
+				}
+			}
+		}
+	}
+	return st
+}
+
+// TestChipletPortFaultsMatchRouteWalk is the differential for the
+// chiplet sweep's trial: on random chiplet maps over odd and non-square
+// grids, the draw must replay rand.Perm(2*tiles) exactly, and the
+// analyzer it feeds must agree with the brute-force route walk on both
+// networks' PathClear for every ordered pair and on AllPairs. One
+// scratch serves every trial of a grid, so stale masks would show.
+func TestChipletPortFaultsMatchRouteWalk(t *testing.T) {
+	for _, g := range []geom.Grid{geom.NewGrid(3, 3), geom.NewGrid(5, 7), geom.NewGrid(7, 4), geom.NewGrid(8, 8)} {
+		topo := MeshTopology(g)
+		sc := newChipletScratch(g)
+		pick := rand.New(rand.NewSource(int64(g.Size())))
+		for trial := 0; trial < 40; trial++ {
+			n := pick.Intn(g.Size() + 1)
+			seed := pick.Int63()
+			f := randomChipletFaults(g, n, rand.New(rand.NewSource(seed)))
+			sc.draw(n, rand.New(rand.NewSource(seed)))
+			want := f.scratch()
+			for i := range sc.blocked {
+				if sc.compute.Faulty(g.Coord(i)) != want.compute.Faulty(g.Coord(i)) || sc.blocked[i] != want.blocked[i] {
+					t.Fatalf("%v trial %d (%d chiplets): tile %v drawn differently from rand.Perm", g, trial, n, g.Coord(i))
+				}
+			}
+			sc.a.reset(topo, sc.compute, sc.blocked)
+			for _, net := range []Network{XY, YX} {
+				g.All(func(s geom.Coord) {
+					g.All(func(d geom.Coord) {
+						if got, ref := sc.a.PathClear(net, s, d), f.routeClear(net, s, d); got != ref {
+							t.Fatalf("%v trial %d (%d chiplets): PathClear(%v, %v, %v) = %v, route walk %v", g, trial, n, net, s, d, got, ref)
+						}
+					})
+				})
+			}
+			if got, ref := sc.a.AllPairs(), f.allPairs(); got != ref {
+				t.Fatalf("%v trial %d (%d chiplets): AllPairs %+v, route walk %+v", g, trial, n, got, ref)
+			}
+		}
+	}
 }
 
 // TestMemoryFaultOnlyCutsVertical: with one dead memory chiplet, pairs
 // routing east-west through that tile still connect; pairs needing the
 // vertical feedthrough do not (on that path).
 func TestMemoryFaultOnlyCutsVertical(t *testing.T) {
-	m := NewChipletFaultMap(geom.NewGrid(8, 8))
-	m.MarkMemoryFaulty(geom.C(4, 4))
-	a := NewChipletAnalyzer(m)
+	f := newChipletFaults(geom.NewGrid(8, 8))
+	f.memory[f.grid.Index(geom.C(4, 4))] = true
+	a := f.analyzer()
 	// East-west through (4,4): clear.
 	if !a.PathClear(XY, geom.C(0, 4), geom.C(7, 4)) {
 		t.Error("EW path through a dead memory chiplet should be clear")
@@ -99,10 +178,10 @@ func TestMemoryFaultOnlyCutsVertical(t *testing.T) {
 // TestChipletAnalyzerEndpointEjection: a packet may eject at a tile
 // whose memory chiplet is dead (the router does the ejection).
 func TestChipletAnalyzerEndpointEjection(t *testing.T) {
-	m := NewChipletFaultMap(geom.NewGrid(8, 8))
+	f := newChipletFaults(geom.NewGrid(8, 8))
 	dst := geom.C(3, 5)
-	m.MarkMemoryFaulty(dst)
-	a := NewChipletAnalyzer(m)
+	f.memory[f.grid.Index(dst)] = true
+	a := f.analyzer()
 	if !a.PathClear(XY, geom.C(3, 0), dst) {
 		t.Error("vertical arrival should only need the destination's router")
 	}
@@ -119,14 +198,12 @@ func TestChipletModelMatchesTileModelForComputeFaults(t *testing.T) {
 	g := geom.NewGrid(12, 12)
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
-		cm := NewChipletFaultMap(g)
+		f := newChipletFaults(g)
 		for i := 0; i < 8; i++ {
-			cm.MarkComputeFaulty(g.Coord(rng.Intn(g.Size())))
+			f.compute[rng.Intn(g.Size())] = true
 		}
-		ca := NewChipletAnalyzer(cm)
-		ta := NewAnalyzer(cm.ToTileMap())
-		cs := ca.AllPairs()
-		ts := ta.AllPairs()
+		cs := f.analyzer().AllPairs()
+		ts := NewAnalyzer(f.tileMap()).AllPairs()
 		if cs != ts {
 			t.Fatalf("trial %d: chiplet stats %+v != tile stats %+v", trial, cs, ts)
 		}
@@ -147,9 +224,9 @@ func TestFig6ChipletGranularityRefinement(t *testing.T) {
 	const trials = 6
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 31))
-		cm := RandomChiplets(g, 5, rng)
-		cs := NewChipletAnalyzer(cm).AllPairs()
-		ts := NewAnalyzer(cm.ToTileMap()).AllPairs()
+		f := randomChipletFaults(g, 5, rng)
+		cs := f.analyzer().AllPairs()
+		ts := NewAnalyzer(f.tileMap()).AllPairs()
 		if cs.DisconnectedSingle > ts.DisconnectedSingle {
 			t.Errorf("trial %d: chiplet model (%d) worse than tile model (%d)",
 				trial, cs.DisconnectedSingle, ts.DisconnectedSingle)

@@ -10,9 +10,9 @@
 //
 // The package provides three views of the network:
 //
-//   - Path-level analysis (Route, Analyzer): O(1)-per-pair connectivity
-//     checks against a fault map using per-row/column fault prefix
-//     sums; this powers the paper's Fig. 6 Monte Carlo.
+//   - Path-level analysis (Analyzer, TopoAnalyzer): O(1)-per-pair
+//     connectivity checks against a fault map; this powers the paper's
+//     Fig. 6 Monte Carlo.
 //   - Kernel-level policy (Kernel): the fault-map-driven network
 //     selection, load balancing and intermediate-tile detours that the
 //     paper assigns to system software.
@@ -50,44 +50,6 @@ func (n Network) String() string {
 // Complement returns the other network — responses travel on the
 // complement of the request network (baked into the router hardware).
 func (n Network) Complement() Network { return 1 - n }
-
-// Route returns the sequence of tiles a packet visits from src to dst
-// on the given network, inclusive of both endpoints. Dimension-ordered
-// routes are unique; a route never visits a tile twice.
-func Route(net Network, src, dst geom.Coord) []geom.Coord {
-	path := make([]geom.Coord, 0, src.Manhattan(dst)+1)
-	cur := src
-	path = append(path, cur)
-	stepToward := func(cur, target int) int {
-		switch {
-		case cur < target:
-			return cur + 1
-		case cur > target:
-			return cur - 1
-		}
-		return cur
-	}
-	if net == XY {
-		for cur.X != dst.X {
-			cur.X = stepToward(cur.X, dst.X)
-			path = append(path, cur)
-		}
-		for cur.Y != dst.Y {
-			cur.Y = stepToward(cur.Y, dst.Y)
-			path = append(path, cur)
-		}
-	} else {
-		for cur.Y != dst.Y {
-			cur.Y = stepToward(cur.Y, dst.Y)
-			path = append(path, cur)
-		}
-		for cur.X != dst.X {
-			cur.X = stepToward(cur.X, dst.X)
-			path = append(path, cur)
-		}
-	}
-	return path
-}
 
 // NextHop returns the direction a DoR router forwards a packet destined
 // to dst from cur on the given network, or ok=false when cur == dst

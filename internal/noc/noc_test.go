@@ -18,6 +18,46 @@ func TestNetworkComplement(t *testing.T) {
 	}
 }
 
+// Route returns the sequence of tiles a mesh DoR packet visits from
+// src to dst on the given network, inclusive of both endpoints: the
+// brute-force reference walk the analyzers are tested against.
+// Dimension-ordered routes are unique; a route never visits a tile
+// twice.
+func Route(net Network, src, dst geom.Coord) []geom.Coord {
+	path := make([]geom.Coord, 0, src.Manhattan(dst)+1)
+	cur := src
+	path = append(path, cur)
+	stepToward := func(cur, target int) int {
+		switch {
+		case cur < target:
+			return cur + 1
+		case cur > target:
+			return cur - 1
+		}
+		return cur
+	}
+	if net == XY {
+		for cur.X != dst.X {
+			cur.X = stepToward(cur.X, dst.X)
+			path = append(path, cur)
+		}
+		for cur.Y != dst.Y {
+			cur.Y = stepToward(cur.Y, dst.Y)
+			path = append(path, cur)
+		}
+	} else {
+		for cur.Y != dst.Y {
+			cur.Y = stepToward(cur.Y, dst.Y)
+			path = append(path, cur)
+		}
+		for cur.X != dst.X {
+			cur.X = stepToward(cur.X, dst.X)
+			path = append(path, cur)
+		}
+	}
+	return path
+}
+
 func TestRouteXY(t *testing.T) {
 	path := Route(XY, geom.C(1, 1), geom.C(3, 2))
 	want := []geom.Coord{geom.C(1, 1), geom.C(2, 1), geom.C(3, 1), geom.C(3, 2)}

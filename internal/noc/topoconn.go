@@ -58,6 +58,7 @@ type TopoAnalyzer struct {
 	healthy      []uint64 // bitset of healthy tiles
 	healthyCount int
 	faulty       []int32
+	masked       []int32  // healthy tiles with a blocked out-port
 	stamp        []uint32 // stamp[i] == epoch: i already blocked
 	epoch        uint32
 	stack        []int32
@@ -84,19 +85,30 @@ func (a *TopoAnalyzer) Grid() geom.Grid { return a.grid }
 // resolved link table whenever the topology and grid are unchanged —
 // the Monte Carlo loop calls this once per trial map. The zero
 // TopoAnalyzer is a valid Reset target.
-func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
+func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) { a.reset(topo, fm, nil) }
+
+// reset is Reset with directed out-port faults as well: where blocked
+// is non-nil, bit p of blocked[i] set means healthy tile i cannot send
+// through its port p, so a route is clear iff it also departs no tile
+// through a blocked port. A dead memory chiplet is such a fault on its
+// tile's N and S ports. The local port must never be blocked, which
+// keeps ejection exempt.
+func (a *TopoAnalyzer) reset(topo Topology, fm *fault.Map, blocked []uint16) {
 	g := fm.Grid()
 	if a.grid != g || a.topo == nil || a.topo.Name() != topo.Name() {
 		a.resize(topo, g)
 	}
 	size, w := g.Size(), a.words
 	clear(a.healthy)
-	a.faulty = a.faulty[:0]
+	a.faulty, a.masked = a.faulty[:0], a.masked[:0]
 	for i, c := range a.coords {
 		if fm.Faulty(c) {
 			a.faulty = append(a.faulty, int32(i))
 		} else {
 			a.healthy[i>>6] |= 1 << uint(i&63)
+			if blocked != nil && blocked[i] != 0 {
+				a.masked = append(a.masked, int32(i))
+			}
 		}
 	}
 	a.healthyCount = size - len(a.faulty)
@@ -112,17 +124,30 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 				continue
 			}
 			copy(row, a.healthy)
-			if len(a.faulty) == 0 {
+			if len(a.faulty) == 0 && len(a.masked) == 0 {
 				continue
 			}
-			// Every faulty tile is blocked; a tile whose next hop toward
-			// d is a blocked tile is blocked too.
+			// Every faulty tile is blocked, and so is every healthy tile
+			// whose next hop toward d leaves through a blocked port; a
+			// tile whose next hop toward d is a blocked tile is blocked
+			// too. Each route from a descendant of a port-blocked tile
+			// leaves it through that same port (the next hop depends
+			// only on the network, the tile and d), so the walk needs
+			// no per-port state.
 			pkt.Dst = a.coords[d]
 			a.nextEpoch()
 			a.stack = a.stack[:0]
 			for _, f := range a.faulty {
 				a.stamp[f] = a.epoch
 				a.stack = append(a.stack, f)
+			}
+			for _, v := range a.masked {
+				pkt.Src = a.coords[v]
+				if a.pol.Candidates(pkt.Net, pkt, pkt.Src, local, a.buf[:]) > 0 && blocked[v]>>uint(a.buf[0])&1 != 0 {
+					a.stamp[v] = a.epoch
+					row[v>>6] &^= 1 << uint(v&63)
+					a.stack = append(a.stack, v)
+				}
 			}
 			for len(a.stack) > 0 {
 				u := a.stack[len(a.stack)-1]

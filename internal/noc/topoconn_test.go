@@ -318,6 +318,32 @@ func TestTopoAnalyzerZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestChipletTrialZeroAllocs pins the steady state of the chiplet
+// sweep's trial: once a worker's scratch has been sized, a draw plus a
+// masked Reset plus AllPairs allocates nothing.
+func TestChipletTrialZeroAllocs(t *testing.T) {
+	g := geom.NewGrid(16, 16)
+	topo := MeshTopology(g)
+	sc := newChipletScratch(g)
+	rng := rand.New(rand.NewSource(0))
+	trial := func(i int) {
+		rng.Seed(int64(i % 2)) // two repeating maps: scratch growth ends after both
+		sc.draw(8+12*(i%2), rng)
+		sc.a.reset(topo, sc.compute, sc.blocked)
+		_ = sc.a.AllPairs()
+	}
+	trial(0)
+	trial(1)
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		trial(i)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocs per chiplet draw+Reset+AllPairs, want 0", allocs)
+	}
+}
+
 // TestTopoFig6SweepPin pins the non-mesh Fig. 6 curves against a golden
 // file, and checks that the worker count does not change them.
 func TestTopoFig6SweepPin(t *testing.T) {

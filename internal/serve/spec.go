@@ -109,7 +109,10 @@ type NoCMCSpec struct {
 	Chiplet   bool  `json:"chiplet"`   // fault at chiplet granularity
 	// Topology names the NoC link graph the tile-granularity sweep runs
 	// on ("" = mesh; see noc.TopologyNames). Chiplet-granularity sweeps
-	// are mesh-only. Cache-keyed; mesh canonicalizes to "".
+	// are mesh-only: a dead memory chiplet blocks its tile's N and S
+	// out-ports because the mesh's vertical links cross its
+	// feedthroughs, and no rule yet says which ports of the other link
+	// graphs do. Cache-keyed; mesh canonicalizes to "".
 	Topology string `json:"topology,omitempty"`
 }
 
