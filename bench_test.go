@@ -688,7 +688,7 @@ func BenchmarkDSEArraySweep(b *testing.B) {
 	d := core.NewDesign()
 	var knee int
 	for i := 0; i < b.N; i++ {
-		pts, err := d.SweepArraySize([]int{8, 16, 32, 48})
+		pts, err := d.SweepArraySizeCtx(context.Background(), []int{8, 16, 32, 48}, core.SweepOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -191,6 +191,9 @@ func cmdClock(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkArray(*side, *faults); err != nil {
+		return err
+	}
 	grid := geom.NewGrid(*side, *side)
 	fm := fault.Random(grid, *faults, rand.New(rand.NewSource(*seed)))
 	cfg := clock.DefaultSetup(grid)
@@ -212,6 +215,18 @@ func cmdClock(args []string) error {
 	starved := plan.UnreachedTiles(fm)
 	fmt.Printf("clocked %d/%d healthy tiles; starved: %v; max hops %d\n",
 		fm.HealthyCount()-len(starved), fm.HealthyCount(), starved, plan.MaxHops())
+	return nil
+}
+
+// checkArray rejects an array side or fault count that a square
+// side x side tile array cannot hold.
+func checkArray(side, faults int) error {
+	if side < 1 {
+		return fmt.Errorf("side %d < 1", side)
+	}
+	if tiles := side * side; faults < 0 || faults > tiles {
+		return fmt.Errorf("faults %d outside 0..%d", faults, tiles)
+	}
 	return nil
 }
 
@@ -384,6 +399,12 @@ func cmdKGD(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *batch < 0 {
+		return fmt.Errorf("batch %d < 0", *batch)
+	}
+	if !(*dieYield >= 0 && *dieYield <= 1) {
+		return fmt.Errorf("die-yield %g outside 0..1", *dieYield)
+	}
 	chiplets := jtag.RandomBatch(*batch, 4, *dieYield, rand.New(rand.NewSource(*seed)))
 	res, _ := jtag.ScreenChiplets(chiplets)
 	fmt.Printf("probe-tested %d chiplets: %d known-good, %d rejected (%d/%d screening errors)\n",
@@ -409,6 +430,12 @@ func cmdPlace(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkArray(*side, *faults); err != nil {
+		return err
+	}
+	if *k < 1 {
+		return fmt.Errorf("k %d < 1", *k)
+	}
 	grid := geom.NewGrid(*side, *side)
 	fm := fault.Random(grid, *faults, rand.New(rand.NewSource(*seed)))
 	for _, kk := range []int{1, *k} {
@@ -430,6 +457,9 @@ func cmdValidate(args []string) error {
 	seed := fs.Int64("seed", 2021, "random seed")
 	cfgPath := fs.String("config", "", "JSON config file overriding the prototype design")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkArray(*side, *faults); err != nil {
 		return err
 	}
 	d, err := loadDesign(*cfgPath)

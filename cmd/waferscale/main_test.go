@@ -131,6 +131,34 @@ func TestReportRejectsBadCounts(t *testing.T) {
 	}
 }
 
+// TestArrayFlagsRejected: clock, place, validate and kgd check their
+// flags up front instead of panicking in the models or printing
+// non-physical numbers.
+func TestArrayFlagsRejected(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"clock", "-faults", "-1"}, "faults -1 outside 0..64"},
+		{[]string{"clock", "-faults", "9999"}, "faults 9999 outside 0..64"},
+		{[]string{"clock", "-side", "0"}, "side 0 < 1"},
+		{[]string{"clock", "-side", "1"}, "faults 6 outside 0..1"},
+		{[]string{"place", "-side", "0"}, "side 0 < 1"},
+		{[]string{"place", "-faults", "2000"}, "faults 2000 outside 0..1024"},
+		{[]string{"place", "-k", "0"}, "k 0 < 1"},
+		{[]string{"validate", "-side", "0"}, "side 0 < 1"},
+		{[]string{"validate", "-faults", "-1"}, "faults -1 outside 0..16"},
+		{[]string{"kgd", "-batch", "-1"}, "batch -1 < 0"},
+		{[]string{"kgd", "-die-yield", "-0.5"}, "die-yield -0.5 outside 0..1"},
+		{[]string{"kgd", "-die-yield", "2"}, "die-yield 2 outside 0..1"},
+	} {
+		out, stderr, code := runCLI(t, c.args...)
+		if code != 1 || out != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1, no stdout, %q", c.args, code, out, stderr, c.want)
+		}
+	}
+}
+
 // TestNocMCZeroTrialsIsDefault: -trials 0 means the default trial
 // count, as it does in the daemon, not a sweep of zero trials.
 func TestNocMCZeroTrialsIsDefault(t *testing.T) {

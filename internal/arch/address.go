@@ -22,8 +22,6 @@ import (
 // waferscale mesh network; accesses to the local tile's window go
 // through the intra-tile crossbar directly.
 const (
-	// PrivateBase is the base address of core-private SRAM.
-	PrivateBase uint32 = 0x0000_0000
 	// LocalBankBase is the base address of the tile-local memory bank.
 	LocalBankBase uint32 = 0x4000_0000
 	// GlobalBase is the base address of the global shared-memory space.
@@ -86,9 +84,6 @@ func NewAddressMap(cfg Config) *AddressMap {
 // GlobalWindowBytes returns the per-tile global window size.
 func (m *AddressMap) GlobalWindowBytes() uint32 { return m.window }
 
-// GlobalLimit returns the first address above the global region.
-func (m *AddressMap) GlobalLimit() uint64 { return m.globalLimit }
-
 // Region classifies an address.
 func (m *AddressMap) Region(addr uint32) Region {
 	switch {
@@ -117,22 +112,6 @@ func (m *AddressMap) GlobalTarget(addr uint32) (tile geom.Coord, bank int, offse
 	bank = int(inWin / uint32(m.cfg.BankBytes))
 	offset = inWin % uint32(m.cfg.BankBytes)
 	return m.grid.Coord(tileIdx), bank, offset, nil
-}
-
-// GlobalAddr composes the inverse of GlobalTarget.
-func (m *AddressMap) GlobalAddr(tile geom.Coord, bank int, offset uint32) (uint32, error) {
-	if !m.grid.In(tile) {
-		return 0, fmt.Errorf("arch: tile %v outside %v array", tile, m.grid)
-	}
-	if bank < 0 || bank >= m.cfg.GlobalBanksPerTile {
-		return 0, fmt.Errorf("arch: bank %d outside 0..%d", bank, m.cfg.GlobalBanksPerTile-1)
-	}
-	if offset >= uint32(m.cfg.BankBytes) {
-		return 0, fmt.Errorf("arch: offset %#x exceeds bank size %#x", offset, m.cfg.BankBytes)
-	}
-	return GlobalBase +
-		uint32(m.grid.Index(tile))*m.GlobalWindowBytes() +
-		uint32(bank)*uint32(m.cfg.BankBytes) + offset, nil
 }
 
 // TileOf returns the tile owning a global address, or an error.

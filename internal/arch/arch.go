@@ -20,16 +20,8 @@ import (
 // Physical and protocol constants of the Si-IF integration technology
 // used by the prototype (paper Sections I, II and V).
 const (
-	// PillarPitchUM is the copper-pillar I/O pitch in microns (the
-	// minimum the Si-IF technology offers).
-	PillarPitchUM = 10.0
-	// WirePitchUM is the substrate interconnect wiring pitch in microns.
-	WirePitchUM = 5.0
 	// InterChipletGapUM is the inter-chiplet spacing on the wafer.
 	InterChipletGapUM = 100.0
-	// EdgeWireDensityPerMM is the achieved escape density with two
-	// signal layers (paper: 400 wires/mm).
-	EdgeWireDensityPerMM = 400.0
 	// LinkWidthBits is the parallel inter-chiplet network link width
 	// escaping each side of a tile (paper Section VI).
 	LinkWidthBits = 400
@@ -212,18 +204,6 @@ func (c Config) LocalBankBytesPerTile() int {
 // TotalSharedMem returns bytes of globally shared memory in the system.
 func (c Config) TotalSharedMem() int64 {
 	return int64(c.Tiles()) * int64(c.SharedMemPerTile())
-}
-
-// TotalPrivateMem returns the aggregate private SRAM bytes.
-func (c Config) TotalPrivateMem() int64 {
-	return int64(c.TotalCores()) * int64(c.PrivateMemPerCore)
-}
-
-// TotalMemory returns all on-wafer SRAM bytes (private + all banks),
-// which is what a full-wafer program/data load must shift in over JTAG.
-func (c Config) TotalMemory() int64 {
-	return c.TotalPrivateMem() +
-		int64(c.Tiles())*int64(c.SharedBanksPerTile)*int64(c.BankBytes)
 }
 
 // ComputeThroughputOPS returns peak ops/sec assuming one op per core

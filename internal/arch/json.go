@@ -7,17 +7,8 @@ import (
 	"io"
 )
 
-// Config serialization: design points round-trip through JSON so the
-// CLI can evaluate custom systems (cmd/waferscale -config) and sweeps
-// can be archived alongside their results.
-
-// MarshalJSONConfig writes the configuration as indented JSON.
-func MarshalJSONConfig(c Config) ([]byte, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("arch: refusing to serialize invalid config: %w", err)
-	}
-	return json.MarshalIndent(c, "", "  ")
-}
+// Config loading: design points are read from JSON so the CLI can
+// evaluate custom systems (cmd/waferscale -config).
 
 // UnmarshalJSONConfig parses and validates a configuration. Missing
 // fields inherit the default prototype values, so a partial file like

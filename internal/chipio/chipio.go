@@ -15,8 +15,6 @@ import (
 // IOCell describes the transmitter/receiver circuit of one signal I/O.
 type IOCell struct {
 	AreaUM2       float64 // cell area incl. ESD (paper: ~150 um^2)
-	MaxRateHz     float64 // signaling rate the driver supports (paper: 1 GHz)
-	MaxLinkUM     float64 // longest link drivable at MaxRateHz (paper: 500 um)
 	SupplyVolts   float64 // I/O swing (logic supply, 1.1 V)
 	WireCapFPerUM float64 // loaded link capacitance per micron
 	ESDRatingV    float64 // HBM rating (paper: 100 V for bare-die assembly)
@@ -26,8 +24,6 @@ type IOCell struct {
 func DefaultIOCell() IOCell {
 	return IOCell{
 		AreaUM2:       150,
-		MaxRateHz:     1e9,
-		MaxLinkUM:     500,
 		SupplyVolts:   1.1,
 		WireCapFPerUM: 0.104e-15,
 		ESDRatingV:    100,
@@ -40,18 +36,6 @@ func DefaultIOCell() IOCell {
 // reproduces the paper's 0.063 pJ/bit.
 func (c IOCell) EnergyPerBitJ(linkUM float64) float64 {
 	return c.WireCapFPerUM * linkUM * c.SupplyVolts * c.SupplyVolts
-}
-
-// CanDrive reports whether the cell can signal at rateHz over linkUM.
-// The drivable length scales inversely with rate (RC-limited settling).
-func (c IOCell) CanDrive(linkUM, rateHz float64) bool {
-	if linkUM <= 0 || rateHz <= 0 {
-		return false
-	}
-	if rateHz > c.MaxRateHz {
-		return false
-	}
-	return linkUM <= c.MaxLinkUM*(c.MaxRateHz/rateHz)
 }
 
 // ESDContext distinguishes packaged-part handling from bare-die
@@ -97,12 +81,6 @@ type BondConfig struct {
 	PillarYield    float64 // probability one pillar bonds (paper: >0.9999)
 	PillarsPerPad  int     // redundancy (prototype: 2)
 	PadsPerChiplet int     // bonded fine-pitch pads
-}
-
-// DefaultBond returns the prototype's bonding configuration for a
-// chiplet with the given pad count.
-func DefaultBond(pads int) BondConfig {
-	return BondConfig{PillarYield: 0.9999, PillarsPerPad: 2, PadsPerChiplet: pads}
 }
 
 // Validate checks the configuration.

@@ -209,15 +209,6 @@ func (r *PadRing) TotalIOAreaMM2(cell IOCell) float64 {
 	return um2 / 1e6
 }
 
-// EdgeDensityPerMM returns bonded I/Os per mm of die perimeter.
-func (r *PadRing) EdgeDensityPerMM() float64 {
-	per := 2 * (r.DieWidthUM + r.DieHeightUM) / 1000
-	if per <= 0 {
-		return 0
-	}
-	return float64(len(r.SignalPads())) / per
-}
-
 // FallbackReport describes what survives if only one substrate routing
 // layer yields (paper Section VIII).
 type FallbackReport struct {
@@ -244,28 +235,4 @@ func (r *PadRing) SingleLayerFallback(banksTotal, banksEssential int) FallbackRe
 	}
 	rep.SystemAlive = rep.UsableIOs > 0 && banksEssential >= 1
 	return rep
-}
-
-// ProbePadsProbeable verifies every probe pad sits at probe-card pitch
-// from its nearest probe neighbor (the reason fine-pitch pads cannot be
-// probed: probe pitch is >50 um while the signal pads sit at 10 um).
-func (r *PadRing) ProbePadsProbeable() error {
-	var probes []Pad
-	for _, p := range r.Pads {
-		if p.Probe {
-			probes = append(probes, p)
-		}
-	}
-	for i, a := range probes {
-		for j, b := range probes {
-			if i == j {
-				continue
-			}
-			if d := a.Center.Manhattan(b.Center); d < ProbePadPitchUM {
-				return fmt.Errorf("chipio: probe pads %s and %s only %.1f um apart (< %g um probe pitch)",
-					a.Name, b.Name, d, ProbePadPitchUM)
-			}
-		}
-	}
-	return nil
 }

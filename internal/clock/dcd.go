@@ -1,9 +1,6 @@
 package clock
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Duty-cycle distortion (DCD) modelling, paper Section IV: pull-up /
 // pull-down imbalance in the buffers, inverters, forwarding muxes and
@@ -102,47 +99,6 @@ func (c DCDConfig) WorstDuty(hops int) float64 {
 		}
 	}
 	return worst
-}
-
-// PLL models the on-chiplet phase-locked loop (paper Section IV): it
-// accepts a reference between 10 and 133 MHz and multiplies it to at
-// most 400 MHz, and it only locks when its supply is stable — which on
-// this wafer means the tile can reach off-wafer decoupling capacitors,
-// i.e. it sits at the array edge.
-type PLL struct {
-	MinRefHz   float64 // lowest usable reference (10 MHz)
-	MaxRefHz   float64 // highest usable reference (133 MHz)
-	MaxOutHz   float64 // output ceiling (400 MHz)
-	MaxRippleV float64 // supply ripple tolerance for lock
-}
-
-// DefaultPLL returns the prototype's PLL envelope.
-func DefaultPLL() PLL {
-	return PLL{MinRefHz: 10e6, MaxRefHz: 133e6, MaxOutHz: 400e6, MaxRippleV: 0.05}
-}
-
-// Lock attempts to generate outHz from refHz under the given supply
-// ripple. It returns the integer multiplication factor used.
-func (p PLL) Lock(refHz, outHz, supplyRippleV float64) (mult int, err error) {
-	if refHz < p.MinRefHz || refHz > p.MaxRefHz {
-		return 0, fmt.Errorf("clock: reference %.3g Hz outside PLL range [%.3g, %.3g]",
-			refHz, p.MinRefHz, p.MaxRefHz)
-	}
-	if outHz <= 0 || outHz > p.MaxOutHz {
-		return 0, fmt.Errorf("clock: output %.3g Hz outside PLL ceiling %.3g", outHz, p.MaxOutHz)
-	}
-	if supplyRippleV > p.MaxRippleV {
-		return 0, fmt.Errorf("clock: supply ripple %.3g V exceeds PLL tolerance %.3g V (stable clock generation requires an edge tile near off-wafer decap)",
-			supplyRippleV, p.MaxRippleV)
-	}
-	m := int(math.Round(outHz / refHz))
-	if m < 1 {
-		m = 1
-	}
-	if got := refHz * float64(m); math.Abs(got-outHz) > 0.005*outHz {
-		return 0, fmt.Errorf("clock: %.4g Hz not an integer multiple of reference %.4g Hz", outHz, refHz)
-	}
-	return m, nil
 }
 
 // PassiveCDN captures why a wafer-spanning passive clock tree was

@@ -60,15 +60,6 @@ func (j JitterModel) SimulateRMS(hops, trials int, rng *rand.Rand) float64 {
 	return math.Sqrt(ss / float64(trials))
 }
 
-// CycleBudgetOK reports whether the *per-hop* jitter (what actually
-// eats setup margin inside a tile, given the async-FIFO links) fits
-// within the fraction of the clock period reserved for clock
-// uncertainty.
-func (j JitterModel) CycleBudgetOK(freqHz, marginFrac float64) bool {
-	period := 1e12 / freqHz                     // ps
-	return j.PerHopRMSps*6 <= period*marginFrac // 6-sigma
-}
-
 // MaxSafeHopsSynchronous returns how deep a forwarding chain could go
 // if the links were *synchronous* (accumulated jitter had to stay
 // within the margin) — demonstrating why the prototype uses async

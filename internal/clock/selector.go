@@ -67,9 +67,6 @@ func (s *Selector) Selected() Source { return s.selected }
 // Locked reports whether auto-selection has completed.
 func (s *Selector) Locked() bool { return s.locked }
 
-// Counts returns a copy of the per-input toggle counters (N,E,S,W).
-func (s *Selector) Counts() [4]int { return s.counts }
-
 // SetMode switches the FSM mode (driven over JTAG during the setup
 // phase). Entering ModeAuto resets the counters and the lock.
 func (s *Selector) SetMode(m SelectorMode) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -218,7 +219,7 @@ func TestAnalyzeSubstrate(t *testing.T) {
 
 func TestSweepArraySize(t *testing.T) {
 	d := NewDesign()
-	pts, err := d.SweepArraySize([]int{8, 16, 32, 48})
+	pts, err := d.SweepArraySizeCtx(context.Background(), []int{8, 16, 32, 48}, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

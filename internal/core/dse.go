@@ -56,19 +56,13 @@ type SweepOpts struct {
 	Progress func(done, total int)
 }
 
-// SweepArraySize evaluates square arrays of the given side lengths,
+// SweepArraySizeCtx evaluates square arrays of the given side lengths,
 // keeping the per-tile design fixed. Larger arrays droop more: at some
 // size the edge-delivery scheme stops regulating — the knee this sweep
 // exposes is why TWVs matter for scale-up. The sides are evaluated on
 // the shared bounded pool (d.Workers goroutines, 0 = GOMAXPROCS); each
 // point solves its droop map single-threaded so the sweep parallelizes
-// across points, not inside them.
-func (d *Design) SweepArraySize(sides []int) ([]ArrayPoint, error) {
-	return d.SweepArraySizeCtx(context.Background(), sides, SweepOpts{})
-}
-
-// SweepArraySizeCtx is the context-aware, model-selectable array sweep
-// with a progress hook. The analytical backend replaces the SOR droop
+// across points, not inside them. The analytical backend replaces the SOR droop
 // solve with the spectral closed form and the cycle-accurate NoC probe
 // with the queueing model, labeling every point with the backend used.
 func (d *Design) SweepArraySizeCtx(ctx context.Context, sides []int, opts SweepOpts) ([]ArrayPoint, error) {

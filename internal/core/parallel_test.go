@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -59,7 +60,7 @@ func TestSweepArraySizeWorkerInvariance(t *testing.T) {
 	sides := []int{8, 12, 16}
 	serial := NewDesign()
 	serial.Workers = 1
-	ref, err := serial.SweepArraySize(sides)
+	ref, err := serial.SweepArraySizeCtx(context.Background(), sides, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestSweepArraySizeWorkerInvariance(t *testing.T) {
 	}
 	par := NewDesign()
 	par.Workers = 4
-	got, err := par.SweepArraySize(sides)
+	got, err := par.SweepArraySizeCtx(context.Background(), sides, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +82,17 @@ func TestExploreParetoWorkerInvariance(t *testing.T) {
 	space := ParetoSpace{Sides: []int{8, 12}, EdgeV: []float64{2.0, 2.5}, Pillars: []int{1, 2}}
 	serial := NewDesign()
 	serial.Workers = 1
-	refAll, refFront, err := serial.ExplorePareto(space)
+	ref, err := serial.ExploreParetoCtx(context.Background(), space, ParetoOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := NewDesign()
 	par.Workers = 4
-	gotAll, gotFront, err := par.ExplorePareto(space)
+	got, err := par.ExploreParetoCtx(context.Background(), space, ParetoOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotAll, refAll) || !reflect.DeepEqual(gotFront, refFront) {
+	if !reflect.DeepEqual(got.All, ref.All) || !reflect.DeepEqual(got.Frontier, ref.Frontier) {
 		t.Errorf("parallel Pareto exploration differs from serial")
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"waferscale/internal/chipio"
 	"waferscale/internal/pdn"
 )
@@ -68,21 +66,6 @@ func DefaultParetoSpace() ParetoSpace {
 		EdgeV:   []float64{2.0, 2.5, 3.0},
 		Pillars: []int{1, 2},
 	}
-}
-
-// ExplorePareto evaluates the grid exhaustively with the cycle-accurate
-// backend and returns all feasible points plus the Pareto-optimal
-// subset (both sorted by throughput). Candidates are evaluated on the
-// shared bounded pool (d.Workers goroutines, 0 = GOMAXPROCS); each
-// point's droop solve runs single-threaded so the sweep parallelizes
-// across candidates. ExploreParetoCtx adds cancellation, progress
-// hooks, backend selection and the two-tier screen/verify mode.
-func (d *Design) ExplorePareto(space ParetoSpace) (all, frontier []DesignPoint, err error) {
-	run, err := d.ExploreParetoCtx(context.Background(), space, ParetoOpts{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return run.All, run.Frontier, nil
 }
 
 func (d *Design) evaluatePoint(side int, edgeV float64, pillars int, model EvalModel, probe nocProbe) (DesignPoint, error) {

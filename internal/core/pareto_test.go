@@ -1,13 +1,17 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestExplorePareto(t *testing.T) {
 	d := NewDesign()
-	all, frontier, err := d.ExplorePareto(DefaultParetoSpace())
+	run, err := d.ExploreParetoCtx(context.Background(), DefaultParetoSpace(), ParetoOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	all, frontier := run.All, run.Frontier
 	if len(all) == 0 || len(frontier) == 0 {
 		t.Fatalf("all=%d frontier=%d", len(all), len(frontier))
 	}
@@ -69,12 +73,12 @@ func TestExplorePareto(t *testing.T) {
 func TestParetoInfeasibleExcluded(t *testing.T) {
 	d := NewDesign()
 	// Huge array at low edge voltage cannot regulate.
-	all, _, err := d.ExplorePareto(ParetoSpace{Sides: []int{48}, EdgeV: []float64{2.0}, Pillars: []int{2}})
+	run, err := d.ExploreParetoCtx(context.Background(), ParetoSpace{Sides: []int{48}, EdgeV: []float64{2.0}, Pillars: []int{2}}, ParetoOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 0 {
-		t.Errorf("infeasible point admitted: %+v", all)
+	if len(run.All) != 0 {
+		t.Errorf("infeasible point admitted: %+v", run.All)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestTopoSurvivorPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cycle-accurate sweep")
 	}
-	run, err := ExploreTopologies(topoTestSpace(), TopoSweepOpts{TwoTier: true})
+	run, err := ExploreTopologiesCtx(context.Background(), topoTestSpace(), TopoSweepOpts{TwoTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,11 +229,6 @@ func dominatesTopo(a, b TopoPoint) bool {
 	return geq && gt
 }
 
-// ExploreTopologies runs the sweep with background context.
-func ExploreTopologies(space TopoSweepSpace, opts TopoSweepOpts) (*TopoSweepRun, error) {
-	return ExploreTopologiesCtx(context.Background(), space, opts)
-}
-
 // ExploreTopologiesCtx evaluates the topology x fault-map space. With
 // opts.TwoTier it screens every candidate with the closed-form
 // analytical model and cycle-verifies only the candidates that could

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"waferscale/internal/noc"
@@ -31,11 +32,11 @@ func TestExploreTopologiesTwoTier(t *testing.T) {
 	space := topoTestSpace()
 	// Serial evaluation keeps the screen/exhaustive timing ratio free of
 	// scheduler noise.
-	exhaustive, err := ExploreTopologies(space, TopoSweepOpts{Model: ModelCycle, Workers: 1})
+	exhaustive, err := ExploreTopologiesCtx(context.Background(), space, TopoSweepOpts{Model: ModelCycle, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := ExploreTopologies(space, TopoSweepOpts{TwoTier: true, Workers: 1})
+	two, err := ExploreTopologiesCtx(context.Background(), space, TopoSweepOpts{TwoTier: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ const (
 // produces a frontier that is a non-dominated subset of All.
 func TestExploreTopologiesSingleTierAnalytical(t *testing.T) {
 	space := topoTestSpace()
-	run, err := ExploreTopologies(space, TopoSweepOpts{Model: ModelAnalytical})
+	run, err := ExploreTopologiesCtx(context.Background(), space, TopoSweepOpts{Model: ModelAnalytical})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +154,13 @@ func TestExploreTopologiesSingleTierAnalytical(t *testing.T) {
 
 // TestExploreTopologiesSpaceValidation pins the enumeration errors.
 func TestExploreTopologiesSpaceValidation(t *testing.T) {
-	if _, err := ExploreTopologies(TopoSweepSpace{Side: 1}, TopoSweepOpts{}); err == nil {
+	if _, err := ExploreTopologiesCtx(context.Background(), TopoSweepSpace{Side: 1}, TopoSweepOpts{}); err == nil {
 		t.Error("side 1 accepted")
 	}
-	if _, err := ExploreTopologies(TopoSweepSpace{Side: 8, Topologies: []string{"torus"}}, TopoSweepOpts{}); err == nil {
+	if _, err := ExploreTopologiesCtx(context.Background(), TopoSweepSpace{Side: 8, Topologies: []string{"torus"}}, TopoSweepOpts{}); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if _, err := ExploreTopologies(TopoSweepSpace{Side: 4, FaultCounts: []int{40}}, TopoSweepOpts{}); err == nil {
+	if _, err := ExploreTopologiesCtx(context.Background(), TopoSweepSpace{Side: 4, FaultCounts: []int{40}}, TopoSweepOpts{}); err == nil {
 		t.Error("out-of-range fault count accepted")
 	}
 	combos, err := enumerateTopoSpace(TopoSweepSpace{Side: 8, Topologies: []string{"Express", " mesh "}, FaultCounts: []int{0, 3}, Trials: 3})

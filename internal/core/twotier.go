@@ -382,10 +382,15 @@ func (d *Design) evalCombos(ctx context.Context, combos []paretoCombo, model Eva
 	})
 }
 
-// ExploreParetoCtx is the context-aware, model-selectable Pareto
-// exploration. With opts.TwoTier it screens the full space with the
-// analytical fast path and verifies only the survivors with the cycle
-// backend; otherwise it evaluates every point with opts.Model.
+// ExploreParetoCtx explores the Pareto grid and returns all feasible
+// points plus the Pareto-optimal subset (both sorted by throughput).
+// With opts.TwoTier it screens the full space with the analytical fast
+// path and verifies only the survivors with the cycle backend;
+// otherwise it evaluates every point with opts.Model (the zero value is
+// the cycle-accurate backend). Candidates are evaluated on the shared
+// bounded pool (d.Workers goroutines, 0 = GOMAXPROCS); each point's
+// droop solve runs single-threaded so the sweep parallelizes across
+// candidates.
 func (d *Design) ExploreParetoCtx(ctx context.Context, space ParetoSpace, opts ParetoOpts) (*ParetoRun, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -16,10 +16,11 @@ import (
 func TestTwoTierMatchesExhaustiveFrontier(t *testing.T) {
 	d := NewDesign()
 	space := DefaultParetoSpace()
-	_, exhaustive, err := d.ExplorePareto(space)
+	ref, err := d.ExploreParetoCtx(context.Background(), space, ParetoOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	exhaustive := ref.Frontier
 	run, err := d.ExploreParetoCtx(context.Background(), space, ParetoOpts{TwoTier: true})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ func TestAnalyticalParetoLabeled(t *testing.T) {
 func TestSweepArraySizeAnalytical(t *testing.T) {
 	d := NewDesign()
 	sides := []int{8, 16, 32}
-	exact, err := d.SweepArraySize(sides)
+	exact, err := d.SweepArraySizeCtx(context.Background(), sides, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"waferscale/internal/workload"
 )
 
-// Workload topology exploration: the ExploreTopologies idea pointed at
+// Workload topology exploration: the ExploreTopologiesCtx idea pointed at
 // an operator graph. Instead of ranking interconnects by synthetic
 // saturation and disconnection metrics, each (topology, placement)
 // combination runs the graph end to end on a real machine and is
@@ -53,11 +53,6 @@ type WorkloadTopoOpts struct {
 type workloadCombo struct{ topo, place string }
 
 func (c workloadCombo) String() string { return "workload sweep " + c.topo + "/" + c.place }
-
-// ExploreWorkloadTopologies runs the sweep with background context.
-func ExploreWorkloadTopologies(g *workload.Graph, opts WorkloadTopoOpts) (*WorkloadTopoRun, error) {
-	return ExploreWorkloadTopologiesCtx(context.Background(), g, opts)
-}
 
 // ExploreWorkloadTopologiesCtx evaluates the topology x placement grid
 // for one graph. Combinations run concurrently on independent machines;

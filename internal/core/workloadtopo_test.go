@@ -15,7 +15,7 @@ import (
 // must cover the whole grid exactly once.
 func TestExploreWorkloadTopologiesRanks(t *testing.T) {
 	g := workload.TransformerBlock(0, 0, 0)
-	run, err := ExploreWorkloadTopologies(g, WorkloadTopoOpts{Side: 4})
+	run, err := ExploreWorkloadTopologiesCtx(context.Background(), g, WorkloadTopoOpts{Side: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +56,12 @@ func TestExploreWorkloadTopologiesWorkerInvariance(t *testing.T) {
 		Topologies: []string{noc.TopoMesh, noc.TopoCMesh},
 		Workers:    1,
 	}
-	serial, err := ExploreWorkloadTopologies(g, opts)
+	serial, err := ExploreWorkloadTopologiesCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
-	wide, err := ExploreWorkloadTopologies(g, opts)
+	wide, err := ExploreWorkloadTopologiesCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestExploreWorkloadTopologiesWorkerInvariance(t *testing.T) {
 // side cannot host the vertical fold, and cancellation propagates.
 func TestExploreWorkloadTopologiesRejects(t *testing.T) {
 	g := workload.TransformerBlock(0, 0, 0)
-	if _, err := ExploreWorkloadTopologies(g, WorkloadTopoOpts{Side: 3}); err == nil {
+	if _, err := ExploreWorkloadTopologiesCtx(context.Background(), g, WorkloadTopoOpts{Side: 3}); err == nil {
 		t.Error("odd side with vertical topology accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -56,22 +56,3 @@ func Clustered(grid geom.Grid, n int, cfg ClusterConfig, rng *rand.Rand) *Map {
 	}
 	return m
 }
-
-// ClusterStats measures how clumped a fault map is: the mean number of
-// faulty 4-neighbors per faulty tile. Uniform maps at low density score
-// near zero; clustered maps score well above.
-func ClusterStats(m *Map) float64 {
-	faulty := m.FaultyCoords()
-	if len(faulty) == 0 {
-		return 0
-	}
-	adj := 0
-	for _, c := range faulty {
-		for _, nb := range c.Neighbors() {
-			if m.Grid().In(nb) && m.Faulty(nb) {
-				adj++
-			}
-		}
-	}
-	return float64(adj) / float64(len(faulty))
-}

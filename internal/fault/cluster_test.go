@@ -41,20 +41,14 @@ func TestClusteredIsClumpier(t *testing.T) {
 	var uniform, clustered float64
 	for i := 0; i < trials; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		uniform += ClusterStats(Random(g, n, rng))
+		uniform += clumpiness(Random(g, n, rng))
 		rng = rand.New(rand.NewSource(int64(i)))
-		clustered += ClusterStats(Clustered(g, n, DefaultClusters(), rng))
+		clustered += clumpiness(Clustered(g, n, DefaultClusters(), rng))
 	}
 	uniform /= trials
 	clustered /= trials
 	if clustered < 3*uniform+0.2 {
 		t.Errorf("clustered adjacency %.3f not clearly above uniform %.3f", clustered, uniform)
-	}
-}
-
-func TestClusterStatsEmpty(t *testing.T) {
-	if ClusterStats(NewMap(geom.NewGrid(4, 4))) != 0 {
-		t.Error("empty map should score 0")
 	}
 }
 
@@ -64,4 +58,19 @@ func TestClusteredDegenerateMeanSize(t *testing.T) {
 	if m.Count() != 5 {
 		t.Errorf("degenerate mean size placed %d", m.Count())
 	}
+}
+
+// clumpiness is the mean number of faulty 4-neighbors per faulty tile:
+// uniform maps at low density score near zero, clustered maps well above.
+func clumpiness(m *Map) float64 {
+	faulty := m.FaultyCoords()
+	adj := 0
+	for _, c := range faulty {
+		for _, nb := range c.Neighbors() {
+			if m.Grid().In(nb) && m.Faulty(nb) {
+				adj++
+			}
+		}
+	}
+	return float64(adj) / float64(len(faulty))
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"waferscale/internal/geom"
@@ -95,31 +94,6 @@ func (m *Map) HealthyCoords() []geom.Coord {
 	return out
 }
 
-// RowHealthy returns the number of healthy tiles in each row (indexed
-// by Y). The analytical NoC timing model builds its per-link traffic
-// marginals from these row/column healthy counts.
-func (m *Map) RowHealthy() []int {
-	out := make([]int, m.grid.H)
-	for i, f := range m.faulty {
-		if !f {
-			out[i/m.grid.W]++
-		}
-	}
-	return out
-}
-
-// ColumnHealthy returns the number of healthy tiles in each column
-// (indexed by X).
-func (m *Map) ColumnHealthy() []int {
-	out := make([]int, m.grid.W)
-	for i, f := range m.faulty {
-		if !f {
-			out[i%m.grid.W]++
-		}
-	}
-	return out
-}
-
 // Clone returns an independent copy of the map.
 func (m *Map) Clone() *Map {
 	c := &Map{grid: m.grid, faulty: make([]bool, len(m.faulty)), count: m.count}
@@ -194,34 +168,6 @@ func TrialSeed(base int64, stratum, trial int) int64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return int64(z)
-}
-
-// Parse builds a map from the String drawing format ('.'/'X', north row
-// first). All rows must be the same width.
-func Parse(s string) (*Map, error) {
-	lines := strings.Fields(strings.TrimSpace(s))
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("fault: empty map drawing")
-	}
-	h := len(lines)
-	w := len(lines[0])
-	m := NewMap(geom.NewGrid(w, h))
-	for row, line := range lines {
-		if len(line) != w {
-			return nil, fmt.Errorf("fault: row %d width %d != %d", row, len(line), w)
-		}
-		y := h - 1 - row
-		for x, ch := range line {
-			switch ch {
-			case '.':
-			case 'X', 'x':
-				m.MarkFaulty(geom.C(x, y))
-			default:
-				return nil, fmt.Errorf("fault: bad cell %q at (%d,%d)", ch, x, y)
-			}
-		}
-	}
-	return m, nil
 }
 
 // ConnectedToEdge computes, via breadth-first search over healthy tiles,
@@ -308,28 +254,4 @@ func Collect(samples []float64) Stats {
 		s.StdDev = math.Sqrt(ss / float64(s.N-1))
 	}
 	return s
-}
-
-// Percentile returns the p-th percentile (0..100) of the samples using
-// nearest-rank on a sorted copy.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

@@ -71,44 +71,25 @@ func TestStringParseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		m := Random(geom.NewGrid(8, 6), trial, rng)
-		p, err := Parse(m.String())
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		if p.Grid() != m.Grid() || p.Count() != m.Count() {
-			t.Fatalf("round trip changed shape/count")
+		rows := strings.Split(strings.TrimSuffix(m.String(), "\n"), "\n")
+		if len(rows) != 6 || strings.Count(m.String(), "X") != m.Count() {
+			t.Fatalf("drawing has %d rows and %d faults, want 6 and %d",
+				len(rows), strings.Count(m.String(), "X"), m.Count())
 		}
 		for _, c := range m.FaultyCoords() {
-			if !p.Faulty(c) {
-				t.Fatalf("fault at %v lost in round trip", c)
+			if rows[5-c.Y][c.X] != 'X' {
+				t.Fatalf("fault at %v missing from the drawing", c)
 			}
 		}
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	if _, err := Parse(""); err == nil {
-		t.Error("empty drawing accepted")
-	}
-	if _, err := Parse("..\n.\n"); err == nil {
-		t.Error("ragged rows accepted")
-	}
-	if _, err := Parse("..\n.?\n"); err == nil {
-		t.Error("bad cell accepted")
-	}
-}
-
 func TestParseOrientation(t *testing.T) {
 	// First text row is the north (max Y) row.
-	m, err := Parse("X.\n..\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Faulty(geom.C(0, 1)) {
-		t.Error("fault should land at (0,1) — north-west corner")
-	}
-	if m.Faulty(geom.C(0, 0)) {
-		t.Error("(0,0) should be healthy")
+	m := NewMap(geom.NewGrid(2, 2))
+	m.MarkFaulty(geom.C(0, 1))
+	if got := m.String(); got != "X.\n..\n" {
+		t.Errorf("north-west fault drawn as %q", got)
 	}
 }
 
@@ -208,14 +189,9 @@ func TestConnectedToEdgeWalledOff(t *testing.T) {
 
 func TestConnectedToEdgeDiagonalNotEnough(t *testing.T) {
 	// 4-connectivity only: a diagonal gap must not leak reachability.
-	m, err := Parse(strings.TrimSpace(`
-.....
-.XXX.
-.X.X.
-.XXX.
-.....`))
-	if err != nil {
-		t.Fatal(err)
+	m := NewMap(geom.NewGrid(5, 5))
+	for _, c := range geom.C(2, 2).Neighbors() {
+		m.MarkFaulty(c)
 	}
 	reach := m.ConnectedToEdge()
 	if reach[m.Grid().Index(geom.C(2, 2))] {
@@ -273,25 +249,5 @@ func TestCollectStats(t *testing.T) {
 	one := Collect([]float64{7})
 	if one.StdDev != 0 || one.Mean != 7 {
 		t.Errorf("single-sample stats = %+v", one)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	samples := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(samples, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(samples, 100); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(samples, 50); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %v", got)
-	}
-	// Input must not be reordered.
-	if samples[0] != 5 {
-		t.Error("Percentile mutated its input")
 	}
 }

@@ -1,6 +1,6 @@
 // Package geom provides the small geometric vocabulary shared by the
 // waferscale design flow: integer grid coordinates for the tile array,
-// micron-denominated rectangles for chiplet and substrate floorplanning,
+// micron-denominated points for chiplet and substrate floorplanning,
 // and Manhattan-distance helpers used by the routers and the network
 // analyses.
 //
@@ -9,7 +9,7 @@
 //   - Tile coordinates (Coord): integer (X, Y) positions in the 32x32
 //     tile array. X grows east, Y grows north. These index fault maps,
 //     network routes and the clock-forwarding graph.
-//   - Physical coordinates (Point/Rect): micrometers on the wafer or on
+//   - Physical coordinates (Point): micrometers on the wafer or on
 //     a chiplet. These are used by the pad-ring floorplanner and the
 //     substrate router.
 package geom
@@ -117,12 +117,6 @@ type Point struct {
 // Pt is shorthand for constructing a Point.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
-// Add returns the vector sum p + q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector difference p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Manhattan returns the Manhattan distance between p and q in microns.
 func (p Point) Manhattan(q Point) float64 {
 	return absF(p.X-q.X) + absF(p.Y-q.Y)
@@ -130,86 +124,6 @@ func (p Point) Manhattan(q Point) float64 {
 
 // String renders the point with micron units.
 func (p Point) String() string { return fmt.Sprintf("(%.2fum,%.2fum)", p.X, p.Y) }
-
-// Rect is an axis-aligned rectangle in micrometers. Min is inclusive,
-// Max exclusive, matching image.Rectangle conventions.
-type Rect struct {
-	Min, Max Point
-}
-
-// R constructs a rectangle from its two corner coordinates, normalizing
-// so that Min <= Max on both axes.
-func R(x0, y0, x1, y1 float64) Rect {
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	return Rect{Min: Point{x0, y0}, Max: Point{x1, y1}}
-}
-
-// W returns the rectangle width in microns.
-func (r Rect) W() float64 { return r.Max.X - r.Min.X }
-
-// H returns the rectangle height in microns.
-func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the rectangle area in square microns.
-func (r Rect) Area() float64 { return r.W() * r.H() }
-
-// Empty reports whether the rectangle has zero (or negative) area.
-func (r Rect) Empty() bool { return r.Min.X >= r.Max.X || r.Min.Y >= r.Max.Y }
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Contains reports whether p lies inside r (Min inclusive, Max exclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
-}
-
-// Overlaps reports whether r and s share any interior area.
-func (r Rect) Overlaps(s Rect) bool {
-	return r.Min.X < s.Max.X && s.Min.X < r.Max.X &&
-		r.Min.Y < s.Max.Y && s.Min.Y < r.Max.Y
-}
-
-// Translate returns r shifted by the vector d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{Min: r.Min.Add(d), Max: r.Max.Add(d)}
-}
-
-// Inset returns r shrunk by m microns on every side. The result may be
-// empty if m exceeds half the smaller dimension.
-func (r Rect) Inset(m float64) Rect {
-	return Rect{
-		Min: Point{r.Min.X + m, r.Min.Y + m},
-		Max: Point{r.Max.X - m, r.Max.Y - m},
-	}
-}
-
-// Union returns the smallest rectangle covering both r and s. Empty
-// rectangles are ignored.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Min: Point{minF(r.Min.X, s.Min.X), minF(r.Min.Y, s.Min.Y)},
-		Max: Point{maxF(r.Max.X, s.Max.X), maxF(r.Max.Y, s.Max.Y)},
-	}
-}
-
-// String renders the rectangle with micron units.
-func (r Rect) String() string {
-	return fmt.Sprintf("[%s-%s]", r.Min, r.Max)
-}
 
 func abs(x int) int {
 	if x < 0 {
@@ -223,18 +137,4 @@ func absF(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -79,79 +79,6 @@ func TestManhattanSymmetry(t *testing.T) {
 	}
 }
 
-func TestRectBasics(t *testing.T) {
-	r := R(10, 20, 30, 60)
-	if r.W() != 20 || r.H() != 40 {
-		t.Fatalf("W,H = %v,%v; want 20,40", r.W(), r.H())
-	}
-	if r.Area() != 800 {
-		t.Errorf("Area = %v, want 800", r.Area())
-	}
-	if c := r.Center(); c != Pt(20, 40) {
-		t.Errorf("Center = %v, want (20,40)", c)
-	}
-	if !r.Contains(Pt(10, 20)) {
-		t.Error("Min corner should be inside")
-	}
-	if r.Contains(Pt(30, 60)) {
-		t.Error("Max corner should be outside")
-	}
-}
-
-func TestRectNormalization(t *testing.T) {
-	r := R(30, 60, 10, 20)
-	if r.Min != Pt(10, 20) || r.Max != Pt(30, 60) {
-		t.Errorf("R did not normalize corners: %v", r)
-	}
-}
-
-func TestRectOverlaps(t *testing.T) {
-	a := R(0, 0, 10, 10)
-	cases := []struct {
-		b    Rect
-		want bool
-	}{
-		{R(5, 5, 15, 15), true},
-		{R(10, 0, 20, 10), false}, // abutting, no interior overlap
-		{R(-5, -5, 0.5, 0.5), true},
-		{R(20, 20, 30, 30), false},
-		{R(2, 2, 3, 3), true}, // fully contained
-	}
-	for i, c := range cases {
-		if got := a.Overlaps(c.b); got != c.want {
-			t.Errorf("case %d: Overlaps(%v) = %v, want %v", i, c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(a); got != c.want {
-			t.Errorf("case %d: overlap not symmetric", i)
-		}
-	}
-}
-
-func TestRectInsetUnionTranslate(t *testing.T) {
-	r := R(0, 0, 10, 10)
-	in := r.Inset(2)
-	if in != R(2, 2, 8, 8) {
-		t.Errorf("Inset = %v", in)
-	}
-	if !r.Inset(6).Empty() {
-		t.Error("over-inset rect should be empty")
-	}
-	u := r.Union(R(5, 5, 20, 8))
-	if u != R(0, 0, 20, 10) {
-		t.Errorf("Union = %v", u)
-	}
-	if got := r.Union(Rect{}); got != r {
-		t.Errorf("Union with empty = %v, want %v", got, r)
-	}
-	if got := (Rect{}).Union(r); got != r {
-		t.Errorf("empty Union r = %v, want %v", got, r)
-	}
-	tr := r.Translate(Pt(100, -10))
-	if tr != R(100, -10, 110, 0) {
-		t.Errorf("Translate = %v", tr)
-	}
-}
-
 func TestGridIndexRoundTrip(t *testing.T) {
 	g := NewGrid(7, 5)
 	if g.Size() != 35 {
@@ -183,19 +110,9 @@ func TestGridEdges(t *testing.T) {
 		if !g.OnEdge(c) {
 			t.Errorf("%v reported as edge but OnEdge false", c)
 		}
-		if g.EdgeDistance(c) != 0 {
-			t.Errorf("%v edge distance = %d, want 0", c, g.EdgeDistance(c))
-		}
 	}
 	if g.OnEdge(C(1, 1)) {
 		t.Error("(1,1) should be interior")
-	}
-	if g.EdgeDistance(C(1, 1)) != 1 {
-		t.Errorf("EdgeDistance(1,1) = %d, want 1", g.EdgeDistance(C(1, 1)))
-	}
-	big := NewGrid(32, 32)
-	if d := big.EdgeDistance(C(16, 16)); d != 15 {
-		t.Errorf("center edge distance = %d, want 15", d)
 	}
 }
 
@@ -235,7 +152,8 @@ func TestGridEdgePropertyQuick(t *testing.T) {
 	g := NewGrid(32, 32)
 	f := func(x, y uint8) bool {
 		c := C(int(x)%32, int(y)%32)
-		return g.OnEdge(c) == (g.EdgeDistance(c) == 0)
+		// A tile is on the edge exactly when it lacks a neighbor.
+		return g.OnEdge(c) == (len(g.Neighbors(c, nil)) < 4)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -51,22 +51,6 @@ func (g Grid) OnEdge(c Coord) bool {
 	return g.In(c) && (c.X == 0 || c.Y == 0 || c.X == g.W-1 || c.Y == g.H-1)
 }
 
-// EdgeDistance returns the number of tile steps from c to the nearest
-// grid edge (0 for edge tiles).
-func (g Grid) EdgeDistance(c Coord) int {
-	d := c.X
-	if v := c.Y; v < d {
-		d = v
-	}
-	if v := g.W - 1 - c.X; v < d {
-		d = v
-	}
-	if v := g.H - 1 - c.Y; v < d {
-		d = v
-	}
-	return d
-}
-
 // Neighbors appends the in-grid 4-neighbors of c to dst and returns the
 // extended slice. Passing a reused dst avoids per-call allocation in the
 // hot Monte-Carlo loops.

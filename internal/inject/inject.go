@@ -110,11 +110,6 @@ func (s *Schedule) FlapLink(c geom.Coord, d geom.Dir, from, to int64) *Schedule 
 	return s.Add(Event{Cycle: to, Kind: LinkUp, Tile: c, Dir: d})
 }
 
-// BitErrorAt schedules a transient payload corruption at a tile.
-func (s *Schedule) BitErrorAt(cycle int64, c geom.Coord, mask uint64) *Schedule {
-	return s.Add(Event{Cycle: cycle, Kind: BitError, Tile: c, Mask: mask})
-}
-
 // Len returns the number of scheduled events.
 func (s *Schedule) Len() int { return len(s.events) }
 

@@ -10,7 +10,7 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	s := NewSchedule().
 		KillTileAt(500, geom.C(1, 1)).
-		BitErrorAt(10, geom.C(0, 0), 0xFF).
+		Add(Event{Cycle: 10, Kind: BitError, Tile: geom.C(0, 0), Mask: 0xFF}).
 		KillTileAt(10, geom.C(2, 2)) // same cycle: insertion order kept
 	ev := s.Events()
 	if len(ev) != 3 {
@@ -37,7 +37,7 @@ func TestScheduleValidate(t *testing.T) {
 	}
 	s := NewSchedule().
 		FlapLink(geom.C(1, 1), geom.East, 10, 20).
-		BitErrorAt(30, geom.C(2, 2), 1)
+		Add(Event{Cycle: 30, Kind: BitError, Tile: geom.C(2, 2), Mask: 1})
 	if err := s.Validate(grid); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
 	}

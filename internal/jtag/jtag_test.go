@@ -80,8 +80,8 @@ func TestDAPMemoryWrite(t *testing.T) {
 			t.Errorf("mem[%#x] = %#x, want %#x (auto-increment)", 0x100+4*i, got, w)
 		}
 	}
-	if d.Writes() != 3 {
-		t.Errorf("writes = %d, want 3", d.Writes())
+	if len(d.memory) != 3 {
+		t.Errorf("words written = %d, want 3", len(d.memory))
 	}
 }
 
@@ -101,7 +101,7 @@ func TestFaultyDAPSticksLow(t *testing.T) {
 	if err := ctl.WriteWords(0, []uint32{42}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Writes() != 0 {
+	if len(d.memory) != 0 {
 		t.Error("faulty DAP committed a write")
 	}
 }

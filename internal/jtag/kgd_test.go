@@ -45,8 +45,8 @@ func TestWriteThroughChainTargetsOneDAP(t *testing.T) {
 	}
 	// The bypassed DAPs must be untouched.
 	for _, d := range []int{0, 1, 3} {
-		if tile.DAPs[d].Writes() != 0 {
-			t.Errorf("bypassed DAP %d committed %d writes", d, tile.DAPs[d].Writes())
+		if n := len(tile.DAPs[d].memory); n != 0 {
+			t.Errorf("bypassed DAP %d committed %d writes", d, n)
 		}
 	}
 }

@@ -130,7 +130,6 @@ type DAP struct {
 	memory   map[uint32]uint32 // word-addressed memory behind DPACC
 	stuck    map[uint32]stuckBit
 	lastAddr uint32
-	writes   int
 }
 
 // NewDAP returns a reset DAP with the given IDCODE.
@@ -146,14 +145,8 @@ func NewDAP(id uint32) *DAP {
 // State returns the TAP controller state.
 func (d *DAP) State() TAPState { return d.state }
 
-// IR returns the current instruction.
-func (d *DAP) IR() uint32 { return d.ir }
-
 // MemWord returns a word written through DPACC.
 func (d *DAP) MemWord(addr uint32) uint32 { return d.memory[addr] }
-
-// Writes returns the number of DPACC word writes committed.
-func (d *DAP) Writes() int { return d.writes }
 
 // Tick advances the TAP one TCK with the given TMS and TDI levels and
 // returns TDO. While the controller sits in a Shift state, each tick
@@ -248,7 +241,6 @@ func (d *DAP) updateDR() {
 		d.lastAddr = payload
 	case 0b01:
 		d.memory[d.lastAddr] = payload
-		d.writes++
 		d.lastAddr += 4 // auto-increment, as the real AP does
 	}
 }

@@ -80,11 +80,11 @@ func TestTopoModelMatchesMeshModel(t *testing.T) {
 				name         string
 				intree, mesh float64
 			}{
-				{"ideal saturation", tm.IdealSaturationRate(), ref.IdealSaturationRate()},
+				{"ideal saturation", tm.sat, ref.sat},
 				{"saturation", tm.SaturationRate(), ref.SaturationRate()},
 				{"reachable", tm.ReachableFraction(), ref.ReachableFraction()},
-				{"avg route length", tm.AvgRouteLength(), ref.AvgRouteLength()},
-				{"max link load", tm.MaxLinkLoad(), ref.MaxLinkLoad()},
+				{"avg route length", tm.avgLen, ref.avgLen},
+				{"max link load", tm.maxNorm, ref.maxNorm},
 			} {
 				if !close(agg.intree, agg.mesh) {
 					t.Errorf("%s: in-tree %.12f vs prefix sums %.12f", agg.name, agg.intree, agg.mesh)
@@ -93,7 +93,8 @@ func TestTopoModelMatchesMeshModel(t *testing.T) {
 			for _, net := range []noc.Network{noc.XY, noc.YX} {
 				g.All(func(c geom.Coord) {
 					for _, d := range geom.Dirs() {
-						if a, b := tm.LinkLoad(net, c, int(d)), ref.LinkLoad(net, c, int(d)); !close(a, b) {
+						i := g.Index(c)*tm.np + int(d)
+						if a, b := tm.norm[net][i], ref.norm[net][i]; !close(a, b) {
 							t.Errorf("link load %v %v %v: in-tree %.12f vs prefix sums %.12f", net, c, d, a, b)
 						}
 					}

@@ -127,7 +127,11 @@ type Model struct {
 	// min(1, FIFODepth/(L*LinkLatency)) packets per cycle. Unit mesh
 	// links are uncapped (capInv exactly 1); express links (L=4) cap at
 	// 0.5 — the engine effect that dominates their saturation.
-	capInv  []float64
+	capInv []float64
+	// maxNorm is the highest capacity-normalized link utilization at
+	// unit injection rate; sat, its reciprocal capped at 1, is the
+	// saturation rate of a perfect one-packet-per-cycle allocator (for
+	// the fault-free N x N mesh exactly the 8/N bisection bound).
 	maxNorm float64
 	sat     float64
 	avgLen  float64 // expected route length (mesh-hop units) over all pairs
@@ -240,37 +244,11 @@ func (m *Model) Grid() geom.Grid { return m.grid }
 // scaled by the calibrated allocation efficiency).
 func (m *Model) SaturationRate() float64 { return m.sat * m.eff }
 
-// IdealSaturationRate returns the saturation rate of a perfect
-// one-packet-per-cycle allocator — for the fault-free N x N mesh this
-// is exactly noc.TheoreticalSaturation's 8/N bisection bound.
-func (m *Model) IdealSaturationRate() float64 { return m.sat }
-
-// AvgRouteLength returns the expected route length in mesh-hop units
-// (link lengths summed along the topology's routes) of a uniform-random
-// packet; on the mesh, the Manhattan distance between healthy pairs.
-func (m *Model) AvgRouteLength() float64 { return m.avgLen }
-
 // ReachableFraction returns the fraction of ordered healthy pairs
 // whose route on the injected network is fault-free — the delivered
 // fraction of offered traffic, since blocked packets are dropped at
 // the first faulty router.
 func (m *Model) ReachableFraction() float64 { return m.reach }
-
-// MaxLinkLoad returns the highest capacity-normalized link utilization
-// (crossings over link capacity, or ejection arrivals) at unit per-tile
-// injection rate; saturation is its reciprocal.
-func (m *Model) MaxLinkLoad() float64 { return m.maxNorm }
-
-// LinkLoad returns the expected crossings per cycle, at unit per-tile
-// injection rate, of the link leaving (c, port) on the given network —
-// the analytical counterpart of the cycle engine's per-link traversal
-// counters (noc.Sim.LinkUse). On the mesh, port is a geom.Dir.
-func (m *Model) LinkLoad(net noc.Network, c geom.Coord, port int) float64 {
-	if !m.grid.In(c) || port < 0 || port >= m.local {
-		return 0
-	}
-	return m.norm[net][m.grid.Index(c)*m.np+port]
-}
 
 // routeStep resolves one routing decision for pkt, which carries the
 // network and destination: the policy's first candidate port at cur,

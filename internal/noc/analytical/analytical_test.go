@@ -37,9 +37,9 @@ func TestSaturationMatchesTheory(t *testing.T) {
 		g := geom.NewGrid(side, side)
 		m := mustModel(t, noc.TopoMesh, fault.NewMap(g))
 		bound := noc.TheoreticalSaturation(g)
-		if rel := math.Abs(m.IdealSaturationRate()-bound) / bound; rel > 0.02 {
+		if rel := math.Abs(m.sat-bound) / bound; rel > 0.02 {
 			t.Errorf("side %d: ideal saturation %.4f vs 8/N bound %.4f (rel %.3f)",
-				side, m.IdealSaturationRate(), bound, rel)
+				side, m.sat, bound, rel)
 		}
 		if got, want := m.SaturationRate(), bound*DefaultAllocEfficiency; math.Abs(got-want) > 0.02*want {
 			t.Errorf("side %d: derated saturation %.4f, want %.4f", side, got, want)
@@ -100,14 +100,14 @@ func TestLinkLoadConservation(t *testing.T) {
 		for y := 0; y < g.H; y++ {
 			for x := 0; x < g.W; x++ {
 				for _, d := range geom.Dirs() {
-					sum += m.LinkLoad(net, geom.C(x, y), int(d))
+					sum += m.norm[net][g.Index(geom.C(x, y))*m.np+int(d)]
 				}
 			}
 		}
 	}
 	healthy := float64(g.Size())
-	if rel := math.Abs(sum-healthy*m.AvgRouteLength()) / (healthy * m.AvgRouteLength()); rel > 1e-9 {
-		t.Errorf("sum of link loads %.4f, want healthy*avgRouteLength = %.4f", sum, healthy*m.AvgRouteLength())
+	if rel := math.Abs(sum-healthy*m.avgLen) / (healthy * m.avgLen); rel > 1e-9 {
+		t.Errorf("sum of link loads %.4f, want healthy*avgRouteLength = %.4f", sum, healthy*m.avgLen)
 	}
 }
 

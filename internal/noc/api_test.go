@@ -59,7 +59,9 @@ func congestedSim(t *testing.T) *Sim {
 		dst := geom.Coord{X: 4, Y: rng.Intn(g.H)}
 		_, _ = s.Inject(XY, src, dst, Request, uint32(i), uint64(i))
 	}
-	s.StepN(20)
+	for range 20 {
+		s.Step()
+	}
 	return s
 }
 

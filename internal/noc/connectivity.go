@@ -120,16 +120,6 @@ func (a *Analyzer) PathClear(net Network, src, dst geom.Coord) bool {
 		a.rowFaults(dst.Y, src.X, dst.X) == 0
 }
 
-// PairConnected reports whether src can reach dst using the available
-// networks: with a single network only its own DoR path counts; with
-// both, either path suffices.
-func (a *Analyzer) PairConnected(src, dst geom.Coord, dual bool) bool {
-	if a.PathClear(XY, src, dst) {
-		return true
-	}
-	return dual && a.PathClear(YX, src, dst)
-}
-
 // PairUsableSingle reports whether two-way communication between a and
 // b works on a single X-Y network: the request path a->b and the
 // response path b->a (a different set of tiles!) must both be clear.
@@ -248,7 +238,7 @@ func Fig6SweepCtx(ctx context.Context, grid geom.Grid, faultCounts []int, trials
 // fig6Sweep is the one Fig. 6 loop behind the mesh, topology and
 // chiplet sweeps. For each fault count n (each within 0..maxFaults) it
 // runs trials calls of trial on the bounded pool (opts.Workers); trial
-// i of count n draws from its own rand.Rand seeded by
+// i of count n draws from a rand.Rand freshly seeded with
 // fault.TrialSeed(seed, n, i), so the curves are bit-identical at any
 // worker count. One trial yields both curves, so the single- and
 // dual-network samples are paired per fault map. On ctx cancellation
@@ -265,13 +255,27 @@ func fig6Sweep(ctx context.Context, faultCounts []int, maxFaults, trials int, se
 		}
 	}
 	total := len(faultCounts) * trials
+	// Each trial reseeds a recycled generator instead of building a
+	// ~5 KB source; Seed fully resets the source's state, so recycling
+	// cannot affect the results. No more trials run at once than the
+	// pool has workers, so at most that many generators exist and the
+	// buffer always has room for the one a trial returns.
+	rngs := make(chan *rand.Rand, parallel.Workers(opts.Workers, trials))
 	var done atomic.Int64
 	single := make([]float64, trials)
 	dual := make([]float64, trials)
 	out := make([]Fig6Point, 0, len(faultCounts))
 	for k, n := range faultCounts {
 		err := parallel.ForEach(ctx, trials, opts.Workers, func(i int) error {
-			st := trial(n, rand.New(rand.NewSource(fault.TrialSeed(seed, n, i))))
+			var rng *rand.Rand
+			select {
+			case rng = <-rngs:
+			default:
+				rng = rand.New(rand.NewSource(0))
+			}
+			rng.Seed(fault.TrialSeed(seed, n, i))
+			st := trial(n, rng)
+			rngs <- rng
 			single[i], dual[i] = st.PctSingle(), st.PctDual()
 			d := done.Add(1)
 			if opts.Progress != nil {

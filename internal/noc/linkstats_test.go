@@ -64,7 +64,9 @@ func TestAdaptiveRoutingBalancesLinks(t *testing.T) {
 				tag++
 				s.Inject(XY, src, dst, Request, tag, 0)
 			})
-			s.StepN(2)
+			for range 2 {
+				s.Step()
+			}
 		}
 		if err := s.RunUntilDrained(60000); err != nil {
 			t.Fatal(err)

@@ -202,12 +202,6 @@ func TestPairConnectedDualSemantics(t *testing.T) {
 	if !an.PathClear(YX, s, d) {
 		t.Fatal("YX path should be clear")
 	}
-	if an.PairConnected(s, d, false) {
-		t.Error("single-network pair should be disconnected")
-	}
-	if !an.PairConnected(s, d, true) {
-		t.Error("dual-network pair should be connected")
-	}
 }
 
 // TestFig6Headline reproduces the paper's Fig. 6 anchor point: with

@@ -107,11 +107,3 @@ func (s SimStats) AvgLatency() float64 {
 	}
 	return float64(s.TotalLatency) / float64(s.Delivered)
 }
-
-// AvgHops returns mean hop count.
-func (s SimStats) AvgHops() float64 {
-	if s.Delivered == 0 {
-		return 0
-	}
-	return float64(s.TotalHops) / float64(s.Delivered)
-}

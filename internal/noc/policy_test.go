@@ -131,7 +131,9 @@ func TestOddEvenAdaptiveBeatsDoRUnderHotspot(t *testing.T) {
 				tag++
 				s.Inject(XY, src, dst, Request, tag, 0) // full FIFOs just skip
 			})
-			s.StepN(2)
+			for range 2 {
+				s.Step()
+			}
 		}
 		if err := s.RunUntilDrained(60000); err != nil {
 			t.Fatal(err)
@@ -172,7 +174,9 @@ func TestOddEvenMatchesConnectivityOracle(t *testing.T) {
 			if _, err := s.Inject(XY, src, dst, Request, uint32(len(sentPairs)), 0); err == nil {
 				sentPairs = append(sentPairs, pair{src, dst})
 			}
-			s.StepN(3)
+			for range 3 {
+				s.Step()
+			}
 		}
 		s.RetainDelivered = true
 		_ = s.RunUntilDrained(20000)

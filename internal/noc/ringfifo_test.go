@@ -48,7 +48,9 @@ func wedge(t *testing.T, s *Sim, src, c geom.Coord, count int) {
 		if _, err := s.Inject(XY, src, geom.C(c.X+2, c.Y), Request, uint32(i), uint64(i)<<8); err != nil {
 			t.Fatal(err)
 		}
-		s.StepN(8)
+		for range 8 {
+			s.Step()
+		}
 	}
 }
 
@@ -69,7 +71,9 @@ func TestCorruptPayloadHitsRingHead(t *testing.T) {
 		if _, err := s.Inject(XY, geom.C(0, 0), geom.C(4, 0), Request, 0xAA00+uint32(i), 1); err != nil {
 			t.Fatal(err)
 		}
-		s.StepN(2)
+		for range 2 {
+			s.Step()
+		}
 	}
 	if err := s.RunUntilDrained(1000); err != nil {
 		t.Fatal(err)

@@ -66,13 +66,16 @@ func TestLinkDownBackpressure(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(4, 4))
 	s := newSim(t, fm)
 	s.SetLinkDown(geom.C(1, 0), geom.East, true)
-	if !s.LinkIsDown(geom.C(1, 0), geom.East) || !s.LinkIsDown(geom.C(2, 0), geom.West) {
+	down := func(c geom.Coord, d geom.Dir) bool { return s.linkDown[s.grid.Index(c)*s.np+int(d)] }
+	if !down(geom.C(1, 0), geom.East) || !down(geom.C(2, 0), geom.West) {
 		t.Fatal("link-down must cover both endpoints")
 	}
 	if _, err := s.Inject(XY, geom.C(0, 0), geom.C(3, 0), Request, 1, 7); err != nil {
 		t.Fatal(err)
 	}
-	s.StepN(200)
+	for range 200 {
+		s.Step()
+	}
 	if s.Stats().Delivered != 0 {
 		t.Fatal("packet crossed a dead link")
 	}
@@ -157,7 +160,10 @@ func TestCorruptPayload(t *testing.T) {
 	if _, err := s.Inject(XY, geom.C(0, 0), geom.C(3, 0), Request, 1, 0x00); err != nil {
 		t.Fatal(err)
 	}
-	s.StepN(20) // packet parks in (1,0) behind the dead link
+	// The packet parks in (1,0) behind the dead link.
+	for range 20 {
+		s.Step()
+	}
 	if !s.CorruptPayload(geom.C(1, 0), 0xFF) {
 		t.Fatal("expected to hit the parked packet")
 	}

@@ -534,17 +534,6 @@ func (s *Sim) SetPortDown(c geom.Coord, port int, down bool) {
 	}
 }
 
-// LinkIsDown reports whether the link at (tile, dir) is out of service.
-func (s *Sim) LinkIsDown(c geom.Coord, d geom.Dir) bool {
-	return s.PortIsDown(c, int(d))
-}
-
-// PortIsDown reports whether the link at (tile, port) is out of
-// service.
-func (s *Sim) PortIsDown(c geom.Coord, port int) bool {
-	return s.grid.In(c) && port >= 0 && port < s.local && s.linkDown[s.grid.Index(c)*s.np+port]
-}
-
 // CorruptPayload XORs mask into the payload of the first packet found
 // buffered at tile c (scanning networks, then ports, FIFO heads first)
 // — a deterministic model of a transient link bit error. It reports
@@ -668,13 +657,6 @@ func (s *Sim) stepSharded() {
 			}
 			sh.touched = sh.touched[:0]
 		}
-	}
-}
-
-// StepN advances n cycles.
-func (s *Sim) StepN(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
 	}
 }
 

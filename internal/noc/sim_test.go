@@ -167,7 +167,7 @@ func TestSimRandomTrafficDrains(t *testing.T) {
 	if st.Dropped != 0 {
 		t.Errorf("dropped %d packets on a healthy array", st.Dropped)
 	}
-	if st.AvgHops() <= 0 || st.AvgLatency() <= 0 {
+	if st.TotalHops <= 0 || st.AvgLatency() <= 0 {
 		t.Errorf("stats not populated: %+v", st)
 	}
 }
@@ -324,7 +324,7 @@ func TestPacketAccessors(t *testing.T) {
 		t.Error("string forms wrong")
 	}
 	var empty SimStats
-	if empty.AvgHops() != 0 || empty.AvgLatency() != 0 {
+	if empty.AvgLatency() != 0 {
 		t.Error("empty stats should average to zero")
 	}
 }

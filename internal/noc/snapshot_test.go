@@ -146,7 +146,9 @@ func TestSimForkIndependence(t *testing.T) {
 	}
 	f := s.Fork(fm.Clone())
 	atFork := f.Stats()
-	s.StepN(200)
+	for range 200 {
+		s.Step()
+	}
 	if f.Stats() != atFork || f.Cycle() != s.Cycle()-200 {
 		t.Fatalf("original stepping disturbed the fork: %+v vs %+v", f.Stats(), atFork)
 	}

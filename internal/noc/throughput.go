@@ -151,8 +151,8 @@ func TheoreticalSaturation(grid geom.Grid) float64 {
 // express mesh adds cut links but each express link is credit-limited
 // to half a packet per cycle (a length-4 flight against a 4-deep
 // downstream FIFO), which nets out to ~0.8x the mesh bound — the
-// exact per-fault-map value is the analytical model's
-// IdealSaturationRate.
+// exact per-fault-map value is the analytical model's ideal
+// (allocator-efficiency-free) saturation rate.
 func IdealSaturation(topology string, grid geom.Grid) float64 {
 	base := TheoreticalSaturation(grid)
 	name, err := NormalizeTopology(topology)

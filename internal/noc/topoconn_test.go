@@ -344,6 +344,30 @@ func TestChipletTrialZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFig6SweepSeedingZeroAllocs: fig6Sweep's per-trial step, which
+// seeds the trial's generator and runs the trial, allocates nothing, so
+// a sweep's allocations do not grow with its trial count (a trial that
+// itself allocates nothing, as TestChipletTrialZeroAllocs shows of the
+// chiplet trial, then runs allocation-free inside the sweep).
+func TestFig6SweepSeedingZeroAllocs(t *testing.T) {
+	var sink int64
+	sweep := func(trials int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			_, err := fig6Sweep(context.Background(), []int{3}, 10, trials, 2021, Fig6Opts{Workers: 1},
+				func(n int, rng *rand.Rand) PairStats {
+					sink += rng.Int63()
+					return PairStats{}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := sweep(2), sweep(66); many != few {
+		t.Errorf("a 66-trial sweep makes %.0f allocations, a 2-trial one %.0f; want no per-trial allocation", many, few)
+	}
+}
+
 // TestTopoFig6SweepPin pins the non-mesh Fig. 6 curves against a golden
 // file, and checks that the worker count does not change them.
 func TestTopoFig6SweepPin(t *testing.T) {

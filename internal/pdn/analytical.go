@@ -69,24 +69,6 @@ func EstimateDroop(cfg Config) (*DroopEstimate, error) {
 	return est, nil
 }
 
-// AnalyticVoltAt evaluates the closed-form droop map at one tile —
-// the per-node counterpart of Solution.VoltAt, used by the validation
-// tests to compare off-center nodes too. Edge-ring tiles return the
-// Dirichlet supply voltage.
-func AnalyticVoltAt(cfg Config, c geom.Coord) (float64, error) {
-	if len(cfg.InteriorSupplies) > 0 {
-		return 0, fmt.Errorf("pdn: analytical droop covers edge-only delivery")
-	}
-	if !cfg.Grid.In(c) {
-		return 0, fmt.Errorf("pdn: %v outside %v", c, cfg.Grid)
-	}
-	if cfg.Grid.OnEdge(c) {
-		return cfg.EdgeVolts, nil
-	}
-	s := newSeries(cfg)
-	return cfg.EdgeVolts + s.at(c.X, c.Y), nil
-}
-
 // centerIndices returns the one or two grid coordinates of the
 // interior center along an axis with m interior nodes (interior nodes
 // occupy grid indices 1..m).

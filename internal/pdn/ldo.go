@@ -108,34 +108,6 @@ func RequiredDecapF(stepA, respondSec, maxDroopV float64) float64 {
 	return stepA * respondSec / maxDroopV
 }
 
-// DecapBudget describes the on-chip decoupling capacitor provisioning
-// of a tile (paper: ~35% of tile area giving ~20 nF).
-type DecapBudget struct {
-	CapF         float64 // total decap (paper: 20e-9)
-	TileAreaMM2  float64 // tile footprint
-	AreaFraction float64 // fraction of tile area spent on decap (paper: 0.35)
-}
-
-// DensityFPerMM2 returns the implied capacitor density.
-func (d DecapBudget) DensityFPerMM2() float64 {
-	a := d.TileAreaMM2 * d.AreaFraction
-	if a <= 0 {
-		return 0
-	}
-	return d.CapF / a
-}
-
-// AreaForCap returns the area in mm^2 needed for capF at this budget's
-// density — used for the deep-trench-capacitor ablation (paper
-// footnote 2), where a denser technology shrinks the area overhead.
-func (d DecapBudget) AreaForCap(capF float64) float64 {
-	den := d.DensityFPerMM2()
-	if den <= 0 {
-		return math.Inf(1)
-	}
-	return capF / den
-}
-
 // RegulationReport summarizes LDO behaviour across a solved droop map.
 type RegulationReport struct {
 	TilesInRegulation int     // tiles whose LDO holds the output window

@@ -377,31 +377,6 @@ func TestDecapDerivation(t *testing.T) {
 	}
 }
 
-func TestDecapBudget(t *testing.T) {
-	b := DecapBudget{CapF: 20e-9, TileAreaMM2: 11.5, AreaFraction: 0.35}
-	den := b.DensityFPerMM2()
-	if den <= 0 {
-		t.Fatal("density must be positive")
-	}
-	// Round trip: the area for the full budget is the decap area.
-	if a := b.AreaForCap(20e-9); math.Abs(a-11.5*0.35) > 1e-9 {
-		t.Errorf("AreaForCap = %v, want %v", a, 11.5*0.35)
-	}
-	// Deep-trench caps (footnote 2): 10x denser tech needs 10x less area.
-	dt := b
-	dt.CapF = 200e-9
-	if a := dt.AreaForCap(20e-9); math.Abs(a-11.5*0.035) > 1e-9 {
-		t.Errorf("deep-trench area = %v", a)
-	}
-	empty := DecapBudget{}
-	if empty.DensityFPerMM2() != 0 {
-		t.Error("zero-area density should be 0")
-	}
-	if !math.IsInf(empty.AreaForCap(1e-9), 1) {
-		t.Error("zero-density area should be infinite")
-	}
-}
-
 // TestRegulationAcrossDroopMap: every tile of the solved 32x32 droop
 // map must stay inside the LDO's regulation envelope — the paper's
 // "regulated voltage is always between 1.0 V and 1.2 V".

@@ -161,7 +161,7 @@ func TestRunThroughputAnalytical(t *testing.T) {
 }
 
 // A dse job streams one progress event per completed side (the serve
-// face of the SweepArraySize progress hook) and labels its result.
+// face of the SweepArraySizeCtx progress hook) and labels its result.
 func TestRunDSEStreamsProgress(t *testing.T) {
 	sp := mustDecodeSpec(t, `{"kind":"dse","dse":{"sides":[8,12],"model":"analytical"}}`)
 	if err := sp.Normalize(); err != nil {

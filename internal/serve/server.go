@@ -568,14 +568,6 @@ func (s *Server) recoverOne(lj store.LiveJob, rs RecoveryStats) RecoveryStats {
 	return rs
 }
 
-// MarkReady flips /readyz to 200 without a recovery pass (used when a
-// journal-less server wants explicit readiness control in tests).
-func (s *Server) MarkReady() {
-	s.mu.Lock()
-	s.ready = true
-	s.mu.Unlock()
-}
-
 // Drain gracefully shuts the server down: new submissions are refused,
 // queued jobs (including those parked in watchdog backoff) are
 // canceled immediately, and running jobs are given until ctx expires

@@ -158,11 +158,12 @@ type DSESpec struct {
 	Topology string `json:"topology,omitempty"`
 }
 
-// ParetoSpec parametrizes the (throughput, power, yield) exploration.
+// ParetoSpec parametrizes the (throughput, power, yield) exploration;
+// an empty grid axis takes its values from core.DefaultParetoSpace.
 type ParetoSpec struct {
-	Sides   []int     `json:"sides"`   // empty -> {16, 24, 32, 40}
-	EdgeV   []float64 `json:"edgeV"`   // empty -> {2.0, 2.5, 3.0}
-	Pillars []int     `json:"pillars"` // empty -> {1, 2}
+	Sides   []int     `json:"sides"`
+	EdgeV   []float64 `json:"edgeV"`
+	Pillars []int     `json:"pillars"`
 	// Mode selects the evaluation strategy: "exact" (default,
 	// exhaustive cycle-accurate), "screen" (exhaustive analytical fast
 	// path — approximate, labeled as such), or "twotier" (analytical
@@ -300,32 +301,33 @@ func (s *Spec) Normalize() error {
 		if chaos == nil {
 			chaos = &ChaosSpec{}
 		}
+		def := core.DefaultChaosConfig()
 		if chaos.Side == 0 {
-			chaos.Side = 8
+			chaos.Side = def.Side
 		}
 		if chaos.Workers == 0 {
-			chaos.Workers = 16
+			chaos.Workers = def.Workers
 		}
 		if chaos.Trials == 0 {
-			chaos.Trials = 8
+			chaos.Trials = def.Trials
 		}
 		if chaos.Seed == 0 {
-			chaos.Seed = 2021
+			chaos.Seed = def.Seed
 		}
 		if len(chaos.Kills) == 0 {
-			chaos.Kills = []int{0, 1, 2, 4, 8}
+			chaos.Kills = def.Kills
 		}
 		if chaos.KillFrom == 0 {
-			chaos.KillFrom = 500
+			chaos.KillFrom = def.KillWindow[0]
 		}
 		if chaos.KillTo == 0 {
-			chaos.KillTo = 5000
+			chaos.KillTo = def.KillWindow[1]
 		}
 		if chaos.MaxCycles == 0 {
-			chaos.MaxCycles = 400_000
+			chaos.MaxCycles = def.MaxCycles
 		}
 		if chaos.GraphSide == 0 {
-			chaos.GraphSide = 8
+			chaos.GraphSide = def.GraphSide
 		}
 		if chaos.Side < 2 || chaos.Side > maxSide {
 			return fmt.Errorf("serve: chaos side %d outside 2..%d", chaos.Side, maxSide)
@@ -405,14 +407,15 @@ func (s *Spec) Normalize() error {
 		if pareto == nil {
 			pareto = &ParetoSpec{}
 		}
+		def := core.DefaultParetoSpace()
 		if len(pareto.Sides) == 0 {
-			pareto.Sides = []int{16, 24, 32, 40}
+			pareto.Sides = def.Sides
 		}
 		if len(pareto.EdgeV) == 0 {
-			pareto.EdgeV = []float64{2.0, 2.5, 3.0}
+			pareto.EdgeV = def.EdgeV
 		}
 		if len(pareto.Pillars) == 0 {
-			pareto.Pillars = []int{1, 2}
+			pareto.Pillars = def.Pillars
 		}
 		pareto.Mode = strings.ToLower(strings.TrimSpace(pareto.Mode))
 		switch pareto.Mode {

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"waferscale/internal/core"
@@ -32,5 +34,37 @@ func TestChaosResultWireFormat(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&back, res) {
 		t.Fatalf("stored chaos result does not decode to the original:\n got %+v\nwant %+v", back, *res)
+	}
+}
+
+// defaultSpecsText renders, for every kind, the canonical JSON and the
+// cache key of the spec that names only the kind.
+func defaultSpecsText(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	for _, kind := range Kinds() {
+		s := Spec{Kind: kind}
+		if err := s.Normalize(); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		js, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(kind + " " + s.CacheKey() + "\n" + string(js) + "\n")
+	}
+	return b.String()
+}
+
+// TestDefaultSpecsGolden pins the defaults Normalize fills in: a
+// changed default moves every cache key of that kind, orphaning the
+// stored results of every client that relied on it.
+func TestDefaultSpecsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/default_specs.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := defaultSpecsText(t); got != string(want) {
+		t.Errorf("normalized default specs differ from testdata/default_specs.golden\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -321,7 +321,7 @@ func TestBitErrorSchedule(t *testing.T) {
 	}
 	sched := inject.NewSchedule()
 	for cy := int64(1); cy < 40; cy++ {
-		sched.BitErrorAt(cy, geom.C(1, 0), 1<<40)
+		sched.Add(inject.Event{Cycle: cy, Kind: inject.BitError, Tile: geom.C(1, 0), Mask: 1 << 40})
 	}
 	if err := m.AttachSchedule(sched); err != nil {
 		t.Fatal(err)

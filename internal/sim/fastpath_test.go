@@ -99,7 +99,7 @@ func TestMachineFastPathDifferentialChaos(t *testing.T) {
 		sched := inject.NewSchedule().
 			KillTileAt(2000, geom.C(1, 0)).
 			FlapLink(geom.C(3, 3), geom.East, 1000, 1500).
-			BitErrorAt(1200, geom.C(2, 2), 0xFF)
+			Add(inject.Event{Cycle: 1200, Kind: inject.BitError, Tile: geom.C(2, 2), Mask: 0xFF})
 		if err := m.AttachSchedule(sched); err != nil {
 			t.Fatal(err)
 		}

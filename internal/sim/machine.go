@@ -356,11 +356,6 @@ func (m *Machine) WritePrivate32(tile geom.Coord, core int, addr uint32, v uint3
 	return err
 }
 
-// ReadPrivate32 is the host backdoor for reads from private SRAM.
-func (m *Machine) ReadPrivate32(tile geom.Coord, core int, addr uint32) (uint32, error) {
-	return m.applyPrivate(tile, core, addr, memLoad, 0)
-}
-
 // applyPrivate performs a host backdoor memory operation on a core's
 // private SRAM and returns the word's old value.
 func (m *Machine) applyPrivate(tile geom.Coord, core int, addr uint32, op uint32, data uint32) (uint32, error) {

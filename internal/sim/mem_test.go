@@ -238,7 +238,7 @@ func TestForkMemoryIndependence(t *testing.T) {
 	check := func(label string, x *Machine, want, wantFresh uint32) {
 		t.Helper()
 		g, _ := x.ReadGlobal32(addr)
-		p, _ := x.ReadPrivate32(tile, 0, 256)
+		p, _ := x.applyPrivate(tile, 0, 256, memLoad, 0)
 		fresh, _ := x.ReadGlobal32(addr + 2*pageBytes)
 		if g != want || p != want || fresh != wantFresh {
 			t.Errorf("%s: global %d private %d fresh page %d, want %d %d %d", label, g, p, fresh, want, want, wantFresh)

@@ -535,7 +535,7 @@ func TestHostBackdoorErrors(t *testing.T) {
 	if err := m.WritePrivate32(geom.C(0, 0), 0, 3, 1); err == nil {
 		t.Error("unaligned private write accepted")
 	}
-	if _, err := m.ReadPrivate32(geom.C(0, 0), 0, 1<<20); err == nil {
+	if _, err := m.applyPrivate(geom.C(0, 0), 0, 1<<20, memLoad, 0); err == nil {
 		t.Error("out-of-range private read accepted")
 	}
 }

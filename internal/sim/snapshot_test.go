@@ -25,7 +25,7 @@ func chaosSchedule() *inject.Schedule {
 	return inject.NewSchedule().
 		KillTileAt(2000, geom.C(1, 0)).
 		FlapLink(geom.C(3, 3), geom.East, 1000, 1500).
-		BitErrorAt(1200, geom.C(2, 2), 0xFF)
+		Add(inject.Event{Cycle: 1200, Kind: inject.BitError, Tile: geom.C(2, 2), Mask: 0xFF})
 }
 
 // runChaosReference runs the schedule from scratch (the trusted path).

@@ -222,14 +222,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// Has reports whether key is indexed (without reading the entry).
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.idx[key]
-	return ok
-}
-
 // Put durably stores payload under key: temp file in the entries
 // directory, fsync, rename, so a crash at any instant leaves either the
 // old state or the new entry — never a torn file under the entry name.
@@ -340,18 +332,6 @@ func (s *Store) Stats() Stats {
 	st.Bytes = s.bytes
 	st.MaxBytes = s.maxBytes
 	return st
-}
-
-// Keys returns the indexed keys (sorted, for tests and debugging).
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.idx))
-	for k := range s.idx {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SetFsync toggles the per-write fsync (tests disable it for speed;

@@ -336,21 +336,3 @@ func (g *Graph) Op(id string) *Op {
 	}
 	return nil
 }
-
-// Sinks returns the IDs of operators no other operator consumes, in
-// declaration order — the graph's outputs.
-func (g *Graph) Sinks() []string {
-	used := map[string]bool{}
-	for i := range g.Ops {
-		for _, dep := range g.Ops[i].Inputs {
-			used[dep] = true
-		}
-	}
-	var out []string
-	for i := range g.Ops {
-		if !used[g.Ops[i].ID] {
-			out = append(out, g.Ops[i].ID)
-		}
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"waferscale/internal/arch"
 	"waferscale/internal/geom"
@@ -274,20 +273,4 @@ func (pl *Plan) workers(m *sim.Machine, g *Graph, opIdx int, max int) []sim.Work
 		}
 	}
 	return ws
-}
-
-// WorkingSetTiles returns the plan's occupied tiles sorted row-major,
-// for reporting.
-func (pl *Plan) WorkingSetTiles() []geom.Coord {
-	out := make([]geom.Coord, 0, len(pl.WorkingSet))
-	for c := range pl.WorkingSet {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].X < out[j].X
-	})
-	return out
 }
