@@ -251,9 +251,10 @@ func BenchmarkFig6Trial(b *testing.B) {
 func BenchmarkFig7PacketSim(b *testing.B) { benchFig7PacketSim(b, 1) }
 
 // Sharded variants of the same workload: identical traffic and
-// bit-identical statistics, stepped by 2/4/8 spatial shards. Compare
-// ns/op against the serial baseline for the speedup (>= 1.5x at 4
-// shards on a >= 4-core host; no speedup is possible on fewer cores).
+// bit-identical statistics, with Shards set to 2/4/8. Shards only
+// permits the sharded engine and Step keeps to the serial one
+// (noc.Sim.Shards), so these rows read what the setting costs a
+// caller that asks for it, and should match the serial baseline.
 func BenchmarkFig7PacketSimShard2(b *testing.B) { benchFig7PacketSim(b, 2) }
 func BenchmarkFig7PacketSimShard4(b *testing.B) { benchFig7PacketSim(b, 4) }
 func BenchmarkFig7PacketSimShard8(b *testing.B) { benchFig7PacketSim(b, 8) }
@@ -401,10 +402,11 @@ func BenchmarkSec8SubstrateRoute(b *testing.B) {
 // stand-in) and verifies against the host reference.
 func BenchmarkE1GraphWorkloads(b *testing.B) { benchE1GraphWorkloads(b, 1) }
 
-// Sharded variants: the same BFS run with the machine's NoC stepped by
-// 2/4 spatial shards (noc.Sim.Shards; bit-identical result and cycle
-// count). The core loop always steps serially. 8 shards would exceed
-// the 4-row grid, so the curve stops at 4.
+// Sharded variants: the same BFS run with the machine's NoC Shards set
+// to 2/4 (noc.Sim.Shards, which permits sharding but steps serially;
+// bit-identical result and cycle count). The core loop always steps
+// serially. 8 shards would exceed the 4-row grid, so the curve stops
+// at 4.
 func BenchmarkE1GraphWorkloadsShard2(b *testing.B) { benchE1GraphWorkloads(b, 2) }
 func BenchmarkE1GraphWorkloadsShard4(b *testing.B) { benchE1GraphWorkloads(b, 4) }
 
@@ -545,7 +547,8 @@ func BenchmarkNoCThroughput(b *testing.B) {
 }
 
 // Sharded variants of the mesh throughput sweep (same curve,
-// bit-identical points, 2/4/8 spatial shards stepping each rate's sim).
+// bit-identical points, each rate's sim with Shards set to 2/4/8, which
+// permits sharding but steps serially; see noc.Sim.Shards).
 func BenchmarkNoCThroughputShard2(b *testing.B) { benchNoCThroughput(b, 2, noc.TopoMesh) }
 func BenchmarkNoCThroughputShard4(b *testing.B) { benchNoCThroughput(b, 4, noc.TopoMesh) }
 func BenchmarkNoCThroughputShard8(b *testing.B) { benchNoCThroughput(b, 8, noc.TopoMesh) }

@@ -1,11 +1,17 @@
 package waferscale
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -23,6 +29,7 @@ import (
 // link-statistics hooks whose fate that open item decides.
 var testOnlyExports = map[string]string{
 	"arch.Config.ArrayAreaMM2":                 "TestTable1Derivations",
+	"arch.ChipletSpec.AreaMM2":                 "TestTable1Derivations",
 	"arch.Config.TotalInterChipIOs":            "TestTable1Derivations",
 	"chipio.BareDieAssembly":                   "TestESDContexts",
 	"chipio.IOCell.MeetsESD":                   "TestESDContexts",
@@ -34,6 +41,8 @@ var testOnlyExports = map[string]string{
 	"clock.NoSinglePointOfFailure":             "TestNoSinglePointOfFailure",
 	"clock.Selector.Locked":                    "BenchmarkFig3ClockSelection",
 	"clock.Selector.Selected":                  "TestSelectorFirstToThresholdWins",
+	"clock.Selector.SetMode":                   "BenchmarkFig3ClockSelection",
+	"clock.Selector.Step":                      "BenchmarkFig3ClockSelection",
 	"core.Design.YieldToConnectivity":          "TestYieldToConnectivity",
 	"fault.Clustered":                          "TestClusteredFaultsAblation",
 	"fault.DefaultClusters":                    "TestClusteredFaultsAblation",
@@ -48,6 +57,7 @@ var testOnlyExports = map[string]string{
 	"noc.OddEvenReachable":                     "TestOddEvenMatchesConnectivityOracle",
 	"noc.OddEvenStats.Pct":                     "BenchmarkAblationOddEven",
 	"noc.SaturationRate":                       "TestSaturationNearTheory",
+	"noc.Sim.Delivered":                        "TestEngineDifferentialRespond",
 	"noc.Sim.LinkSkew":                         roadmapItem4,
 	"noc.Sim.LinkStats":                        roadmapItem4,
 	"noc.Sim.LinkUse":                          roadmapItem4,
@@ -60,11 +70,13 @@ var testOnlyExports = map[string]string{
 	"pdn.StackSheetOhm":                        "TestPlaneDecompositionMatchesCalibration",
 	"pdn.TransientDroop":                       "TestDecapDerivation",
 	"sim.Machine.SetTrace":                     roadmapItem4,
+	"sim.Machine.Net":                          "TestMachineNetShardedDifferential",
 	"sim.TraceCore":                            roadmapItem4,
 	"store.Journal.SetFsync":                   "TestJournalRecoveryReruns",
 	"store.Store.SetFsync":                     "TestDiskStoreServesAcrossRestart",
 	"substrate.FanoutSpec":                     "TestFanoutBudget",
 	"substrate.FanoutSpec.ConnectorPads":       "TestFanoutBudget",
+	"substrate.FanoutSpec.Validate":            "TestFanoutBudget",
 	"workload.MarshalGraph":                    "TestExampleGraphFile",
 }
 
@@ -84,12 +96,17 @@ const roadmapItem4 = "ROADMAP item 4"
 // test can check. An allowlist entry whose name is now referenced, or
 // gone, fails too, so the list never outlives its reason.
 //
-// References are found by name from the parsed syntax: a qualified
-// pkg.Name resolves through the file's imports, an unqualified Name
-// resolves within its own package, and a method counts as used when any
-// selector in non-test code names it. A reference from inside a name's
-// own declaration (a recursive call, a type's own methods) does not
-// count.
+// References are resolved by type-checking every non-test package from
+// source (go/types; the standard library comes from its compiled
+// export data): an identifier counts for the declaration it denotes,
+// and a method call or method value for the method of the receiver
+// type it selects, so a used method does not cover an unused one of
+// the same name on another type. A method that an interface may
+// dispatch to — its name is declared by an interface type in the
+// repository or is a standard interface method (interfaceMethods) —
+// is exempt, since no selector names its receiver. A reference from
+// inside a name's own declaration (a recursive call, a type's own
+// methods) does not count.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	s := scanModule(t)
 	unref := s.unreferenced()
@@ -150,12 +167,8 @@ type moduleScan struct {
 	// ifaceMethods holds every method name an interface type in the
 	// repository declares: implementations are reached through it.
 	ifaceMethods map[string]bool
-	// refs holds the keys of the package-level names non-test code
-	// references; selectors maps each selector name non-test code uses
-	// (a method or a field) to the keys of the methods it is used in,
-	// "" outside any method.
-	refs      map[string]bool
-	selectors map[string][]string
+	// refs holds the keys non-test code references.
+	refs map[string]bool
 	// testFuncs maps the name of each top-level function in a _test.go
 	// file to its declarations, one per package directory.
 	testFuncs map[string][]testFunc
@@ -166,6 +179,10 @@ type testFunc struct {
 	decl *ast.FuncDecl
 }
 
+// modulePath is the import path of the repository's root module; bench/
+// is a module of its own that imports this one.
+const modulePath = "waferscale"
+
 func scanModule(t *testing.T) *moduleScan {
 	t.Helper()
 	s := &moduleScan{
@@ -173,14 +190,11 @@ func scanModule(t *testing.T) *moduleScan {
 		methods:      map[string]string{},
 		ifaceMethods: map[string]bool{},
 		refs:         map[string]bool{},
-		selectors:    map[string][]string{},
 		testFuncs:    map[string][]testFunc{},
 	}
-	type parsed struct {
-		dir  string
-		file *ast.File
-	}
-	var files []parsed
+	// pkgs holds the non-test files of each package directory.
+	pkgs := map[string][]*ast.File{}
+	var dirs []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -208,140 +222,202 @@ func scanModule(t *testing.T) *moduleScan {
 			}
 			return nil
 		}
-		files = append(files, parsed{dir, f})
+		if pkgs[dir] == nil {
+			dirs = append(dirs, dir)
+		}
+		pkgs[dir] = append(pkgs[dir], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, p := range files {
-		ast.Inspect(p.file, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				for _, m := range it.Methods.List {
-					for _, name := range m.Names {
-						s.ifaceMethods[name.Name] = true
+	for _, dir := range dirs {
+		for _, f := range pkgs[dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, name := range m.Names {
+							s.ifaceMethods[name.Name] = true
+						}
 					}
 				}
+				return true
+			})
+			pkg, ok := internalPkg(dir)
+			if !ok {
+				continue
 			}
-			return true
-		})
-		pkg, ok := internalPkg(p.dir)
-		if !ok {
-			continue
-		}
-		for _, d := range p.file.Decls {
-			for _, key := range declKeys(pkg, d) {
-				s.declared[key] = true
-				if fn, isFn := d.(*ast.FuncDecl); isFn && fn.Recv != nil {
-					s.methods[key] = fn.Name.Name
+			for _, d := range f.Decls {
+				for _, key := range declKeys(pkg, d) {
+					s.declared[key] = true
+					if fn, isFn := d.(*ast.FuncDecl); isFn && fn.Recv != nil {
+						s.methods[key] = fn.Name.Name
+					}
 				}
 			}
 		}
 	}
 
-	for _, p := range files {
-		imports := map[string]string{}
-		for _, spec := range p.file.Imports {
-			path := strings.Trim(spec.Path.Value, `"`)
-			name := path[strings.LastIndex(path, "/")+1:]
-			if spec.Name != nil {
-				name = spec.Name.Name
+	info := typeCheck(t, fset, dirs, pkgs)
+	for _, dir := range dirs {
+		pkg, inInternal := internalPkg(dir)
+		for _, f := range pkgs[dir] {
+			for _, d := range f.Decls {
+				s.collectRefs(d, info, pkg, inInternal)
 			}
-			if rel, ok := strings.CutPrefix(path, "waferscale/internal/"); ok {
-				imports[name] = rel
-			}
-		}
-		pkg, inInternal := internalPkg(p.dir)
-		for _, d := range p.file.Decls {
-			s.collectRefs(d, imports, pkg, inInternal)
 		}
 	}
 	return s
 }
 
-// collectRefs records the references one top-level declaration makes,
-// leaving out those to the declaration itself and, in a method, to its
-// receiver type.
-func (s *moduleScan) collectRefs(d ast.Decl, imports map[string]string, pkg string, inInternal bool) {
+// typeCheck type-checks every package directory from source, resolving
+// the repository's own imports to those checks and the standard
+// library's to its export data, which one `go list -export` call
+// locates (building it into the Go build cache if needed). It returns
+// the resolved identifier uses of every package.
+func typeCheck(t *testing.T, fset *token.FileSet, dirs []string, pkgs map[string][]*ast.File) *types.Info {
+	t.Helper()
+	byPath := map[string]string{} // import path -> directory
+	std := map[string]bool{}
+	for _, dir := range dirs {
+		byPath[importPath(dir)] = dir
+		for _, f := range pkgs[dir] {
+			for _, spec := range f.Imports {
+				if path, _ := strconv.Unquote(spec.Path.Value); !strings.HasPrefix(path, modulePath+"/") {
+					std[path] = true
+				}
+			}
+		}
+	}
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}
+	for path := range std {
+		args = append(args, path)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			t.Fatalf("go list -export: %v\n%s", err, exit.Stderr)
+		}
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		exports[path] = file
+	}
+	stdImporter := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
+
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if _, own := byPath[path]; own {
+			return check(path)
+		}
+		return stdImporter.Import(path)
+	})}
+	check = func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		p, err := conf.Check(path, fset, pkgs[byPath[path]], info)
+		checked[path] = p
+		return p, err
+	}
+	for _, dir := range dirs {
+		if _, err := check(importPath(dir)); err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
+		}
+	}
+	return info
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// importPath returns a package directory's import path: bench/ is the
+// module of that name, everything else belongs to the root module.
+func importPath(dir string) string {
+	if dir == "." {
+		return modulePath
+	}
+	return modulePath + "/" + dir
+}
+
+// collectRefs records the keys of the exported internal/ names one
+// top-level declaration references, leaving out the declaration itself
+// and, in a method, its receiver type.
+func (s *moduleScan) collectRefs(d ast.Decl, info *types.Info, pkg string, inInternal bool) {
 	var self []string
-	method := ""
 	if inInternal {
 		self = declKeys(pkg, d)
 		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
-			if len(self) == 1 { // an exported method of an exported type
-				method = self[0]
-			}
 			self = append(self, pkg+"."+recvType(fn))
 		}
 	}
-	ref := func(key string) {
-		if !slices.Contains(self, key) {
-			s.refs[key] = true
-		}
-	}
-	// Declared names (of the declaration, its fields and parameters)
-	// and selector names are not references to package-level names.
-	skip := map[*ast.Ident]bool{}
-	switch d := d.(type) {
-	case *ast.FuncDecl:
-		skip[d.Name] = true
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch spec := spec.(type) {
-			case *ast.TypeSpec:
-				skip[spec.Name] = true
-			case *ast.ValueSpec:
-				for _, name := range spec.Names {
-					skip[name] = true
-				}
-			}
-		}
-	}
 	ast.Inspect(d, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Field:
-			for _, name := range n.Names {
-				skip[name] = true
-			}
-		case *ast.SelectorExpr:
-			skip[n.Sel] = true
-			if x, ok := n.X.(*ast.Ident); ok {
-				if rel, ok := imports[x.Name]; ok {
-					skip[x] = true
-					ref(rel + "." + n.Sel.Name)
-					return true
-				}
-			}
-			s.selectors[n.Sel.Name] = append(s.selectors[n.Sel.Name], method)
-		case *ast.KeyValueExpr:
-			if k, ok := n.Key.(*ast.Ident); ok {
-				s.selectors[k.Name] = append(s.selectors[k.Name], "")
-			}
-		case *ast.Ident:
-			if !skip[n] && inInternal && n.IsExported() {
-				ref(pkg + "." + n.Name)
+		if id, ok := n.(*ast.Ident); ok {
+			if key := objKey(info.Uses[id]); key != "" && !slices.Contains(self, key) {
+				s.refs[key] = true
 			}
 		}
 		return true
 	})
 }
 
+// objKey returns the key of an exported package-level object or method
+// of an internal/ package, and "" for anything else (fields, locals,
+// other packages' names).
+func objKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil || !obj.Exported() {
+		return ""
+	}
+	pkg, ok := strings.CutPrefix(obj.Pkg().Path(), modulePath+"/internal/")
+	if !ok {
+		return ""
+	}
+	if obj.Parent() == obj.Pkg().Scope() {
+		return pkg + "." + obj.Name()
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return ""
+	}
+	recv := fn.Origin().Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	named, ok := typ.(*types.Named)
+	if !ok {
+		return "" // an interface's method: its implementations are exempt by name
+	}
+	return pkg + "." + named.Origin().Obj().Name() + "." + obj.Name()
+}
+
 // unreferenced returns the sorted keys of the exported internal/ names
-// that non-test code never references, leaving out methods that
-// satisfy an interface.
+// that non-test code never references, leaving out methods an
+// interface may dispatch to.
 func (s *moduleScan) unreferenced() []string {
 	var out []string
 	for key := range s.declared {
-		if name, isMethod := s.methods[key]; isMethod {
-			if interfaceMethods[name] || s.ifaceMethods[name] ||
-				slices.ContainsFunc(s.selectors[name], func(in string) bool { return in != key }) {
-				continue
-			}
-		} else if s.refs[key] {
+		if name, isMethod := s.methods[key]; isMethod && (interfaceMethods[name] || s.ifaceMethods[name]) {
 			continue
 		}
-		out = append(out, key)
+		if !s.refs[key] {
+			out = append(out, key)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -80,22 +80,6 @@ func FromDir(d geom.Dir) Source {
 	return SourceNone
 }
 
-// Dir converts a forwarded clock source back to a direction; ok is
-// false for non-forwarded sources.
-func (s Source) Dir() (geom.Dir, bool) {
-	switch s {
-	case SourceNorth:
-		return geom.North, true
-	case SourceEast:
-		return geom.East, true
-	case SourceSouth:
-		return geom.South, true
-	case SourceWest:
-		return geom.West, true
-	}
-	return 0, false
-}
-
 // Plan is the result of the clock setup phase: which source every tile
 // selected, the hop distance from a generator, and whether the tile
 // receives a usable clock at all.

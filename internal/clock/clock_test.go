@@ -27,15 +27,31 @@ func TestSourceStrings(t *testing.T) {
 	}
 }
 
+// sourceDir converts a forwarded clock source back to a direction; ok
+// is false for non-forwarded sources. It is FromDir's inverse.
+func sourceDir(s Source) (geom.Dir, bool) {
+	switch s {
+	case SourceNorth:
+		return geom.North, true
+	case SourceEast:
+		return geom.East, true
+	case SourceSouth:
+		return geom.South, true
+	case SourceWest:
+		return geom.West, true
+	}
+	return 0, false
+}
+
 func TestSourceDirRoundTrip(t *testing.T) {
 	for _, d := range geom.Dirs() {
 		s := FromDir(d)
-		got, ok := s.Dir()
+		got, ok := sourceDir(s)
 		if !ok || got != d {
 			t.Errorf("FromDir(%v).Dir() = %v,%v", d, got, ok)
 		}
 	}
-	if _, ok := SourceJTAG.Dir(); ok {
+	if _, ok := sourceDir(SourceJTAG); ok {
 		t.Error("JTAG source should not map to a direction")
 	}
 	if FromDir(geom.Dir(9)) != SourceNone {
@@ -332,8 +348,8 @@ func TestPassiveCDNSubMHz(t *testing.T) {
 
 func TestSelectorBootDefault(t *testing.T) {
 	s := NewSelector()
-	if s.Mode() != ModeBoot || s.Selected() != SourceJTAG {
-		t.Errorf("boot state = %v/%v", s.Mode(), s.Selected())
+	if s.mode != ModeBoot || s.Selected() != SourceJTAG {
+		t.Errorf("boot state = %v/%v", s.mode, s.Selected())
 	}
 	// Stepping in boot mode changes nothing.
 	if got := s.Step([4]bool{true, true, true, true}); got != SourceJTAG {

@@ -58,9 +58,6 @@ func NewSelector() *Selector {
 	return &Selector{ToggleCount: 16, mode: ModeBoot, selected: SourceJTAG}
 }
 
-// Mode returns the current mode.
-func (s *Selector) Mode() SelectorMode { return s.mode }
-
 // Selected returns the currently selected source.
 func (s *Selector) Selected() Source { return s.selected }
 

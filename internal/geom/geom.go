@@ -30,9 +30,6 @@ func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 // Add returns the component-wise sum of c and d.
 func (c Coord) Add(d Coord) Coord { return Coord{c.X + d.X, c.Y + d.Y} }
 
-// Sub returns the component-wise difference c - d.
-func (c Coord) Sub(d Coord) Coord { return Coord{c.X - d.X, c.Y - d.Y} }
-
 // Manhattan returns the Manhattan (L1) distance between c and d.
 func (c Coord) Manhattan(d Coord) int {
 	return abs(c.X-d.X) + abs(c.Y-d.Y)

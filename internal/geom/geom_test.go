@@ -10,9 +10,6 @@ func TestCoordArithmetic(t *testing.T) {
 	if got := a.Add(b); got != C(4, 2) {
 		t.Errorf("Add = %v, want (4,2)", got)
 	}
-	if got := a.Sub(b); got != C(2, 6) {
-		t.Errorf("Sub = %v, want (2,6)", got)
-	}
 	if got := a.Manhattan(b); got != 8 {
 		t.Errorf("Manhattan = %d, want 8", got)
 	}

@@ -80,9 +80,6 @@ func NewController(target Scannable) *Controller {
 	return &Controller{target: target, state: TestLogicReset}
 }
 
-// State returns the tracked TAP state.
-func (c *Controller) State() TAPState { return c.state }
-
 func (c *Controller) clock(tms, tdi bool) bool {
 	c.Cycles++
 	out := c.target.Tick(tms, tdi)

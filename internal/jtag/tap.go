@@ -142,9 +142,6 @@ func NewDAP(id uint32) *DAP {
 	}
 }
 
-// State returns the TAP controller state.
-func (d *DAP) State() TAPState { return d.state }
-
 // MemWord returns a word written through DPACC.
 func (d *DAP) MemWord(addr uint32) uint32 { return d.memory[addr] }
 

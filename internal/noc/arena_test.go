@@ -83,7 +83,7 @@ func runArenaScenario(t *testing.T, s scenario, shards int) (SimStats, []Packet)
 	}
 	defer sim.Close()
 	sim.RetainDelivered = true
-	sim.Shards = shards
+	shardEveryCycle(sim, shards)
 	var last *Sim
 	inner := s.checkLiveFn
 	s.checkLiveFn = func(t *testing.T, e engine) {

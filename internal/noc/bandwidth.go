@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"fmt"
-
-	"waferscale/internal/geom"
-)
+import "waferscale/internal/geom"
 
 // LinkSpec describes the physical inter-tile link budget (paper
 // Section VI): given the tile edge length, the Si-IF escape density
@@ -29,21 +25,6 @@ func DefaultLinkSpec(edgeMM float64) LinkSpec {
 		Buses:        4,
 		ClockHz:      300e6,
 	}
-}
-
-// WiresAvailable returns the escape wires the edge supports.
-func (l LinkSpec) WiresAvailable() int {
-	return int(l.EdgeLengthMM * l.WiresPerMM)
-}
-
-// Feasible verifies the bus plan fits the escape budget.
-func (l LinkSpec) Feasible() error {
-	need := l.Buses * l.PacketBits
-	if have := l.WiresAvailable(); need > have {
-		return fmt.Errorf("noc: %d bus wires exceed %d escape wires on a %.2f mm edge",
-			need, have, l.EdgeLengthMM)
-	}
-	return nil
 }
 
 // BusBandwidthBps returns the payload bandwidth of one bus.

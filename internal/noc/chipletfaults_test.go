@@ -166,11 +166,12 @@ func TestMemoryFaultOnlyCutsVertical(t *testing.T) {
 	}
 	// But the pair is still dual-usable? Same column: both DoR paths
 	// coincide -> disconnected on both.
-	if a.PairUsableDual(geom.C(4, 0), geom.C(4, 7)) {
+	dual := func(s, d geom.Coord) bool { return a.PathClear(XY, s, d) || a.PathClear(YX, s, d) }
+	if dual(geom.C(4, 0), geom.C(4, 7)) {
 		t.Error("same-column pair through the dead feedthrough should be cut")
 	}
 	// An off-column pair can dodge it via the other network.
-	if !a.PairUsableDual(geom.C(3, 0), geom.C(4, 7)) {
+	if !dual(geom.C(3, 0), geom.C(4, 7)) {
 		t.Error("off-column pair should route around via Y-X")
 	}
 }

@@ -184,24 +184,6 @@ func (k *Kernel) findRelayChain(src, dst geom.Coord) ([]geom.Coord, bool) {
 	return nil, false
 }
 
-// Utilization reports how many pairs the kernel has pinned to each
-// network (requests only).
-func (k *Kernel) Utilization() (xy, yx, detoured, unreachable int) {
-	for _, d := range k.assigned {
-		switch {
-		case !d.Reachable:
-			unreachable++
-		case len(d.Via) > 0:
-			detoured++
-		case d.Request == XY:
-			xy++
-		default:
-			yx++
-		}
-	}
-	return
-}
-
 // PlanAll decides every ordered pair of healthy tiles and returns
 // summary counts; used to quantify the detour ablation (how many of
 // the dual-network residual disconnections relays repair).

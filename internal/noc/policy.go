@@ -23,10 +23,11 @@ import "waferscale/internal/geom"
 // has credit.
 //
 // Candidates must be a pure function of its arguments: the switch
-// allocator may call it in any order, and when Sim.Shards > 1 it calls
-// it from multiple goroutines in the same cycle (each with its own
-// buf). Stateless policies — DoRPolicy, OddEvenPolicy and every
-// shipped topology's policy — satisfy this trivially.
+// allocator may call it in any order, and the sharded engine that
+// Sim.Shards > 1 permits calls it from multiple goroutines in the same
+// cycle (each with its own buf). Stateless policies — DoRPolicy,
+// OddEvenPolicy and every shipped topology's policy — satisfy this
+// trivially.
 type RoutingPolicy interface {
 	Candidates(net Network, p *Packet, cur geom.Coord, arrivalPort int, buf []int) int
 }

@@ -732,7 +732,7 @@ func TestBusySetMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.RetainDelivered = true
-		sim.Shards = shards
+		shardEveryCycle(sim, shards)
 		st, _, _ := runScenario(t, s, sim)
 		sim.Close()
 		if st.RoutersKilled == 0 || st.Forwarded == 0 || st.Delivered == 0 {
@@ -805,7 +805,7 @@ func TestTopoIdleGapsSerialShardedForked(t *testing.T) {
 		wantStats, wantPkts, wantCycles := checkIdleGapExercised(t, name, s, newTopoSim(t, name, s, cfg))
 		for _, shards := range []int{1, 4} {
 			sim := newTopoSim(t, name, s, cfg)
-			sim.Shards = shards
+			shardEveryCycle(sim, shards)
 			st, pkts, cycles := runScenario(t, s, sim)
 			sim.Close()
 			if st != wantStats || cycles != wantCycles {

@@ -8,10 +8,19 @@ import (
 	"waferscale/internal/geom"
 )
 
+// shardEveryCycle sets the sim's shard count and, when it is above 1,
+// makes every cycle step on the sharded engine, which Step otherwise
+// leaves unused, so a differential holds that engine to the serial one.
+func shardEveryCycle(s *Sim, shards int) {
+	s.Shards = shards
+	s.forceShard = true
+}
+
 // diffSharded runs the scenario on the serial engine (the oracle) and
-// on a sharded engine, and requires bit-identical stats, delivered
-// streams and cycle counts — the determinism contract of the spatial
-// decomposition: shard and worker counts are wall-clock knobs only.
+// on the sharded engine, forced on every cycle, and requires
+// bit-identical stats, delivered streams and cycle counts — the
+// determinism contract of the spatial decomposition: shard and worker
+// counts are wall-clock knobs only.
 func diffSharded(t *testing.T, s scenario, shards, workers int) {
 	t.Helper()
 	cfg := s.simConfig()
@@ -32,7 +41,7 @@ func diffSharded(t *testing.T, s scenario, shards, workers int) {
 	}
 	defer sharded.Close()
 	sharded.RetainDelivered = true
-	sharded.Shards = shards
+	shardEveryCycle(sharded, shards)
 	sharded.Workers = workers
 	if s.oddEven {
 		sharded.Policy = OddEvenPolicy{}
@@ -142,7 +151,7 @@ func TestShardedReshardMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	schedule := []int{1, 3, 2, 7, 4, 1, 5}
 	for phase, shards := range schedule {
-		sharded.Shards = shards
+		shardEveryCycle(sharded, shards)
 		sharded.Workers = 1 + phase%3
 		for cyc := 0; cyc < 120; cyc++ {
 			src := geom.Coord{X: rng.Intn(g.W), Y: rng.Intn(g.H)}
@@ -189,7 +198,7 @@ func TestShardedCloseIsReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Shards = 3
+	shardEveryCycle(s, 3)
 	if _, err := s.Inject(XY, geom.Coord{X: 0, Y: 0}, geom.Coord{X: 5, Y: 5}, Request, 1, 42); err != nil {
 		t.Fatal(err)
 	}

@@ -213,23 +213,30 @@ type Sim struct {
 	// RetainDelivered keeps every delivered packet for inspection.
 	RetainDelivered bool
 
-	// Shards partitions the tile grid into that many contiguous row
-	// bands whose switch allocation runs concurrently (<= 1 keeps the
-	// serial engine). Results are bit-identical to the serial engine at
-	// any shard or worker count: allocation only reads state frozen for
-	// the cycle plus per-band scratch, every (tile, port) reservation
-	// slot has exactly one possible writer router — the Topology
-	// contract NewSimTopology validates — and grants are committed
-	// serially in band order, which is exactly the serial engine's
-	// ascending router order. See EXPERIMENTS.md ("Deterministic
-	// sharded cycle engine") for the trade-off against per-trial
-	// parallelism. On the 1- and 2-vCPU hosts measured so far, no
-	// sharded configuration has beaten the serial engine beyond noise.
+	// Shards > 1 permits the sharded cycle engine, which partitions
+	// the tile grid into that many contiguous row bands whose switch
+	// allocation runs concurrently. It is a permission, not an order:
+	// Step runs the serial engine on every cycle, because on every host
+	// and workload measured so far the sharded engine has never beaten
+	// it (EXPERIMENTS.md, "Where sharded NoC time goes"), and the
+	// sharded engine stays behind the field only for its differential
+	// tests until a benchmark shows it winning. Results are
+	// bit-identical at any shard or worker count and whichever engine
+	// steps a cycle: allocation only reads state frozen for the cycle
+	// plus per-band scratch, every (tile, port) reservation slot has
+	// exactly one possible writer router — the Topology contract
+	// NewSimTopology validates — and grants are committed serially in
+	// band order, which is exactly the serial engine's ascending router
+	// order.
 	Shards int
 	// Workers caps the gang width driving the shard bands (0 =
 	// GOMAXPROCS, clamped to Shards). Purely a wall-clock knob.
 	Workers int
 	se      *shardEngine
+	// forceShard steps every cycle of a sim with Shards > 1 on the
+	// sharded engine; tests set it to hold that engine to the serial
+	// one.
+	forceShard bool
 }
 
 // nocBand is one contiguous row band of the sharded allocator with its
@@ -385,9 +392,6 @@ func (s *Sim) Cycle() int64 { return s.cycle }
 
 // Stats returns a copy of the running statistics.
 func (s *Sim) Stats() SimStats { return s.stats }
-
-// Topology returns the link graph the simulator steps.
-func (s *Sim) Topology() Topology { return s.topo }
 
 // Delivered returns a copy of the retained packets (RetainDelivered
 // must be set). Callers get their own slice, so the simulator's
@@ -567,7 +571,7 @@ func (s *Sim) CountTimeout() { s.stats.Timeouts++ }
 // Step advances the simulation one cycle.
 func (s *Sim) Step() {
 	s.cycle++
-	if s.Shards > 1 {
+	if s.forceShard && s.Shards > 1 {
 		s.stepSharded()
 		return
 	}

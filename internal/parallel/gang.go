@@ -85,9 +85,6 @@ func NewGang(workers int) *Gang {
 	return g
 }
 
-// Workers reports the gang's width.
-func (g *Gang) Workers() int { return g.workers }
-
 // Run executes fn(task) for every task in [0, tasks), assigning task t
 // to worker t%workers, and returns once every task is complete. fn must
 // not call Run or Close on the same gang. If any fn panics, Run

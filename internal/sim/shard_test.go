@@ -46,14 +46,17 @@ func diffMachinesDeep(t *testing.T, got, ref *Machine) {
 	}
 }
 
-// TestMachineNetShardedDifferential drives a sharded network
-// (Net().Shards, the noc.Sim row-band engine) with core-generated
-// traffic and pins it to the all-serial machine: a healthy BFS run and
-// a run under a kill, a link flap and a bit error, whose retries and
-// relay detours re-enter the network from the core loop. Shard count 7
-// divides neither grid's height, so the bands are uneven. Every
-// observable — results, cycle counts, machine counters, per-core state,
-// memories, NoC stats and the degradation report — must match.
+// TestMachineNetShardedDifferential sets Net().Shards on a machine
+// driven by core-generated traffic and pins it to the unsharded
+// machine: a healthy BFS run and a run under a kill, a link flap and a
+// bit error, whose retries and relay detours re-enter the network from
+// the core loop. Shards only permits the noc.Sim row-band engine, and
+// Step keeps to the serial one, so this pins that the knob changes no
+// observable — results, cycle counts, machine counters, per-core
+// state, memories, NoC stats and the degradation report. The row-band
+// engine itself is held to the serial one under the same shape of
+// traffic, responses injected on the complement network from
+// OnDeliver, by internal/noc's TestEngineDifferentialRespond.
 func TestMachineNetShardedDifferential(t *testing.T) {
 	scenarios := []struct {
 		name    string

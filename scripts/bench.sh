@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the cycle-engine benchmarks (NoC packet simulation, throughput
 # sweep, graph workloads, chaos survival — from-scratch and warm-state
-# forked — plus their sharded-engine variants) and the per-trial Fig. 6
-# connectivity analyzers, and records the results
+# forked — plus their sharded-engine variants), the per-trial Fig. 6
+# connectivity analyzers and the worker gang's dispatch cost
+# (internal/parallel), and records the results
 # as JSON in BENCH_noc.json so CI and
 # successive optimization PRs can track ns/op and allocs/op over time.
 #
@@ -19,12 +20,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial}"
+PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial|BenchmarkGangDispatch}"
 TIME="${BENCH_TIME:-3s}"
 COUNT="${BENCH_COUNT:-3}"
 OUT="${BENCH_OUT:-BENCH_noc.json}"
 
-raw=$(go test -run='^$' -bench="$PATTERN" -benchtime="$TIME" -benchmem -count="$COUNT" .)
+raw=$(go test -run='^$' -bench="$PATTERN" -benchtime="$TIME" -benchmem -count="$COUNT" . ./internal/parallel/)
 echo "$raw"
 
 # Host metadata makes the recorded numbers comparable across machines:
