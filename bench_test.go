@@ -542,23 +542,15 @@ func BenchmarkSec7AKGDScreening(b *testing.B) {
 func BenchmarkNoCThroughput(b *testing.B) {
 	for _, topo := range noc.TopologyNames() {
 		topo := topo
-		b.Run(topo, func(b *testing.B) { benchNoCThroughput(b, 1, topo) })
+		b.Run(topo, func(b *testing.B) { benchNoCThroughput(b, topo) })
 	}
 }
 
-// Sharded variants of the mesh throughput sweep (same curve,
-// bit-identical points, each rate's sim with Shards set to 2/4/8, which
-// permits sharding but steps serially; see noc.Sim.Shards).
-func BenchmarkNoCThroughputShard2(b *testing.B) { benchNoCThroughput(b, 2, noc.TopoMesh) }
-func BenchmarkNoCThroughputShard4(b *testing.B) { benchNoCThroughput(b, 4, noc.TopoMesh) }
-func BenchmarkNoCThroughputShard8(b *testing.B) { benchNoCThroughput(b, 8, noc.TopoMesh) }
-
-func benchNoCThroughput(b *testing.B, shards int, topology string) {
+func benchNoCThroughput(b *testing.B, topology string) {
 	grid := geom.NewGrid(8, 8)
 	fm := fault.NewMap(grid)
 	cfg := noc.DefaultThroughputConfig()
 	cfg.WarmupCycles, cfg.MeasureCycles = 200, 600
-	cfg.Shards = shards
 	cfg.Topology = topology
 	// Probe well below every topology's bound, then at its bound.
 	sat := noc.IdealSaturation(topology, grid)

@@ -250,15 +250,15 @@ func (m *Model) SaturationRate() float64 { return m.sat * m.eff }
 // the first faulty router.
 func (m *Model) ReachableFraction() float64 { return m.reach }
 
-// routeStep resolves one routing decision for pkt, which carries the
-// network and destination: the policy's first candidate port at cur,
-// and the link it crosses. terminal is true at ejection (port == local)
-// or on a contract-violating dead end. buf and pkt are caller scratch,
-// hoisted out of the route loops so the policy call allocates nothing
-// per step; by the noc.Topology routing contract the packet's source
-// and arrival port do not matter.
-func (m *Model) routeStep(cur geom.Coord, pkt *noc.Packet, buf []int) (port int, far geom.Coord, length int, terminal bool) {
-	n := m.topo.Policy().Candidates(pkt.Net, pkt, cur, m.local, buf)
+// routeStep resolves one routing decision toward dst on net: the
+// policy's first candidate port at cur, and the link it crosses.
+// terminal is true at ejection (port == local) or on a
+// contract-violating dead end. buf is caller scratch, hoisted out of
+// the route loops so the policy call allocates nothing per step; by
+// the noc.Topology routing contract the packet's source and arrival
+// port do not matter, so the route is asked as if it started at cur.
+func (m *Model) routeStep(net noc.Network, dst, cur geom.Coord, buf []int) (port int, far geom.Coord, length int, terminal bool) {
+	n := m.topo.Policy().Candidates(net, cur, dst, cur, m.local, buf)
 	if n <= 0 {
 		return 0, cur, 0, true
 	}

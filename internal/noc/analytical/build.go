@@ -209,7 +209,6 @@ func (m *Model) buildInTree() (lenSum int64, clearPairs [2]int64) {
 	cnt := make([]int64, size)
 	var stack []int32
 	var buf [noc.MaxPorts]int
-	var pkt noc.Packet
 	var byLen [][]int32 // bucket lists, index = remaining length
 
 	for net := 0; net < 2; net++ {
@@ -219,14 +218,13 @@ func (m *Model) buildInTree() (lenSum int64, clearPairs [2]int64) {
 				continue
 			}
 			dst := g.Coord(di)
-			pkt = noc.Packet{Net: n, Dst: dst}
 			// Resolve every tile's next hop toward dst. Faulty tiles are
 			// resolved too: routes pass over them virtually so blocked
 			// pairs still contribute their full route length.
 			maxLen := 0
 			for i := 0; i < size; i++ {
 				routeLen[i] = -1
-				port, far, length, terminal := m.routeStep(g.Coord(i), &pkt, buf[:])
+				port, far, length, terminal := m.routeStep(n, dst, g.Coord(i), buf[:])
 				if terminal {
 					nextIdx[i] = -1
 					routeLen[i] = 0

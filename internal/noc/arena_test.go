@@ -25,8 +25,8 @@ func checkArena(t *testing.T, e engine) {
 		if h < 0 || int(h) >= len(s.pkts) {
 			t.Fatalf("cycle %d: handle %d %s is outside the %d-packet arena", s.Cycle(), h, where, len(s.pkts))
 		}
-		if s.pkts[h].Net != net {
-			t.Fatalf("cycle %d: handle %d %s names a %v packet on %v", s.Cycle(), h, where, s.pkts[h].Net, net)
+		if Network(s.pkts[h].net) != net {
+			t.Fatalf("cycle %d: handle %d %s names a %v packet on %v", s.Cycle(), h, where, Network(s.pkts[h].net), net)
 		}
 		seen[h]++
 	}

@@ -111,8 +111,8 @@ func (t cmeshTopology) Policy() RoutingPolicy { return cmeshPolicy{} }
 type cmeshPolicy struct{}
 
 // Candidates implements RoutingPolicy.
-func (cmeshPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
-	if cur == p.Dst {
+func (cmeshPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []int) int {
+	if cur == dst {
 		buf[0] = cmeshPorts - 1 // local
 		return 1
 	}
@@ -121,9 +121,9 @@ func (cmeshPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf
 		buf[0] = cmeshUp
 		return 1
 	}
-	dhub := cmeshHubOf(p.Dst)
+	dhub := cmeshHubOf(dst)
 	if dhub == cur {
-		buf[0] = cmeshUp + cmeshLeafIndex(p.Dst, dhub)
+		buf[0] = cmeshUp + cmeshLeafIndex(dst, dhub)
 		return 1
 	}
 	dx, dy := dhub.X-cur.X, dhub.Y-cur.Y

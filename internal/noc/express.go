@@ -90,8 +90,8 @@ func (expressTopology) Policy() RoutingPolicy { return expressPolicy{} }
 type expressPolicy struct{}
 
 // Candidates implements RoutingPolicy.
-func (expressPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
-	dx, dy := p.Dst.X-cur.X, p.Dst.Y-cur.Y
+func (expressPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []int) int {
+	dx, dy := dst.X-cur.X, dst.Y-cur.Y
 	if dx == 0 && dy == 0 {
 		buf[0] = expressPorts - 1 // local
 		return 1

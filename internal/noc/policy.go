@@ -3,12 +3,14 @@ package noc
 import "waferscale/internal/geom"
 
 // RoutingPolicy decides which output ports a packet at cur may take,
-// in preference order. The full packet is supplied because turn-model
-// algorithms need the source column; arrivalPort is the input port the
-// packet sits in (portLocal for freshly injected packets). The packet
-// is passed by pointer to spare the hot loop a copy; it points into a
-// router FIFO and is read-only — a policy must never write through it
-// or retain it past the call.
+// in preference order. A packet is named by its route key alone: the
+// network it rides, its source src and its destination dst. The
+// switch allocator keeps that key in a compact per-handle record, so
+// routing a head packet never loads the packet itself. Every policy
+// reads dst; src is passed because turn-model algorithms need the
+// source column (OddEvenPolicy offers a vertical turn at the source).
+// arrivalPort is the input port the packet sits in (the local port for
+// freshly injected packets).
 //
 // Candidates writes the ports into buf — a caller-provided scratch of
 // at least MaxPorts entries — and returns how many it wrote, so the
@@ -16,8 +18,8 @@ import "waferscale/internal/geom"
 // return 0 for an in-grid destination (the packet would wedge). The
 // preference order matters to single-path consumers (the analytical
 // model and the connectivity analyzer follow buf[0], and a policy a
-// Topology returns must pick buf[0] from (net, cur, p.Dst) alone, with
-// the local port only at p.Dst — see the Topology contract); the switch
+// Topology returns must pick buf[0] from (net, cur, dst) alone, with
+// the local port only at dst — see the Topology contract); the switch
 // allocator treats the result as a set, routes each head packet once
 // per cycle, and grants whichever candidate port wins arbitration and
 // has credit.
@@ -29,7 +31,7 @@ import "waferscale/internal/geom"
 // OddEvenPolicy and every shipped topology's policy — satisfy this
 // trivially.
 type RoutingPolicy interface {
-	Candidates(net Network, p *Packet, cur geom.Coord, arrivalPort int, buf []int) int
+	Candidates(net Network, src, dst, cur geom.Coord, arrivalPort int, buf []int) int
 }
 
 // DoRPolicy is the prototype's strict dimension-ordered routing: one
@@ -37,8 +39,8 @@ type RoutingPolicy interface {
 type DoRPolicy struct{}
 
 // Candidates writes the single DoR port.
-func (DoRPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
-	d, ok := NextHop(net, cur, p.Dst)
+func (DoRPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []int) int {
+	d, ok := NextHop(net, cur, dst)
 	if !ok {
 		buf[0] = portLocal
 		return 1
@@ -71,8 +73,7 @@ type OddEvenPolicy struct{}
 // dimensions are productive, the one with more remaining hops is
 // preferred (dimension balancing); the switch allocator takes whichever
 // candidate has credit.
-func (OddEvenPolicy) Candidates(_ Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
-	dst, src := p.Dst, p.Src
+func (OddEvenPolicy) Candidates(_ Network, src, dst, cur geom.Coord, _ int, buf []int) int {
 	e0 := dst.X - cur.X
 	e1 := dst.Y - cur.Y
 	if e0 == 0 && e1 == 0 {

@@ -35,9 +35,8 @@ func TestPolicyConcurrentCandidates(t *testing.T) {
 					for x := 0; x < g.W; x++ {
 						cur := geom.C(x, y)
 						g.All(func(dst geom.Coord) {
-							pkt := Packet{Net: XY, Src: cur, Dst: dst}
 							for _, net := range []Network{XY, YX} {
-								if n := pol.Candidates(net, &pkt, cur, int(geom.North), buf[:]); n <= 0 {
+								if n := pol.Candidates(net, cur, dst, cur, int(geom.North), buf[:]); n <= 0 {
 									t.Errorf("%s: 0 candidates at %v for %v", name, cur, dst)
 									return
 								}

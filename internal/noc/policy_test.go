@@ -18,7 +18,7 @@ func TestDoRPolicyMatchesNextHop(t *testing.T) {
 			net = YX
 		}
 		var buf [numPorts]int
-		n := DoRPolicy{}.Candidates(net, &Packet{Dst: dst}, cur, portLocal, buf[:])
+		n := DoRPolicy{}.Candidates(net, geom.Coord{}, dst, cur, portLocal, buf[:])
 		c := buf[:n]
 		if len(c) != 1 {
 			return false
@@ -43,7 +43,6 @@ func TestOddEvenCandidatesMinimalAndLegal(t *testing.T) {
 	f := func(sx, sy, dx, dy uint8, greedy bool) bool {
 		src := geom.C(int(sx)%16, int(sy)%16)
 		dst := geom.C(int(dx)%16, int(dy)%16)
-		p := Packet{Src: src, Dst: dst}
 		cur := src
 		prevDir := -1
 		for hops := 0; ; hops++ {
@@ -51,7 +50,7 @@ func TestOddEvenCandidatesMinimalAndLegal(t *testing.T) {
 				return false // non-minimal path taken
 			}
 			var buf [numPorts]int
-			nc := pol.Candidates(XY, &p, cur, portLocal, buf[:])
+			nc := pol.Candidates(XY, src, dst, cur, portLocal, buf[:])
 			cands := buf[:nc]
 			if len(cands) == 0 {
 				return false // ROUTE must never strand a packet

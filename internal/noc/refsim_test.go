@@ -246,7 +246,7 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 	}
 	candidates := func(p Packet, at geom.Coord, inPort int) []int {
 		buf := make([]int, numPorts)
-		n := s.Policy.Candidates(mn.net, &p, at, inPort, buf)
+		n := s.Policy.Candidates(mn.net, p.Src, p.Dst, at, inPort, buf)
 		return buf[:n]
 	}
 	for _, r := range mn.routers {
@@ -671,8 +671,9 @@ func TestDrainedCounterMatchesScan(t *testing.T) {
 // full scan: per network, a router's busy bit is set exactly when its
 // queued counter is positive, which holds exactly when its FIFOs are
 // non-empty (and queued equals their total); dead routers and bits past
-// the grid are clear; and the flight wheel holds, per input slot, as
-// many flights as inAir counts.
+// the grid are clear; and between cycles, when no grant is pending,
+// every live input slot's credit counter equals its FIFO length plus
+// the flights the wheel holds toward it.
 func checkBusySet(t *testing.T, e engine) {
 	t.Helper()
 	s := e.(*Sim)
@@ -698,16 +699,21 @@ func checkBusySet(t *testing.T, e engine) {
 				}
 			}
 		}
-		perSlot := make([]int32, len(mn.inAir))
+		perSlot := make([]int32, len(mn.credit))
 		for _, bucket := range mn.wheel {
 			for _, f := range bucket {
 				perSlot[int(f.tile)*s.np+int(f.port)]++
 			}
 		}
 		for slot, n := range perSlot {
-			if n != mn.inAir[slot] {
-				t.Fatalf("cycle %d %v slot %d: %d flights in the wheel, inAir %d",
-					s.Cycle(), mn.net, slot, n, mn.inAir[slot])
+			r := mn.routers[slot/s.np]
+			if r == nil {
+				continue
+			}
+			queued := r.in[slot%s.np].len()
+			if want := n + int32(queued); mn.credit[slot] != want {
+				t.Fatalf("cycle %d %v slot %d: %d queued + %d flights in the wheel, credit %d",
+					s.Cycle(), mn.net, slot, queued, n, mn.credit[slot])
 			}
 		}
 	}

@@ -143,6 +143,13 @@ func TestForwardPreservesIdentity(t *testing.T) {
 	if s.Stats().Forwarded != 1 {
 		t.Errorf("Forwarded = %d, want 1", s.Stats().Forwarded)
 	}
+	// A source outside the grid has no routing record and no requester
+	// to answer; it is rejected.
+	stray := got[0]
+	stray.Src = geom.C(-1, 0)
+	if err := s.Forward(XY, geom.C(1, 1), geom.C(3, 3), stray); err == nil {
+		t.Error("forward with an out-of-grid source should fail")
+	}
 	// Forwarding at a faulty tile is rejected.
 	s.KillRouter(geom.C(2, 2))
 	if err := s.Forward(XY, geom.C(2, 2), geom.C(3, 3), got[0]); err == nil {

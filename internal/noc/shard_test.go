@@ -101,9 +101,9 @@ func TestShardedDifferentialChaos(t *testing.T) {
 }
 
 func TestShardedDifferentialBackpressure(t *testing.T) {
-	// Depth-1 FIFOs under saturating load: credit reservations cross
-	// band boundaries every cycle, the worst case for the single-writer
-	// reservation argument.
+	// Depth-1 FIFOs under saturating load: credit grants cross band
+	// boundaries every cycle, the worst case for the single-writer
+	// credit-counter argument.
 	for _, shards := range shardCounts {
 		diffSharded(t, scenario{
 			grid: geom.NewGrid(6, 6), faults: 0, seed: 505,

@@ -32,17 +32,39 @@ type inFlight struct {
 	port int32 // arrival port on that tile
 }
 
+// route is a packet handle's 12-byte routing record, all that switch
+// allocation and traversal touch: Src, Dst and the hop count. int16
+// holds any coordinate, since grid sides are capped at 1<<15.
+type route struct {
+	srcX, srcY, dstX, dstY int16
+	hops                   int32
+}
+
+func (rt *route) src() geom.Coord { return geom.Coord{X: int(rt.srcX), Y: int(rt.srcY)} }
+func (rt *route) dst() geom.Coord { return geom.Coord{X: int(rt.dstX), Y: int(rt.dstY)} }
+
+// body is the rest of a packet but DeliveredAt, which ejection stamps.
+// net is 0 or 1: Inject and Forward index the networks with it first.
+type body struct {
+	id, payload uint64
+	injectedAt  int64
+	kind        Kind
+	tag         uint32
+	net         uint8
+}
+
 // router is one tile's switch on one physical network: input-buffered,
-// round-robin arbitration per output port, credit (space-) checked
-// forwarding. The input FIFOs and round-robin pointers are slices into
-// per-network slabs sized by the topology's port count. queued counts
-// the packets across all its input FIFOs; it is > 0 exactly when the
-// router's bit in meshNet.busy is set.
+// round-robin arbitration per output port, credit-checked forwarding.
+// The input FIFOs, their credit counters and the round-robin pointers
+// are slices into per-network slabs sized by the topology's port
+// count. queued counts the packets across all its input FIFOs; it is
+// > 0 exactly when the router's bit in meshNet.busy is set.
 type router struct {
 	at     geom.Coord
 	idx    int32     // grid index, for O(1) neighbor-table lookups
 	queued int32     // packets across all input FIFOs
 	in     []pktFIFO // input FIFOs (ring buffers, FIFODepth each), one per port
+	credit []int32   // this router's slots of meshNet.credit, one per port
 	rrAt   []int     // round-robin pointer per output port
 }
 
@@ -55,9 +77,8 @@ type grant struct {
 }
 
 // meshNet is one of the two physical networks. Beyond the routers it
-// carries the in-flight link population, the incrementally maintained
-// occupancy counters and the per-cycle scratch buffers that make
-// stepNet allocation-free:
+// carries the in-flight link population, the per-slot credit counters
+// and the reusable grant list that make stepNet allocation-free:
 //
 //   - wheel is a timing wheel of flights: bucket c % len(wheel) holds
 //     the flights landing at cycle c, in launch order. It has
@@ -69,38 +90,37 @@ type grant struct {
 //     (router.queued > 0), so switch allocation visits only occupied
 //     routers. It is written only in the serial phases (injection,
 //     landing, traversal, kills); allocation bands only read it;
-//   - inAir[tile*np+port] counts flights destined for that input
-//     FIFO, updated on launch and landing, replacing an O(flights) scan
-//     per credit check;
-//   - reserved[...] holds this cycle's switch-allocation reservations
-//     (zeroed via the touched list after traversal);
+//   - credit[tile*np+port] counts that input FIFO's packets queued,
+//     in flight toward it and granted toward it this cycle: a grant or
+//     injection increments it, a dequeue decrements it, and a landing
+//     leaves it unchanged. A dead tile's slots are not kept: a grant
+//     toward a dead tile always goes ahead;
 //   - grants is the reusable grant list;
 //   - slab backs every input FIFO ring, FIFODepth handles per
 //     (tile, port).
 type meshNet struct {
-	net      Network
-	routers  []*router
-	slab     []int32
-	wheel    [][]inFlight
-	busy     []uint64
-	inAir    []int32
-	reserved []int32
-	touched  []int32
-	grants   []grant
+	net     Network
+	routers []*router
+	slab    []int32
+	wheel   [][]inFlight
+	busy    []uint64
+	credit  []int32
+	grants  []grant
 }
 
 // enqueue pushes handle h into r's input FIFO at port and marks r
-// busy. The caller has checked space.
+// busy. The caller has checked space and accounted the credit.
 func (mn *meshNet) enqueue(r *router, port int, h int32) {
 	r.in[port].push(h)
 	r.queued++
 	mn.busy[r.idx>>6] |= 1 << uint(r.idx&63)
 }
 
-// dequeue drops the head packet of r's input FIFO at port, clearing r's
-// busy bit when it empties.
+// dequeue drops the head packet of r's input FIFO at port, returning
+// its credit and clearing r's busy bit when it empties.
 func (mn *meshNet) dequeue(r *router, port int) {
 	r.in[port].drop()
+	r.credit[port]--
 	r.queued--
 	if r.queued == 0 {
 		mn.busy[r.idx>>6] &^= 1 << uint(r.idx&63)
@@ -109,9 +129,10 @@ func (mn *meshNet) dequeue(r *router, port int) {
 
 // addRouters instantiates the router of every tile i for which alive(i)
 // holds, carving its FIFO rings out of mn.slab (which must hold
-// FIFODepth handles per (tile, port)) and its headers and round-robin
-// pointers out of two more slabs — a handful of allocations per
-// network keeps NewSim cheap inside Monte Carlo loops.
+// FIFODepth handles per (tile, port)), its credit counters out of
+// mn.credit, and its headers and round-robin pointers out of two more
+// slabs — a handful of allocations per network keeps NewSim cheap
+// inside Monte Carlo loops.
 func (mn *meshNet) addRouters(g geom.Grid, np, depth int, alive func(i int) bool) {
 	routers := make([]router, g.Size())
 	fifos := make([]pktFIFO, g.Size()*np)
@@ -121,7 +142,8 @@ func (mn *meshNet) addRouters(g geom.Grid, np, depth int, alive func(i int) bool
 			continue
 		}
 		r := &routers[i]
-		*r = router{at: g.Coord(i), idx: int32(i), in: fifos[i*np : (i+1)*np], rrAt: rr[i*np : (i+1)*np]}
+		*r = router{at: g.Coord(i), idx: int32(i), in: fifos[i*np : (i+1)*np],
+			credit: mn.credit[i*np : (i+1)*np], rrAt: rr[i*np : (i+1)*np]}
 		for p := range r.in {
 			k := i*np + p
 			r.in[p].buf = mn.slab[k*depth : (k+1)*depth]
@@ -167,11 +189,11 @@ type Sim struct {
 	// the hot loop never calls Topology.Link: for link slot tile*np+port,
 	// nbrTile is the destination tile index (-1 = no link there),
 	// nbrPort the arrival port on that tile, and nbrLat the link flight
-	// time (length x LinkLatency). They are immutable and shared with
-	// forks.
+	// time (length x LinkLatency, at most the wheel length). They are
+	// immutable and shared with forks.
 	nbrTile []int32
 	nbrPort []int8
-	nbrLat  []int64
+	nbrLat  []int
 
 	// Policy selects output ports; defaults to the topology's policy
 	// (strict dimension-ordered routing on the mesh). Set to
@@ -189,15 +211,16 @@ type Sim struct {
 	// wait; they are not lost.
 	linkDown []bool
 
-	// pkts is the packet arena: every packet in the system (queued or
-	// in flight, both networks) is stored here once, and FIFOs and
-	// flights carry its int32 handle. free is the LIFO of released
-	// handles, so len(pkts)-len(free) counts the live packets and
-	// Drained is O(1). The arena grows only in serial phases (Inject,
-	// Forward, OnDeliver callbacks), so sharded allocation may read
-	// packets through it concurrently.
-	pkts []Packet
-	free []int32
+	// pkts and route are the packet arena: every packet in the system
+	// (queued or in flight, both networks) is stored once, as a body and
+	// a routing record under one int32 handle that FIFOs and flights
+	// carry. free is the LIFO of released handles, so len(pkts)-len(free)
+	// counts the live packets and Drained is O(1). Both arrays grow only
+	// in serial phases (Inject, Forward, OnDeliver callbacks), so
+	// sharded allocation may read records concurrently.
+	pkts  []body
+	route []route
+	free  []int32
 
 	// candBuf is the scratch buffer RoutingPolicy.Candidates writes
 	// into (stepNet runs the two networks sequentially, so one buffer
@@ -223,11 +246,11 @@ type Sim struct {
 	// tests until a benchmark shows it winning. Results are
 	// bit-identical at any shard or worker count and whichever engine
 	// steps a cycle: allocation only reads state frozen for the cycle
-	// plus per-band scratch, every (tile, port) reservation slot has
-	// exactly one possible writer router — the Topology contract
-	// NewSimTopology validates — and grants are committed serially in
-	// band order, which is exactly the serial engine's ascending router
-	// order.
+	// plus per-band scratch, every (tile, port) credit counter has
+	// exactly one possible writer during allocation, the router
+	// upstream of it — the Topology contract NewSimTopology validates —
+	// and grants are committed serially in band order, which is exactly
+	// the serial engine's ascending router order.
 	Shards int
 	// Workers caps the gang width driving the shard bands (0 =
 	// GOMAXPROCS, clamped to Shards). Purely a wall-clock knob.
@@ -243,11 +266,10 @@ type Sim struct {
 // private scratch. The pad keeps neighboring bands' append-mutated
 // slice headers off a shared cache line.
 type nocBand struct {
-	lo, hi  int // router index range [lo, hi)
-	grants  []grant
-	touched []int32
-	cand    [MaxPorts]int
-	_       [64]byte
+	lo, hi int // router index range [lo, hi)
+	grants []grant
+	cand   [MaxPorts]int
+	_      [64]byte
 }
 
 // shardEngine is the lazily built parallel stepping state: the band
@@ -290,6 +312,9 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 	if g.W <= 0 || g.H <= 0 {
 		return nil, fmt.Errorf("noc: fault map has empty grid %v (construct with fault.NewMap)", g)
 	}
+	if g.W > 1<<15 || g.H > 1<<15 {
+		return nil, fmt.Errorf("noc: grid %v has a side longer than %d tiles", g, 1<<15)
+	}
 	if topo == nil {
 		topo = MeshTopology(g)
 	}
@@ -310,17 +335,16 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 	}
 	wheelLen := 1
 	for _, lat := range s.nbrLat {
-		wheelLen = max(wheelLen, int(lat))
+		wheelLen = max(wheelLen, lat)
 	}
 	for n := range s.nets {
 		mn := &meshNet{
-			net:      Network(n),
-			routers:  make([]*router, g.Size()),
-			slab:     make([]int32, g.Size()*np*cfg.FIFODepth),
-			wheel:    make([][]inFlight, wheelLen),
-			busy:     make([]uint64, (g.Size()+63)/64),
-			inAir:    make([]int32, g.Size()*np),
-			reserved: make([]int32, g.Size()*np),
+			net:     Network(n),
+			routers: make([]*router, g.Size()),
+			slab:    make([]int32, g.Size()*np*cfg.FIFODepth),
+			wheel:   make([][]inFlight, wheelLen),
+			busy:    make([]uint64, (g.Size()+63)/64),
+			credit:  make([]int32, g.Size()*np),
 		}
 		mn.addRouters(g, np, cfg.FIFODepth, func(i int) bool { return fm.Healthy(g.Coord(i)) })
 		s.nets[n] = mn
@@ -333,12 +357,12 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 // the way: links resolve inside the grid, are bidirectional with
 // consistent endpoints and lengths, and no two links arrive at the
 // same (tile, port) — the single-writer property the sharded engine's
-// reservation slots rely on.
+// credit counters rely on.
 func (s *Sim) buildLinkTables() error {
 	g, np, topo := s.grid, s.np, s.topo
 	s.nbrTile = make([]int32, g.Size()*np)
 	s.nbrPort = make([]int8, g.Size()*np)
-	s.nbrLat = make([]int64, g.Size()*np)
+	s.nbrLat = make([]int, g.Size()*np)
 	for i := range s.nbrTile {
 		s.nbrTile[i] = -1
 	}
@@ -375,13 +399,13 @@ func (s *Sim) buildLinkTables() error {
 			fi := g.Index(far)
 			slot := fi*np + ap
 			if incoming[slot] {
-				fail = fmt.Errorf("noc: topology %q: two links arrive at (%v, port %d) — breaks the sharded engine's single-writer reservation slots", topo.Name(), far, ap)
+				fail = fmt.Errorf("noc: topology %q: two links arrive at (%v, port %d) — breaks the sharded engine's single-writer credit counters", topo.Name(), far, ap)
 				return
 			}
 			incoming[slot] = true
 			s.nbrTile[i*np+p] = int32(fi)
 			s.nbrPort[i*np+p] = int8(ap)
-			s.nbrLat[i*np+p] = int64(ln * s.cfg.LinkLatency)
+			s.nbrLat[i*np+p] = ln * s.cfg.LinkLatency
 		}
 	})
 	return fail
@@ -426,19 +450,23 @@ func (s *Sim) Inject(net Network, src, dst geom.Coord, kind Kind, tag uint32, pa
 		ID: s.nextID, Kind: kind, Net: net, Src: src, Dst: dst,
 		Tag: tag, Payload: payload, InjectedAt: s.cycle,
 	}))
+	r.credit[s.local]++ // a landing packet's credit was taken by its grant
 	s.stats.Injected++
 	return s.nextID, nil
 }
 
-// take stores p in the arena, reusing the most recently freed handle.
+// take stores p's body and route under the most recently freed handle.
 func (s *Sim) take(p Packet) int32 {
+	b := body{p.ID, p.Payload, p.InjectedAt, p.Kind, p.Tag, uint8(p.Net)}
+	rt := route{int16(p.Src.X), int16(p.Src.Y), int16(p.Dst.X), int16(p.Dst.Y), int32(p.Hops)}
 	if n := len(s.free); n > 0 {
 		h := s.free[n-1]
 		s.free = s.free[:n-1]
-		s.pkts[h] = p
+		s.pkts[h], s.route[h] = b, rt
 		return h
 	}
-	s.pkts = append(s.pkts, p)
+	s.pkts = append(s.pkts, b)
+	s.route = append(s.route, rt)
 	return int32(len(s.pkts) - 1)
 }
 
@@ -451,10 +479,13 @@ var ErrBackpressure = fmt.Errorf("noc: injection FIFO full")
 // relay workaround exercised live: system software on the relay tile
 // receives the packet at its local port and sends it on the next leg.
 // The response still names the original Src, so the final destination
-// answers the requester directly.
+// answers the requester directly; a Src outside the grid is refused.
 func (s *Sim) Forward(net Network, at, newDst geom.Coord, p Packet) error {
 	if err := validatePair(s.grid, at, newDst); err != nil {
 		return err
+	}
+	if !s.grid.In(p.Src) {
+		return fmt.Errorf("noc: forwarded source %v outside %v", p.Src, s.grid)
 	}
 	if s.fm.Faulty(at) {
 		return fmt.Errorf("noc: cannot forward from faulty tile %v", at)
@@ -469,6 +500,7 @@ func (s *Sim) Forward(net Network, at, newDst geom.Coord, p Packet) error {
 	p.Net = net
 	p.Dst = newDst
 	s.nets[net].enqueue(r, s.local, s.take(p))
+	r.credit[s.local]++
 	s.stats.Forwarded++
 	return nil
 }
@@ -555,7 +587,7 @@ func (s *Sim) CorruptPayload(c geom.Coord, mask uint64) bool {
 		}
 		for p := 0; p < s.np; p++ {
 			if r.in[p].len() > 0 {
-				s.pkts[r.in[p].front()].Payload ^= mask
+				s.pkts[r.in[p].front()].payload ^= mask
 				s.stats.BitErrors++
 				return true
 			}
@@ -617,8 +649,7 @@ func (s *Sim) sharding() *shardEngine {
 	}
 	se.allocFn = func(b int) {
 		sh := &se.bands[b]
-		sh.grants, sh.touched = s.allocate(se.curNet, sh.lo, sh.hi,
-			sh.grants[:0], sh.touched[:0], sh.cand[:])
+		sh.grants = s.allocate(se.curNet, sh.lo, sh.hi, sh.grants[:0], sh.cand[:])
 	}
 	s.se = se
 	return se
@@ -640,11 +671,11 @@ func (s *Sim) stepSharded() {
 			continue
 		}
 		// Phase 1 (parallel): switch allocation per band. Each band
-		// reads FIFO occupancy, the busy set and flight/reservation
-		// counters frozen for this cycle and writes only its own
-		// routers' round-robin state, its private grant/touched scratch,
-		// and reservation slots no other band can claim (a slot's unique
-		// writer is the router upstream of it — the validated Topology
+		// reads FIFO occupancy, the busy set and packet routing records
+		// frozen for this cycle and writes only its own routers'
+		// round-robin state, its private grant scratch, and credit
+		// counters no other band can touch (a slot's unique writer is
+		// the router upstream of it — the validated Topology
 		// invariant).
 		se.curNet = mn
 		se.gang.Run(len(se.bands), se.allocFn)
@@ -654,39 +685,24 @@ func (s *Sim) stepSharded() {
 		for b := range se.bands {
 			s.traverse(mn, se.bands[b].grants)
 		}
-		for b := range se.bands {
-			sh := &se.bands[b]
-			for _, slot := range sh.touched {
-				mn.reserved[slot] = 0
-			}
-			sh.touched = sh.touched[:0]
-		}
 	}
 }
 
 // stepNet advances one network one cycle on the serial engine:
-// land, allocate over the full router range, traverse, clear.
+// land, allocate over the full router range, traverse.
 func (s *Sim) stepNet(mn *meshNet) {
 	s.landFlights(mn)
-	mn.grants, mn.touched = s.allocate(mn, 0, len(mn.routers),
-		mn.grants[:0], mn.touched[:0], s.candBuf[:])
+	mn.grants = s.allocate(mn, 0, len(mn.routers), mn.grants[:0], s.candBuf[:])
 	s.traverse(mn, mn.grants)
-	// Clear this cycle's reservations (touched may hold duplicates;
-	// zeroing twice is harmless).
-	for _, slot := range mn.touched {
-		mn.reserved[slot] = 0
-	}
-	mn.touched = mn.touched[:0]
 }
 
 // landFlights lands the flights whose link delay elapsed this cycle:
-// the wheel bucket of the current cycle, in launch order.
+// the wheel bucket of the current cycle, in launch order. A landing
+// packet keeps the credit its grant took.
 func (s *Sim) landFlights(mn *meshNet) {
-	np := int32(s.np)
 	b := &mn.wheel[s.cycle%int64(len(mn.wheel))]
 	for i := range *b {
 		f := &(*b)[i]
-		mn.inAir[f.tile*np+f.port]--
 		r := mn.routers[f.tile]
 		if r == nil {
 			// Link into a faulty tile: the packet is lost. The kernel's
@@ -707,18 +723,18 @@ func (s *Sim) landFlights(mn *meshNet) {
 // port, round-robin over inputs. Each head is routed once — Candidates
 // is pure by the Topology contract and the allocator treats its result
 // as a set — and folded into per-output input masks; only outputs some
-// head requests are visited. Space accounting reserves downstream
-// slots before movement so a FIFO never overfills within a cycle. The
-// grant list, touched list and candidate buffer are caller-owned reused
-// scratch — this loop allocates nothing in steady state and, because it
-// only reads cycle-frozen state (the busy set included) and writes
-// band-local scratch plus single-writer reservation slots, disjoint
+// head requests are visited. A grant takes a credit of the downstream
+// slot before movement so a FIFO never overfills within a cycle. The
+// grant list and candidate buffer are caller-owned reused scratch —
+// this loop allocates nothing in steady state and, because it only
+// reads cycle-frozen state (the busy set included) and writes
+// band-local scratch plus single-writer credit counters, disjoint
 // ranges may run concurrently (the sharded engine relies on this).
-func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32, cand []int) ([]grant, []int32) {
+func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, cand []int) []grant {
 	if lo >= hi {
-		return grants, touched
+		return grants
 	}
-	np, local := s.np, s.local
+	np, local, depth := s.np, s.local, int32(s.cfg.FIFODepth)
 	last := (hi - 1) >> 6
 	for w := lo >> 6; w <= last; w++ {
 		word := mn.busy[w]
@@ -741,7 +757,8 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 				if q.len() == 0 {
 					continue
 				}
-				nc := s.Policy.Candidates(mn.net, &s.pkts[q.front()], r.at, in, cand)
+				rt := &s.route[q.front()]
+				nc := s.Policy.Candidates(mn.net, rt.src(), rt.dst(), r.at, in, cand)
 				for _, c := range cand[:nc] {
 					if uint(c) < uint(np) {
 						req[c] |= 1 << uint(in)
@@ -762,18 +779,17 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 				}
 				// Credit depends only on the output's downstream slot, so
 				// it is checked once: without it no input gets this port.
-				// Ejection always has room (the tile consumes it); a route
-				// off the link graph (ni < 0, defensive — in-grid
-				// destinations never produce one) is granted and dropped
-				// by traverse.
+				// Ejection and a dead downstream tile (the packet drops on
+				// arrival) always have room; a route off the link graph
+				// (ni < 0, defensive — in-grid destinations never produce
+				// one) is granted and dropped by traverse.
 				if out != local {
 					if ni := s.nbrTile[base+out]; ni >= 0 {
-						slot := ni*int32(np) + int32(s.nbrPort[base+out])
-						if !s.spaceFor(mn, int(ni), slot) {
+						slot := int(ni)*np + int(s.nbrPort[base+out])
+						if mn.credit[slot] >= depth && mn.routers[ni] != nil {
 							continue
 						}
-						mn.reserved[slot]++
-						touched = append(touched, slot)
+						mn.credit[slot]++
 					}
 				}
 				// Round-robin: the first requesting input after the last
@@ -789,7 +805,7 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 			}
 		}
 	}
-	return grants, touched
+	return grants
 }
 
 // traverse applies the grants in list order: ejections update stats and
@@ -797,16 +813,19 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 // their arrival cycle. It must run serially — list order is the
 // delivery order the determinism contract pins, and appending to a
 // bucket in launch order is the landing order. An ejected packet is
-// copied out of the arena and its handle freed before OnDeliver runs:
-// the callback may inject, which can reuse the handle or grow the arena.
+// assembled from its body and route, and its handle freed, before
+// OnDeliver runs: the callback may inject, which can reuse the handle
+// or grow the arena.
 func (s *Sim) traverse(mn *meshNet, grants []grant) {
+	now := int(s.cycle % int64(len(mn.wheel))) // this cycle's bucket
 	for _, gr := range grants {
 		h := gr.r.in[gr.inPort].front()
 		mn.dequeue(gr.r, gr.inPort)
 		if gr.outPort == s.local {
-			pkt := s.pkts[h]
+			b, rt := &s.pkts[h], &s.route[h]
+			pkt := Packet{ID: b.id, Kind: b.kind, Net: Network(b.net), Src: rt.src(), Dst: rt.dst(),
+				Tag: b.tag, Payload: b.payload, InjectedAt: b.injectedAt, DeliveredAt: s.cycle, Hops: int(rt.hops)}
 			s.free = append(s.free, h)
-			pkt.DeliveredAt = s.cycle
 			s.stats.Delivered++
 			s.stats.TotalLatency += pkt.Latency()
 			s.stats.TotalHops += pkt.Hops
@@ -830,27 +849,14 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 			continue
 		}
 		s.linkUse[mn.net][lslot]++
-		dstPort := int32(s.nbrPort[lslot])
-		mn.inAir[ni*int32(s.np)+dstPort]++
-		b := &mn.wheel[(s.cycle+s.nbrLat[lslot])%int64(len(mn.wheel))]
-		*b = append(*b, inFlight{h: h, tile: ni, port: dstPort})
-		s.pkts[h].Hops++
+		at := now + s.nbrLat[lslot]
+		if at >= len(mn.wheel) {
+			at -= len(mn.wheel)
+		}
+		b := &mn.wheel[at]
+		*b = append(*b, inFlight{h: h, tile: ni, port: int32(s.nbrPort[lslot])})
+		s.route[h].hops++
 	}
-}
-
-// spaceFor reports whether the input FIFO behind slot (= tile*np +
-// port) can absorb one more packet, counting queued packets, packets
-// in flight toward it and this cycle's reservations — all O(1) from
-// the incrementally maintained counters.
-func (s *Sim) spaceFor(mn *meshNet, tileIdx int, slot int32) bool {
-	r := mn.routers[tileIdx]
-	if r == nil {
-		// Faulty destination: allow the move; the packet drops on
-		// arrival (hardware would see an unresponsive link).
-		return true
-	}
-	port := int(slot) - tileIdx*s.np
-	return r.in[port].len()+int(mn.inAir[slot])+int(mn.reserved[slot]) < s.cfg.FIFODepth
 }
 
 // Drained reports whether no packet remains anywhere in the network:

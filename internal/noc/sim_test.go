@@ -111,6 +111,30 @@ func TestSimConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSimGridSideCap: a routing record holds coordinates as int16, so
+// the longest accepted side is 1<<15, and a packet at its far end
+// routes and delivers with its endpoints intact.
+func TestSimGridSideCap(t *testing.T) {
+	if _, err := NewSim(fault.NewMap(geom.NewGrid(1<<15+1, 1)), DefaultSimConfig()); err == nil {
+		t.Fatalf("grid side %d accepted", 1<<15+1)
+	}
+	s, err := NewSim(fault.NewMap(geom.NewGrid(1, 1<<15)), DefaultSimConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RetainDelivered = true
+	src, dst := geom.C(0, 1<<15-1), geom.C(0, 1<<15-3)
+	if _, err := s.Inject(YX, src, dst, Request, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilDrained(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Delivered(); len(got) != 1 || got[0].Src != src || got[0].Dst != dst || got[0].Hops != 2 {
+		t.Fatalf("delivered %+v", got)
+	}
+}
+
 // TestSimInOrderPerPair: all packets between one src-dst pair on one
 // network arrive in injection order — the packet-consistency guarantee
 // the kernel relies on when pinning a pair to a single network.

@@ -6,13 +6,14 @@ import (
 )
 
 // Fork returns a deep copy of the simulator: every piece of mutable run
-// state — the packet arena and its free list, router FIFOs, the
-// in-flight link wheel, occupancy counters, the busy-router set, link
-// outages, statistics, the cycle counter and the packet ID sequence —
-// is copied, so stepping the fork is bit-identical to stepping the
-// original while leaving the original untouched. It is the NoC half of
-// the machine-level warm-state snapshot that lets Monte Carlo sweeps
-// run a shared prefix once and fork per trial.
+// state — the packet arena with its routing records and free list,
+// router FIFOs, the in-flight link wheel, credit and occupancy
+// counters, the busy-router set, link outages, statistics, the cycle
+// counter and the packet ID sequence — is copied, so stepping the fork
+// is bit-identical to stepping the original while leaving the original
+// untouched. It is the NoC half of the machine-level warm-state
+// snapshot that lets Monte Carlo sweeps run a shared prefix once and
+// fork per trial.
 //
 // fm is the fault map the fork routes against; pass a Clone of the
 // original's map (the map is shared with the kernel and machine layers,
@@ -54,7 +55,8 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 	if s.delivered != nil {
 		n.delivered = append([]Packet(nil), s.delivered...)
 	}
-	n.pkts = append([]Packet(nil), s.pkts...)
+	n.pkts = append([]body(nil), s.pkts...)
+	n.route = append([]route(nil), s.route...)
 	n.free = append([]int32(nil), s.free...)
 	for i, mn := range s.nets {
 		n.nets[i] = forkMeshNet(mn, s.grid, s.np, s.cfg.FIFODepth)
@@ -62,22 +64,22 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 	return n
 }
 
-// forkMeshNet deep-copies one physical network, flight wheel and busy
-// set included (the wheel is indexed by absolute cycle, which the fork
-// shares). Router existence is taken from the source's router array
-// (nil = faulty at construction or killed at runtime), not from the
-// fault map — the array is the authoritative record once runtime kills
-// start landing. The handle slab backing every FIFO ring is copied
-// whole; each ring then takes the source's head and length.
+// forkMeshNet deep-copies one physical network, flight wheel, credit
+// counters and busy set included (the wheel is indexed by absolute
+// cycle, which the fork shares). Router existence is taken from the
+// source's router array (nil = faulty at construction or killed at
+// runtime), not from the fault map — the array is the authoritative
+// record once runtime kills start landing. The handle slab backing
+// every FIFO ring is copied whole; each ring then takes the source's
+// head and length.
 func forkMeshNet(src *meshNet, g geom.Grid, np, fifoDepth int) *meshNet {
 	mn := &meshNet{
-		net:      src.net,
-		routers:  make([]*router, g.Size()),
-		slab:     append([]int32(nil), src.slab...),
-		wheel:    make([][]inFlight, len(src.wheel)),
-		busy:     append([]uint64(nil), src.busy...),
-		inAir:    append([]int32(nil), src.inAir...),
-		reserved: make([]int32, g.Size()*np),
+		net:     src.net,
+		routers: make([]*router, g.Size()),
+		slab:    append([]int32(nil), src.slab...),
+		wheel:   make([][]inFlight, len(src.wheel)),
+		busy:    append([]uint64(nil), src.busy...),
+		credit:  append([]int32(nil), src.credit...),
 	}
 	// One backing array for every bucket; each bucket's capacity ends at
 	// its length, so a later append reallocates instead of spilling into

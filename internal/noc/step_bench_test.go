@@ -91,9 +91,8 @@ func BenchmarkSimStep(b *testing.B) {
 
 // TestSimStepZeroAllocs pins the cycle engine's steady state as
 // allocation-free on every topology, idle and loaded, on the serial and
-// the sharded engine: grant lists, reservation scratch and the flight
-// wheel's buckets reach their working size during warm-up and are
-// reused from then on.
+// the sharded engine: grant lists and the flight wheel's buckets reach
+// their working size during warm-up and are reused from then on.
 func TestSimStepZeroAllocs(t *testing.T) {
 	for _, topo := range TopologyNames() {
 		for _, loaded := range []bool{false, true} {

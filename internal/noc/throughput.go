@@ -28,12 +28,6 @@ type ThroughputConfig struct {
 	WarmupCycles  int
 	MeasureCycles int
 	Seed          int64
-	// Shards/ShardWorkers set Sim.Shards/Workers for each simulated
-	// rate point. They permit the sharded cycle engine but do not make
-	// it run (see Sim.Shards); results are bit-identical to the serial
-	// sweep at any setting.
-	Shards       int
-	ShardWorkers int
 	// Topology names the link graph to measure ("" = mesh); see
 	// NewTopology.
 	Topology string
@@ -67,8 +61,6 @@ func MeasureThroughput(fm *fault.Map, cfg ThroughputConfig, rates []float64) ([]
 		if err != nil {
 			return nil, err
 		}
-		s.Shards = cfg.Shards
-		s.Workers = cfg.ShardWorkers
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		var (
 			measuring         bool
@@ -105,7 +97,6 @@ func MeasureThroughput(fm *fault.Map, cfg ThroughputConfig, rates []float64) ([]
 			}
 			s.Step()
 		}
-		s.Close()
 		window := float64(cfg.MeasureCycles) * float64(len(healthy))
 		pt := ThroughputPoint{
 			OfferedRate:   rate,

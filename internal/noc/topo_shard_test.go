@@ -107,7 +107,7 @@ func TestTopoShardedDifferentialChaos(t *testing.T) {
 
 func TestTopoShardedDifferentialBackpressure(t *testing.T) {
 	// Depth-1 FIFOs under saturating load on a ragged (non-multiple)
-	// grid: credit reservations cross band boundaries every cycle, and
+	// grid: credit grants cross band boundaries every cycle, and
 	// CMesh/express exercise partial blocks and clipped express rows.
 	for _, name := range newTopologies {
 		for _, shards := range shardCounts {

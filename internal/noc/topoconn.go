@@ -62,9 +62,8 @@ type TopoAnalyzer struct {
 	stamp        []uint32 // stamp[i] == epoch: i already blocked
 	epoch        uint32
 	stack        []int32
-	// The policy call takes both by reference; as fields they do not
+	// buf is the policy's candidate scratch; as a field it does not
 	// escape to the heap on every Reset.
-	pkt Packet
 	buf [MaxPorts]int
 }
 
@@ -114,11 +113,10 @@ func (a *TopoAnalyzer) reset(topo Topology, fm *fault.Map, blocked []uint16) {
 	a.healthyCount = size - len(a.faulty)
 
 	local := a.ports - 1
-	pkt := &a.pkt
-	for net := 0; net < 2; net++ {
-		pkt.Net = Network(net)
+	for n := 0; n < 2; n++ {
+		net := Network(n)
 		for d := 0; d < size; d++ {
-			row := a.clear[net][d*w : (d+1)*w]
+			row := a.clear[n][d*w : (d+1)*w]
 			if a.healthy[d>>6]>>uint(d&63)&1 == 0 {
 				clear(row)
 				continue
@@ -134,7 +132,7 @@ func (a *TopoAnalyzer) reset(topo Topology, fm *fault.Map, blocked []uint16) {
 			// leaves it through that same port (the next hop depends
 			// only on the network, the tile and d), so the walk needs
 			// no per-port state.
-			pkt.Dst = a.coords[d]
+			dst := a.coords[d]
 			a.nextEpoch()
 			a.stack = a.stack[:0]
 			for _, f := range a.faulty {
@@ -142,8 +140,8 @@ func (a *TopoAnalyzer) reset(topo Topology, fm *fault.Map, blocked []uint16) {
 				a.stack = append(a.stack, f)
 			}
 			for _, v := range a.masked {
-				pkt.Src = a.coords[v]
-				if a.pol.Candidates(pkt.Net, pkt, pkt.Src, local, a.buf[:]) > 0 && blocked[v]>>uint(a.buf[0])&1 != 0 {
+				at := a.coords[v]
+				if a.pol.Candidates(net, at, dst, at, local, a.buf[:]) > 0 && blocked[v]>>uint(a.buf[0])&1 != 0 {
 					a.stamp[v] = a.epoch
 					row[v>>6] &^= 1 << uint(v&63)
 					a.stack = append(a.stack, v)
@@ -156,8 +154,8 @@ func (a *TopoAnalyzer) reset(topo Topology, fm *fault.Map, blocked []uint16) {
 					if v < 0 || a.stamp[v] == a.epoch {
 						continue
 					}
-					pkt.Src = a.coords[v]
-					if a.pol.Candidates(pkt.Net, pkt, pkt.Src, local, a.buf[:]) <= 0 ||
+					at := a.coords[v]
+					if a.pol.Candidates(net, at, dst, at, local, a.buf[:]) <= 0 ||
 						a.buf[0] == local || a.nbr[int(v)*a.ports+a.buf[0]] != u {
 						continue
 					}

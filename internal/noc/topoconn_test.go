@@ -135,7 +135,6 @@ func routeWalkClear(topo Topology, fm *fault.Map) [2][]uint64 {
 	pol := topo.Policy()
 	local := topo.Ports() - 1
 	var buf [MaxPorts]int
-	var pkt Packet // hoisted: the policy call takes its address
 	var rel [2][]uint64
 	for net := 0; net < 2; net++ {
 		n := Network(net)
@@ -146,8 +145,7 @@ func routeWalkClear(topo Topology, fm *fault.Map) [2][]uint64 {
 			for i := 0; i < size; i++ {
 				state[i] = 0
 				cur := g.Coord(i)
-				pkt = Packet{Net: n, Src: cur, Dst: dst}
-				nc := pol.Candidates(n, &pkt, cur, local, buf[:])
+				nc := pol.Candidates(n, cur, dst, cur, local, buf[:])
 				if nc <= 0 || buf[0] == local {
 					nextIdx[i] = -1
 					continue

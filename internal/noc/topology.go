@@ -28,8 +28,9 @@ import (
 //     Link(c, p) = (d, q, n, true) then Link(d, q) = (c, p, n, true).
 //   - At most one link arrives at each (tile, port): distinct (c, p)
 //     map to distinct (d, q). The sharded engine's determinism proof
-//     rests on this — each reservation slot has exactly one possible
-//     writer router — so NewSimTopology validates it at construction.
+//     rests on this — each (tile, port) credit counter has exactly one
+//     possible writer router during switch allocation — so
+//     NewSimTopology validates it at construction.
 //   - The local inject/eject port is always Ports()-1 and carries no
 //     link.
 //   - Routing is destination-driven: the policy's first candidate

@@ -86,7 +86,6 @@ func walkRoute(t *testing.T, topo Topology, net Network, src, dst geom.Coord) in
 	pol := topo.Policy()
 	local := topo.Ports() - 1
 	var buf [MaxPorts]int
-	pkt := Packet{Net: net, Src: src, Dst: dst}
 	cur := src
 	arrival := local
 	maxHops := 4 * (g.W + g.H)
@@ -94,7 +93,7 @@ func walkRoute(t *testing.T, topo Topology, net Network, src, dst geom.Coord) in
 		if hop > maxHops {
 			t.Fatalf("%s %v->%v net %v: route exceeds %d hops (stuck at %v)", topo.Name(), src, dst, net, maxHops, cur)
 		}
-		n := pol.Candidates(net, &pkt, cur, arrival, buf[:])
+		n := pol.Candidates(net, src, dst, cur, arrival, buf[:])
 		if n <= 0 {
 			t.Fatalf("%s %v->%v net %v: Candidates returned %d at %v (wedge)", topo.Name(), src, dst, net, n, cur)
 		}
@@ -154,8 +153,7 @@ func TestTopologyNextHopSourceFree(t *testing.T) {
 			local := topo.Ports() - 1
 			var buf [MaxPorts]int
 			next := func(net Network, src, cur, dst geom.Coord, arrival int) int {
-				pkt := Packet{Net: net, Src: src, Dst: dst}
-				if n := pol.Candidates(net, &pkt, cur, arrival, buf[:]); n <= 0 {
+				if n := pol.Candidates(net, src, dst, cur, arrival, buf[:]); n <= 0 {
 					t.Fatalf("%s %v: Candidates returned %d at %v for %v", name, g, n, cur, dst)
 				}
 				return buf[0]

@@ -84,15 +84,15 @@ func (t verticalTopology) Policy() RoutingPolicy { return verticalPolicy{layerH:
 type verticalPolicy struct{ layerH int }
 
 // Candidates implements RoutingPolicy.
-func (v verticalPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
-	if cur == p.Dst {
+func (v verticalPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []int) int {
+	if cur == dst {
 		buf[0] = verticalPorts - 1 // local
 		return 1
 	}
 	// Target row within cur's layer: the destination itself when it is
 	// on this wafer, else its vertical partner.
-	ty := p.Dst.Y%v.layerH + cur.Y/v.layerH*v.layerH
-	dx, dy := p.Dst.X-cur.X, ty-cur.Y
+	ty := dst.Y%v.layerH + cur.Y/v.layerH*v.layerH
+	dx, dy := dst.X-cur.X, ty-cur.Y
 	if dx == 0 && dy == 0 {
 		buf[0] = verticalPortZ // aligned under/over the destination
 		return 1

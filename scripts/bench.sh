@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Runs the cycle-engine benchmarks (NoC packet simulation, throughput
 # sweep, graph workloads, chaos survival — from-scratch and warm-state
-# forked — plus their sharded-engine variants), the per-trial Fig. 6
-# connectivity analyzers and the worker gang's dispatch cost
-# (internal/parallel), and records the results
-# as JSON in BENCH_noc.json so CI and
-# successive optimization PRs can track ns/op and allocs/op over time.
+# forked — with the Fig. 7 and graph-workload rows repeated at each
+# noc.Sim.Shards setting, which permits sharding but steps serially),
+# the per-trial Fig. 6 connectivity analyzers and the worker gang's
+# dispatch cost (internal/parallel), and records the results as JSON
+# in BENCH_noc.json so CI and successive optimization PRs can track
+# ns/op and allocs/op over time.
 #
 # Recorded numbers are the MINIMUM ns/op (and its B/op, allocs/op, iters)
 # across BENCH_COUNT repetitions of each benchmark — min-of-counts is the
@@ -13,7 +14,7 @@
 # frequency jitter only ever add time.
 #
 # Environment knobs:
-#   BENCH_PATTERN  benchmark regexp   (default: the cycle-engine benches + sharded variants)
+#   BENCH_PATTERN  benchmark regexp   (default: every benchmark listed above)
 #   BENCH_TIME     -benchtime value   (default: 3s; CI smoke uses 1x)
 #   BENCH_COUNT    -count value       (default: 3; CI smoke uses 1)
 #   BENCH_OUT      output JSON path   (default: BENCH_noc.json)
