@@ -248,18 +248,7 @@ func BenchmarkFig6Trial(b *testing.B) {
 // BenchmarkFig7PacketSim drives request/response traffic through the
 // dual-network cycle simulator (paper Fig. 7: requests on one network,
 // responses on the complement over the same tiles).
-func BenchmarkFig7PacketSim(b *testing.B) { benchFig7PacketSim(b, 1) }
-
-// Sharded variants of the same workload: identical traffic and
-// bit-identical statistics, with Shards set to 2/4/8. Shards only
-// permits the sharded engine and Step keeps to the serial one
-// (noc.Sim.Shards), so these rows read what the setting costs a
-// caller that asks for it, and should match the serial baseline.
-func BenchmarkFig7PacketSimShard2(b *testing.B) { benchFig7PacketSim(b, 2) }
-func BenchmarkFig7PacketSimShard4(b *testing.B) { benchFig7PacketSim(b, 4) }
-func BenchmarkFig7PacketSimShard8(b *testing.B) { benchFig7PacketSim(b, 8) }
-
-func benchFig7PacketSim(b *testing.B, shards int) {
+func BenchmarkFig7PacketSim(b *testing.B) {
 	fm := fault.NewMap(geom.NewGrid(16, 16))
 	var avgLat float64
 	for i := 0; i < b.N; i++ {
@@ -270,7 +259,6 @@ func benchFig7PacketSim(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Shards = shards
 		s.OnDeliver = func(p noc.Packet) {
 			if p.Kind == noc.Request {
 				s.Inject(p.Net.Complement(), p.Dst, p.Src, noc.Response, p.Tag, p.Payload)
@@ -286,7 +274,6 @@ func benchFig7PacketSim(b *testing.B, shards int) {
 			b.Fatal(err)
 		}
 		avgLat = s.Stats().AvgLatency()
-		s.Close()
 	}
 	b.ReportMetric(avgLat, "avgLatencyCyc")
 }
@@ -400,17 +387,7 @@ func BenchmarkSec8SubstrateRoute(b *testing.B) {
 // BenchmarkE1GraphWorkloads runs the BFS validation workload as a
 // WS-ISA program on a 4x4-tile machine (the paper's FPGA-emulation
 // stand-in) and verifies against the host reference.
-func BenchmarkE1GraphWorkloads(b *testing.B) { benchE1GraphWorkloads(b, 1) }
-
-// Sharded variants: the same BFS run with the machine's NoC Shards set
-// to 2/4 (noc.Sim.Shards, which permits sharding but steps serially;
-// bit-identical result and cycle count). The core loop always steps
-// serially. 8 shards would exceed the 4-row grid, so the curve stops
-// at 4.
-func BenchmarkE1GraphWorkloadsShard2(b *testing.B) { benchE1GraphWorkloads(b, 2) }
-func BenchmarkE1GraphWorkloadsShard4(b *testing.B) { benchE1GraphWorkloads(b, 4) }
-
-func benchE1GraphWorkloads(b *testing.B, shards int) {
+func BenchmarkE1GraphWorkloads(b *testing.B) {
 	cfg := arch.DefaultConfig()
 	cfg.TilesX, cfg.TilesY, cfg.CoresPerTile, cfg.JTAGChains = 4, 4, 4, 4
 	g := sim.GridGraph(8, 8).Unweighted()
@@ -421,7 +398,6 @@ func benchE1GraphWorkloads(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.Net().Shards = shards
 		res, err := sim.RunBFS(m, g, 0, sim.AllWorkers(m, 16), 50_000_000)
 		if err != nil {
 			b.Fatal(err)
@@ -432,7 +408,6 @@ func benchE1GraphWorkloads(b *testing.B, shards int) {
 			}
 		}
 		cycles = res.Cycles
-		m.Close()
 	}
 	b.ReportMetric(float64(cycles), "machineCycles")
 }
@@ -802,7 +777,6 @@ func BenchmarkWorkloadTransformerBlock(b *testing.B) {
 					b.Fatalf("ops diverged from reference: %v", bad)
 				}
 				rep = r
-				m.Close()
 			}
 			b.ReportMetric(float64(rep.TotalCycles), "machineCycles")
 			b.ReportMetric(float64(rep.CriticalPathCycles), "critPathCycles")

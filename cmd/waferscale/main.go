@@ -316,6 +316,9 @@ func cmdTopoSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *trials < 1 {
+		return fmt.Errorf("trials %d < 1", *trials)
+	}
 	space := core.TopoSweepSpace{Side: *side, FaultCounts: counts, Trials: *trials, Seed: *seed}
 	opts := core.TopoSweepOpts{Workers: *workers}
 	switch *mode {
@@ -568,7 +571,6 @@ func cmdWorkload(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer m.Close()
 	outputs, rep, err := workload.Run(m, g, workload.Options{
 		Placement:    *placement,
 		WorkersPerOp: *workersPerOp,

@@ -131,9 +131,9 @@ func TestReportRejectsBadCounts(t *testing.T) {
 	}
 }
 
-// TestArrayFlagsRejected: clock, place, validate and kgd check their
-// flags up front instead of panicking in the models or printing
-// non-physical numbers.
+// TestArrayFlagsRejected: clock, place, validate, kgd and toposweep
+// check their flags up front instead of panicking in the models,
+// printing non-physical numbers or silently running other settings.
 func TestArrayFlagsRejected(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -151,6 +151,8 @@ func TestArrayFlagsRejected(t *testing.T) {
 		{[]string{"kgd", "-batch", "-1"}, "batch -1 < 0"},
 		{[]string{"kgd", "-die-yield", "-0.5"}, "die-yield -0.5 outside 0..1"},
 		{[]string{"kgd", "-die-yield", "2"}, "die-yield 2 outside 0..1"},
+		{[]string{"toposweep", "-trials", "0"}, "trials 0 < 1"},
+		{[]string{"toposweep", "-trials", "-1"}, "trials -1 < 1"},
 	} {
 		out, stderr, code := runCLI(t, c.args...)
 		if code != 1 || out != "" || !strings.Contains(stderr, c.want) {

@@ -70,7 +70,7 @@ var testOnlyExports = map[string]string{
 	"pdn.StackSheetOhm":                        "TestPlaneDecompositionMatchesCalibration",
 	"pdn.TransientDroop":                       "TestDecapDerivation",
 	"sim.Machine.SetTrace":                     roadmapItem4,
-	"sim.Machine.Net":                          "TestMachineNetShardedDifferential",
+	"sim.Machine.Net":                          "TestMachineFastPathDifferentialBFS",
 	"sim.TraceCore":                            roadmapItem4,
 	"store.Journal.SetFsync":                   "TestJournalRecoveryReruns",
 	"store.Store.SetFsync":                     "TestDiskStoreServesAcrossRestart",

@@ -94,7 +94,6 @@ func ExploreWorkloadTopologiesCtx(ctx context.Context, g *workload.Graph, opts W
 		if err != nil {
 			return WorkloadTopoPoint{}, err
 		}
-		defer m.Close()
 		outputs, rep, err := workload.RunCtx(ctx, m, g, workload.Options{
 			Placement:    c.place,
 			WorkersPerOp: opts.WorkersPerOp,

@@ -74,16 +74,14 @@ func checkArena(t *testing.T, e engine) {
 // requires every handle of the engine left at the end to be free once
 // the network has drained. It returns the run's statistics and
 // delivered packets.
-func runArenaScenario(t *testing.T, s scenario, shards int) (SimStats, []Packet) {
+func runArenaScenario(t *testing.T, s scenario) (SimStats, []Packet) {
 	t.Helper()
 	fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
 	sim, err := NewSim(fm, s.simConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.RetainDelivered = true
-	shardEveryCycle(sim, shards)
 	var last *Sim
 	inner := s.checkLiveFn
 	s.checkLiveFn = func(t *testing.T, e engine) {
@@ -95,27 +93,25 @@ func runArenaScenario(t *testing.T, s scenario, shards int) (SimStats, []Packet)
 	}
 	st, pkts, _ := runScenario(t, s, sim)
 	if len(last.free) != len(last.pkts) || len(last.pkts) == 0 {
-		t.Fatalf("shards=%d: drained with %d of %d handles free", shards, len(last.free), len(last.pkts))
+		t.Fatalf("drained with %d of %d handles free", len(last.free), len(last.pkts))
 	}
 	return st, pkts
 }
 
 // TestPacketStoreHandles cross-checks the packet arena against full
-// scans after every step of a chaos run with a mid-run Fork, serial and
-// sharded: runtime kills (queued and in-flight drops), link flaps, bit
-// errors through CorruptPayload, and relay Forwards are where a handle
-// could leak, be freed twice or be shared between two queues.
+// scans after every step of a chaos run with a mid-run Fork: runtime
+// kills (queued and in-flight drops), link flaps, bit errors through
+// CorruptPayload, and relay Forwards are where a handle could leak, be
+// freed twice or be shared between two queues.
 func TestPacketStoreHandles(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		s := scenario{
-			grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
-			cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
-			forkAt: 250,
-		}
-		st, _ := runArenaScenario(t, s, shards)
-		if st.RoutersKilled == 0 || st.DroppedQueued == 0 || st.Forwarded == 0 || st.BitErrors == 0 {
-			t.Fatalf("shards=%d: chaos scenario exercised too little: %+v", shards, st)
-		}
+	s := scenario{
+		grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
+		cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
+		forkAt: 250,
+	}
+	st, _ := runArenaScenario(t, s)
+	if st.RoutersKilled == 0 || st.DroppedQueued == 0 || st.Forwarded == 0 || st.BitErrors == 0 {
+		t.Fatalf("chaos scenario exercised too little: %+v", st)
 	}
 }
 
@@ -124,11 +120,9 @@ func TestPacketStoreHandles(t *testing.T) {
 // and flying toward it, and the fork is taken with flights still in the
 // wheel.
 func TestPacketStoreHotKill(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		st, _ := runArenaScenario(t, idleGapScenario(geom.NewGrid(8, 8), 707), shards)
-		if st.DroppedQueued == 0 || st.DroppedInFlight == 0 || st.Forwarded == 0 {
-			t.Fatalf("shards=%d: hot kill did not hit queued and in-flight traffic: %+v", shards, st)
-		}
+	st, _ := runArenaScenario(t, idleGapScenario(geom.NewGrid(8, 8), 707))
+	if st.DroppedQueued == 0 || st.DroppedInFlight == 0 || st.Forwarded == 0 {
+		t.Fatalf("hot kill did not hit queued and in-flight traffic: %+v", st)
 	}
 }
 
@@ -136,8 +130,7 @@ func TestPacketStoreHotKill(t *testing.T) {
 // inside OnDeliver with two injected responses: the callback runs in
 // the middle of traversal, where it reuses the handle just freed and
 // grows the arena. The engine, forked mid-run, must match the
-// reference engine, serial and sharded, with the arena consistent
-// after every step.
+// reference engine, with the arena consistent after every step.
 func TestEngineDifferentialRespond(t *testing.T) {
 	s := scenario{
 		grid: geom.NewGrid(8, 8), faults: 2, seed: 919,
@@ -145,10 +138,7 @@ func TestEngineDifferentialRespond(t *testing.T) {
 		forkAt: 200, respond: true, checkLiveFn: checkArena,
 	}
 	diffEngines(t, s)
-	for _, shards := range []int{2, 7} {
-		diffSharded(t, s, shards, 0)
-	}
-	_, pkts := runArenaScenario(t, s, 1)
+	_, pkts := runArenaScenario(t, s)
 	responses := 0
 	for _, p := range pkts {
 		if p.Kind == Response {

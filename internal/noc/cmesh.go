@@ -107,7 +107,8 @@ func (t cmeshTopology) Policy() RoutingPolicy { return cmeshPolicy{} }
 // hubs run strict dimension-ordered routing over the hub mesh (X-first
 // on XY, Y-first on YX), and the destination's hub descends the spoke.
 // The uplink -> DoR -> downlink channel order is acyclic, so the scheme
-// is deadlock-free like the reference mesh.
+// is deadlock-free like the reference mesh (TestRoutingDeadlockFree
+// checks it).
 type cmeshPolicy struct{}
 
 // Candidates implements RoutingPolicy.

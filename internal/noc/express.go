@@ -86,7 +86,8 @@ func (expressTopology) Policy() RoutingPolicy { return expressPolicy{} }
 // least ExpressInterval tiles still to cover, take the skip link (it
 // cannot overshoot and is guaranteed to exist); otherwise take the unit
 // link. Movement stays strictly dimension-ordered and monotone, so the
-// scheme inherits the mesh's deadlock freedom.
+// scheme inherits the mesh's deadlock freedom (TestRoutingDeadlockFree
+// checks it).
 type expressPolicy struct{}
 
 // Candidates implements RoutingPolicy.

@@ -25,11 +25,10 @@ import "waferscale/internal/geom"
 // has credit.
 //
 // Candidates must be a pure function of its arguments: the switch
-// allocator may call it in any order, and the sharded engine that
-// Sim.Shards > 1 permits calls it from multiple goroutines in the same
-// cycle (each with its own buf). Stateless policies — DoRPolicy,
-// OddEvenPolicy and every shipped topology's policy — satisfy this
-// trivially.
+// allocator may call it in any order, and the Fig. 6 sweeps call a
+// shared topology's policy from parallel.ForEach workers (each with its
+// own buf). Stateless policies — DoRPolicy, OddEvenPolicy and every
+// shipped topology's policy — satisfy this trivially.
 type RoutingPolicy interface {
 	Candidates(net Network, src, dst, cur geom.Coord, arrivalPort int, buf []int) int
 }
@@ -53,9 +52,9 @@ func (DoRPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []in
 // turn model, paper footnote 4) run at packet level: minimal adaptive
 // routing restricted by the odd-even turn rules — EN/ES turns banned
 // in even columns, NW/SW turns banned in odd columns — which is
-// deadlock-free without virtual channels. Both physical networks run
-// the same algorithm (the request/response split still prevents
-// protocol deadlock).
+// deadlock-free without virtual channels (TestRoutingDeadlockFree
+// checks it). Both physical networks run the same algorithm (the
+// request/response split still prevents protocol deadlock).
 //
 // Candidates implements Chiu's ROUTE function, which guarantees a
 // non-empty legal minimal set at every hop:

@@ -436,9 +436,7 @@ func runScenario(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64)
 	for cyc := 0; cyc < s.cycles; cyc++ {
 		if s.forkAt > 0 && cyc == s.forkAt {
 			if sim, ok := e.(*Sim); ok {
-				fork := sim.Fork(sim.fm.Clone())
-				defer fork.Close()
-				e = fork
+				e = sim.Fork(sim.fm.Clone())
 				if s.respond {
 					wireResponder(e)
 				}
@@ -571,19 +569,22 @@ func diffEngines(t *testing.T, s scenario) {
 		ref.Policy = OddEvenPolicy{}
 	}
 	refStats, refPkts, refCycles := runScenario(t, s, ref)
+	requireSameRun(t, "optimized vs reference", optStats, optPkts, optCycles, refStats, refPkts, refCycles)
+}
 
-	if optStats != refStats {
-		t.Errorf("stats diverge:\n  optimized %+v\n  reference %+v", optStats, refStats)
+// requireSameRun fails unless two runs agree bit for bit: stats, cycle
+// counts and delivered streams.
+func requireSameRun(t *testing.T, label string, st SimStats, pkts []Packet, cycles int64, wantSt SimStats, wantPkts []Packet, wantCycles int64) {
+	t.Helper()
+	if st != wantSt || cycles != wantCycles {
+		t.Fatalf("%s: stats/cycles diverge:\n  got  %+v (%d cycles)\n  want %+v (%d cycles)", label, st, cycles, wantSt, wantCycles)
 	}
-	if optCycles != refCycles {
-		t.Errorf("cycle counts diverge: optimized %d, reference %d", optCycles, refCycles)
+	if len(pkts) != len(wantPkts) {
+		t.Fatalf("%s: delivered %d packets, want %d", label, len(pkts), len(wantPkts))
 	}
-	if len(optPkts) != len(refPkts) {
-		t.Fatalf("delivered streams diverge in length: optimized %d, reference %d", len(optPkts), len(refPkts))
-	}
-	for i := range optPkts {
-		if optPkts[i] != refPkts[i] {
-			t.Fatalf("delivered packet %d diverges:\n  optimized %+v\n  reference %+v", i, optPkts[i], refPkts[i])
+	for i := range pkts {
+		if pkts[i] != wantPkts[i] {
+			t.Fatalf("%s: delivered packet %d diverges:\n  got  %+v\n  want %+v", label, i, pkts[i], wantPkts[i])
 		}
 	}
 }
@@ -721,29 +722,24 @@ func checkBusySet(t *testing.T, e engine) {
 
 // TestBusySetMatchesScan cross-validates the busy-router set, the
 // per-router queued counters and the flight wheel against full scans on
-// every step of a chaos run with a mid-run Fork, on the serial and the
-// sharded engine: kills, drops and forks are where the incremental
-// bookkeeping could slip, and a stale busy bit would silently skip a
-// router's allocation.
+// every step of a chaos run with a mid-run Fork: kills, drops and forks
+// are where the incremental bookkeeping could slip, and a stale busy
+// bit would silently skip a router's allocation.
 func TestBusySetMatchesScan(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		s := scenario{
-			grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
-			cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
-			forkAt: 250, checkLiveFn: checkBusySet,
-		}
-		fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
-		sim, err := NewSim(fm, DefaultSimConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.RetainDelivered = true
-		shardEveryCycle(sim, shards)
-		st, _, _ := runScenario(t, s, sim)
-		sim.Close()
-		if st.RoutersKilled == 0 || st.Forwarded == 0 || st.Delivered == 0 {
-			t.Fatalf("shards=%d: chaos scenario exercised too little: %+v", shards, st)
-		}
+	s := scenario{
+		grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
+		cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
+		forkAt: 250, checkLiveFn: checkBusySet,
+	}
+	fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
+	sim, err := NewSim(fm, DefaultSimConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RetainDelivered = true
+	st, _, _ := runScenario(t, s, sim)
+	if st.RoutersKilled == 0 || st.Forwarded == 0 || st.Delivered == 0 {
+		t.Fatalf("chaos scenario exercised too little: %+v", st)
 	}
 }
 
@@ -788,45 +784,24 @@ func checkIdleGapExercised(t *testing.T, name string, s scenario, e engine) (Sim
 // the mesh against the reference engine through idle gaps, a kill that
 // empties a router with flights still headed to it, and a Fork taken
 // during a gap (the optimized engine continues on the fork; the
-// reference runs straight through). The sharded engine must match too.
+// reference runs straight through).
 func TestEngineDifferentialIdleGaps(t *testing.T) {
 	s := idleGapScenario(geom.NewGrid(8, 8), 707)
 	checkIdleGapExercised(t, TopoMesh, s, newRefSim(
 		fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed))), DefaultSimConfig()))
 	diffEngines(t, s)
-	for _, shards := range shardCounts[1:] {
-		diffSharded(t, s, shards, 0)
-	}
 }
 
-// TestTopoIdleGapsSerialShardedForked runs the idle-gap scenario on the
-// non-mesh topologies, where no reference engine exists: the serial
-// engine run straight through is the oracle, and the serial and sharded
-// engines continuing on a fork taken during a gap must match it
-// bit for bit.
-func TestTopoIdleGapsSerialShardedForked(t *testing.T) {
+// TestTopoIdleGapsForked runs the idle-gap scenario on the non-mesh
+// topologies, where no reference engine exists: the engine run straight
+// through is the oracle, and the engine continuing on a fork taken
+// during a gap must match it bit for bit.
+func TestTopoIdleGapsForked(t *testing.T) {
 	cfg := DefaultSimConfig()
 	for _, name := range newTopologies {
 		s := idleGapScenario(geom.NewGrid(10, 10), 808)
 		wantStats, wantPkts, wantCycles := checkIdleGapExercised(t, name, s, newTopoSim(t, name, s, cfg))
-		for _, shards := range []int{1, 4} {
-			sim := newTopoSim(t, name, s, cfg)
-			shardEveryCycle(sim, shards)
-			st, pkts, cycles := runScenario(t, s, sim)
-			sim.Close()
-			if st != wantStats || cycles != wantCycles {
-				t.Fatalf("%s shards=%d forked: stats/cycles diverge:\n  forked   %+v (%d cycles)\n  straight %+v (%d cycles)",
-					name, shards, st, cycles, wantStats, wantCycles)
-			}
-			if len(pkts) != len(wantPkts) {
-				t.Fatalf("%s shards=%d forked: delivered %d packets, straight %d", name, shards, len(pkts), len(wantPkts))
-			}
-			for i := range pkts {
-				if pkts[i] != wantPkts[i] {
-					t.Fatalf("%s shards=%d forked: delivered packet %d diverges:\n  forked   %+v\n  straight %+v",
-						name, shards, i, pkts[i], wantPkts[i])
-				}
-			}
-		}
+		st, pkts, cycles := runScenario(t, s, newTopoSim(t, name, s, cfg))
+		requireSameRun(t, name+" forked vs straight", st, pkts, cycles, wantStats, wantPkts, wantCycles)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
-	"waferscale/internal/parallel"
 )
 
 // Port indices inside a mesh router: the four mesh directions plus the
@@ -88,8 +87,8 @@ type grant struct {
 //     bucket due earlier;
 //   - busy has bit i set exactly when routers[i] holds a queued packet
 //     (router.queued > 0), so switch allocation visits only occupied
-//     routers. It is written only in the serial phases (injection,
-//     landing, traversal, kills); allocation bands only read it;
+//     routers. Injection, landing, traversal and kills write it;
+//     allocation only reads it;
 //   - credit[tile*np+port] counts that input FIFO's packets queued,
 //     in flight toward it and granted toward it this cycle: a grant or
 //     injection increments it, a dequeue decrements it, and a landing
@@ -215,9 +214,7 @@ type Sim struct {
 	// (queued or in flight, both networks) is stored once, as a body and
 	// a routing record under one int32 handle that FIFOs and flights
 	// carry. free is the LIFO of released handles, so len(pkts)-len(free)
-	// counts the live packets and Drained is O(1). Both arrays grow only
-	// in serial phases (Inject, Forward, OnDeliver callbacks), so
-	// sharded allocation may read records concurrently.
+	// counts the live packets and Drained is O(1).
 	pkts  []body
 	route []route
 	free  []int32
@@ -236,54 +233,12 @@ type Sim struct {
 	// RetainDelivered keeps every delivered packet for inspection.
 	RetainDelivered bool
 
-	// Shards > 1 permits the sharded cycle engine, which partitions
-	// the tile grid into that many contiguous row bands whose switch
-	// allocation runs concurrently. It is a permission, not an order:
-	// Step runs the serial engine on every cycle, because on every host
-	// and workload measured so far the sharded engine has never beaten
-	// it (EXPERIMENTS.md, "Where sharded NoC time goes"), and the
-	// sharded engine stays behind the field only for its differential
-	// tests until a benchmark shows it winning. Results are
-	// bit-identical at any shard or worker count and whichever engine
-	// steps a cycle: allocation only reads state frozen for the cycle
-	// plus per-band scratch, every (tile, port) credit counter has
-	// exactly one possible writer during allocation, the router
-	// upstream of it — the Topology contract NewSimTopology validates —
-	// and grants are committed serially in band order, which is exactly
-	// the serial engine's ascending router order.
+	// Shards is ignored; kept only because bench/ references it. ROADMAP
+	// item 1's benchmark revision deletes it together with fig7Shards.
 	Shards int
-	// Workers caps the gang width driving the shard bands (0 =
-	// GOMAXPROCS, clamped to Shards). Purely a wall-clock knob.
+	// Workers is ignored; kept only because bench/ references it. ROADMAP
+	// item 1's benchmark revision deletes it together with fig7Shards.
 	Workers int
-	se      *shardEngine
-	// forceShard steps every cycle of a sim with Shards > 1 on the
-	// sharded engine; tests set it to hold that engine to the serial
-	// one.
-	forceShard bool
-}
-
-// nocBand is one contiguous row band of the sharded allocator with its
-// private scratch. The pad keeps neighboring bands' append-mutated
-// slice headers off a shared cache line.
-type nocBand struct {
-	lo, hi int // router index range [lo, hi)
-	grants []grant
-	cand   [MaxPorts]int
-	_      [64]byte
-}
-
-// shardEngine is the lazily built parallel stepping state: the band
-// decomposition plus the persistent worker gang that releases once per
-// (cycle, network).
-type shardEngine struct {
-	shards  int
-	workers int
-	gang    *parallel.Gang
-	bands   []nocBand
-	// curNet is the network the hoisted allocFn closure works on; set
-	// before each gang.Run so the per-cycle loop allocates nothing.
-	curNet  *meshNet
-	allocFn func(b int)
 }
 
 // NewSim builds a simulator of the reference dual-DoR mesh over a
@@ -298,8 +253,7 @@ func NewSim(fm *fault.Map, cfg SimConfig) (*Sim, error) {
 // NewSimTopology builds a simulator over a fault map and a link graph
 // (nil topology = the reference mesh). The topology's graph invariants
 // — bidirectional links with consistent endpoints, a unique incoming
-// link per (tile, port) — are validated here, because the sharded
-// engine's determinism proof depends on them; a violating topology is
+// link per (tile, port) — are validated here; a violating topology is
 // rejected, never silently mis-simulated.
 func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 	if fm == nil {
@@ -356,8 +310,8 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 // tables the hot loop indexes, validating the Topology contract along
 // the way: links resolve inside the grid, are bidirectional with
 // consistent endpoints and lengths, and no two links arrive at the
-// same (tile, port) — the single-writer property the sharded engine's
-// credit counters rely on.
+// same (tile, port), because each slot's credit counter and FIFO have
+// one upstream router.
 func (s *Sim) buildLinkTables() error {
 	g, np, topo := s.grid, s.np, s.topo
 	s.nbrTile = make([]int32, g.Size()*np)
@@ -399,7 +353,7 @@ func (s *Sim) buildLinkTables() error {
 			fi := g.Index(far)
 			slot := fi*np + ap
 			if incoming[slot] {
-				fail = fmt.Errorf("noc: topology %q: two links arrive at (%v, port %d) — breaks the sharded engine's single-writer credit counters", topo.Name(), far, ap)
+				fail = fmt.Errorf("noc: topology %q: two links arrive at (%v, port %d) — each input slot takes one upstream link", topo.Name(), far, ap)
 				return
 			}
 			incoming[slot] = true
@@ -603,96 +557,19 @@ func (s *Sim) CountTimeout() { s.stats.Timeouts++ }
 // Step advances the simulation one cycle.
 func (s *Sim) Step() {
 	s.cycle++
-	if s.forceShard && s.Shards > 1 {
-		s.stepSharded()
-		return
-	}
 	for _, mn := range s.nets {
 		s.stepNet(mn)
 	}
 }
 
-// Close releases the worker goroutines behind a sharded simulator. It
-// is a no-op for serial sims and idempotent; the sim remains usable
-// (stepping re-creates the gang on demand).
-func (s *Sim) Close() {
-	if s.se != nil {
-		s.se.gang.Close()
-		s.se = nil
-	}
-}
+// Close is a no-op; kept only because bench/ references it. ROADMAP
+// item 1's benchmark revision deletes it together with fig7Shards.
+func (s *Sim) Close() {}
 
-// sharding returns the shard engine for the current Shards/Workers
-// settings, (re)building bands and gang when the knobs changed.
-func (s *Sim) sharding() *shardEngine {
-	shards := s.Shards
-	if shards > s.grid.H {
-		shards = s.grid.H // at most one band per row
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	workers := parallel.Workers(s.Workers, shards)
-	if se := s.se; se != nil && se.shards == shards && se.workers == workers {
-		return se
-	}
-	s.Close()
-	se := &shardEngine{
-		shards:  shards,
-		workers: workers,
-		gang:    parallel.NewGang(workers),
-		bands:   make([]nocBand, shards),
-	}
-	for b := 0; b < shards; b++ {
-		se.bands[b].lo = b * s.grid.H / shards * s.grid.W
-		se.bands[b].hi = (b + 1) * s.grid.H / shards * s.grid.W
-	}
-	se.allocFn = func(b int) {
-		sh := &se.bands[b]
-		sh.grants = s.allocate(se.curNet, sh.lo, sh.hi, sh.grants[:0], sh.cand[:])
-	}
-	s.se = se
-	return se
-}
-
-// stepSharded is the parallel variant of the per-cycle loop. The phase
-// order of the serial engine is preserved exactly — per network: land,
-// allocate, traverse — with only the allocation phase fanned out over
-// the row bands. Landing and traversal stay on the caller: they mutate
-// global state (stats, packet arena, flight wheel, busy set, user
-// callbacks) whose serial ordering is part of the determinism contract.
-// A network with no queued packet after landing has nothing to
-// allocate, so its gang release is skipped.
-func (s *Sim) stepSharded() {
-	se := s.sharding()
-	for _, mn := range s.nets {
-		s.landFlights(mn)
-		if mn.idle() {
-			continue
-		}
-		// Phase 1 (parallel): switch allocation per band. Each band
-		// reads FIFO occupancy, the busy set and packet routing records
-		// frozen for this cycle and writes only its own routers'
-		// round-robin state, its private grant scratch, and credit
-		// counters no other band can touch (a slot's unique writer is
-		// the router upstream of it — the validated Topology
-		// invariant).
-		se.curNet = mn
-		se.gang.Run(len(se.bands), se.allocFn)
-		// Phase 2 (serial commit): apply grants in band order — the
-		// concatenation is exactly the serial engine's ascending router
-		// order, so delivery order, stats and callbacks are identical.
-		for b := range se.bands {
-			s.traverse(mn, se.bands[b].grants)
-		}
-	}
-}
-
-// stepNet advances one network one cycle on the serial engine:
-// land, allocate over the full router range, traverse.
+// stepNet advances one network one cycle: land, allocate, traverse.
 func (s *Sim) stepNet(mn *meshNet) {
 	s.landFlights(mn)
-	mn.grants = s.allocate(mn, 0, len(mn.routers), mn.grants[:0], s.candBuf[:])
+	mn.grants = s.allocate(mn, mn.grants[:0])
 	s.traverse(mn, mn.grants)
 }
 
@@ -717,33 +594,20 @@ func (s *Sim) landFlights(mn *meshNet) {
 	*b = (*b)[:0]
 }
 
-// allocate runs switch allocation for the busy routers in [lo, hi), in
-// ascending index order: per router, per requested output port in
-// ascending order, grant one input whose head packet requests that
-// port, round-robin over inputs. Each head is routed once — Candidates
-// is pure by the Topology contract and the allocator treats its result
-// as a set — and folded into per-output input masks; only outputs some
+// allocate runs switch allocation for the busy routers in ascending
+// index order: per router, per requested output port in ascending
+// order, grant one input whose head packet requests that port,
+// round-robin over inputs. Each head is routed once — Candidates is
+// pure by the Topology contract and the allocator treats its result as
+// a set — and folded into per-output input masks; only outputs some
 // head requests are visited. A grant takes a credit of the downstream
 // slot before movement so a FIFO never overfills within a cycle. The
-// grant list and candidate buffer are caller-owned reused scratch —
-// this loop allocates nothing in steady state and, because it only
-// reads cycle-frozen state (the busy set included) and writes
-// band-local scratch plus single-writer credit counters, disjoint
-// ranges may run concurrently (the sharded engine relies on this).
-func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, cand []int) []grant {
-	if lo >= hi {
-		return grants
-	}
+// grant list is reused scratch, so this loop allocates nothing in
+// steady state.
+func (s *Sim) allocate(mn *meshNet, grants []grant) []grant {
 	np, local, depth := s.np, s.local, int32(s.cfg.FIFODepth)
-	last := (hi - 1) >> 6
-	for w := lo >> 6; w <= last; w++ {
-		word := mn.busy[w]
-		if w == lo>>6 {
-			word &= ^uint64(0) << uint(lo&63)
-		}
-		if w == last {
-			word &= ^uint64(0) >> uint(63-(hi-1)&63)
-		}
+	cand := s.candBuf[:]
+	for w, word := range mn.busy {
 		for ; word != 0; word &= word - 1 {
 			ri := w<<6 | bits.TrailingZeros64(word)
 			r := mn.routers[ri]
@@ -810,9 +674,8 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, cand []int) []gr
 
 // traverse applies the grants in list order: ejections update stats and
 // fire OnDeliver, link crossings launch flights into the wheel bucket of
-// their arrival cycle. It must run serially — list order is the
-// delivery order the determinism contract pins, and appending to a
-// bucket in launch order is the landing order. An ejected packet is
+// their arrival cycle. List order is the delivery order, and appending
+// to a bucket in launch order is the landing order. An ejected packet is
 // assembled from its body and route, and its handle freed, before
 // OnDeliver runs: the callback may inject, which can reuse the handle
 // or grow the arena.

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"waferscale/internal/fault"
@@ -98,44 +97,6 @@ func TestSimForkMidTraffic(t *testing.T) {
 					t.Fatalf("link use diverged at net %d %v %v: %d vs %d", net, c, dir, su, fu)
 				}
 			}
-		}
-	}
-}
-
-// TestSimForkShardedContinuation: a serial original forked into a
-// sharded continuation (and vice versa) must stay bit-identical, stats
-// and delivered stream — the fork copies the Shards/Workers knobs but
-// the engine itself is rebuilt lazily, and sharding is
-// observable-equivalent by contract.
-func TestSimForkShardedContinuation(t *testing.T) {
-	grid := geom.NewGrid(8, 8)
-	run := func(forkShards int) (SimStats, []Packet) {
-		fm := fault.NewMap(grid)
-		s := newSim(t, fm)
-		s.RetainDelivered = true
-		warm := &nocTrafficDriver{rng: rand.New(rand.NewSource(31)), grid: grid}
-		for c := 0; c < 120; c++ {
-			warm.tick(t, s)
-			s.Step()
-		}
-		f := s.Fork(fm.Clone())
-		shardEveryCycle(f, forkShards)
-		defer f.Close()
-		cont := &nocTrafficDriver{rng: rand.New(rand.NewSource(37)), grid: grid}
-		for c := 0; c < 300; c++ {
-			cont.tick(t, f)
-			f.Step()
-		}
-		return f.Stats(), f.Delivered()
-	}
-	ref, refPkts := run(1)
-	for _, shards := range []int{2, 4, 7} {
-		got, pkts := run(shards)
-		if got != ref {
-			t.Fatalf("forkShards=%d: stats diverged\nsharded %+v\nserial  %+v", shards, got, ref)
-		}
-		if !slices.Equal(pkts, refPkts) {
-			t.Fatalf("forkShards=%d: delivered streams diverged (%d vs %d packets)", shards, len(pkts), len(refPkts))
 		}
 	}
 }

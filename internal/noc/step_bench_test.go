@@ -90,22 +90,18 @@ func BenchmarkSimStep(b *testing.B) {
 }
 
 // TestSimStepZeroAllocs pins the cycle engine's steady state as
-// allocation-free on every topology, idle and loaded, on the serial and
-// the sharded engine: grant lists and the flight wheel's buckets reach
-// their working size during warm-up and are reused from then on.
+// allocation-free on every topology, idle and loaded: grant lists and
+// the flight wheel's buckets reach their working size during warm-up
+// and are reused from then on.
 func TestSimStepZeroAllocs(t *testing.T) {
 	for _, topo := range TopologyNames() {
 		for _, loaded := range []bool{false, true} {
-			for _, shards := range []int{1, 2} {
-				sb := newStepBench(t, topo, loaded)
-				shardEveryCycle(sb.sim, shards)
-				for i := 0; i < 200; i++ { // build the gang and regrow scratch
-					sb.step()
-				}
-				if allocs := testing.AllocsPerRun(200, sb.step); allocs != 0 {
-					t.Errorf("%s loaded=%v shards=%d: %.2f allocs per step, want 0", topo, loaded, shards, allocs)
-				}
-				sb.sim.Close()
+			sb := newStepBench(t, topo, loaded)
+			for i := 0; i < 200; i++ { // regrow scratch
+				sb.step()
+			}
+			if allocs := testing.AllocsPerRun(200, sb.step); allocs != 0 {
+				t.Errorf("%s loaded=%v: %.2f allocs per step, want 0", topo, loaded, allocs)
 			}
 		}
 	}

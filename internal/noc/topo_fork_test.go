@@ -8,12 +8,11 @@ import (
 	"waferscale/internal/geom"
 )
 
-// This file extends the refsim/shard differential pattern to the
-// non-mesh topologies: for each shipped topology, the sharded engine
-// must be bit-identical to the serial engine (the oracle) across
-// uniform traffic, construction faults, runtime chaos and depth-1
-// backpressure, at every shard count in shardCounts — the same
-// determinism contract the mesh is pinned to.
+// This file holds the non-mesh topologies, which have no reference
+// engine, to an oracle: the engine run straight through. The same
+// scenario continued on a Fork taken mid-run must match it bit for bit
+// across uniform traffic, construction faults, runtime chaos, depth-1
+// backpressure and topology-specific port outages.
 
 // newTopoSim builds a simulator of the named topology over a seeded
 // random fault map.
@@ -31,99 +30,69 @@ func newTopoSim(t *testing.T, name string, s scenario, cfg SimConfig) *Sim {
 	return sim
 }
 
-// diffTopoSharded runs the scenario on the named topology twice —
-// serial oracle and sharded — and requires bit-identical stats,
-// delivered streams and cycle counts.
-func diffTopoSharded(t *testing.T, name string, s scenario, shards, workers int) {
+// diffTopoForked runs the scenario on the named topology straight
+// through (the oracle) and continued on a Fork taken at cycle forkAt,
+// and requires bit-identical outcomes.
+func diffTopoForked(t *testing.T, name string, s scenario, forkAt int) {
 	t.Helper()
 	cfg := s.simConfig()
-
-	serial := newTopoSim(t, name, s, cfg)
-	serStats, serPkts, serCycles := runScenario(t, s, serial)
-
-	sharded := newTopoSim(t, name, s, cfg)
-	defer sharded.Close()
-	shardEveryCycle(sharded, shards)
-	sharded.Workers = workers
-	shStats, shPkts, shCycles := runScenario(t, s, sharded)
-
-	if shStats != serStats {
-		t.Errorf("%s shards=%d: stats diverge:\n  sharded %+v\n  serial  %+v", name, shards, shStats, serStats)
-	}
-	if shCycles != serCycles {
-		t.Errorf("%s shards=%d: cycle counts diverge: sharded %d, serial %d", name, shards, shCycles, serCycles)
-	}
-	if len(shPkts) != len(serPkts) {
-		t.Fatalf("%s shards=%d: delivered streams diverge in length: sharded %d, serial %d",
-			name, shards, len(shPkts), len(serPkts))
-	}
-	for i := range shPkts {
-		if shPkts[i] != serPkts[i] {
-			t.Fatalf("%s shards=%d: delivered packet %d diverges:\n  sharded %+v\n  serial  %+v",
-				name, shards, i, shPkts[i], serPkts[i])
-		}
-	}
+	wantSt, wantPkts, wantCycles := runScenario(t, s, newTopoSim(t, name, s, cfg))
+	s.forkAt = forkAt
+	st, pkts, cycles := runScenario(t, s, newTopoSim(t, name, s, cfg))
+	requireSameRun(t, name+" forked vs straight", st, pkts, cycles, wantSt, wantPkts, wantCycles)
 }
 
-// newTopologies are the non-mesh topologies (the mesh has its own
-// differential suite in shard_test.go / refsim_test.go).
+// newTopologies are the non-mesh topologies (the mesh is held to the
+// reference engine in refsim_test.go).
 var newTopologies = []string{TopoCMesh, TopoExpress, TopoVertical}
 
-func TestTopoShardedDifferentialUniform(t *testing.T) {
+func TestTopoForkDifferentialUniform(t *testing.T) {
 	for _, name := range newTopologies {
-		for _, shards := range shardCounts {
-			diffTopoSharded(t, name, scenario{
-				grid: geom.NewGrid(12, 12), faults: 0, seed: 1101,
-				cycles: 600, injectProb: 0.9,
-			}, shards, 0)
-		}
+		diffTopoForked(t, name, scenario{
+			grid: geom.NewGrid(12, 12), faults: 0, seed: 1101,
+			cycles: 600, injectProb: 0.9,
+		}, 300)
 	}
 }
 
-func TestTopoShardedDifferentialFaultyMap(t *testing.T) {
+func TestTopoForkDifferentialFaultyMap(t *testing.T) {
 	for _, name := range newTopologies {
-		for _, shards := range shardCounts {
-			diffTopoSharded(t, name, scenario{
-				grid: geom.NewGrid(10, 10), faults: 7, seed: 1202,
-				cycles: 500, injectProb: 0.8,
-			}, shards, 0)
-		}
+		diffTopoForked(t, name, scenario{
+			grid: geom.NewGrid(10, 10), faults: 7, seed: 1202,
+			cycles: 500, injectProb: 0.8,
+		}, 250)
 	}
 }
 
-func TestTopoShardedDifferentialChaos(t *testing.T) {
+func TestTopoForkDifferentialChaos(t *testing.T) {
 	// Runtime kills, mesh-direction link flaps, bit errors and relay
 	// forwards: the fault-injection layer mapped onto each generalized
 	// link graph.
 	for _, name := range newTopologies {
-		for _, shards := range shardCounts {
-			diffTopoSharded(t, name, scenario{
-				grid: geom.NewGrid(10, 10), faults: 3, seed: 1303,
-				cycles: 500, injectProb: 0.85, chaos: true, forwardMod: 4,
-			}, shards, 0)
-		}
+		diffTopoForked(t, name, scenario{
+			grid: geom.NewGrid(10, 10), faults: 3, seed: 1303,
+			cycles: 500, injectProb: 0.85, chaos: true, forwardMod: 4,
+		}, 250)
 	}
 }
 
-func TestTopoShardedDifferentialBackpressure(t *testing.T) {
+func TestTopoForkDifferentialBackpressure(t *testing.T) {
 	// Depth-1 FIFOs under saturating load on a ragged (non-multiple)
-	// grid: credit grants cross band boundaries every cycle, and
-	// CMesh/express exercise partial blocks and clipped express rows.
+	// grid: every FIFO is full at the fork, and CMesh/express exercise
+	// partial blocks and clipped express rows.
 	for _, name := range newTopologies {
-		for _, shards := range shardCounts {
-			diffTopoSharded(t, name, scenario{
-				grid: geom.NewGrid(11, 10), faults: 0, seed: 1505,
-				cycles: 800, injectProb: 1.0, fifoDepth: 1,
-			}, shards, 0)
-		}
+		diffTopoForked(t, name, scenario{
+			grid: geom.NewGrid(11, 10), faults: 0, seed: 1505,
+			cycles: 800, injectProb: 1.0, fifoDepth: 1,
+		}, 400)
 	}
 }
 
 // TestTopoPortDownDifferential downs and raises topology-specific link
 // ports (express lanes, CMesh spokes, vertical links) mid-run via
 // SetPortDown — beyond the mesh-direction flaps runScenario drives —
-// and requires the sharded engine to track the serial oracle through
-// the outages.
+// and requires a run continued on a Fork taken with ports down to
+// track the run straight through.
 func TestTopoPortDownDifferential(t *testing.T) {
 	for _, name := range newTopologies {
 		g := geom.NewGrid(12, 12)
@@ -131,20 +100,21 @@ func TestTopoPortDownDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(shards int) (SimStats, []Packet) {
+		run := func(forkAt int) (SimStats, []Packet, int64) {
 			sim, err := NewSimTopology(fault.NewMap(g), DefaultSimConfig(), topoA)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sim.Close()
 			sim.RetainDelivered = true
-			shardEveryCycle(sim, shards)
 			rng := rand.New(rand.NewSource(1707))
 			var downs []struct {
 				c geom.Coord
 				p int
 			}
 			for cyc := 0; cyc < 500; cyc++ {
+				if cyc == forkAt {
+					sim = sim.Fork(sim.fm.Clone())
+				}
 				if cyc%29 == 11 {
 					c := geom.C(rng.Intn(g.W), rng.Intn(g.H))
 					p := rng.Intn(topoA.Ports() - 1)
@@ -170,28 +140,16 @@ func TestTopoPortDownDifferential(t *testing.T) {
 				sim.SetPortDown(d.c, d.p, false)
 			}
 			if err := sim.RunUntilDrained(20000); err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
+				t.Fatalf("%s forkAt=%d: %v", name, forkAt, err)
 			}
-			return sim.Stats(), sim.Delivered()
+			return sim.Stats(), sim.Delivered(), sim.Cycle()
 		}
-		serStats, serPkts := run(1)
-		if serStats.Delivered == 0 {
+		wantSt, wantPkts, wantCycles := run(-1)
+		if wantSt.Delivered == 0 {
 			t.Fatalf("%s: port-down scenario delivered nothing", name)
 		}
-		for _, shards := range shardCounts[1:] {
-			shStats, shPkts := run(shards)
-			if shStats != serStats {
-				t.Errorf("%s shards=%d: stats diverge:\n  sharded %+v\n  serial  %+v", name, shards, shStats, serStats)
-			}
-			if len(shPkts) != len(serPkts) {
-				t.Fatalf("%s shards=%d: delivered lengths diverge: %d vs %d", name, shards, len(shPkts), len(serPkts))
-			}
-			for i := range shPkts {
-				if shPkts[i] != serPkts[i] {
-					t.Fatalf("%s shards=%d: delivered packet %d diverges", name, shards, i)
-				}
-			}
-		}
+		st, pkts, cycles := run(250)
+		requireSameRun(t, name+" forked vs straight", st, pkts, cycles, wantSt, wantPkts, wantCycles)
 	}
 }
 

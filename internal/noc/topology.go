@@ -17,20 +17,18 @@ import (
 //
 // Contract:
 //
-//   - Implementations are immutable after construction. Link and
-//     Policy().Candidates are called concurrently from multiple shards
-//     of the cycle engine (each shard with its own candidate buffer),
-//     so they must be safe for lock-free concurrent use — in practice,
-//     pure functions of the receiver's construction-time fields. This
-//     is the concurrency contract that used to live on RoutingPolicy;
-//     it binds every policy a Topology returns.
+//   - Implementations are immutable after construction. The Fig. 6
+//     sweeps share one topology value across parallel.ForEach workers,
+//     so Link and Policy().Candidates must be safe for lock-free
+//     concurrent use — in practice, pure functions of the receiver's
+//     construction-time fields. This binds every policy a Topology
+//     returns.
 //   - Every link is bidirectional with consistent endpoints: if
 //     Link(c, p) = (d, q, n, true) then Link(d, q) = (c, p, n, true).
 //   - At most one link arrives at each (tile, port): distinct (c, p)
-//     map to distinct (d, q). The sharded engine's determinism proof
-//     rests on this — each (tile, port) credit counter has exactly one
-//     possible writer router during switch allocation — so
-//     NewSimTopology validates it at construction.
+//     map to distinct (d, q). Each (tile, port) input FIFO and its
+//     credit counter have exactly one upstream link, so
+//     NewSimTopology validates this at construction.
 //   - The local inject/eject port is always Ports()-1 and carries no
 //     link.
 //   - Routing is destination-driven: the policy's first candidate

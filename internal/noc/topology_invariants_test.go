@@ -1,6 +1,10 @@
 package noc
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 
 	"waferscale/internal/fault"
@@ -252,8 +256,8 @@ func TestNewTopologyRejects(t *testing.T) {
 
 // TestNewSimTopologyRejectsBrokenGraph feeds the validator a
 // deliberately corrupted link graph and requires construction to fail —
-// the invariant the sharded engine's determinism rests on must be
-// enforced, not assumed.
+// the link-graph invariants the cycle engine rests on must be enforced,
+// not assumed.
 func TestNewSimTopologyRejectsBrokenGraph(t *testing.T) {
 	g := geom.NewGrid(4, 4)
 	base := MeshTopology(g)
@@ -331,4 +335,163 @@ func FuzzTopologyRoute(f *testing.F) {
 			walkRoute(t, topo, net, src, dst)
 		}
 	})
+}
+
+// cdgCycle builds one network's channel-dependency graph for a routing
+// policy over a topology's link graph and returns a dependency cycle,
+// as the input buffers (tile*Ports()+port) along it, or nil when the
+// graph is acyclic. By Dally & Seitz's criterion, routing whose
+// channel-dependency graph is acyclic cannot deadlock.
+//
+// A node is an input buffer (tile, in-port). A packet held in buffer
+// (c, in) may wait for every candidate port the policy offers it
+// there, so each link candidate adds an edge to the buffer it lands in
+// at the far end. Ejection (the local port) adds no edge: the check
+// assumes a packet at its destination always sinks. The engine makes
+// that true — allocate grants the local port without a credit check,
+// and traverse frees the handle before OnDeliver runs — and it is what
+// rules out protocol deadlock here, more than the request/response
+// network split. A change that bounds ejection must add the request ->
+// response dependency to this graph. Only reachable
+// states count: per destination, every source injects at its local
+// port and the walk follows every candidate from there, so it visits
+// the destination's routing in-tree (a DAG for an adaptive policy).
+// States carry the packet's source, because a policy may read it
+// (odd-even does in the source column).
+func cdgCycle(t *testing.T, topo Topology, pol RoutingPolicy, net Network) []int {
+	t.Helper()
+	g, np := topo.Grid(), topo.Ports()
+	n, local := g.Size(), np-1
+	// nbr[tile*np+port] is the buffer the link through port lands in
+	// (-1 = no link).
+	nbr := make([]int, n*np)
+	for i := range nbr {
+		nbr[i] = -1
+		if p := i % np; p != local {
+			if far, ap, _, ok := topo.Link(g.Coord(i/np), p); ok {
+				nbr[i] = g.Index(far)*np + ap
+			}
+		}
+	}
+	// succ[b] is the set of link ports some reachable packet in buffer
+	// b waits for; seen[b*n+src] stamps the destination that reached
+	// state (b, src).
+	succ := make([]uint32, n*np)
+	seen := make([]int32, n*np*n)
+	var stack []int
+	var buf [MaxPorts]int
+	for d := 0; d < n; d++ {
+		dst, stamp := g.Coord(d), int32(d+1)
+		for s := 0; s < n; s++ {
+			if s != d {
+				stack = append(stack, (s*np+local)*n+s)
+			}
+		}
+		for len(stack) > 0 {
+			st := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			b, s := st/n, st%n
+			tile := b - b%np
+			k := pol.Candidates(net, g.Coord(s), dst, g.Coord(b/np), b%np, buf[:])
+			for _, p := range buf[:k] {
+				if p == local {
+					continue
+				}
+				nb := nbr[tile+p]
+				if nb < 0 {
+					t.Fatalf("%s %v net %v: candidate port %d at %v has no link", topo.Name(), g, net, p, g.Coord(b/np))
+				}
+				succ[b] |= 1 << uint(p)
+				if ns := nb*n + s; seen[ns] != stamp {
+					seen[ns] = stamp
+					stack = append(stack, ns)
+				}
+			}
+		}
+	}
+	// Depth-first search for a back edge.
+	state := make([]uint8, n*np) // 0 unvisited, 1 on the path, 2 done
+	var path []int
+	var visit func(b int) []int
+	visit = func(b int) []int {
+		state[b] = 1
+		path = append(path, b)
+		for m := succ[b]; m != 0; m &= m - 1 {
+			nb := nbr[b-b%np+bits.TrailingZeros32(m)]
+			switch state[nb] {
+			case 1:
+				return path[slices.Index(path, nb):]
+			case 0:
+				if cyc := visit(nb); cyc != nil {
+					return cyc
+				}
+			}
+		}
+		path = path[:len(path)-1]
+		state[b] = 2
+		return nil
+	}
+	for b := range succ {
+		if state[b] == 0 {
+			if cyc := visit(b); cyc != nil {
+				return cyc
+			}
+		}
+	}
+	return nil
+}
+
+// mixedDoRPolicy is a planted deadlock: on either network it routes
+// X-first toward destinations of even parity and Y-first toward the
+// rest, so one network makes all eight turns and its buffers can wait
+// on each other in a ring.
+type mixedDoRPolicy struct{}
+
+func (mixedDoRPolicy) Candidates(_ Network, src, dst, cur geom.Coord, in int, buf []int) int {
+	net := XY
+	if (dst.X+dst.Y)%2 == 1 {
+		net = YX
+	}
+	return DoRPolicy{}.Candidates(net, src, dst, cur, in, buf)
+}
+
+// TestRoutingDeadlockFree checks deadlock freedom as a property instead
+// of a comment: each network's channel-dependency graph over reachable
+// routes (cdgCycle) must be acyclic, for every shipped topology's
+// policy and for odd-even on the mesh, on square, non-square and odd
+// grids and on 2x2, the smallest grid every topology accepts. A planted
+// policy that mixes XY and YX routes on one network must fail it.
+func TestRoutingDeadlockFree(t *testing.T) {
+	grids := append([]geom.Grid{geom.NewGrid(7, 7), geom.NewGrid(9, 5)}, topoGrids...)
+	check := func(name string, topo Topology, pol RoutingPolicy) {
+		for _, net := range []Network{XY, YX} {
+			if cyc := cdgCycle(t, topo, pol, net); cyc != nil {
+				g, np := topo.Grid(), topo.Ports()
+				ring := make([]string, len(cyc))
+				for i, b := range cyc {
+					ring[i] = fmt.Sprintf("%v port %d", g.Coord(b/np), b%np)
+				}
+				t.Errorf("%s %v net %v: channel-dependency cycle %s", name, g, net, strings.Join(ring, " -> "))
+			}
+		}
+	}
+	for _, g := range grids {
+		for _, name := range TopologyNames() {
+			if name == TopoVertical && g.H%2 != 0 {
+				continue // the two-layer fold needs an even row count
+			}
+			topo, err := NewTopology(name, g)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, g, err)
+			}
+			check(name, topo, topo.Policy())
+		}
+		check("oddeven", MeshTopology(g), OddEvenPolicy{})
+	}
+	mesh := MeshTopology(geom.NewGrid(4, 4))
+	for _, net := range []Network{XY, YX} {
+		if cdgCycle(t, mesh, mixedDoRPolicy{}, net) == nil {
+			t.Errorf("net %v: the planted XY/YX-mixing policy passed the deadlock check", net)
+		}
+	}
 }

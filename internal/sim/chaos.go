@@ -39,11 +39,6 @@ type ChaosResult struct {
 // exhaustion all produce a ChaosResult instead of an error. Attach a
 // fault schedule to the machine before calling. The returned error is
 // non-nil only for setup problems (bad graph, unloadable program).
-//
-// The machine's core loop steps serially; its network may be sharded
-// (set m.Net().Shards before calling) with a bit-identical result,
-// degradation report included. Call m.Close after such a run to
-// release the network's worker goroutines.
 func RunSSSPUnderFaults(m *Machine, g *Graph, src int, workers []WorkerRef, maxCycles int64) (*ChaosResult, error) {
 	return RunSSSPUnderFaultsCtx(context.Background(), m, g, src, workers, maxCycles)
 }

@@ -526,11 +526,9 @@ func (m *Machine) Step() {
 	}
 }
 
-// Close releases the worker goroutines behind a sharded network
-// simulator (see noc.Sim.Shards). It is a no-op when the network steps
-// serially and idempotent; the machine remains usable (stepping
-// re-creates the gang on demand).
-func (m *Machine) Close() { m.net.Close() }
+// Close is a no-op; kept only because bench/ references it. ROADMAP
+// item 1's benchmark revision deletes it together with fig7Shards.
+func (m *Machine) Close() {}
 
 // stepTile advances every runnable core of one tile.
 func (m *Machine) stepTile(t *Tile) {

@@ -34,8 +34,7 @@ func (m *Machine) Snapshot() *Snapshot { return &Snapshot{m: m.clone()} }
 func (s *Snapshot) Cycle() int64 { return s.m.cycle }
 
 // Fork materializes an independent machine from the snapshot. Safe for
-// concurrent use: forking only reads the frozen state. Close each fork
-// after use if its network ran sharded.
+// concurrent use: forking only reads the frozen state.
 func (s *Snapshot) Fork() *Machine { return s.m.clone() }
 
 // Fork returns an independent deep copy of the machine, equivalent to

@@ -17,10 +17,48 @@ import (
 // bit-identical to a machine stepped from cycle 0, on every observable
 // diffMachinesDeep covers.
 
-// chaosSchedule is the standard dirty-run schedule shared with the
-// network-sharded differential: a worker tile killed mid-run, a link flap and a
-// bit error, so the fork must carry remap/shadow state, degradation
-// accounting, retry bookkeeping and mid-stream schedule position.
+// diffMachinesDeep extends diffMachines with a per-core comparison:
+// every core's architectural and statistical state must match.
+func diffMachinesDeep(t *testing.T, got, ref *Machine) {
+	t.Helper()
+	diffMachines(t, got, ref)
+	diffMemories(t, got, ref)
+	if got.RemoteLatency != ref.RemoteLatency {
+		t.Errorf("RemoteLatency: got %d, ref %d", got.RemoteLatency, ref.RemoteLatency)
+	}
+	if got.running != ref.running {
+		t.Errorf("running counter: got %d, ref %d", got.running, ref.running)
+	}
+	for i := range ref.tiles {
+		rt, gt := ref.tiles[i], got.tiles[i]
+		if (rt == nil) != (gt == nil) {
+			t.Fatalf("tile %d: presence diverges", i)
+		}
+		if rt == nil {
+			continue
+		}
+		if rt.dead != gt.dead {
+			t.Errorf("tile %d: dead %v vs %v", i, gt.dead, rt.dead)
+		}
+		for ci := range rt.Cores {
+			rc, gc := rt.Cores[ci], gt.Cores[ci]
+			if rc.state != gc.state || rc.PC != gc.PC || rc.Regs != gc.Regs {
+				t.Fatalf("tile %d core %d: arch state diverges (state %d/%d pc %#x/%#x)",
+					i, ci, gc.state, rc.state, gc.PC, rc.PC)
+			}
+			if rc.Instret != gc.Instret || rc.StallFixed != gc.StallFixed ||
+				rc.StallRemote != gc.StallRemote || rc.RetryCycles != gc.RetryCycles {
+				t.Fatalf("tile %d core %d: stats diverge (instret %d/%d stallR %d/%d)",
+					i, ci, gc.Instret, rc.Instret, gc.StallRemote, rc.StallRemote)
+			}
+		}
+	}
+}
+
+// chaosSchedule is the standard dirty-run schedule of the fork tests:
+// a worker tile killed mid-run, a link flap and a bit error, so the
+// fork must carry remap/shadow state, degradation accounting, retry
+// bookkeeping and mid-stream schedule position.
 func chaosSchedule() *inject.Schedule {
 	return inject.NewSchedule().
 		KillTileAt(2000, geom.C(1, 0)).
@@ -39,7 +77,6 @@ func runChaosReference(t *testing.T, g *Graph, budget int64) (*ChaosResult, *Mac
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Close()
 	return res, m
 }
 
@@ -169,7 +206,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Close()
 		refs[i] = res
 	}
 
@@ -184,7 +220,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m0.Snapshot()
-	m0.Close()
 	if snap.Cycle() != 1400 {
 		t.Fatalf("snapshot cycle = %d, want 1400", snap.Cycle())
 	}
@@ -196,7 +231,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			f := snap.Fork()
-			defer f.Close()
 			if err := f.AttachSchedule(scheds[i]); err != nil {
 				t.Error(err)
 				return
@@ -222,7 +256,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 
 	// The snapshot is still intact: a late fork replays trial 0 exactly.
 	f := snap.Fork()
-	defer f.Close()
 	if err := f.AttachSchedule(scheds[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +274,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 func TestForkIndependence(t *testing.T) {
 	g := GridGraph(6, 6).Unweighted()
 	m := chaosBFSMachine(t)
-	defer m.Close()
 	if _, err := PrepareSSSP(m, g, 0, SpreadWorkers(m, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +281,6 @@ func TestForkIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := m.Fork()
-	defer f.Close()
 	if err := m.RunToCycleCtx(context.Background(), 2000); err != nil {
 		t.Fatal(err)
 	}

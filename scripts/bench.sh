@@ -1,12 +1,9 @@
 #!/usr/bin/env bash
 # Runs the cycle-engine benchmarks (NoC packet simulation, throughput
 # sweep, graph workloads, chaos survival — from-scratch and warm-state
-# forked — with the Fig. 7 and graph-workload rows repeated at each
-# noc.Sim.Shards setting, which permits sharding but steps serially),
-# the per-trial Fig. 6 connectivity analyzers and the worker gang's
-# dispatch cost (internal/parallel), and records the results as JSON
-# in BENCH_noc.json so CI and successive optimization PRs can track
-# ns/op and allocs/op over time.
+# forked) and the per-trial Fig. 6 connectivity analyzers, and records
+# the results as JSON in BENCH_noc.json so CI and successive
+# optimization PRs can track ns/op and allocs/op over time.
 #
 # Recorded numbers are the MINIMUM ns/op (and its B/op, allocs/op, iters)
 # across BENCH_COUNT repetitions of each benchmark — min-of-counts is the
@@ -21,12 +18,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial|BenchmarkGangDispatch}"
+PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial}"
 TIME="${BENCH_TIME:-3s}"
 COUNT="${BENCH_COUNT:-3}"
 OUT="${BENCH_OUT:-BENCH_noc.json}"
 
-raw=$(go test -run='^$' -bench="$PATTERN" -benchtime="$TIME" -benchmem -count="$COUNT" . ./internal/parallel/)
+raw=$(go test -run='^$' -bench="$PATTERN" -benchtime="$TIME" -benchmem -count="$COUNT" .)
 echo "$raw"
 
 # Host metadata makes the recorded numbers comparable across machines:
