@@ -197,14 +197,17 @@ func BenchmarkFig6DisconnectedPairs(b *testing.B) {
 // one analyzer Reset on a seeded fault map plus one AllPairs — for the
 // prefix-sum mesh Analyzer and for TopoAnalyzer on every topology.
 // Comparing prefixsum against mesh measures what the mesh-only fast
-// path buys over the topology-generic analyzer. The chiplet rows time
+// path buys over the topology-generic analyzer: nothing at a few
+// faults, where TopoAnalyzer's per-source BFS is short, and more with
+// every fault past the crossover between 5 and 10; faults=20 sits in
+// the default nocmc sweep (1..19). The chiplet rows time
 // the chiplet-granularity trial — a seeded draw of that many faulty
 // chiplets, a masked TopoAnalyzer Reset and AllPairs — as b.N trials
 // of one serial sweep, since its scratch is internal to the sweep.
 func BenchmarkFig6Trial(b *testing.B) {
 	grid := geom.NewGrid(32, 32)
 	for _, analyzer := range append([]string{"prefixsum"}, noc.TopologyNames()...) {
-		for _, faults := range []int{5, 10} {
+		for _, faults := range []int{5, 10, 20} {
 			b.Run(fmt.Sprintf("%s/faults=%d", analyzer, faults), func(b *testing.B) {
 				fm := fault.Random(grid, faults, rand.New(rand.NewSource(2021)))
 				var st noc.PairStats
@@ -618,25 +621,12 @@ func boolMetric(ok bool) float64 {
 // mid-run, reporting the completion and verification rates the
 // graceful-degradation layer sustains.
 func BenchmarkChaosBFSSurvival(b *testing.B) {
-	benchChaosBFSSurvival(b, false)
-}
-
-// BenchmarkChaosBFSSurvivalForked is the same sweep with warm-state
-// forking on: each trial forks off a shared fault-free prefix machine
-// instead of replaying the prefix from cycle 0. Results are
-// bit-identical to the unforked variant; only wall clock differs.
-func BenchmarkChaosBFSSurvivalForked(b *testing.B) {
-	benchChaosBFSSurvival(b, true)
-}
-
-func benchChaosBFSSurvival(b *testing.B, fork bool) {
 	d := core.NewDesign()
 	cfg := core.DefaultChaosConfig()
 	cfg.Side, cfg.Workers, cfg.GraphSide = 4, 8, 6
 	cfg.Trials = 2
 	cfg.Kills = []int{0, 1}
 	cfg.MaxCycles = 80_000
-	cfg.Fork = fork
 	var points []core.ChaosPoint
 	for i := 0; i < b.N; i++ {
 		var err error

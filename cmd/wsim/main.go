@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -45,7 +44,6 @@ func main() {
 	kill := flag.String("kill", "", `explicit tiles to kill, e.g. "1,0;2,3"`)
 	faultAt := flag.Int64("fault-at-cycle", 1000, "cycle the kills land at")
 	trials := flag.Int("trials", 1, "fault-survival trials (with -faults; each draws fresh victims; 1 = one run)")
-	fork := flag.Bool("fork", true, "run -trials off one warm prefix forked per trial (bit-identical, skips replaying the fault-free prefix)")
 	hostWorkers := flag.Int("host-workers", 0, "host goroutines running trials (0 = GOMAXPROCS)")
 	topoFlag := flag.String("topology", "",
 		"NoC link graph: mesh (default) | cmesh | express | vertical (needs an even side)")
@@ -65,9 +63,11 @@ func main() {
 	switch {
 	case *trials < 1:
 		err = fmt.Errorf("trials %d below 1", *trials)
+	case *trials > 1 && *kill != "":
+		err = fmt.Errorf("-kill cannot be combined with -trials %d: each trial draws its own -faults victims", *trials)
 	case *trials > 1:
 		err = runTrials(*workload, *side, *cores, *vertices, *edges, *workers, *src, *seed, *maxCycles,
-			*faults, *faultSeed, *faultAt, *trials, *hostWorkers, *fork)
+			*faults, *faultSeed, *faultAt, *trials, *hostWorkers)
 	default:
 		err = run(*workload, *side, *cores, *vertices, *edges, *workers, *src, *seed, *maxCycles, *profile,
 			*faults, *faultSeed, *kill, *faultAt)
@@ -224,7 +224,7 @@ func run(workload string, side, cores, vertices, edges, workers, src int, seed, 
 // fault.TrialSeed, so the survival counts are identical at any
 // -host-workers value.
 func runTrials(workload string, side, cores, vertices, edges, workers, src int, seed, maxCycles int64,
-	faults int, faultSeed, faultAt int64, trials, hostWorkers int, fork bool) error {
+	faults int, faultSeed, faultAt int64, trials, hostWorkers int) error {
 	if workload != "bfs" && workload != "sssp" {
 		return fmt.Errorf("-trials supports bfs|sssp, not %q", workload)
 	}
@@ -250,75 +250,25 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 		verified  bool
 		cycles    int64
 	}
-	var results []outcome
-	if fork {
-		// Every trial's kills land at the same cycle, so one warm prefix
-		// serves them all: advance a fault-free machine to the cycle
-		// before the kills, snapshot it once, and fork per trial.
-		// Bit-identical to the from-scratch path below.
-		m0, merr := newWsimMachine(cfg)
-		if merr != nil {
-			return merr
+	results, err := parallel.Map(nil, trials, hostWorkers, func(i int) (outcome, error) {
+		m, err := newWsimMachine(cfg)
+		if err != nil {
+			return outcome{}, err
 		}
-		ws := sim.AllWorkers(m0, workers)
-		distA, perr := sim.PrepareSSSP(m0, g, src, ws)
-		if perr != nil {
-			return perr
+		sched := inject.Random(cfg.Grid(), faults, [2]int64{faultAt, faultAt},
+			fault.TrialSeed(faultSeed, faults, i), nil)
+		if err := m.AttachSchedule(sched); err != nil {
+			return outcome{}, err
 		}
-		forkAt := faultAt - 1
-		if forkAt < 0 {
-			forkAt = 0
+		res, err := sim.RunSSSPUnderFaults(m, g, src, sim.AllWorkers(m, workers), maxCycles)
+		if err != nil {
+			return outcome{}, err
 		}
-		if forkAt > maxCycles {
-			forkAt = maxCycles
-		}
-		if rerr := m0.RunToCycleCtx(context.Background(), forkAt); rerr != nil {
-			return rerr
-		}
-		snap := m0.Snapshot()
-		fmt.Printf("warm prefix: %d of %d cycles shared per trial\n", snap.Cycle(), maxCycles)
-		results, err = parallel.Map(nil, trials, hostWorkers, func(i int) (outcome, error) {
-			m := snap.Fork()
-			sched := inject.Random(cfg.Grid(), faults, [2]int64{faultAt, faultAt},
-				fault.TrialSeed(faultSeed, faults, i), nil)
-			if err := m.AttachSchedule(sched); err != nil {
-				return outcome{}, err
-			}
-			if err := m.RunToCycleCtx(context.Background(), maxCycles); err != nil {
-				return outcome{}, err
-			}
-			var runErr error
-			if !m.AllHalted() {
-				runErr = &sim.BudgetError{Cycles: maxCycles}
-			}
-			res := sim.CollectSSSP(m, g, distA, runErr)
-			o := outcome{completed: res.Completed, cycles: res.Cycles}
-			o.verified = res.Completed && res.ReadErrors == 0 &&
-				sim.CountMismatches(res.Dist, want) == 0
-			return o, nil
-		})
-	} else {
-		results, err = parallel.Map(nil, trials, hostWorkers, func(i int) (outcome, error) {
-			m, err := newWsimMachine(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			sched := inject.Random(cfg.Grid(), faults, [2]int64{faultAt, faultAt},
-				fault.TrialSeed(faultSeed, faults, i), nil)
-			if err := m.AttachSchedule(sched); err != nil {
-				return outcome{}, err
-			}
-			ws := sim.AllWorkers(m, workers)
-			res, err := sim.RunSSSPUnderFaults(m, g, src, ws, maxCycles)
-			if err != nil {
-				return outcome{}, err
-			}
-			o := outcome{completed: res.Completed, cycles: res.Cycles}
-			o.verified = res.Completed && res.ReadErrors == 0 &&
-				sim.CountMismatches(res.Dist, want) == 0
-			return o, nil
-		})
-	}
+		o := outcome{completed: res.Completed, cycles: res.Cycles}
+		o.verified = res.Completed && res.ReadErrors == 0 &&
+			sim.CountMismatches(res.Dist, want) == 0
+		return o, nil
+	})
 	if err != nil {
 		return err
 	}

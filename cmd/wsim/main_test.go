@@ -98,3 +98,32 @@ func TestRemovedLatencyModelFlag(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q; want exit 2 for an unknown flag", code, stderr)
 	}
 }
+
+// TestTrialsRejectsKill: every -trials run draws its own -faults
+// victims, so explicit -kill coordinates have no trial to land in. The
+// combination is an input error (exit 1, one line on stderr, nothing on
+// stdout), not a sweep that silently ignores the kills.
+func TestTrialsRejectsKill(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "bfs", "-faults", "1", "-trials", "2", "-kill", "1,1;2,2"},
+		{"-workload", "sssp", "-faults", "2", "-trials", "5", "-kill", "0,0"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			out, stderr, code := runCLI(t, args...)
+			trials := args[5]
+			want := "wsim: -kill cannot be combined with -trials " + trials + ": each trial draws its own -faults victims\n"
+			if code != 1 || out != "" || stderr != want {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr %q", code, out, stderr, want)
+			}
+		})
+	}
+}
+
+// TestRemovedForkFlag: every -trials run builds its machine and runs
+// it from cycle 0, so -fork is an unknown flag.
+func TestRemovedForkFlag(t *testing.T) {
+	_, stderr, code := runCLI(t, "-fork=false", "-faults", "1", "-trials", "2")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -fork") {
+		t.Fatalf("exit %d, stderr %q; want exit 2 for an unknown flag", code, stderr)
+	}
+}

@@ -7,12 +7,11 @@ import (
 	"waferscale/internal/geom"
 )
 
-// Sampler draws random fault maps into reused storage. It is the static
-// sweep's analogue of the cycle engine's warm-state forking: the Fig. 6
-// style Monte Carlos have no temporal prefix to share — every trial is
-// an independent draw — so the amortizable cost is the per-trial
-// allocation (a fresh Map plus a grid-sized permutation), which the
-// sampler replaces with two long-lived buffers per worker.
+// Sampler draws random fault maps into reused storage. Every trial of
+// the Fig. 6 style Monte Carlos is an independent draw, so the
+// amortizable cost is the per-trial allocation (a fresh Map plus a
+// grid-sized permutation), which the sampler replaces with two
+// long-lived buffers per worker.
 //
 // A Sampler is not safe for concurrent use; pool one per worker
 // goroutine. The map it returns is owned by the sampler and valid only

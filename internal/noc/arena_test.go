@@ -70,9 +70,8 @@ func checkArena(t *testing.T, e engine) {
 }
 
 // runArenaScenario runs s on a fresh *Sim with checkArena after every
-// step, on the original and (when s.forkAt is set) on the fork, and
-// requires every handle of the engine left at the end to be free once
-// the network has drained. It returns the run's statistics and
+// step, and requires every handle to be free once the network has
+// drained. It returns the run's statistics and
 // delivered packets.
 func runArenaScenario(t *testing.T, s scenario) (SimStats, []Packet) {
 	t.Helper()
@@ -82,32 +81,29 @@ func runArenaScenario(t *testing.T, s scenario) (SimStats, []Packet) {
 		t.Fatal(err)
 	}
 	sim.RetainDelivered = true
-	var last *Sim
 	inner := s.checkLiveFn
 	s.checkLiveFn = func(t *testing.T, e engine) {
 		if inner != nil {
 			inner(t, e)
 		}
 		checkArena(t, e)
-		last = e.(*Sim)
 	}
 	st, pkts, _ := runScenario(t, s, sim)
-	if len(last.free) != len(last.pkts) || len(last.pkts) == 0 {
-		t.Fatalf("drained with %d of %d handles free", len(last.free), len(last.pkts))
+	if len(sim.free) != len(sim.pkts) || len(sim.pkts) == 0 {
+		t.Fatalf("drained with %d of %d handles free", len(sim.free), len(sim.pkts))
 	}
 	return st, pkts
 }
 
 // TestPacketStoreHandles cross-checks the packet arena against full
-// scans after every step of a chaos run with a mid-run Fork: runtime
-// kills (queued and in-flight drops), link flaps, bit errors through
-// CorruptPayload, and relay Forwards are where a handle could leak, be
+// scans after every step of a chaos run: runtime kills (queued and
+// in-flight drops), link flaps, bit errors through CorruptPayload, and
+// relay Forwards are where a handle could leak, be
 // freed twice or be shared between two queues.
 func TestPacketStoreHandles(t *testing.T) {
 	s := scenario{
 		grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
 		cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
-		forkAt: 250,
 	}
 	st, _ := runArenaScenario(t, s)
 	if st.RoutersKilled == 0 || st.DroppedQueued == 0 || st.Forwarded == 0 || st.BitErrors == 0 {
@@ -117,8 +113,7 @@ func TestPacketStoreHandles(t *testing.T) {
 
 // TestPacketStoreHotKill runs the idle-gap scenario under the arena
 // check: its hot kill lands with packets both queued in the dead router
-// and flying toward it, and the fork is taken with flights still in the
-// wheel.
+// and flying toward it.
 func TestPacketStoreHotKill(t *testing.T) {
 	st, _ := runArenaScenario(t, idleGapScenario(geom.NewGrid(8, 8), 707))
 	if st.DroppedQueued == 0 || st.DroppedInFlight == 0 || st.Forwarded == 0 {
@@ -129,13 +124,12 @@ func TestPacketStoreHotKill(t *testing.T) {
 // TestEngineDifferentialRespond answers every delivered request from
 // inside OnDeliver with two injected responses: the callback runs in
 // the middle of traversal, where it reuses the handle just freed and
-// grows the arena. The engine, forked mid-run, must match the
-// reference engine, with the arena consistent after every step.
+// grows the arena. The engine must match the reference engine, with the arena consistent after every step.
 func TestEngineDifferentialRespond(t *testing.T) {
 	s := scenario{
 		grid: geom.NewGrid(8, 8), faults: 2, seed: 919,
 		cycles: 500, injectProb: 0.9, chaos: true, forwardMod: 4,
-		forkAt: 200, respond: true, checkLiveFn: checkArena,
+		respond: true, checkLiveFn: checkArena,
 	}
 	diffEngines(t, s)
 	_, pkts := runArenaScenario(t, s)

@@ -60,26 +60,6 @@ func NewKernel(topo Topology, fm *fault.Map) *Kernel {
 // Analyzer exposes the underlying path oracle.
 func (k *Kernel) Analyzer() *TopoAnalyzer { return k.an }
 
-// Fork returns an independent copy of the kernel planning against fm
-// (the caller's clone of the original fault map): the path oracle is
-// built over fm and the balancing counter plus every memoized pair
-// decision carry over, so the fork decides future pairs exactly as the
-// original would. Decision Via chains are shared — they are built once
-// and never mutated. Fork only reads the receiver, so concurrent forks
-// of the same kernel are safe.
-func (k *Kernel) Fork(fm *fault.Map) *Kernel {
-	n := &Kernel{
-		fm:       fm,
-		an:       NewTopoAnalyzer(k.an.topo, fm),
-		balance:  k.balance,
-		assigned: make(map[[2]geom.Coord]Decision, len(k.assigned)),
-	}
-	for key, d := range k.assigned {
-		n.assigned[key] = d
-	}
-	return n
-}
-
 // Refresh re-plans against the current state of the fault map: the
 // path oracle is rebuilt in place and every memoized pair
 // decision is discarded. Call it after marking tiles faulty at runtime

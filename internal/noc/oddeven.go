@@ -51,45 +51,7 @@ func OddEvenReachable(fm *fault.Map, src, dst geom.Coord) bool {
 	if !fm.Healthy(src) || !fm.Healthy(dst) {
 		return false
 	}
-	g := fm.Grid()
-	// State: tile index * 4 + incoming direction.
-	visited := make([]bool, g.Size()*4)
-	type state struct {
-		at geom.Coord
-		in geom.Dir
-	}
-	var queue []state
-	// Injection: the local port can leave in any direction.
-	for _, d := range geom.Dirs() {
-		n := src.Step(d)
-		if fm.Healthy(n) {
-			s := state{n, d}
-			visited[g.Index(n)*4+int(d)] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		if s.at == dst {
-			return true
-		}
-		for _, out := range geom.Dirs() {
-			if !oddEvenTurnAllowed(s.at.X, s.in, out) {
-				continue
-			}
-			n := s.at.Step(out)
-			if !fm.Healthy(n) {
-				continue
-			}
-			idx := g.Index(n)*4 + int(out)
-			if !visited[idx] {
-				visited[idx] = true
-				queue = append(queue, state{n, out})
-			}
-		}
-	}
-	return false
+	return oddEvenReachSet(fm, src)[fm.Grid().Index(dst)]
 }
 
 // OddEvenStats counts disconnected ordered pairs under odd-even
@@ -131,7 +93,7 @@ func OddEvenAllPairs(fm *fault.Map) OddEvenStats {
 }
 
 // oddEvenReachSet returns per-tile reachability from src under the
-// odd-even model.
+// odd-even model: a BFS over (tile, incoming direction) states.
 func oddEvenReachSet(fm *fault.Map, src geom.Coord) []bool {
 	g := fm.Grid()
 	reach := make([]bool, g.Size())

@@ -385,10 +385,6 @@ type scenario struct {
 	// one hot tile and kills that tile's router at cycle hotKillAt,
 	// while packets are queued in it and flying toward it.
 	hotKillAt int
-	// forkAt > 0 replaces a *Sim engine by its Fork at the start of
-	// that cycle and drives the fork from then on (other engines run
-	// straight through).
-	forkAt int
 	// respond answers every delivered request from inside OnDeliver,
 	// as the machine's remote-memory protocol does: a response back to
 	// the source on each network.
@@ -434,14 +430,6 @@ func runScenario(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64)
 		wireResponder(e)
 	}
 	for cyc := 0; cyc < s.cycles; cyc++ {
-		if s.forkAt > 0 && cyc == s.forkAt {
-			if sim, ok := e.(*Sim); ok {
-				e = sim.Fork(sim.fm.Clone())
-				if s.respond {
-					wireResponder(e)
-				}
-			}
-		}
 		if s.hotKillAt > 0 && cyc == s.hotKillAt {
 			killed[hot] = true
 			e.KillRouter(hot)
@@ -626,17 +614,17 @@ func TestEngineDifferentialBackpressure(t *testing.T) {
 	})
 }
 
-// TestEngineDifferentialLinkLatency runs the chaos scenario, forked
-// mid-run, at link latencies other than the default against the
-// reference engine: the flight wheel has one bucket per cycle of the
-// longest link, so latency 1 drives a single-bucket wheel that every
-// cycle drains and refills.
+// TestEngineDifferentialLinkLatency runs the chaos scenario at link
+// latencies other than the default against the reference engine: the
+// flight wheel has one bucket per cycle of the longest link, so
+// latency 1 drives a single-bucket wheel that every cycle drains and
+// refills.
 func TestEngineDifferentialLinkLatency(t *testing.T) {
 	for _, lat := range []int{1, 3} {
 		diffEngines(t, scenario{
 			grid: geom.NewGrid(8, 8), faults: 2, seed: 909,
 			cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 4,
-			linkLatency: lat, forkAt: 300,
+			linkLatency: lat,
 		})
 	}
 }
@@ -646,18 +634,10 @@ func TestEngineDifferentialLinkLatency(t *testing.T) {
 // replaced, on every step of a chaos run (kills and drops are exactly
 // where the accounting could slip).
 func TestDrainedCounterMatchesScan(t *testing.T) {
-	check := func(t *testing.T, e engine) {
-		t.Helper()
-		s := e.(*Sim)
-		if s.Drained() != s.drainedScan() {
-			t.Fatalf("cycle %d: Drained()=%v but scan says %v (live=%d)",
-				s.Cycle(), s.Drained(), s.drainedScan(), len(s.pkts)-len(s.free))
-		}
-	}
 	s := scenario{
 		grid: geom.NewGrid(8, 8), faults: 2, seed: 606,
 		cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
-		checkLiveFn: check,
+		checkLiveFn: checkDrainedScan,
 	}
 	fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
 	sim, err := NewSim(fm, DefaultSimConfig())
@@ -666,6 +646,17 @@ func TestDrainedCounterMatchesScan(t *testing.T) {
 	}
 	sim.RetainDelivered = true
 	runScenario(t, s, sim)
+}
+
+// checkDrainedScan asserts the O(1) drained answer against the full
+// network scan.
+func checkDrainedScan(t *testing.T, e engine) {
+	t.Helper()
+	s := e.(*Sim)
+	if s.Drained() != s.drainedScan() {
+		t.Fatalf("cycle %d: Drained()=%v but scan says %v (live=%d)",
+			s.Cycle(), s.Drained(), s.drainedScan(), len(s.pkts)-len(s.free))
+	}
 }
 
 // checkBusySet asserts the allocator's activity bookkeeping against a
@@ -722,14 +713,14 @@ func checkBusySet(t *testing.T, e engine) {
 
 // TestBusySetMatchesScan cross-validates the busy-router set, the
 // per-router queued counters and the flight wheel against full scans on
-// every step of a chaos run with a mid-run Fork: kills, drops and forks
-// are where the incremental bookkeeping could slip, and a stale busy
-// bit would silently skip a router's allocation.
+// every step of a chaos run: kills and drops are where the incremental
+// bookkeeping could slip, and a stale busy bit would silently skip a
+// router's allocation.
 func TestBusySetMatchesScan(t *testing.T) {
 	s := scenario{
 		grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
 		cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
-		forkAt: 250, checkLiveFn: checkBusySet,
+		checkLiveFn: checkBusySet,
 	}
 	fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
 	sim, err := NewSim(fm, DefaultSimConfig())
@@ -745,14 +736,12 @@ func TestBusySetMatchesScan(t *testing.T) {
 
 // idleGapScenario is traffic in bursts separated by idle gaps the
 // network drains in. A hot tile draws most of the first burst and is
-// killed at its end, with packets queued in it and flying toward it;
-// the fork is taken a few cycles into the following gap, with the
-// last flights still in the wheel.
+// killed at its end, with packets queued in it and flying toward it.
 func idleGapScenario(grid geom.Grid, seed int64) scenario {
 	return scenario{
 		grid: grid, faults: 2, seed: seed,
 		cycles: 900, injectProb: 0.9, injectN: 4, forwardMod: 3,
-		burst: 60, gap: 240, hotKillAt: 58, forkAt: 62,
+		burst: 60, gap: 240, hotKillAt: 58,
 	}
 }
 
@@ -760,12 +749,15 @@ func idleGapScenario(grid geom.Grid, seed int64) scenario {
 // fails unless it did what it claims: the hot kill destroyed queued
 // packets and dropped flights headed to the dead tile, and the network
 // fully drained during the injection phase's gaps. It returns the run's
-// outcome.
+// outcome. Any per-step check the scenario carries still runs.
 func checkIdleGapExercised(t *testing.T, name string, s scenario, e engine) (SimStats, []Packet, int64) {
 	t.Helper()
-	s.forkAt = 0
 	idle := 0
+	inner := s.checkLiveFn
 	s.checkLiveFn = func(t *testing.T, e engine) {
+		if inner != nil {
+			inner(t, e)
+		}
 		if e.Cycle() < int64(s.cycles) && e.Drained() {
 			idle++
 		}
@@ -782,26 +774,10 @@ func checkIdleGapExercised(t *testing.T, name string, s scenario, e engine) (Sim
 
 // TestEngineDifferentialIdleGaps pins the activity-driven allocator on
 // the mesh against the reference engine through idle gaps, a kill that
-// empties a router with flights still headed to it, and a Fork taken
-// during a gap (the optimized engine continues on the fork; the
-// reference runs straight through).
+// empties a router with flights still headed to it.
 func TestEngineDifferentialIdleGaps(t *testing.T) {
 	s := idleGapScenario(geom.NewGrid(8, 8), 707)
 	checkIdleGapExercised(t, TopoMesh, s, newRefSim(
 		fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed))), DefaultSimConfig()))
 	diffEngines(t, s)
-}
-
-// TestTopoIdleGapsForked runs the idle-gap scenario on the non-mesh
-// topologies, where no reference engine exists: the engine run straight
-// through is the oracle, and the engine continuing on a fork taken
-// during a gap must match it bit for bit.
-func TestTopoIdleGapsForked(t *testing.T) {
-	cfg := DefaultSimConfig()
-	for _, name := range newTopologies {
-		s := idleGapScenario(geom.NewGrid(10, 10), 808)
-		wantStats, wantPkts, wantCycles := checkIdleGapExercised(t, name, s, newTopoSim(t, name, s, cfg))
-		st, pkts, cycles := runScenario(t, s, newTopoSim(t, name, s, cfg))
-		requireSameRun(t, name+" forked vs straight", st, pkts, cycles, wantStats, wantPkts, wantCycles)
-	}
 }

@@ -189,7 +189,7 @@ type Sim struct {
 	// nbrTile is the destination tile index (-1 = no link there),
 	// nbrPort the arrival port on that tile, and nbrLat the link flight
 	// time (length x LinkLatency, at most the wheel length). They are
-	// immutable and shared with forks.
+	// immutable.
 	nbrTile []int32
 	nbrPort []int8
 	nbrLat  []int

@@ -158,9 +158,6 @@ func runChaos(ctx context.Context, sp *ChaosSpec, workers int, emit func(Event))
 		MaxCycles:    sp.MaxCycles,
 		GraphSide:    sp.GraphSide,
 		TrialWorkers: workers,
-		// Host execution knob, not part of the spec hash: forked and
-		// from-scratch sweeps produce (and cache) identical results.
-		Fork: true,
 		Progress: func(done, total int, cycles int64) {
 			emit(Event{Stage: "trials", Done: int64(done), Total: int64(total), Cycles: cycles})
 		},

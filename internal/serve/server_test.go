@@ -359,7 +359,7 @@ func TestEventsStream(t *testing.T) {
 // stride boundary. A side-4 droop converges far inside the default
 // 200-sweep progress interval — before the terminal tick it emitted no
 // "sor" event at all — and the chaos sweep's last "trials" event must
-// report every trial done (the forked runner included).
+// report every trial done.
 func TestEventsStreamTerminalProgressReal(t *testing.T) {
 	h := &testHarness{}
 	h.srv = New(Config{Slots: 1})

@@ -49,52 +49,18 @@ func RunSSSPUnderFaults(m *Machine, g *Graph, src int, workers []WorkerRef, maxC
 // ChaosResult is produced, since a mid-run snapshot would look like a
 // budget expiry rather than a cancelled run.
 func RunSSSPUnderFaultsCtx(ctx context.Context, m *Machine, g *Graph, src int, workers []WorkerRef, maxCycles int64) (*ChaosResult, error) {
-	distA, err := PrepareSSSP(m, g, src, workers)
+	distA, err := layoutSSSP(m, g, src, len(workers))
 	if err != nil {
+		return nil, err
+	}
+	if err := loadWorkers(m, RelaxKernelSource, arch.GlobalBase, workers); err != nil {
 		return nil, err
 	}
 	runErr := m.RunCtx(ctx, maxCycles)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return CollectSSSP(m, g, distA, runErr), nil
-}
 
-// PrepareSSSP performs the setup half of a fault-tolerant SSSP/BFS run:
-// graph layout into shared memory, kernel assembly, and program plus
-// per-worker parameter loads. It returns the distance array's global
-// base address, which CollectSSSP needs for readback. Splitting setup
-// from execution lets the warm-state forking drivers prepare one prefix
-// machine, fork it per trial, and collect each fork independently.
-func PrepareSSSP(m *Machine, g *Graph, src int, workers []WorkerRef) (uint32, error) {
-	distA, err := layoutSSSP(m, g, src, len(workers))
-	if err != nil {
-		return 0, err
-	}
-	prog, err := Assemble(RelaxKernelSource)
-	if err != nil {
-		return 0, fmt.Errorf("sim: kernel does not assemble: %w", err)
-	}
-	for wid, w := range workers {
-		if err := m.LoadProgram(w.Tile, w.Core, prog); err != nil {
-			return 0, err
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, paramBase, uint32(wid)); err != nil {
-			return 0, err
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, paramBase+4, arch.GlobalBase); err != nil {
-			return 0, err
-		}
-	}
-	return distA, nil
-}
-
-// CollectSSSP assembles the ChaosResult from a machine whose run ended
-// (quiesced, budget expired, or forked-and-finished): completion and
-// fault classification, the degradation report, and the best-effort
-// distance readback. runErr is the run loop's verdict — nil for a
-// quiesced machine, a *BudgetError when the budget expired.
-func CollectSSSP(m *Machine, g *Graph, distA uint32, runErr error) *ChaosResult {
 	res := &ChaosResult{RunErr: runErr}
 	res.Completed = res.RunErr == nil
 	if res.RunErr == nil {
@@ -115,7 +81,7 @@ func CollectSSSP(m *Machine, g *Graph, distA uint32, runErr error) *ChaosResult 
 		}
 		res.Dist[i] = int32(v)
 	}
-	return res
+	return res, nil
 }
 
 // Chaos sweeps. Every chaos driver (core's BFS survival curve,
@@ -165,29 +131,6 @@ func NewChaosTrial(completed bool, cycles int64, rep DegradationReport) ChaosTri
 	}
 }
 
-// ChaosRunner runs trials 0..n-1 of one kill count on at most workers
-// host goroutines, calls done after each finished trial, and returns
-// the trials in index order.
-type ChaosRunner func(ctx context.Context, kills, n, workers int, done func(ChaosTrial)) ([]ChaosTrial, error)
-
-// EachTrial builds a ChaosRunner from a single-trial runner by fanning
-// the trials out on the bounded pool.
-func EachTrial(trial func(ctx context.Context, kills, i int) (ChaosTrial, error)) ChaosRunner {
-	return func(ctx context.Context, kills, n, workers int, done func(ChaosTrial)) ([]ChaosTrial, error) {
-		trials := make([]ChaosTrial, n)
-		err := parallel.ForEach(ctx, n, workers, func(i int) error {
-			t, err := trial(ctx, kills, i)
-			if err != nil {
-				return err
-			}
-			trials[i] = t
-			done(t)
-			return nil
-		})
-		return trials, err
-	}
-}
-
 // ChaosSweep is the part of a chaos configuration every driver shares.
 type ChaosSweep struct {
 	Trials int   // runs per kill count
@@ -218,12 +161,14 @@ func (s ChaosSweep) Validate(side int) error {
 	return nil
 }
 
-// RunChaosSweep runs every kill count's trials through run and returns
-// one point per kill count. A fault-free trial ignores its seed, so
-// kill count 0 runs a single trial and counts it Trials times. On an
-// error (including cancellation) it returns the points for the kill
-// counts finished before it.
-func RunChaosSweep(ctx context.Context, s ChaosSweep, run ChaosRunner) ([]ChaosPoint, error) {
+// RunChaosSweep runs every kill count's trials through trial, fanned
+// out on the bounded host pool, and returns one point per kill count.
+// trial builds and runs trial i of a kill count from cycle 0. A
+// fault-free trial ignores its seed, so kill count 0 runs a single
+// trial and counts it Trials times. On an error (including
+// cancellation) it returns the points for the kill counts finished
+// before it.
+func RunChaosSweep(ctx context.Context, s ChaosSweep, trial func(ctx context.Context, kills, i int) (ChaosTrial, error)) ([]ChaosPoint, error) {
 	var done, cycles atomic.Int64
 	total := s.Trials * len(s.Kills)
 	report := func(t ChaosTrial) {
@@ -238,7 +183,16 @@ func RunChaosSweep(ctx context.Context, s ChaosSweep, run ChaosRunner) ([]ChaosP
 		if kills == 0 {
 			n = 1
 		}
-		trials, err := run(ctx, kills, n, s.TrialWorkers, report)
+		trials := make([]ChaosTrial, n)
+		err := parallel.ForEach(ctx, n, s.TrialWorkers, func(i int) error {
+			t, err := trial(ctx, kills, i)
+			if err != nil {
+				return err
+			}
+			trials[i] = t
+			report(t)
+			return nil
+		})
 		if err != nil {
 			return points, err
 		}

@@ -27,12 +27,12 @@ func fakeTrial(_ context.Context, kills, i int) (ChaosTrial, error) {
 func TestChaosSweepAggregates(t *testing.T) {
 	var mu sync.Mutex
 	ran := map[int]int{}
-	run := EachTrial(func(ctx context.Context, kills, i int) (ChaosTrial, error) {
+	run := func(ctx context.Context, kills, i int) (ChaosTrial, error) {
 		mu.Lock()
 		ran[kills]++
 		mu.Unlock()
 		return fakeTrial(ctx, kills, i)
-	})
+	}
 	points, err := RunChaosSweep(context.Background(), ChaosSweep{Trials: 4, Kills: []int{0, 2}}, run)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestChaosSweepAggregates(t *testing.T) {
 // too.
 func TestChaosSweepWorkerInvariance(t *testing.T) {
 	sweep := ChaosSweep{Trials: 5, Kills: []int{0, 1, 3}, TrialWorkers: 1}
-	ref, err := RunChaosSweep(context.Background(), sweep, EachTrial(fakeTrial))
+	ref, err := RunChaosSweep(context.Background(), sweep, fakeTrial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestChaosSweepWorkerInvariance(t *testing.T) {
 				t.Errorf("progress total %d, want 15", total)
 			}
 		}
-		got, err := RunChaosSweep(context.Background(), sweep, EachTrial(fakeTrial))
+		got, err := RunChaosSweep(context.Background(), sweep, fakeTrial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +100,12 @@ func TestChaosSweepWorkerInvariance(t *testing.T) {
 // the points finished before it.
 func TestChaosSweepStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
-	run := EachTrial(func(ctx context.Context, kills, i int) (ChaosTrial, error) {
+	run := func(ctx context.Context, kills, i int) (ChaosTrial, error) {
 		if kills == 2 {
 			return ChaosTrial{}, boom
 		}
 		return fakeTrial(ctx, kills, i)
-	})
+	}
 	points, err := RunChaosSweep(context.Background(), ChaosSweep{Trials: 2, Kills: []int{1, 2, 3}}, run)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)

@@ -90,7 +90,8 @@ func TestMachineFastPathDifferentialBFS(t *testing.T) {
 // expires), a link flap and a bit error — through both engines. This
 // exercises the hard transitions: cores faulting outside their own
 // step (KillTile), retry wakeups, and quiescent-tile skipping, all of
-// which must leave the runnable lists consistent with the scan.
+// which must leave the runnable lists consistent with the scan: every
+// core's state and every memory page, shadows included, must match.
 func TestMachineFastPathDifferentialChaos(t *testing.T) {
 	g := GridGraph(8, 8).Unweighted()
 	run := func(fullScan bool) (*ChaosResult, *Machine) {
@@ -142,7 +143,45 @@ func TestMachineFastPathDifferentialChaos(t *testing.T) {
 		fr.BitErrors != rr.BitErrors {
 		t.Errorf("degradation reports diverge:\nfast %+v\nref  %+v", fr, rr)
 	}
-	diffMachines(t, fast, ref)
+	diffMachinesDeep(t, fast, ref)
+}
+
+// diffMachinesDeep extends diffMachines with a per-core comparison:
+// every core's architectural and statistical state must match.
+func diffMachinesDeep(t *testing.T, got, ref *Machine) {
+	t.Helper()
+	diffMachines(t, got, ref)
+	diffMemories(t, got, ref)
+	if got.RemoteLatency != ref.RemoteLatency {
+		t.Errorf("RemoteLatency: got %d, ref %d", got.RemoteLatency, ref.RemoteLatency)
+	}
+	if got.running != ref.running {
+		t.Errorf("running counter: got %d, ref %d", got.running, ref.running)
+	}
+	for i := range ref.tiles {
+		rt, gt := ref.tiles[i], got.tiles[i]
+		if (rt == nil) != (gt == nil) {
+			t.Fatalf("tile %d: presence diverges", i)
+		}
+		if rt == nil {
+			continue
+		}
+		if rt.dead != gt.dead {
+			t.Errorf("tile %d: dead %v vs %v", i, gt.dead, rt.dead)
+		}
+		for ci := range rt.Cores {
+			rc, gc := rt.Cores[ci], gt.Cores[ci]
+			if rc.state != gc.state || rc.PC != gc.PC || rc.Regs != gc.Regs {
+				t.Fatalf("tile %d core %d: arch state diverges (state %d/%d pc %#x/%#x)",
+					i, ci, gc.state, rc.state, gc.PC, rc.PC)
+			}
+			if rc.Instret != gc.Instret || rc.StallFixed != gc.StallFixed ||
+				rc.StallRemote != gc.StallRemote || rc.RetryCycles != gc.RetryCycles {
+				t.Fatalf("tile %d core %d: stats diverge (instret %d/%d stallR %d/%d)",
+					i, ci, gc.Instret, rc.Instret, gc.StallRemote, rc.StallRemote)
+			}
+		}
+	}
 }
 
 // TestAllHaltedCounterTracksScan steps one machine and, every cycle,

@@ -669,32 +669,7 @@ func (m *Machine) Run(maxCycles int64) error {
 // a stale mid-interval value. The execution itself is bit-identical to
 // Run for any ctx that is never cancelled.
 func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) error {
-	if err := m.runToCycle(ctx, m.cycle+maxCycles); err != nil {
-		return err
-	}
-	if m.AllHalted() {
-		return nil
-	}
-	return &BudgetError{Cycles: maxCycles}
-}
-
-// RunToCycleCtx steps the machine until its cycle counter reaches
-// target (or every started core halts first, or ctx is cancelled).
-// Unlike RunCtx, reaching the target without quiescing is not an error
-// — callers that need budget semantics check AllHalted afterwards. It
-// is the warm-state forking workhorse: a Monte Carlo driver advances
-// the shared prefix machine to each trial's fork cycle with it, and a
-// forked trial runs to the absolute cycle budget with it, matching a
-// from-scratch RunCtx step for step. A target at or before the current
-// cycle is a no-op. Like RunCtx it emits a terminal Progress call.
-func (m *Machine) RunToCycleCtx(ctx context.Context, target int64) error {
-	return m.runToCycle(ctx, target)
-}
-
-// runToCycle is the shared run loop: step to the absolute target cycle,
-// checking halt state every iteration and ctx/Progress at stride
-// boundaries, with one final Progress tick on every exit path.
-func (m *Machine) runToCycle(ctx context.Context, target int64) error {
+	target := m.cycle + maxCycles
 	for i := int64(0); m.cycle < target && !m.AllHalted(); i++ {
 		if i%runProgressStride == 0 && i > 0 {
 			if m.Progress != nil {
@@ -711,7 +686,10 @@ func (m *Machine) runToCycle(ctx context.Context, target int64) error {
 	if m.Progress != nil {
 		m.Progress(m.cycle)
 	}
-	return nil
+	if m.AllHalted() {
+		return nil
+	}
+	return &BudgetError{Cycles: maxCycles}
 }
 
 // BudgetError reports a run that did not quiesce within its cycle
@@ -1066,7 +1044,7 @@ func (m *Machine) retryRemote(c *Core) {
 	// cores that lost traffic to the same dead router would otherwise
 	// all re-expire on the same cycle and re-collide forever. The
 	// jitter is hashed from the op's identity, not drawn from a shared
-	// RNG, so a replayed or forked run stays bit-identical.
+	// RNG, so a replayed run stays bit-identical.
 	base := m.RemoteTimeout << uint(c.rem.attempts)
 	c.rem.deadline = m.cycle + base + backoffJitter(c.rem.tag, m.cycle, c.tile, c.idx, base/2)
 	if _, err := m.net.Inject(dec.Request, c.tile, first, noc.Request, c.rem.tag, c.rem.payload); err == nil {
@@ -1077,7 +1055,7 @@ func (m *Machine) retryRemote(c *Core) {
 // backoffJitter maps a retried op's identity — reissue tag, current
 // cycle, and the retrying core's tile and lane — to a jitter in
 // [0, span) via a splitmix64 finalizer. Pure and seed-free: the same
-// machine replayed (from scratch or forked) retries on exactly the same
+// machine replayed from scratch retries on exactly the same
 // cycles, preserving the engine's determinism contract, while distinct
 // cores (or the same core on later attempts) spread apart.
 func backoffJitter(tag uint32, cycle int64, tile geom.Coord, lane int, span int64) int64 {

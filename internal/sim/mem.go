@@ -77,15 +77,3 @@ func (p *pagedMem) apply(off uint32, op uint32, data uint32) uint32 {
 	}
 	return old
 }
-
-// clone copies the pages that exist.
-func (p *pagedMem) clone() pagedMem {
-	n := pagedMem{pages: make([]*[pageBytes]byte, len(p.pages)), size: p.size}
-	for i, pg := range p.pages {
-		if pg != nil {
-			cp := *pg
-			n.pages[i] = &cp
-		}
-	}
-	return n
-}

@@ -207,55 +207,6 @@ func TestPagedMemOddSize(t *testing.T) {
 	}
 }
 
-// TestForkMemoryIndependence: a write to a fork is invisible to its
-// snapshot and to the original, and writes to the original after the
-// snapshot or fork are invisible to them.
-func TestForkMemoryIndependence(t *testing.T) {
-	m := newMachine(t, smallConfig(), nil)
-	addr := arch.GlobalBase + 64
-	tile := geom.C(2, 1)
-	if err := m.WriteGlobal32(addr, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WritePrivate32(tile, 0, 256, 1); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	f := m.Fork()
-
-	write := func(x *Machine, v uint32) {
-		if err := x.WriteGlobal32(addr, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.WritePrivate32(tile, 0, 256, v); err != nil {
-			t.Fatal(err)
-		}
-		// A page no one has written before.
-		if err := x.WriteGlobal32(addr+2*pageBytes, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check := func(label string, x *Machine, want, wantFresh uint32) {
-		t.Helper()
-		g, _ := x.ReadGlobal32(addr)
-		p, _ := x.applyPrivate(tile, 0, 256, memLoad, 0)
-		fresh, _ := x.ReadGlobal32(addr + 2*pageBytes)
-		if g != want || p != want || fresh != wantFresh {
-			t.Errorf("%s: global %d private %d fresh page %d, want %d %d %d", label, g, p, fresh, want, want, wantFresh)
-		}
-	}
-
-	sf := snap.Fork()
-	write(sf, 2)
-	check("snapshot after its fork was written", snap.Fork(), 1, 0)
-	write(m, 3)
-	check("snapshot after the original was written", snap.Fork(), 1, 0)
-	check("fork after the original was written", f, 1, 0)
-	write(f, 4)
-	check("original after its fork was written", m, 3, 3)
-	check("snapshot fork", sf, 2, 2)
-}
-
 // allocatedBytes reports the heap bytes f allocates.
 func allocatedBytes(f func()) uint64 {
 	var before, after runtime.MemStats

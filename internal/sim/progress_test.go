@@ -74,31 +74,3 @@ func TestRunCtxTerminalProgressOnCancel(t *testing.T) {
 		t.Errorf("last Progress tick = %d, machine paused at %d", last, m.Cycle())
 	}
 }
-
-// TestRunToCycleCtxStopsAtTarget pins the prefix-advancement contract:
-// reaching the target cycle without quiescing returns nil, the machine
-// sits exactly at the target, and a target at or behind the current
-// cycle is a no-op that still emits a terminal tick.
-func TestRunToCycleCtxStopsAtTarget(t *testing.T) {
-	m := newMachine(t, smallConfig(), nil)
-	if err := m.LoadProgram(geom.C(0, 0), 0, mustAssemble(t, "spin: jal r0, spin")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RunToCycleCtx(context.Background(), 777); err != nil {
-		t.Fatal(err)
-	}
-	if m.Cycle() != 777 {
-		t.Fatalf("cycle = %d, want 777", m.Cycle())
-	}
-	var last int64 = -1
-	m.Progress = func(c int64) { last = c }
-	if err := m.RunToCycleCtx(context.Background(), 500); err != nil {
-		t.Fatal(err)
-	}
-	if m.Cycle() != 777 {
-		t.Fatalf("backwards target moved the machine to %d", m.Cycle())
-	}
-	if last != 777 {
-		t.Errorf("no-op run's terminal tick = %d, want 777", last)
-	}
-}

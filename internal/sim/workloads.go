@@ -215,20 +215,8 @@ func RunHistogram(m *Machine, data []int32, nBins int, workers []WorkerRef, maxC
 // launch assembles a kernel, loads it on the workers with their param
 // blocks, runs to completion and collects stats.
 func launch(m *Machine, source string, ctrlBase uint32, workers []WorkerRef, maxCycles int64) (*WorkloadResult, error) {
-	prog, err := Assemble(source)
-	if err != nil {
-		return nil, fmt.Errorf("sim: kernel does not assemble: %w", err)
-	}
-	for wid, w := range workers {
-		if err := m.LoadProgram(w.Tile, w.Core, prog); err != nil {
-			return nil, err
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, paramBase, uint32(wid)); err != nil {
-			return nil, err
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, paramBase+4, ctrlBase); err != nil {
-			return nil, err
-		}
+	if err := loadWorkers(m, source, ctrlBase, workers); err != nil {
+		return nil, err
 	}
 	if err := m.Run(maxCycles); err != nil {
 		return nil, err
@@ -243,6 +231,27 @@ func launch(m *Machine, source string, ctrlBase uint32, workers []WorkerRef, max
 	res.RemoteOps = m.RemoteRequests
 	res.RemoteLatency = m.AvgRemoteLatency()
 	return res, nil
+}
+
+// loadWorkers assembles source and loads it on every worker core with
+// the kernel's parameters: the worker id and the control block base.
+func loadWorkers(m *Machine, source string, ctrlBase uint32, workers []WorkerRef) error {
+	prog, err := Assemble(source)
+	if err != nil {
+		return fmt.Errorf("sim: kernel does not assemble: %w", err)
+	}
+	for wid, w := range workers {
+		if err := m.LoadProgram(w.Tile, w.Core, prog); err != nil {
+			return err
+		}
+		if err := m.WritePrivate32(w.Tile, w.Core, paramBase, uint32(wid)); err != nil {
+			return err
+		}
+		if err := m.WritePrivate32(w.Tile, w.Core, paramBase+4, ctrlBase); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RandomMatrix generates an n x n matrix with entries in [-9, 9].

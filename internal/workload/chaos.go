@@ -108,9 +108,9 @@ func RunChaosCtx(ctx context.Context, cfg ChaosConfig, g *Graph) ([]ChaosPoint, 
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunChaosSweep(ctx, cfg.sweep(), sim.EachTrial(func(ctx context.Context, kills, trial int) (sim.ChaosTrial, error) {
+	return sim.RunChaosSweep(ctx, cfg.sweep(), func(ctx context.Context, kills, trial int) (sim.ChaosTrial, error) {
 		return runChaosTrial(ctx, cfg, g, want, kills, trial)
-	}))
+	})
 }
 
 func runChaosTrial(ctx context.Context, cfg ChaosConfig, g *Graph, want map[string][]int32, kills, trial int) (sim.ChaosTrial, error) {

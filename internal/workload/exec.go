@@ -16,9 +16,9 @@ import (
 // dependents start, so the dependency schedule is trivially respected
 // and — because each kernel is owner-computes with no atomics — the
 // output bytes are a pure function of the graph, independent of
-// topology, fork or host parallelism. Cycle counts are
-// where topologies and placements differ, and those are what the
-// report captures per operator.
+// topology, placement or host parallelism. Cycle counts are where
+// topologies and placements differ, and those are what the report
+// captures per operator.
 
 // Options configures one graph execution.
 type Options struct {

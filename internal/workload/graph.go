@@ -16,8 +16,8 @@
 //     workers that compute it, onto tile regions of the global address
 //     space;
 //   - WS-ISA kernels for every operator kind, launched one dependency
-//     level at a time so execution is reproducible bit for bit: fresh
-//     vs forked machines, on every NoC topology;
+//     level at a time so execution is reproducible bit for bit, on
+//     every NoC topology;
 //   - per-operator metrics (utilization, NoC bandwidth, backpressure,
 //     critical-path cycles) rolled into a Report;
 //   - chaos-awareness: a tile killed mid-operator rides the machine's

@@ -14,7 +14,7 @@ import (
 // elements w, w+W, w+2W, ... — every output element has exactly one
 // writer and no kernel needs atomics or barriers, which is what makes
 // the wafer result a pure function of the input data (bit-identical
-// across topologies and forks; only the cycle counts change).
+// across topologies and placements; only the cycle counts change).
 //
 // Control-block layouts (byte offsets in global memory):
 //

@@ -8,7 +8,7 @@ import (
 // Pure-Go reference executors, one per operator kind. They are the
 // oracle the wafer execution is differentially tested against: the
 // WS-ISA kernels must reproduce these results bit for bit (int32
-// wraparound arithmetic on both sides), on every topology and fork.
+// wraparound arithmetic on both sides), on every topology.
 
 // inputData materializes the tensor of an input op: explicit Data when
 // present, otherwise contents drawn from the graph seed and the op's

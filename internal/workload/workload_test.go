@@ -88,34 +88,6 @@ func TestPerOperatorMetrics(t *testing.T) {
 	}
 }
 
-// TestForkInvariance: a fork taken before execution runs the graph
-// bit-identically to the original machine.
-func TestForkInvariance(t *testing.T) {
-	g := TransformerBlock(0, 0, 0)
-	m, err := BuildMachine(4, "cmesh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork := m.Snapshot().Fork()
-	outA, repA, err := Run(m, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, repB, err := Run(fork, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(outA, outB) {
-		t.Error("fork outputs diverged")
-	}
-	if repA.TotalCycles != repB.TotalCycles {
-		t.Errorf("fork cycles %d != original %d", repB.TotalCycles, repA.TotalCycles)
-	}
-	if repB.Topology != "cmesh" {
-		t.Errorf("fork lost its topology name: %q", repB.Topology)
-	}
-}
-
 // TestPlacementPolicies: every policy yields a verified run and a
 // populated working-set map; policies actually place differently.
 func TestPlacementPolicies(t *testing.T) {

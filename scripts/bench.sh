@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the cycle-engine benchmarks (NoC packet simulation, throughput
-# sweep, graph workloads, chaos survival — from-scratch and warm-state
-# forked) and the per-trial Fig. 6 connectivity analyzers, and records
-# the results as JSON in BENCH_noc.json so CI and successive
-# optimization PRs can track ns/op and allocs/op over time.
+# sweep, graph workloads, chaos survival) and the per-trial Fig. 6
+# connectivity analyzers, and records the results as JSON in
+# BENCH_noc.json so CI and successive optimization PRs can track ns/op
+# and allocs/op over time.
 #
 # Recorded numbers are the MINIMUM ns/op (and its B/op, allocs/op, iters)
 # across BENCH_COUNT repetitions of each benchmark — min-of-counts is the
