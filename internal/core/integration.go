@@ -47,7 +47,7 @@ func (d *Design) YieldToConnectivity(pillarsPerPad, trials int, seed int64) (*Yi
 	grid := d.Cfg.Grid()
 	var discSum, faultSum float64
 	for i := 0; i < trials; i++ {
-		rng := rand.New(rand.NewSource(mixSeed(seed, pillarsPerPad, i)))
+		rng := rand.New(rand.NewSource(fault.TrialSeed(seed, pillarsPerPad, i)))
 		fm := fault.FromYield(grid, p, rng)
 		faultSum += float64(fm.Count())
 		discSum += noc.NewTopoAnalyzer(noc.MeshTopology(grid), fm).AllPairs().PctDual()
@@ -57,13 +57,4 @@ func (d *Design) YieldToConnectivity(pillarsPerPad, trials int, seed int64) (*Yi
 		out.MeanFaultyTiles = faultSum / float64(trials)
 	}
 	return out, nil
-}
-
-// mixSeed derives an independent stream per (redundancy, trial).
-func mixSeed(seed int64, a, b int) int64 {
-	z := uint64(seed) ^ uint64(a)<<40 ^ uint64(b)<<8
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }

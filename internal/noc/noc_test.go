@@ -189,6 +189,50 @@ func TestAnalyzerMatchesRoute(t *testing.T) {
 	}
 }
 
+// TestMeshAnalyzerMatchesRoute checks TopoAnalyzer on the mesh against
+// the geometric Route walk, which never consults DoRPolicy: PathClear
+// on every ordered pair and both networks, and AllPairs against the
+// brute-force pair loop over the same walk, on square, non-square and
+// long thin grids with up to about half the tiles faulty. It needs no
+// prefix-sum Analyzer, so it stays the mesh reference once that goes.
+func TestMeshAnalyzerMatchesRoute(t *testing.T) {
+	grids := []struct {
+		g      geom.Grid
+		counts []int
+	}{
+		{geom.NewGrid(12, 12), []int{0, 1, 5, 20, 45, 72}},
+		{geom.NewGrid(9, 6), []int{0, 1, 3, 10, 27}},
+		{geom.NewGrid(70, 3), []int{0, 2, 7, 30, 105}},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, tc := range grids {
+		for mi, fm := range routeWalkMaps(tc.g, tc.counts, rng) {
+			clear := func(net Network, s, d geom.Coord) bool {
+				for _, c := range Route(net, s, d) {
+					if fm.Faulty(c) {
+						return false
+					}
+				}
+				return true
+			}
+			an := NewTopoAnalyzer(MeshTopology(tc.g), fm)
+			tc.g.All(func(s geom.Coord) {
+				tc.g.All(func(d geom.Coord) {
+					for _, net := range []Network{XY, YX} {
+						if got, want := an.PathClear(net, s, d), clear(net, s, d); got != want {
+							t.Fatalf("%v map %d: PathClear(%v,%v->%v) = %v, route walk says %v\n%s",
+								tc.g, mi, net, s, d, got, want, fm)
+						}
+					}
+				})
+			})
+			if got, want := an.AllPairs(), pairLoop(fm, clear); got != want {
+				t.Fatalf("%v map %d (%d faults): AllPairs %+v, pair loop %+v", tc.g, mi, fm.Count(), got, want)
+			}
+		}
+	}
+}
+
 func TestPairConnectedDualSemantics(t *testing.T) {
 	// Block the XY path but not the YX path.
 	fm := fault.NewMap(geom.NewGrid(8, 8))

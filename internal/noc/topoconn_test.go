@@ -199,15 +199,19 @@ func routeWalkClear(topo Topology, fm *fault.Map) [2][]uint64 {
 }
 
 // routeWalkPairs is the reference pair loop over a relation built by
-// routeWalkClear: every unordered pair of distinct healthy tiles,
-// queried one at a time.
+// routeWalkClear.
 func routeWalkPairs(rel [2][]uint64, fm *fault.Map) PairStats {
 	g := fm.Grid()
 	words := (g.Size() + 63) / 64
-	clear := func(net Network, s, d geom.Coord) bool {
+	return pairLoop(fm, func(net Network, s, d geom.Coord) bool {
 		si := g.Index(s)
 		return rel[net][g.Index(d)*words+si>>6]>>uint(si&63)&1 != 0
-	}
+	})
+}
+
+// pairLoop is the brute-force AllPairs: every unordered pair of
+// distinct healthy tiles, queried one at a time through clear.
+func pairLoop(fm *fault.Map, clear func(net Network, s, d geom.Coord) bool) PairStats {
 	healthy := fm.HealthyCoords()
 	st := PairStats{HealthyTiles: len(healthy)}
 	for i, s := range healthy {

@@ -455,6 +455,10 @@ func (mixedDoRPolicy) Candidates(_ Network, src, dst, cur geom.Coord, in int, bu
 	return DoRPolicy{}.Candidates(net, src, dst, cur, in, buf)
 }
 
+// deadlockGrids are the grids TestRoutingDeadlockFree checks and
+// FuzzRoutingDeadlockFree seeds its corpus with.
+var deadlockGrids = append([]geom.Grid{geom.NewGrid(7, 7), geom.NewGrid(9, 5)}, topoGrids...)
+
 // TestRoutingDeadlockFree checks deadlock freedom as a property instead
 // of a comment: each network's channel-dependency graph over reachable
 // routes (cdgCycle) must be acyclic, for every shipped topology's
@@ -462,11 +466,38 @@ func (mixedDoRPolicy) Candidates(_ Network, src, dst, cur geom.Coord, in int, bu
 // grids and on 2x2, the smallest grid every topology accepts. A planted
 // policy that mixes XY and YX routes on one network must fail it.
 func TestRoutingDeadlockFree(t *testing.T) {
-	grids := append([]geom.Grid{geom.NewGrid(7, 7), geom.NewGrid(9, 5)}, topoGrids...)
+	for _, g := range deadlockGrids {
+		checkDeadlockFree(t, g)
+	}
+	mesh := MeshTopology(geom.NewGrid(4, 4))
+	for _, net := range []Network{XY, YX} {
+		if cdgCycle(t, mesh, mixedDoRPolicy{}, net) == nil {
+			t.Errorf("net %v: the planted XY/YX-mixing policy passed the deadlock check", net)
+		}
+	}
+}
+
+// FuzzRoutingDeadlockFree runs TestRoutingDeadlockFree's check over
+// grid sizes: whatever w x h in 2..16 the fuzzer picks, every topology
+// that accepts the grid, and odd-even on the mesh, keeps an acyclic
+// channel-dependency graph on both networks.
+func FuzzRoutingDeadlockFree(f *testing.F) {
+	for _, g := range deadlockGrids {
+		f.Add(uint8(g.W-2), uint8(g.H-2))
+	}
+	f.Fuzz(func(t *testing.T, w, h uint8) {
+		checkDeadlockFree(t, geom.NewGrid(2+int(w)%15, 2+int(h)%15))
+	})
+}
+
+// checkDeadlockFree reports every channel-dependency cycle of every
+// shipped topology's policy, and of odd-even on the mesh, on grid g.
+func checkDeadlockFree(t *testing.T, g geom.Grid) {
+	t.Helper()
 	check := func(name string, topo Topology, pol RoutingPolicy) {
 		for _, net := range []Network{XY, YX} {
 			if cyc := cdgCycle(t, topo, pol, net); cyc != nil {
-				g, np := topo.Grid(), topo.Ports()
+				np := topo.Ports()
 				ring := make([]string, len(cyc))
 				for i, b := range cyc {
 					ring[i] = fmt.Sprintf("%v port %d", g.Coord(b/np), b%np)
@@ -475,23 +506,15 @@ func TestRoutingDeadlockFree(t *testing.T) {
 			}
 		}
 	}
-	for _, g := range grids {
-		for _, name := range TopologyNames() {
-			if name == TopoVertical && g.H%2 != 0 {
-				continue // the two-layer fold needs an even row count
-			}
-			topo, err := NewTopology(name, g)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, g, err)
-			}
-			check(name, topo, topo.Policy())
+	for _, name := range TopologyNames() {
+		if name == TopoVertical && g.H%2 != 0 {
+			continue // the two-layer fold needs an even row count
 		}
-		check("oddeven", MeshTopology(g), OddEvenPolicy{})
-	}
-	mesh := MeshTopology(geom.NewGrid(4, 4))
-	for _, net := range []Network{XY, YX} {
-		if cdgCycle(t, mesh, mixedDoRPolicy{}, net) == nil {
-			t.Errorf("net %v: the planted XY/YX-mixing policy passed the deadlock check", net)
+		topo, err := NewTopology(name, g)
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, g, err)
 		}
+		check(name, topo, topo.Policy())
 	}
+	check("oddeven", MeshTopology(g), OddEvenPolicy{})
 }
