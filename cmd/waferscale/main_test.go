@@ -47,10 +47,7 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 // subcommands were routed through the daemon's run path; regenerate
 // one with `go run ./cmd/waferscale ARGS > testdata/NAME.golden` only
 // for an intended output change.
-var goldens = []struct {
-	name string
-	args []string
-}{
+var goldens = []golden{
 	{"nocmc", []string{"nocmc", "-trials", "2", "-max", "4"}},
 	{"nocmc_chiplet", []string{"nocmc", "-trials", "2", "-max", "4", "-chiplet"}},
 	{"nocmc_express", []string{"nocmc", "-trials", "2", "-max", "4", "-topology", "express"}},
@@ -66,8 +63,33 @@ var goldens = []struct {
 	{"chaos", []string{"chaos", "-side", "4", "-workers", "8", "-trials", "2", "-kills", "0,1", "-graph", "6", "-max-cycles", "80000", "-seed", "7", "-host-workers", "1"}},
 }
 
-func TestRoutedGoldens(t *testing.T) {
-	for _, g := range goldens {
+// sweepGoldens pins what goldens leaves open: the DSE sweeps off the
+// mesh, and toposweep and report, which print from core without
+// serve.Run. Each file holds the stdout of the CLI from before the
+// sweeps shared one per-point evaluator; regenerate one the same way,
+// and only for an intended output change. toposweep's twotier mode
+// prints wall times, so only its exact mode is pinned.
+var sweepGoldens = []golden{
+	{"pareto_screen_vertical", []string{"pareto", "-mode", "screen", "-topology", "vertical"}},
+	{"dse_analytical_cmesh", []string{"dse", "-model", "analytical", "-topology", "cmesh"}},
+	{"toposweep_exact", []string{"toposweep", "-side", "8", "-mode", "exact", "-faults", "0,4"}},
+	{"report", []string{"report", "-trials", "2"}},
+	{"report", []string{"report", "-trials", "2", "-workers", "1"}},
+}
+
+func TestRoutedGoldens(t *testing.T) { checkGoldens(t, goldens) }
+
+func TestSweepGoldens(t *testing.T) { checkGoldens(t, sweepGoldens) }
+
+// golden is one pinned invocation: testdata/name.golden holds the
+// stdout of `waferscale args...`.
+type golden struct {
+	name string
+	args []string
+}
+
+func checkGoldens(t *testing.T, table []golden) {
+	for _, g := range table {
 		t.Run(strings.Join(g.args, " "), func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", g.name+".golden"))
 			if err != nil {

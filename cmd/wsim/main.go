@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -22,7 +23,6 @@ import (
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 	"waferscale/internal/inject"
-	"waferscale/internal/parallel"
 	"waferscale/internal/sim"
 	"waferscale/internal/version"
 	wl "waferscale/internal/workload"
@@ -96,10 +96,9 @@ func newWsimMachine(cfg arch.Config) (*sim.Machine, error) {
 // cores-per-tile tiles, with -faults checked against its tile count.
 func machineConfig(side, cores, faults int) (arch.Config, error) {
 	cfg := arch.DefaultConfig()
-	cfg.TilesX, cfg.TilesY = side, side
 	cfg.CoresPerTile = cores
-	cfg.JTAGChains = side
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.Square(side)
+	if err != nil {
 		return cfg, err
 	}
 	if tiles := cfg.Tiles(); faults < 0 || faults > tiles {
@@ -220,9 +219,9 @@ func run(workload string, side, cores, vertices, edges, workers, src int, seed, 
 
 // runTrials is the CLI's mini chaos sweep: N independent machines run
 // the same workload under freshly drawn fault schedules, fanned out on
-// the shared bounded pool. Per-trial seeds are derived with
-// fault.TrialSeed, so the survival counts are identical at any
-// -host-workers value.
+// the shared bounded pool by sim.RunChaosSweep. Per-trial seeds are
+// derived with fault.TrialSeed, so the survival counts are identical at
+// any -host-workers value.
 func runTrials(workload string, side, cores, vertices, edges, workers, src int, seed, maxCycles int64,
 	faults int, faultSeed, faultAt int64, trials, hostWorkers int) error {
 	if workload != "bfs" && workload != "sssp" {
@@ -245,47 +244,33 @@ func runTrials(workload string, side, cores, vertices, edges, workers, src int, 
 	fmt.Printf("%s under faults: %d trials x %d kills, %d vertices, %d workers on a %dx%d machine\n",
 		workload, trials, faults, g.N, workers, side, side)
 
-	type outcome struct {
-		completed bool
-		verified  bool
-		cycles    int64
-	}
-	results, err := parallel.Map(nil, trials, hostWorkers, func(i int) (outcome, error) {
+	sweep := sim.ChaosSweep{Trials: trials, Kills: []int{faults}, TrialWorkers: hostWorkers}
+	points, err := sim.RunChaosSweep(context.Background(), sweep, func(_ context.Context, _, i int) (sim.ChaosTrial, error) {
 		m, err := newWsimMachine(cfg)
 		if err != nil {
-			return outcome{}, err
+			return sim.ChaosTrial{}, err
 		}
 		sched := inject.Random(cfg.Grid(), faults, [2]int64{faultAt, faultAt},
 			fault.TrialSeed(faultSeed, faults, i), nil)
 		if err := m.AttachSchedule(sched); err != nil {
-			return outcome{}, err
+			return sim.ChaosTrial{}, err
 		}
 		res, err := sim.RunSSSPUnderFaults(m, g, src, sim.AllWorkers(m, workers), maxCycles)
 		if err != nil {
-			return outcome{}, err
+			return sim.ChaosTrial{}, err
 		}
-		o := outcome{completed: res.Completed, cycles: res.Cycles}
-		o.verified = res.Completed && res.ReadErrors == 0 &&
+		t := sim.ChaosTrial{Completed: res.Completed, Cycles: res.Cycles}
+		t.Verified = res.Completed && res.ReadErrors == 0 &&
 			sim.CountMismatches(res.Dist, want) == 0
-		return o, nil
+		return t, nil
 	})
 	if err != nil {
 		return err
 	}
-	completed, verified := 0, 0
-	var cycles int64
-	for _, o := range results {
-		if o.completed {
-			completed++
-		}
-		if o.verified {
-			verified++
-		}
-		cycles += o.cycles
-	}
-	fmt.Printf("completed  %d/%d\n", completed, trials)
-	fmt.Printf("verified   %d/%d\n", verified, trials)
-	fmt.Printf("mean cycles %.0f\n", float64(cycles)/float64(trials))
+	p := points[0]
+	fmt.Printf("completed  %d/%d\n", p.Completed, p.Trials)
+	fmt.Printf("verified   %d/%d\n", p.Verified, p.Trials)
+	fmt.Printf("mean cycles %.0f\n", p.MeanCycles)
 	return nil
 }
 

@@ -30,9 +30,11 @@ func main() {
 
 func run() error {
 	cfg := arch.DefaultConfig()
-	cfg.TilesX, cfg.TilesY = 4, 4
 	cfg.CoresPerTile = 4
-	cfg.JTAGChains = 4
+	cfg, err := cfg.Square(4)
+	if err != nil {
+		return err
+	}
 
 	// One tile died in assembly; the kernel routes around it.
 	fm := fault.NewMap(cfg.Grid())

@@ -26,9 +26,11 @@ func main() {
 
 func run() error {
 	cfg := arch.DefaultConfig()
-	cfg.TilesX, cfg.TilesY = 6, 6
 	cfg.CoresPerTile = 4
-	cfg.JTAGChains = 6
+	cfg, err := cfg.Square(6)
+	if err != nil {
+		return err
+	}
 
 	rng := rand.New(rand.NewSource(8))
 	data := make([]int32, 800)

@@ -181,6 +181,13 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
+// Square returns the configuration cut to a side×side tile array with
+// one JTAG chain per row, every per-tile parameter kept, and validated.
+func (c Config) Square(side int) (Config, error) {
+	c.TilesX, c.TilesY, c.JTAGChains = side, side, side
+	return c, c.Validate()
+}
+
 // Grid returns the tile-array grid descriptor.
 func (c Config) Grid() geom.Grid { return geom.NewGrid(c.TilesX, c.TilesY) }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"waferscale/internal/chipio"
+	"waferscale/internal/fault"
 	"waferscale/internal/jtag"
 	"waferscale/internal/noc"
 	"waferscale/internal/parallel"
@@ -84,39 +85,15 @@ func (d *Design) SweepArraySizeCtx(ctx context.Context, sides []int, opts SweepO
 	}
 	return parallel.Map(ctx, len(sides), d.Workers, func(i int) (ArrayPoint, error) {
 		n := sides[i]
-		cfg := d.Cfg
-		cfg.TilesX, cfg.TilesY = n, n
-		cfg.JTAGChains = n
-		if err := cfg.Validate(); err != nil {
+		cfg, err := d.Cfg.Square(n)
+		if err != nil {
 			return ArrayPoint{}, fmt.Errorf("core: side %d: %w", n, err)
 		}
-		pdnCfg := pdn.Config{
-			Grid:         cfg.Grid(),
-			EdgeVolts:    cfg.EdgeSupplyVolts,
-			TileCurrentA: cfg.PeakTilePowerW / cfg.FastCornerVolts,
-			SheetOhm:     d.SheetOhm,
-			Workers:      1, // outer loop owns the pool
+		minV, regOK, err := d.droopAt(cfg, model)
+		if err != nil {
+			return ArrayPoint{}, err
 		}
-		var minV float64
-		var regOK bool
-		switch model {
-		case ModelAnalytical:
-			est, err := pdn.EstimateDroop(pdnCfg)
-			if err != nil {
-				return ArrayPoint{}, err
-			}
-			minV = est.MinVolt
-			regOK = minV >= d.LDO.MinOutV+d.LDO.DropoutV
-		default:
-			sol, err := pdn.Solve(pdnCfg)
-			if err != nil {
-				return ArrayPoint{}, err
-			}
-			minV, _ = sol.MinVolt()
-			reg := pdn.CheckRegulation(sol, d.LDO, cfg.PeakTilePowerW)
-			regOK = reg.TilesOutOfRange == 0
-		}
-		probe, err := probeNoC(ctx, n, model, topology)
+		probe, err := probeNoC(ctx, fault.NewMap(cfg.Grid()), model, topology)
 		if err != nil {
 			return ArrayPoint{}, fmt.Errorf("core: side %d noc probe: %w", n, err)
 		}

@@ -24,13 +24,9 @@ type TransientReport struct {
 	MinDecapF   float64 // smallest decap that still holds the window
 }
 
-// AnalyzeTransient runs the load-step simulation at the solved
-// worst-case LDO input.
-func (d *Design) AnalyzeTransient() (*TransientReport, error) {
-	power, err := d.AnalyzePower()
-	if err != nil {
-		return nil, err
-	}
+// AnalyzeTransient runs the load-step simulation at the worst-case LDO
+// input of the solved droop map.
+func (d *Design) AnalyzeTransient(power *PowerReport) (*TransientReport, error) {
 	cfg := pdn.DefaultTransient()
 	cfg.LDO = d.LDO
 	cfg.VinV = power.MinVolt
@@ -58,12 +54,9 @@ type FrequencyReport struct {
 	PLLCeilingOK    bool // 400 MHz would NOT be sustainable at worst case
 }
 
-// AnalyzeFrequency verifies the operating point against the droop map.
-func (d *Design) AnalyzeFrequency() (*FrequencyReport, error) {
-	power, err := d.AnalyzePower()
-	if err != nil {
-		return nil, err
-	}
+// AnalyzeFrequency verifies the operating point against the solved
+// droop map.
+func (d *Design) AnalyzeFrequency(power *PowerReport) (*FrequencyReport, error) {
 	worst := math.Inf(1)
 	for _, vin := range power.Solution.Volts {
 		vout, ok := d.LDO.Output(vin)

@@ -7,8 +7,20 @@ import (
 	"waferscale/internal/fault"
 )
 
+// analyzePower solves the default design's droop map.
+func analyzePower(t *testing.T) (*Design, *PowerReport) {
+	t.Helper()
+	d := NewDesign()
+	power, err := d.AnalyzePower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, power
+}
+
 func TestAnalyzeTransient(t *testing.T) {
-	rep, err := NewDesign().AnalyzeTransient()
+	d, power := analyzePower(t)
+	rep, err := d.AnalyzeTransient(power)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +41,8 @@ func TestAnalyzeTransient(t *testing.T) {
 // TestAnalyzeFrequency verifies the Table I operating point: 300 MHz
 // closes at the worst regulated tile, the 400 MHz PLL ceiling does not.
 func TestAnalyzeFrequency(t *testing.T) {
-	rep, err := NewDesign().AnalyzeFrequency()
+	d, power := analyzePower(t)
+	rep, err := d.AnalyzeFrequency(power)
 	if err != nil {
 		t.Fatal(err)
 	}

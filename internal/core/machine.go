@@ -22,10 +22,8 @@ func (d *Design) BuildMachine(side int, fm *fault.Map) (*sim.Machine, error) {
 	if side <= 0 {
 		side = 4
 	}
-	cfg := d.Cfg
-	cfg.TilesX, cfg.TilesY = side, side
-	cfg.JTAGChains = side
-	if err := cfg.Validate(); err != nil {
+	cfg, err := d.Cfg.Square(side)
+	if err != nil {
 		return nil, fmt.Errorf("core: reduced system invalid: %w", err)
 	}
 	if fm == nil {
@@ -57,17 +55,9 @@ func (d *Design) ValidateSystem(side, workers int, fm *fault.Map) (*ValidationRe
 	if err != nil {
 		return nil, err
 	}
-	want := g.Unweighted().ReferenceSSSP(0)
-	ok := true
-	for v := range want {
-		if res.Dist[v] != want[v] {
-			ok = false
-			break
-		}
-	}
 	return &ValidationResult{
 		Workload:     "bfs",
-		Verified:     ok,
+		Verified:     sim.CountMismatches(res.Dist, g.Unweighted().ReferenceSSSP(0)) == 0,
 		Cycles:       res.Cycles,
 		Instructions: res.Instructions,
 		RemoteOps:    res.RemoteOps,

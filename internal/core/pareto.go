@@ -1,9 +1,6 @@
 package core
 
-import (
-	"waferscale/internal/chipio"
-	"waferscale/internal/pdn"
-)
+import "waferscale/internal/chipio"
 
 // Pareto exploration: the paper's conclusion points at "design methods
 // for higher-power waferscale systems"; this sweep enumerates design
@@ -70,60 +67,35 @@ func DefaultParetoSpace() ParetoSpace {
 
 func (d *Design) evaluatePoint(side int, edgeV float64, pillars int, model EvalModel, probe nocProbe) (DesignPoint, error) {
 	cfg := d.Cfg
-	cfg.TilesX, cfg.TilesY = side, side
-	cfg.JTAGChains = side
 	cfg.EdgeSupplyVolts = edgeV
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.Square(side)
+	if err != nil {
 		return DesignPoint{}, err
 	}
-	pt := DesignPoint{
-		ArraySide:      side,
-		EdgeVolts:      edgeV,
-		PillarsPerPad:  pillars,
-		ThroughputTOPS: cfg.ComputeThroughputOPS() / 1e12,
-		EdgePowerW:     cfg.PeakWaferCurrentA() * edgeV,
-		Model:          string(model),
-		NoCSatRate:     probe.satRate,
-		NoCLatency:     probe.latency,
+	minV, regOK, err := d.droopAt(cfg, model)
+	if err != nil {
+		return DesignPoint{}, err
 	}
 	bond := chipio.BondConfig{
 		PillarYield:    d.PillarYield,
 		PillarsPerPad:  pillars,
 		PadsPerChiplet: cfg.Compute.NumIOs,
 	}
-	pt.ExpectedBad = bond.ExpectedFaultyChiplets(cfg.Chiplets())
-
-	pdnCfg := pdn.Config{
-		Grid:         cfg.Grid(),
-		EdgeVolts:    edgeV,
-		TileCurrentA: cfg.PeakTilePowerW / cfg.FastCornerVolts,
-		SheetOhm:     d.SheetOhm,
-		Workers:      1, // outer loop owns the pool
-	}
-	// Feasibility: the LDO must regulate at every tile. A higher edge
-	// voltage extends droop headroom but must stay within the LDO's
-	// tracked input range at the edge tiles too. Out-of-range tiles are
-	// exactly those whose input drops below MinOutV+DropoutV, so the
-	// analytical tier checks the closed-form minimum against that floor.
-	switch model {
-	case ModelAnalytical:
-		est, err := pdn.EstimateDroop(pdnCfg)
-		if err != nil {
-			return DesignPoint{}, err
-		}
-		pt.CenterVolt = est.MinVolt
-		floor := d.LDO.MinOutV + d.LDO.DropoutV
-		pt.Feasible = est.MinVolt >= floor && d.edgeVoltOK(edgeV)
-	default:
-		sol, err := pdn.Solve(pdnCfg)
-		if err != nil {
-			return DesignPoint{}, err
-		}
-		pt.CenterVolt, _ = sol.MinVolt()
-		rep := pdn.CheckRegulation(sol, d.LDO, cfg.PeakTilePowerW)
-		pt.Feasible = rep.TilesOutOfRange == 0 && d.edgeVoltOK(edgeV)
-	}
-	return pt, nil
+	return DesignPoint{
+		ArraySide:      side,
+		EdgeVolts:      edgeV,
+		PillarsPerPad:  pillars,
+		ThroughputTOPS: cfg.ComputeThroughputOPS() / 1e12,
+		EdgePowerW:     cfg.PeakWaferCurrentA() * edgeV,
+		ExpectedBad:    bond.ExpectedFaultyChiplets(cfg.Chiplets()),
+		CenterVolt:     minV,
+		// A higher edge voltage extends droop headroom but must stay
+		// within the LDO's tracked input range at the edge tiles too.
+		Feasible:   regOK && d.edgeVoltOK(edgeV),
+		Model:      string(model),
+		NoCSatRate: probe.satRate,
+		NoCLatency: probe.latency,
+	}, nil
 }
 
 // edgeVoltOK reports whether the sweep accepts an edge supply voltage:

@@ -37,14 +37,22 @@ func (d *Design) WriteFullReport(w io.Writer, fm *fault.Map, mcTrials int, seed 
 		iop   *IOPowerReport
 	)
 	err := parallel.Do(nil, d.Workers,
-		func() (e error) { power, e = d.AnalyzePower(); return },
+		// The transient and frequency closures read the one droop map.
+		func() (e error) {
+			if power, e = d.AnalyzePower(); e != nil {
+				return e
+			}
+			if tr, e = d.AnalyzeTransient(power); e != nil {
+				return e
+			}
+			fr, e = d.AnalyzeFrequency(power)
+			return e
+		},
 		func() (e error) { clk, e = d.AnalyzeClock(fm); return },
 		func() (e error) { yld, e = d.AnalyzeYield(); return },
 		func() (e error) { net, e = d.AnalyzeNetwork([]int{1, 5, 10}, mcTrials, seed); return },
 		func() (e error) { tst, e = d.AnalyzeTest(); return },
 		func() (e error) { sub, e = d.AnalyzeSubstrate(); return },
-		func() (e error) { tr, e = d.AnalyzeTransient(); return },
-		func() (e error) { fr, e = d.AnalyzeFrequency(); return },
 		func() (e error) { pl, e = d.AnalyzePlacement(fm, 4); return },
 		func() (e error) { kgd, e = d.AnalyzeKGD(0.90); return },
 		func() error { iop = d.AnalyzeIOPower(); return nil },

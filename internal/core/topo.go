@@ -11,7 +11,6 @@ import (
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 	"waferscale/internal/noc"
-	"waferscale/internal/noc/analytical"
 )
 
 // Topology x fault-map exploration: the DAC'21 prototype froze the
@@ -182,43 +181,21 @@ func enumerateTopoSpace(space TopoSweepSpace) ([]topoCandidate, error) {
 	return out, nil
 }
 
-// evalTopoCandidate prices one candidate with the selected backend. The
-// probe rate is closed-form per topology (model-independent), so both
-// tiers answer the same question.
+// evalTopoCandidate prices one candidate's fault map with the selected
+// backend.
 func evalTopoCandidate(ctx context.Context, space TopoSweepSpace, c topoCandidate, model EvalModel) (TopoPoint, error) {
-	g := geom.NewGrid(space.Side, space.Side)
 	// Derive the map seed the same way the chaos and wsim trial sweeps
 	// do, so a (seed, faults, trial) triple names the same fault map
 	// everywhere.
-	fm := fault.Random(g, c.faults, rand.New(rand.NewSource(fault.TrialSeed(space.Seed, c.faults, c.trial))))
-	rate := probeLoadFraction * noc.IdealSaturation(c.topology, g)
-	pt := TopoPoint{Topology: c.topology, Faults: c.faults, Trial: c.trial, Model: string(model)}
-	switch model {
-	case ModelAnalytical:
-		m, err := analytical.NewForTopology(c.topology, fm)
-		if err != nil {
-			return TopoPoint{}, err
-		}
-		// The model knows the exact fraction of fault-free paths;
-		// delivered saturation is capacity times that.
-		pt.SatRate = m.SaturationRate() * m.(*analytical.Model).ReachableFraction()
-		pts, err := m.ThroughputCurve(ctx, []float64{rate})
-		if err != nil {
-			return TopoPoint{}, err
-		}
-		pt.Latency = pts[0].AvgLatency
-	default:
-		cfg := noc.ProbeThroughputConfig()
-		cfg.Topology = c.topology
-		cm := &noc.CycleModel{FM: fm, Cfg: cfg}
-		pt.SatRate = cm.SaturationRate()
-		pts, err := cm.ThroughputCurve(ctx, []float64{rate})
-		if err != nil {
-			return TopoPoint{}, err
-		}
-		pt.Latency = pts[0].AvgLatency
+	rng := rand.New(rand.NewSource(fault.TrialSeed(space.Seed, c.faults, c.trial)))
+	p, err := probeNoC(ctx, fault.Random(geom.NewGrid(space.Side, space.Side), c.faults, rng), model, c.topology)
+	if err != nil {
+		return TopoPoint{}, err
 	}
-	return pt, nil
+	return TopoPoint{
+		Topology: c.topology, Faults: c.faults, Trial: c.trial, Model: string(model),
+		SatRate: p.satRate, Latency: p.latency,
+	}, nil
 }
 
 // dominatesTopo reports strict Pareto dominance on the sweep's two

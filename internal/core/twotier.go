@@ -9,11 +9,13 @@ import (
 	"sync"
 	"time"
 
+	"waferscale/internal/arch"
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 	"waferscale/internal/noc"
 	"waferscale/internal/noc/analytical"
 	"waferscale/internal/parallel"
+	"waferscale/internal/pdn"
 )
 
 // Two-tier design-space exploration: the cycle-accurate flow is the
@@ -59,36 +61,67 @@ func (m EvalModel) normalized() (EvalModel, error) {
 // curve.
 const probeLoadFraction = 0.4
 
-// nocProbe is the per-design-point NoC characterization both tiers
-// attach to their results: saturation throughput and average latency
-// at a fixed moderate load.
+// nocProbe is what every sweep asks of the NoC at a design point:
+// saturation throughput and average latency at a fixed moderate load.
 type nocProbe struct {
 	satRate float64
 	latency float64
 }
 
-func probeNoC(ctx context.Context, side int, model EvalModel, topology string) (nocProbe, error) {
-	g := geom.NewGrid(side, side)
-	fm := fault.NewMap(g)
+// probeNoC probes the topology over fm with the model's backend. The
+// analytical tier scales the closed-form capacity by the exact fraction
+// of fault-free paths (1 on a fault-free map); the cycle tier measures
+// the delivered plateau.
+func probeNoC(ctx context.Context, fm *fault.Map, model EvalModel, topology string) (nocProbe, error) {
 	var lm noc.LatencyModel
-	switch model {
-	case ModelAnalytical:
+	reach := 1.0
+	if model == ModelAnalytical {
 		m, err := analytical.NewForTopology(topology, fm)
 		if err != nil {
 			return nocProbe{}, err
 		}
-		lm = m
-	default:
+		lm, reach = m, m.ReachableFraction()
+	} else {
 		cfg := noc.ProbeThroughputConfig()
 		cfg.Topology = topology
 		lm = &noc.CycleModel{FM: fm, Cfg: cfg}
 	}
-	rate := probeLoadFraction * noc.IdealSaturation(topology, g)
+	rate := probeLoadFraction * noc.IdealSaturation(topology, fm.Grid())
 	pts, err := lm.ThroughputCurve(ctx, []float64{rate})
 	if err != nil {
 		return nocProbe{}, err
 	}
-	return nocProbe{satRate: lm.SaturationRate(), latency: pts[0].AvgLatency}, nil
+	return nocProbe{satRate: lm.SaturationRate() * reach, latency: pts[0].AvgLatency}, nil
+}
+
+// droopAt solves cfg's edge-fed droop map with the model's backend and
+// returns its minimum (center) voltage and whether the LDO regulates at
+// every tile. Out-of-range tiles are exactly those whose input drops
+// below MinOutV+DropoutV, so the analytical tier checks the closed-form
+// minimum against that floor; the cycle tier runs the SOR solve and
+// counts them. The solve is single-threaded: every sweep parallelizes
+// across points, not inside them.
+func (d *Design) droopAt(cfg arch.Config, model EvalModel) (minV float64, regOK bool, err error) {
+	pc := pdn.Config{
+		Grid:         cfg.Grid(),
+		EdgeVolts:    cfg.EdgeSupplyVolts,
+		TileCurrentA: cfg.PeakTilePowerW / cfg.FastCornerVolts,
+		SheetOhm:     d.SheetOhm,
+		Workers:      1,
+	}
+	if model == ModelAnalytical {
+		est, err := pdn.EstimateDroop(pc)
+		if err != nil {
+			return 0, false, err
+		}
+		return est.MinVolt, est.MinVolt >= d.LDO.MinOutV+d.LDO.DropoutV, nil
+	}
+	sol, err := pdn.Solve(pc)
+	if err != nil {
+		return 0, false, err
+	}
+	minV, _ = sol.MinVolt()
+	return minV, pdn.CheckRegulation(sol, d.LDO, cfg.PeakTilePowerW).TilesOutOfRange == 0, nil
 }
 
 // Defaults for the two-tier survivor selection.
@@ -364,7 +397,7 @@ func (d *Design) evalCombos(ctx context.Context, combos []paretoCombo, model Eva
 	}
 	sort.Ints(sides)
 	probeVals, err := parallel.Map(ctx, len(sides), d.Workers, func(i int) (nocProbe, error) {
-		p, err := probeNoC(ctx, sides[i], model, topology)
+		p, err := probeNoC(ctx, fault.NewMap(geom.NewGrid(sides[i], sides[i])), model, topology)
 		if err != nil {
 			return nocProbe{}, fmt.Errorf("core: noc probe side %d (%s): %w", sides[i], model, err)
 		}

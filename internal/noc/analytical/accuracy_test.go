@@ -129,7 +129,7 @@ func forAccuracyCases(t *testing.T, mesh bool, check func(t *testing.T, topo str
 // Latency-throughput curves: the analytical sweep must track the
 // measured curve point-by-point below saturation.
 func checkThroughputCurve(t *testing.T, topo string, fm *fault.Map) {
-	model := mustForTopology(t, topo, fm)
+	model := mustModel(t, topo, fm)
 	cycle := cycleModel(topo, fm)
 	sat := model.SaturationRate()
 	rates := []float64{0.1 * sat, 0.3 * sat, 0.6 * sat}

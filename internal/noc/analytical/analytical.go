@@ -143,7 +143,7 @@ type Model struct {
 // allocation efficiency. The mesh fills its marginals from prefix sums,
 // every other topology by in-tree aggregation over its routes. The
 // fault map is read during construction only.
-func NewForTopology(topology string, fm *fault.Map) (noc.LatencyModel, error) {
+func NewForTopology(topology string, fm *fault.Map) (*Model, error) {
 	topo, err := noc.NewTopology(topology, fm.Grid())
 	if err != nil {
 		return nil, err
@@ -152,11 +152,7 @@ func NewForTopology(topology string, fm *fault.Map) (noc.LatencyModel, error) {
 	if topo.Name() == noc.TopoMesh {
 		build = (*Model).buildPrefixSums
 	}
-	m, err := newModel(topo, fm, build)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newModel(topo, fm, build)
 }
 
 // newModel builds a model whose marginals come from build. build fills

@@ -11,22 +11,15 @@ import (
 	"waferscale/internal/noc"
 )
 
-// mustForTopology builds the model production callers get for a
-// topology name.
-func mustForTopology(t *testing.T, name string, fm *fault.Map) noc.LatencyModel {
+// mustModel builds the model production callers get for a topology
+// name.
+func mustModel(t *testing.T, name string, fm *fault.Map) *Model {
 	t.Helper()
 	m, err := NewForTopology(name, fm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// mustModel is mustForTopology with the concrete type, whose accessors
-// go beyond noc.LatencyModel.
-func mustModel(t *testing.T, name string, fm *fault.Map) *Model {
-	t.Helper()
-	return mustForTopology(t, name, fm).(*Model)
 }
 
 // The fault-free model must recover the closed-form bisection bound

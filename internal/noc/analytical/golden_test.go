@@ -40,12 +40,8 @@ func modelGolden(t *testing.T) string {
 	for _, mapName := range names {
 		fm := maps[mapName]
 		for _, topo := range noc.TopologyNames() {
-			m := mustForTopology(t, topo, fm)
-			fmt.Fprintf(&b, "%s %s sat %v", mapName, topo, m.SaturationRate())
-			if r, ok := m.(interface{ ReachableFraction() float64 }); ok {
-				fmt.Fprintf(&b, " reach %v", r.ReachableFraction())
-			}
-			b.WriteByte('\n')
+			m := mustModel(t, topo, fm)
+			fmt.Fprintf(&b, "%s %s sat %v reach %v\n", mapName, topo, m.SaturationRate(), m.ReachableFraction())
 			pts, err := m.ThroughputCurve(context.Background(), goldenRates)
 			if err != nil {
 				t.Fatal(err)

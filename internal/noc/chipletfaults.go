@@ -3,7 +3,6 @@ package noc
 import (
 	"context"
 	"math/rand"
-	"sync"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
@@ -38,14 +37,12 @@ type ChipletFig6Point struct {
 // `waferscale nocmc -chiplet` refinement on the mesh: for each
 // faulty-chiplet count, the disconnected-pair percentages are averaged
 // over trials random chiplet fault maps. Seeding, cancellation and
-// progress are fig6Sweep's, as for Fig6SweepCtx; pooled per-worker
+// progress are fig6Sweep's, as for Fig6SweepCtx; recycled per-worker
 // scratch keeps a steady-state trial allocation-free.
 func ChipletFig6SweepCtx(ctx context.Context, grid geom.Grid, chipletCounts []int, trials int, seed int64, opts Fig6Opts) ([]ChipletFig6Point, error) {
 	topo := MeshTopology(grid)
-	pool := sync.Pool{New: func() any { return newChipletScratch(grid) }}
-	pts, err := fig6Sweep(ctx, chipletCounts, 2*grid.Size(), trials, seed, opts, func(n int, rng *rand.Rand) PairStats {
-		sc := pool.Get().(*chipletScratch)
-		defer pool.Put(sc)
+	newScratch := func() *chipletScratch { return newChipletScratch(grid) }
+	pts, err := fig6Sweep(ctx, chipletCounts, 2*grid.Size(), trials, seed, opts, newScratch, func(sc *chipletScratch, n int, rng *rand.Rand) PairStats {
 		sc.draw(n, rng)
 		sc.a.reset(topo, sc.compute, sc.blocked)
 		return sc.a.AllPairs()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"waferscale/internal/fault"
@@ -219,17 +218,15 @@ type Fig6Opts struct {
 // uses the prefix-sum Analyzer; cancellation, progress and seeding are
 // fig6Sweep's.
 func Fig6SweepCtx(ctx context.Context, grid geom.Grid, faultCounts []int, trials int, seed int64, opts Fig6Opts) ([]Fig6Point, error) {
-	// Each worker recycles a sampler and an analyzer via Reset instead
-	// of allocating a map, a permutation and prefix-sum slabs per trial
-	// (both are pure scratch; pooling cannot affect the results).
+	// A trial recycles a sampler and an analyzer via Reset instead of
+	// allocating a map, a permutation and prefix-sum slabs (both are
+	// pure scratch; recycling cannot affect the results).
 	type scratch struct {
 		s *fault.Sampler
 		a Analyzer
 	}
-	pool := sync.Pool{New: func() any { return &scratch{s: fault.NewSampler(grid)} }}
-	return fig6Sweep(ctx, faultCounts, grid.Size(), trials, seed, opts, func(n int, rng *rand.Rand) PairStats {
-		sc := pool.Get().(*scratch)
-		defer pool.Put(sc)
+	newScratch := func() *scratch { return &scratch{s: fault.NewSampler(grid)} }
+	return fig6Sweep(ctx, faultCounts, grid.Size(), trials, seed, opts, newScratch, func(sc *scratch, n int, rng *rand.Rand) PairStats {
 		sc.a.Reset(sc.s.Draw(n, rng))
 		return sc.a.AllPairs()
 	})
@@ -240,12 +237,16 @@ func Fig6SweepCtx(ctx context.Context, grid geom.Grid, faultCounts []int, trials
 // runs trials calls of trial on the bounded pool (opts.Workers); trial
 // i of count n draws from a rand.Rand freshly seeded with
 // fault.TrialSeed(seed, n, i), so the curves are bit-identical at any
-// worker count. One trial yields both curves, so the single- and
-// dual-network samples are paired per fault map. On ctx cancellation
-// it returns the points of the counts whose every trial finished (a
-// prefix of faultCounts, possibly empty) together with ctx.Err();
-// trials already in flight finish but a half-swept count is discarded.
-func fig6Sweep(ctx context.Context, faultCounts []int, maxFaults, trials int, seed int64, opts Fig6Opts, trial func(n int, rng *rand.Rand) PairStats) ([]Fig6Point, error) {
+// worker count. Each call gets scratch from newScratch or recycled from
+// an earlier trial of the same sweep; trial must leave nothing in it
+// that changes a later trial's result. One trial yields both curves,
+// so the single- and dual-network samples are paired per fault map. On
+// ctx cancellation it returns the points of the counts whose every
+// trial finished (a prefix of faultCounts, possibly empty) together
+// with ctx.Err(); trials already in flight finish but a half-swept
+// count is discarded.
+func fig6Sweep[S any](ctx context.Context, faultCounts []int, maxFaults, trials int, seed int64, opts Fig6Opts,
+	newScratch func() S, trial func(sc S, n int, rng *rand.Rand) PairStats) ([]Fig6Point, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("noc: Fig. 6 trials %d < 1", trials)
 	}
@@ -256,26 +257,31 @@ func fig6Sweep(ctx context.Context, faultCounts []int, maxFaults, trials int, se
 	}
 	total := len(faultCounts) * trials
 	// Each trial reseeds a recycled generator instead of building a
-	// ~5 KB source; Seed fully resets the source's state, so recycling
-	// cannot affect the results. No more trials run at once than the
-	// pool has workers, so at most that many generators exist and the
-	// buffer always has room for the one a trial returns.
-	rngs := make(chan *rand.Rand, parallel.Workers(opts.Workers, trials))
+	// ~5 KB source (Seed fully resets the source's state, so recycling
+	// cannot affect the results) and takes the scratch that came with
+	// it. No more trials run at once than the pool has workers, so at
+	// most that many pairs exist and the buffer always has room for the
+	// one a trial returns. The free list dies with the call.
+	type worker struct {
+		rng *rand.Rand
+		sc  S
+	}
+	free := make(chan worker, parallel.Workers(opts.Workers, trials))
 	var done atomic.Int64
 	single := make([]float64, trials)
 	dual := make([]float64, trials)
 	out := make([]Fig6Point, 0, len(faultCounts))
 	for k, n := range faultCounts {
 		err := parallel.ForEach(ctx, trials, opts.Workers, func(i int) error {
-			var rng *rand.Rand
+			var w worker
 			select {
-			case rng = <-rngs:
+			case w = <-free:
 			default:
-				rng = rand.New(rand.NewSource(0))
+				w = worker{rand.New(rand.NewSource(0)), newScratch()}
 			}
-			rng.Seed(fault.TrialSeed(seed, n, i))
-			st := trial(n, rng)
-			rngs <- rng
+			w.rng.Seed(fault.TrialSeed(seed, n, i))
+			st := trial(w.sc, n, w.rng)
+			free <- w
 			single[i], dual[i] = st.PctSingle(), st.PctDual()
 			d := done.Add(1)
 			if opts.Progress != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
-	"sync"
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
@@ -274,7 +273,7 @@ func (a *TopoAnalyzer) AllPairs() PairStats {
 // point. A trial costs one TopoAnalyzer Reset — O(blocked pairs x
 // ports) routing decisions into a destination-major bit relation, 2
 // bits per ordered pair — plus a popcount AllPairs of O(tiles^2/64)
-// word operations; pooled analyzers keep their tables, so a
+// word operations; recycled analyzers keep their tables, so a
 // steady-state trial allocates nothing.
 func TopoFig6SweepCtx(ctx context.Context, topology string, grid geom.Grid, faultCounts []int, trials int, seed int64, opts Fig6Opts) ([]Fig6Point, error) {
 	name, err := NormalizeTopology(topology)
@@ -294,10 +293,8 @@ func TopoFig6SweepCtx(ctx context.Context, topology string, grid geom.Grid, faul
 		s *fault.Sampler
 		a TopoAnalyzer
 	}
-	pool := sync.Pool{New: func() any { return &scratch{s: fault.NewSampler(grid)} }}
-	return fig6Sweep(ctx, faultCounts, grid.Size(), trials, seed, opts, func(n int, rng *rand.Rand) PairStats {
-		sc := pool.Get().(*scratch)
-		defer pool.Put(sc)
+	newScratch := func() *scratch { return &scratch{s: fault.NewSampler(grid)} }
+	return fig6Sweep(ctx, faultCounts, grid.Size(), trials, seed, opts, newScratch, func(sc *scratch, n int, rng *rand.Rand) PairStats {
 		sc.a.Reset(topo, sc.s.Draw(n, rng))
 		return sc.a.AllPairs()
 	})

@@ -355,7 +355,8 @@ func TestFig6SweepSeedingZeroAllocs(t *testing.T) {
 	sweep := func(trials int) float64 {
 		return testing.AllocsPerRun(20, func() {
 			_, err := fig6Sweep(context.Background(), []int{3}, 10, trials, 2021, Fig6Opts{Workers: 1},
-				func(n int, rng *rand.Rand) PairStats {
+				func() struct{} { return struct{}{} },
+				func(_ struct{}, n int, rng *rand.Rand) PairStats {
 					sink += rng.Int63()
 					return PairStats{}
 				})

@@ -24,9 +24,8 @@ func BuildMachine(side int, topology string) (*sim.Machine, error) {
 	if side <= 0 {
 		side = 4
 	}
-	cfg := arch.DefaultConfig()
-	cfg.TilesX, cfg.TilesY, cfg.JTAGChains = side, side, side
-	if err := cfg.Validate(); err != nil {
+	cfg, err := arch.DefaultConfig().Square(side)
+	if err != nil {
 		return nil, fmt.Errorf("workload: reduced system invalid: %w", err)
 	}
 	return sim.NewMachineTopology(cfg, fault.NewMap(cfg.Grid()), topology)
