@@ -77,9 +77,24 @@ var sweepGoldens = []golden{
 	{"report", []string{"report", "-trials", "2", "-workers", "1"}},
 }
 
+// workloadGoldens pins the operator-graph workload subcommand: one
+// run, another topology and placement, the chaos survival curve and
+// the topology x placement sweep. Each file holds the stdout of the CLI
+// from before every operator kernel launched through internal/sim's
+// one launch path; regenerate one the same way, and only for an
+// intended output change.
+var workloadGoldens = []golden{
+	{"workload", []string{"workload", "-side", "4"}},
+	{"workload_express_blocked", []string{"workload", "-side", "4", "-topology", "express", "-placement", "blocked"}},
+	{"workload_chaos", []string{"workload", "-side", "4", "-chaos", "-trials", "2", "-kills", "0,1,2"}},
+	{"workload_sweep", []string{"workload", "-side", "4", "-sweep"}},
+}
+
 func TestRoutedGoldens(t *testing.T) { checkGoldens(t, goldens) }
 
 func TestSweepGoldens(t *testing.T) { checkGoldens(t, sweepGoldens) }
+
+func TestWorkloadGoldens(t *testing.T) { checkGoldens(t, workloadGoldens) }
 
 // golden is one pinned invocation: testdata/name.golden holds the
 // stdout of `waferscale args...`.

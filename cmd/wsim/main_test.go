@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -125,5 +126,43 @@ func TestRemovedForkFlag(t *testing.T) {
 	_, stderr, code := runCLI(t, "-fork=false", "-faults", "1", "-trials", "2")
 	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -fork") {
 		t.Fatalf("exit %d, stderr %q; want exit 2 for an unknown flag", code, stderr)
+	}
+}
+
+// kernelGoldens pins every kernel path wsim drives: the SSSP/BFS
+// relaxation (healthy, profiled, under faults and as a -trials sweep),
+// the matvec and histogram kernels and the operator-graph workload.
+// Each file holds the stdout of the CLI from before every kernel
+// launched through one path; regenerate one with
+// `go run ./cmd/wsim ARGS > cmd/wsim/testdata/NAME.golden` only for an
+// intended output change.
+var kernelGoldens = []struct {
+	name string
+	args []string
+}{
+	{"bfs", []string{"-workload", "bfs", "-side", "4"}},
+	{"sssp_profile", []string{"-workload", "sssp", "-profile", "-side", "4"}},
+	{"matvec", []string{"-workload", "matvec", "-side", "4"}},
+	{"hist", []string{"-workload", "hist", "-side", "4"}},
+	{"transformer", []string{"-workload", "transformer", "-side", "4"}},
+	{"bfs_faults", []string{"-workload", "bfs", "-side", "8", "-faults", "3", "-fault-seed", "7"}},
+	{"bfs_trials", []string{"-workload", "bfs", "-side", "8", "-faults", "3", "-trials", "4", "-max-cycles", "200000"}},
+}
+
+func TestKernelGoldens(t *testing.T) {
+	for _, g := range kernelGoldens {
+		t.Run(strings.Join(g.args, " "), func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", g.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, stderr, code := runCLI(t, g.args...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			if out != string(want) {
+				t.Errorf("stdout differs from testdata/%s.golden\ngot:\n%s\nwant:\n%s", g.name, out, want)
+			}
+		})
 	}
 }

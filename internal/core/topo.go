@@ -46,14 +46,6 @@ type TopoSweepOpts struct {
 	// Model picks the backend for a single-tier run ("" = cycle).
 	// Ignored when TwoTier is set.
 	Model EvalModel
-	// TopK is the per-objective insurance count (0 = DefaultTopK).
-	TopK int
-	// BandPct is the screen-confidence band, in percent, applied to
-	// both objectives during survivor selection (0 =
-	// DefaultTopoBandPct). Unlike the Pareto droop band, both
-	// objectives here are modeled, so the band must cover the
-	// analytical model's relative error on each.
-	BandPct float64
 	// Workers bounds the evaluation pool (0 = GOMAXPROCS).
 	Workers int
 	// Progress mirrors ParetoOpts.Progress with stages "evaluate"
@@ -61,8 +53,11 @@ type TopoSweepOpts struct {
 	Progress func(stage string, done, total int)
 }
 
-// DefaultTopoBandPct is the default screen-confidence band for the
-// topology sweep. The analytical model's delivered-saturation error is
+// DefaultTopoBandPct is the topology sweep's screen-confidence band, in
+// percent, applied to both objectives during survivor selection.
+// Unlike the Pareto droop band, both objectives here are modeled, so
+// the band must cover the analytical model's relative error on each.
+// The analytical model's delivered-saturation error is
 // within ~10% and its loaded-latency error within ~25% of the cycle
 // engine (accuracy suite tolerances); 15% on both objectives, applied
 // to each side of a comparison, screens out only candidates beaten by
@@ -232,12 +227,11 @@ func ExploreTopologiesCtx(ctx context.Context, space TopoSweepSpace, opts TopoSw
 				return evalTopoCandidate(ctx, space, c, model)
 			})
 		},
-		rule: topoRule(opts.BandPct),
+		rule: topoRule,
 		objectives: []func(a, b TopoPoint) bool{
 			func(a, b TopoPoint) bool { return a.SatRate > b.SatRate },
 			func(a, b TopoPoint) bool { return a.Latency < b.Latency },
 		},
-		topK:     opts.TopK,
 		progress: opts.Progress,
 	}
 	run := &TopoSweepRun{TwoTier: opts.TwoTier}
@@ -269,26 +263,20 @@ func ExploreTopologiesCtx(ctx context.Context, space TopoSweepSpace, opts TopoSw
 }
 
 // topoRule keeps every screened candidate that no other candidate
-// dominates by a band-confident margin of bandPct percent (0 =
-// DefaultTopoBandPct) on both objectives. Every candidate is in the
-// insurance pool.
-func topoRule(bandPct float64) func([]TopoPoint) (keep, pool []int) {
-	if bandPct <= 0 {
-		bandPct = DefaultTopoBandPct
-	}
-	f := bandPct / 100
+// dominates by a band-confident margin of DefaultTopoBandPct percent on
+// both objectives. Every candidate is in the insurance pool.
+func topoRule(screened []TopoPoint) (keep, pool []int) {
+	f := DefaultTopoBandPct / 100
 	confidentlyDominates := func(a, b TopoPoint) bool {
 		return a.SatRate >= b.SatRate*(1+f) && a.Latency <= b.Latency/(1+f)
 	}
-	return func(screened []TopoPoint) (keep, pool []int) {
-		for i, p := range screened {
-			pool = append(pool, i)
-			if !slices.ContainsFunc(screened, func(q TopoPoint) bool { return confidentlyDominates(q, p) }) {
-				keep = append(keep, i)
-			}
+	for i, p := range screened {
+		pool = append(pool, i)
+		if !slices.ContainsFunc(screened, func(q TopoPoint) bool { return confidentlyDominates(q, p) }) {
+			keep = append(keep, i)
 		}
-		return keep, pool
 	}
+	return keep, pool
 }
 
 func buildTopoErrorReport(run *TopoSweepRun, screened []TopoPoint, surv []int, verified []TopoPoint) {

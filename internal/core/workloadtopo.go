@@ -43,7 +43,6 @@ type WorkloadTopoRun struct {
 type WorkloadTopoOpts struct {
 	Side       int      // machine array side (0 -> 8; vertical needs even)
 	Topologies []string // empty -> every registered topology
-	Placements []string // empty -> every placement policy
 	Workers    int      // host pool for concurrent combinations (0 -> GOMAXPROCS)
 	// WorkersPerOp / OpBudget mirror workload.Options.
 	WorkersPerOp int
@@ -70,10 +69,6 @@ func ExploreWorkloadTopologiesCtx(ctx context.Context, g *workload.Graph, opts W
 	if len(topos) == 0 {
 		topos = noc.TopologyNames()
 	}
-	placements := opts.Placements
-	if len(placements) == 0 {
-		placements = workload.PlacementNames()
-	}
 	want, err := workload.Reference(g)
 	if err != nil {
 		return nil, err
@@ -84,7 +79,7 @@ func ExploreWorkloadTopologiesCtx(ctx context.Context, g *workload.Graph, opts W
 		if tp == noc.TopoVertical && side%2 != 0 {
 			return nil, fmt.Errorf("core: workload sweep side %d is odd; vertical needs an even side", side)
 		}
-		for _, pl := range placements {
+		for _, pl := range workload.PlacementNames() {
 			combos = append(combos, workloadCombo{tp, pl})
 		}
 	}

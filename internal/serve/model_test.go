@@ -136,15 +136,19 @@ func (l *eventLog) stages() map[string]int {
 }
 
 // An analytical throughput job runs end to end, labels its result, and
-// returns one point per requested rate.
+// returns one point per requested rate, streaming progress after each.
 func TestRunThroughputAnalytical(t *testing.T) {
 	sp := mustDecodeSpec(t, `{"kind":"throughput","throughput":{"side":8,"model":"analytical","rates":[0.05,0.2,0.5]}}`)
 	if err := sp.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), sp, 2, nil)
+	var log eventLog
+	res, err := Run(context.Background(), sp, 2, log.emit)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := log.stages()["rates"]; n != 3 {
+		t.Fatalf("got %d 'rates' progress events, want one per rate", n)
 	}
 	tr := res.(*ThroughputResult)
 	if tr.Model != noc.ModelNameAnalytical {

@@ -189,29 +189,24 @@ func runThroughput(ctx context.Context, sp *ThroughputSpec, emit func(Event)) (a
 		Model:      sp.Model,
 		Topology:   sp.Topology,
 	}
+	var model noc.LatencyModel
 	if sp.Model == noc.ModelNameAnalytical {
-		model, err := analytical.NewForTopology(sp.Topology, fm)
+		am, err := analytical.NewForTopology(sp.Topology, fm)
 		if err != nil {
 			return nil, err
 		}
-		pts, err := model.ThroughputCurve(ctx, sp.Rates)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = pts
-		emit(Event{Stage: "rates", Done: int64(len(pts)), Total: int64(len(sp.Rates))})
-		return res, nil
+		model = am
+	} else {
+		cfg := noc.DefaultThroughputConfig()
+		cfg.Topology = sp.Topology
+		model = &noc.CycleModel{FM: fm, Cfg: cfg}
 	}
-	// Rate points are measured one at a time — each builds its own Sim
-	// from the same seed, so per-rate results match the batched sweep
-	// exactly while cancellation lands between rates.
-	cfg := noc.DefaultThroughputConfig()
-	cfg.Topology = sp.Topology
+	// Rate points are evaluated one at a time, so progress streams per
+	// rate and cancellation lands between rates. A point depends only on
+	// its rate (the cycle backend builds its own Sim from the same seed
+	// for each), so the points match the batched curve exactly.
 	for i, rate := range sp.Rates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pts, err := noc.MeasureThroughput(fm, cfg, []float64{rate})
+		pts, err := model.ThroughputCurve(ctx, []float64{rate})
 		if err != nil {
 			return nil, err
 		}
@@ -324,6 +319,7 @@ func runWorkload(ctx context.Context, sp *WorkloadSpec, emit func(Event)) (any, 
 	if err != nil {
 		return nil, err
 	}
+	m.Progress = func(c int64) { emit(Event{Stage: "cycles", Cycles: c}) }
 	outputs, rep, err := workload.RunCtx(ctx, m, g, workload.Options{Placement: sp.Placement})
 	if err != nil {
 		return nil, err

@@ -4,7 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
 	"waferscale/internal/noc"
 	"waferscale/internal/workload"
@@ -119,5 +123,54 @@ func TestWorkloadRunVerifies(t *testing.T) {
 	}
 	if wr.Report.TotalCycles <= 0 || wr.Report.RemoteOps <= 0 {
 		t.Errorf("implausible report totals: %+v", wr.Report)
+	}
+}
+
+// TestWorkloadJobStreamsCycles: a workload job reports the machine's
+// cycle count while it runs, not only once it has finished, so the
+// stall watchdog can tell a long job from a stuck one. The longest
+// silence between progress events must be a small fraction of the
+// job, and a server whose stall timeout lies between the two runs the
+// job to completion on its first attempt.
+func TestWorkloadJobStreamsCycles(t *testing.T) {
+	const body = `{"kind":"workload","workload":{"tokens":32,"dim":32,"side":4}}`
+	var sp Spec
+	if err := json.Unmarshal([]byte(body), &sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	last, silence := start, time.Duration(0)
+	var cycles []int64
+	_, err := Run(context.Background(), &sp, 1, func(ev Event) {
+		now := time.Now()
+		silence = max(silence, now.Sub(last))
+		last = now
+		if ev.Stage == "cycles" {
+			cycles = append(cycles, ev.Cycles)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := time.Since(start)
+	if len(cycles) < 2 || !slices.IsSorted(cycles) || cycles[0] <= 0 {
+		t.Fatalf("cycle events %v: want a rising series of at least 2", cycles)
+	}
+	if job < 8*silence {
+		t.Fatalf("job took %v with a silence of %v between progress events: want under 1/8 of the job", job, silence)
+	}
+
+	stall := time.Duration(math.Sqrt(float64(job) * float64(silence)))
+	h := &testHarness{}
+	h.srv = New(Config{Slots: 1, StallTimeout: stall, StallPoll: stall / 4, StallRetries: -1})
+	h.ts = httptest.NewServer(h.srv.Handler())
+	t.Cleanup(func() { h.ts.Close(); h.srv.Close() })
+	_, j, _ := h.post(t, body)
+	h.waitState(t, j.ID, "done")
+	if st := h.stats(t); st.Stalls != 0 || st.StallRequeues != 0 {
+		t.Fatalf("stalls=%d requeues=%d with a %v stall timeout: want 0/0", st.Stalls, st.StallRequeues, stall)
 	}
 }

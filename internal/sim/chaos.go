@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -53,12 +54,17 @@ func RunSSSPUnderFaultsCtx(ctx context.Context, m *Machine, g *Graph, src int, w
 	if err != nil {
 		return nil, err
 	}
-	if err := loadWorkers(m, RelaxKernelSource, arch.GlobalBase, workers); err != nil {
+	prog, err := assembleKernel(RelaxKernelSource)
+	if err != nil {
 		return nil, err
 	}
-	runErr := m.RunCtx(ctx, maxCycles)
+	runErr := RunKernel(ctx, m, prog, arch.GlobalBase, workers, maxCycles)
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	var budget *BudgetError
+	if runErr != nil && !errors.As(runErr, &budget) {
+		return nil, runErr
 	}
 
 	res := &ChaosResult{RunErr: runErr}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestRemoteRetryOverFlappedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startRemoteLoad(t, m, geom.C(0, 0), addr)
-	if err := m.Run(20_000); err != nil {
+	if err := m.RunCtx(context.Background(), 20_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if faults := m.Faults(); len(faults) > 0 {
@@ -104,7 +105,7 @@ func TestRemoteRetriesExhaustedDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	startRemoteLoad(t, m, geom.C(0, 0), addr)
-	if err := m.Run(20_000); err != nil {
+	if err := m.RunCtx(context.Background(), 20_000); err != nil {
 		t.Fatalf("machine did not quiesce: %v", err)
 	}
 	faults := m.Faults()
@@ -142,7 +143,7 @@ func TestRelayDetourRemoteAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startRemoteLoad(t, m, geom.C(0, 0), addr)
-	if err := m.Run(20_000); err != nil {
+	if err := m.RunCtx(context.Background(), 20_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if faults := m.Faults(); len(faults) > 0 {
@@ -201,7 +202,7 @@ func TestKillTileRemapShadow(t *testing.T) {
 	}
 	// A core on a surviving tile reaches the shadow through the network.
 	c := startRemoteLoad(t, m, geom.C(0, 0), addr)
-	if err := m.Run(20_000); err != nil {
+	if err := m.RunCtx(context.Background(), 20_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if c.Regs[2] != 42 {
@@ -327,7 +328,7 @@ func TestBitErrorSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	startRemoteLoad(t, m, geom.C(0, 0), addr)
-	if err := m.Run(20_000); err != nil {
+	if err := m.RunCtx(context.Background(), 20_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"waferscale/internal/arch"
@@ -254,7 +255,7 @@ func TestAllHaltedCounterTracksScan(t *testing.T) {
 	if m.AllHalted() {
 		t.Fatal("reloaded core not counted as running")
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	if !m.AllHalted() {
@@ -289,7 +290,7 @@ func TestFastPathQuiescentTileSkip(t *testing.T) {
 		if err := m.LoadProgram(geom.C(3, 3), 0, mustAssemble(t, src)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(10_000); err != nil {
+		if err := m.RunCtx(context.Background(), 10_000); err != nil {
 			t.Fatal(err)
 		}
 		return m

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"waferscale/internal/geom"
@@ -74,7 +75,7 @@ func TestRetryJitterKeepsDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := startRemoteLoad(t, m, geom.C(0, 0), addr)
-		if err := m.Run(20_000); err != nil {
+		if err := m.RunCtx(context.Background(), 20_000); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if faults := m.Faults(); len(faults) > 0 {

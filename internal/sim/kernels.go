@@ -33,32 +33,12 @@ import (
 //	+0  n        +4  barrier   +8  changed   +12 workers
 //	+16 maxRounds +20 rowPtr   +24 colIdx    +28 weight   +32 dist
 //
-// Per-core private parameter block at 0xF000: +0 worker id, +4 ctrl
-// block address.
-const (
-	paramBase uint32 = 0xF000
-	spillBase uint32 = 0xF100
-
-	ctrlN         = 0
-	ctrlBarrier   = 4
-	ctrlChanged   = 8
-	ctrlWorkers   = 12
-	ctrlMaxRounds = 16
-	ctrlRowPtr    = 20
-	ctrlColIdx    = 24
-	ctrlWeight    = 28
-	ctrlDist      = 32
-	ctrlSize      = 64 // padded
-)
+// The block is padded to ctrlSize bytes. The kernel launches through
+// RunKernel and starts with KernelPrelude.
+const ctrlSize = 64
 
 // RelaxKernelSource is the WS-ISA assembly of the relaxation kernel.
-const RelaxKernelSource = `
-; SSSP/BFS pull-based relaxation kernel.
-start:
-    la   r1, 0xF000
-    lw   r2, 0(r1)        ; worker id
-    lw   r3, 4(r1)        ; ctrl block address
-    la   r1, 0xF100       ; private parameter cache
+const RelaxKernelSource = KernelPrelude + `
     sw   r2, 0(r1)
     sw   r3, 4(r1)
     lw   r4, 0(r3)
@@ -176,13 +156,8 @@ func RunSSSP(m *Machine, g *Graph, src int, workers []WorkerRef, maxCycles int64
 	if err != nil {
 		return nil, err
 	}
-	res.Dist = make([]int32, g.N)
-	for i := range res.Dist {
-		v, err := m.ReadGlobal32(distA + uint32(4*i))
-		if err != nil {
-			return nil, err
-		}
-		res.Dist[i] = int32(v)
+	if res.Dist, err = ReadGlobalWords(m, distA, g.N); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -209,38 +184,26 @@ func layoutSSSP(m *Machine, g *Graph, src, nWorkers int) (uint32, error) {
 	weightA := colIdxA + uint32(4*rev.M())
 	distA := weightA + uint32(4*rev.M())
 
-	w32 := func(addr uint32, v int32) error { return m.WriteGlobal32(addr, uint32(v)) }
-	writeArr := func(addr uint32, vals []int32) error {
-		for i, v := range vals {
-			if err := w32(addr+uint32(4*i), v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeArr(rowPtrA, rev.RowPtr); err != nil {
-		return 0, err
-	}
-	if err := writeArr(colIdxA, rev.ColIdx); err != nil {
-		return 0, err
-	}
-	if err := writeArr(weightA, rev.Weight); err != nil {
-		return 0, err
-	}
 	dist := make([]int32, g.N)
 	for i := range dist {
 		dist[i] = Infinity
 	}
 	dist[src] = 0
-	if err := writeArr(distA, dist); err != nil {
+	if err := WriteGlobalWords(m, rowPtrA, rev.RowPtr); err != nil {
 		return 0, err
 	}
-	ctrl := []int32{int32(g.N), 0, 0, int32(nWorkers), int32(g.N + 1),
-		int32(rowPtrA), int32(colIdxA), int32(weightA), int32(distA)}
-	if err := writeArr(base, ctrl); err != nil {
+	if err := WriteGlobalWords(m, colIdxA, rev.ColIdx); err != nil {
 		return 0, err
 	}
-	return distA, nil
+	if err := WriteGlobalWords(m, weightA, rev.Weight); err != nil {
+		return 0, err
+	}
+	if err := WriteGlobalWords(m, distA, dist); err != nil {
+		return 0, err
+	}
+	ctrl := []uint32{uint32(g.N), 0, 0, uint32(nWorkers), uint32(g.N + 1),
+		rowPtrA, colIdxA, weightA, distA}
+	return distA, WriteGlobalWords(m, base, ctrl)
 }
 
 // RunBFS runs the kernel on the unit-weight graph: the distances are

@@ -654,20 +654,16 @@ func (m *Machine) flushForwards() {
 	m.pendingFwd = retry
 }
 
-// Run steps until every started core halts or maxCycles pass.
-func (m *Machine) Run(maxCycles int64) error {
-	return m.RunCtx(context.Background(), maxCycles)
-}
-
-// RunCtx is Run with cancellation and optional cycle progress: every
-// runProgressStride cycles the machine checks ctx (returning ctx.Err()
-// with the machine paused at a cycle boundary — the state stays
-// consistent and the run can even be resumed by calling Run again) and
-// invokes Progress, if set, with the current cycle count. On every exit
-// path — halt, budget expiry, cancellation — one final Progress call
-// reports the terminal cycle count, so progress streams never end with
-// a stale mid-interval value. The execution itself is bit-identical to
-// Run for any ctx that is never cancelled.
+// RunCtx steps until every started core halts or maxCycles pass, with
+// cancellation and optional cycle progress: every runProgressStride
+// cycles the machine checks ctx (returning ctx.Err() with the machine
+// paused at a cycle boundary — the state stays consistent and the run
+// can even be resumed by calling RunCtx again) and invokes Progress, if
+// set, with the current cycle count. On every exit path — halt, budget
+// expiry, cancellation — one final Progress call reports the terminal
+// cycle count, so progress streams never end with a stale
+// mid-interval value. The execution itself is bit-identical for any ctx
+// that is never cancelled.
 func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) error {
 	target := m.cycle + maxCycles
 	for i := int64(0); m.cycle < target && !m.AllHalted(); i++ {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -190,7 +191,7 @@ func TestPagedMemOddSize(t *testing.T) {
 	if err := m.LoadProgram(geom.C(3, 3), 0, remote); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(5000); err != nil {
+	if err := m.RunCtx(context.Background(), 5000); err != nil {
 		t.Fatal(err)
 	}
 	if c := m.Tile(geom.C(1, 0)).Cores[0]; c.Regs[3] != 4242 || c.Regs[4] != 2<<16 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestWriteProfile(t *testing.T) {
 	if err := m.LoadProgram(geom.C(3, 3), 0, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(5000); err != nil {
+	if err := m.RunCtx(context.Background(), 5000); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -88,7 +89,7 @@ func TestProfileLocalVsRemote(t *testing.T) {
 		if err := m.LoadProgram(geom.C(3, 3), 0, prog); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(100000); err != nil {
+		if err := m.RunCtx(context.Background(), 100000); err != nil {
 			t.Fatal(err)
 		}
 		return m.CollectProfile()

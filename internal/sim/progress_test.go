@@ -19,7 +19,7 @@ func TestRunCtxTerminalProgressOnHalt(t *testing.T) {
 	}
 	var ticks []int64
 	m.Progress = func(c int64) { ticks = append(ticks, c) }
-	if err := m.Run(100); err != nil {
+	if err := m.RunCtx(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	if len(ticks) == 0 {
@@ -42,7 +42,7 @@ func TestRunCtxTerminalProgressOnBudget(t *testing.T) {
 		}
 		var last int64 = -1
 		m.Progress = func(c int64) { last = c }
-		err := m.Run(budget)
+		err := m.RunCtx(context.Background(), budget)
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Cycles != budget {
 			t.Fatalf("budget %d: err = %v, want BudgetError", budget, err)

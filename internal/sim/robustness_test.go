@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestBroadcastOnFaultyMachine(t *testing.T) {
 	if err := broadcast(m, prog); err != nil {
 		t.Fatalf("broadcast: %v", err)
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	if faults := m.Faults(); len(faults) != 0 {
@@ -99,7 +100,7 @@ func TestFaultsOnFaultyMachine(t *testing.T) {
 	if err := broadcast(m, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatalf("faulted cores count as halted: %v", err)
 	}
 	faults := m.Faults()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -172,7 +173,7 @@ func TestMachineArithmetic(t *testing.T) {
 	if err := m.LoadProgram(tile, 0, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Tile(tile).Cores[0]
@@ -194,7 +195,7 @@ func TestR0HardwiredZero(t *testing.T) {
 	if err := m.LoadProgram(geom.C(0, 0), 0, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(100); err != nil {
+	if err := m.RunCtx(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Tile(geom.C(0, 0)).Cores[0]
@@ -216,7 +217,7 @@ func TestPrivateMemory(t *testing.T) {
 	if err := m.LoadProgram(geom.C(1, 1), 2, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Tile(geom.C(1, 1)).Cores[2]
@@ -237,7 +238,7 @@ func TestLocalBank(t *testing.T) {
 	if err := m.LoadProgram(geom.C(2, 2), 0, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	if c := m.Tile(geom.C(2, 2)).Cores[0]; c.Regs[3] != 777 {
@@ -261,7 +262,7 @@ func TestOwnTileGlobalAccess(t *testing.T) {
 	if err := m.LoadProgram(geom.C(1, 0), 0, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	if c := m.Tile(geom.C(1, 0)).Cores[0]; c.Regs[3] != 555 {
@@ -287,7 +288,7 @@ func TestRemoteGlobalAccess(t *testing.T) {
 	if err := m.LoadProgram(geom.C(3, 3), 1, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(5000); err != nil {
+	if err := m.RunCtx(context.Background(), 5000); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Tile(geom.C(3, 3)).Cores[1]
@@ -322,7 +323,7 @@ func TestRemoteLatencyGrowsWithDistance(t *testing.T) {
 		if err := m.LoadProgram(from, 0, prog); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(5000); err != nil {
+		if err := m.RunCtx(context.Background(), 5000); err != nil {
 			t.Fatal(err)
 		}
 		return m.AvgRemoteLatency()
@@ -341,7 +342,7 @@ func TestCoreIDAndNCores(t *testing.T) {
 	if err := m.LoadProgram(geom.C(1, 0), 3, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(100); err != nil {
+	if err := m.RunCtx(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Tile(geom.C(1, 0)).Cores[3]
@@ -370,7 +371,7 @@ func TestFaultsTrapped(t *testing.T) {
 			if err := m.LoadProgram(geom.C(0, 0), 0, mustAssemble(t, tc.src)); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Run(1000); err != nil {
+			if err := m.RunCtx(context.Background(), 1000); err != nil {
 				t.Fatal(err)
 			}
 			faults := m.Faults()
@@ -386,7 +387,7 @@ func TestIllegalOpcodeFaults(t *testing.T) {
 	if err := m.LoadProgram(geom.C(0, 0), 0, []uint32{0xFF000000}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(100); err != nil {
+	if err := m.RunCtx(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Faults()) != 1 {
@@ -419,7 +420,7 @@ func TestAmoAtomicAcrossCores(t *testing.T) {
 			}
 		}
 	}
-	if err := m.Run(400000); err != nil {
+	if err := m.RunCtx(context.Background(), 400000); err != nil {
 		t.Fatal(err)
 	}
 	v, err := m.ReadGlobal32(arch.GlobalBase + 0x40)
@@ -447,7 +448,7 @@ func TestAmoMin(t *testing.T) {
 	if err := m.LoadProgram(geom.C(0, 0), 0, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(1000); err != nil {
+	if err := m.RunCtx(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Tile(geom.C(0, 0)).Cores[0]
@@ -478,7 +479,7 @@ func TestBankConflictsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Run(100000); err != nil {
+	if err := m.RunCtx(context.Background(), 100000); err != nil {
 		t.Fatal(err)
 	}
 	if m.BankConflicts == 0 {

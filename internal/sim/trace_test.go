@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestTraceCapturesInstructions(t *testing.T) {
 	if err := m.LoadProgram(geom.C(1, 1), 2, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(100); err != nil {
+	if err := m.RunCtx(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -48,7 +49,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if err := m.LoadProgram(geom.C(0, 0), 0, mustAssemble(t, "halt")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(10); err != nil {
+	if err := m.RunCtx(context.Background(), 10); err != nil {
 		t.Fatal(err) // must not crash with no writer
 	}
 }
@@ -64,7 +65,7 @@ func TestTraceNilFilterMatchesAll(t *testing.T) {
 	if err := m.LoadProgram(geom.C(2, 3), 1, prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(10); err != nil {
+	if err := m.RunCtx(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -19,15 +19,10 @@ import (
 //     data array and count into shared bins with amoadd — an
 //     atomics-heavy contention pattern.
 
-// MatVecKernelSource is the WS-ISA dense matrix-vector product.
+// MatVecKernelSource is the WS-ISA dense matrix-vector product y = A*x,
+// rows strided across workers (the worker id is the starting row).
 // Control block: +0 n, +4 workers, +8 &A, +12 &x, +16 &y.
-const MatVecKernelSource = `
-; y = A*x, rows strided across workers.
-start:
-    la   r1, 0xF000
-    lw   r2, 0(r1)        ; worker id = starting row
-    lw   r3, 4(r1)        ; ctrl
-    la   r1, 0xF100
+const MatVecKernelSource = KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; n
     lw   r4, 4(r3)
@@ -76,15 +71,10 @@ done:
     halt
 `
 
-// HistogramKernelSource counts bin occurrences with shared atomics.
+// HistogramKernelSource counts bins[data[i]]++ for strided i (the
+// worker id is the starting index) with shared atomics.
 // Control block: +0 nData, +4 workers, +8 &data, +12 &bins.
-const HistogramKernelSource = `
-; bins[data[i]]++ for strided i.
-start:
-    la   r1, 0xF000
-    lw   r2, 0(r1)        ; worker id = starting index
-    lw   r3, 4(r1)        ; ctrl
-    la   r1, 0xF100
+const HistogramKernelSource = KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; nData
     lw   r4, 4(r3)
@@ -133,34 +123,24 @@ func RunMatVec(m *Machine, a [][]int32, x []int32, workers []WorkerRef, maxCycle
 	xAddr := aAddr + uint32(4*n*n)
 	yAddr := xAddr + uint32(4*n)
 	for i, row := range a {
-		for j, v := range row {
-			if err := m.WriteGlobal32(aAddr+uint32(4*(i*n+j)), uint32(v)); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for j, v := range x {
-		if err := m.WriteGlobal32(xAddr+uint32(4*j), uint32(v)); err != nil {
+		if err := WriteGlobalWords(m, aAddr+uint32(4*i*n), row); err != nil {
 			return nil, nil, err
 		}
+	}
+	if err := WriteGlobalWords(m, xAddr, x); err != nil {
+		return nil, nil, err
 	}
 	ctrl := []uint32{uint32(n), uint32(len(workers)), aAddr, xAddr, yAddr}
-	for i, v := range ctrl {
-		if err := m.WriteGlobal32(base+uint32(4*i), v); err != nil {
-			return nil, nil, err
-		}
+	if err := WriteGlobalWords(m, base, ctrl); err != nil {
+		return nil, nil, err
 	}
 	res, err := launch(m, MatVecKernelSource, base, workers, maxCycles)
 	if err != nil {
 		return nil, nil, err
 	}
-	y := make([]int32, n)
-	for i := range y {
-		v, err := m.ReadGlobal32(yAddr + uint32(4*i))
-		if err != nil {
-			return nil, nil, err
-		}
-		y[i] = int32(v)
+	y, err := ReadGlobalWords(m, yAddr, n)
+	if err != nil {
+		return nil, nil, err
 	}
 	return y, res, nil
 }
@@ -181,77 +161,25 @@ func RunHistogram(m *Machine, data []int32, nBins int, workers []WorkerRef, maxC
 	base := arch.GlobalBase
 	dataAddr := base + ctrlSize
 	binsAddr := dataAddr + uint32(4*len(data))
-	for i, v := range data {
-		if err := m.WriteGlobal32(dataAddr+uint32(4*i), uint32(v)); err != nil {
-			return nil, nil, err
-		}
+	if err := WriteGlobalWords(m, dataAddr, data); err != nil {
+		return nil, nil, err
 	}
-	for b := 0; b < nBins; b++ {
-		if err := m.WriteGlobal32(binsAddr+uint32(4*b), 0); err != nil {
-			return nil, nil, err
-		}
+	if err := WriteGlobalWords(m, binsAddr, make([]int32, nBins)); err != nil {
+		return nil, nil, err
 	}
 	ctrl := []uint32{uint32(len(data)), uint32(len(workers)), dataAddr, binsAddr}
-	for i, v := range ctrl {
-		if err := m.WriteGlobal32(base+uint32(4*i), v); err != nil {
-			return nil, nil, err
-		}
+	if err := WriteGlobalWords(m, base, ctrl); err != nil {
+		return nil, nil, err
 	}
 	res, err := launch(m, HistogramKernelSource, base, workers, maxCycles)
 	if err != nil {
 		return nil, nil, err
 	}
-	bins := make([]int32, nBins)
-	for b := range bins {
-		v, err := m.ReadGlobal32(binsAddr + uint32(4*b))
-		if err != nil {
-			return nil, nil, err
-		}
-		bins[b] = int32(v)
+	bins, err := ReadGlobalWords(m, binsAddr, nBins)
+	if err != nil {
+		return nil, nil, err
 	}
 	return bins, res, nil
-}
-
-// launch assembles a kernel, loads it on the workers with their param
-// blocks, runs to completion and collects stats.
-func launch(m *Machine, source string, ctrlBase uint32, workers []WorkerRef, maxCycles int64) (*WorkloadResult, error) {
-	if err := loadWorkers(m, source, ctrlBase, workers); err != nil {
-		return nil, err
-	}
-	if err := m.Run(maxCycles); err != nil {
-		return nil, err
-	}
-	if faults := m.Faults(); len(faults) > 0 {
-		return nil, fmt.Errorf("sim: cores faulted: %v", faults[0])
-	}
-	res := &WorkloadResult{Cycles: m.Cycle()}
-	for _, w := range workers {
-		res.Instructions += m.Tile(w.Tile).Cores[w.Core].Instret
-	}
-	res.RemoteOps = m.RemoteRequests
-	res.RemoteLatency = m.AvgRemoteLatency()
-	return res, nil
-}
-
-// loadWorkers assembles source and loads it on every worker core with
-// the kernel's parameters: the worker id and the control block base.
-func loadWorkers(m *Machine, source string, ctrlBase uint32, workers []WorkerRef) error {
-	prog, err := Assemble(source)
-	if err != nil {
-		return fmt.Errorf("sim: kernel does not assemble: %w", err)
-	}
-	for wid, w := range workers {
-		if err := m.LoadProgram(w.Tile, w.Core, prog); err != nil {
-			return err
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, paramBase, uint32(wid)); err != nil {
-			return err
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, paramBase+4, ctrlBase); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RandomMatrix generates an n x n matrix with entries in [-9, 9].

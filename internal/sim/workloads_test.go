@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -297,7 +298,7 @@ func TestRelayDetourNonMeshTopologies(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := startRemoteLoad(t, m, src, addr)
-			if err := m.Run(20_000); err != nil {
+			if err := m.RunCtx(context.Background(), 20_000); err != nil {
 				t.Fatalf("machine did not quiesce: %v", err)
 			}
 			rep := m.Degradation()

@@ -131,23 +131,7 @@ func (r *WorkloadReport) String() string {
 }
 
 // Kernel programs are immutable once assembled; share them process-wide.
-var (
-	kernelOnce  sync.Once
-	kernelProgs map[OpKind][]uint32
-	kernelErr   error
-)
-
-func kernelFor(kind OpKind) ([]uint32, error) {
-	kernelOnce.Do(func() { kernelProgs, kernelErr = assembleKernels() })
-	if kernelErr != nil {
-		return nil, kernelErr
-	}
-	return kernelProgs[kind], nil
-}
-
-// Core-private parameter block layout, shared with internal/sim's graph
-// kernels (worker id at +0, ctrl pointer at +4).
-const workerParamBase = 0xF000
+var kernelProgs = sync.OnceValues(assembleKernels)
 
 // Run executes g on m and returns every operator's output tensor (for
 // differential verification) plus the report. See RunCtx.
@@ -230,16 +214,14 @@ func runOp(ctx context.Context, m *sim.Machine, g *Graph, idx int, shapes map[st
 	base := pl.Tensors[op.ID]
 	if op.Kind == KindInput {
 		data := inputData(g, idx)
-		for i, v := range data {
-			if err := m.WriteGlobal32(base+uint32(4*i), uint32(v)); err != nil {
-				return fail("writing input: %v", err)
-			}
+		if err := sim.WriteGlobalWords(m, base, data); err != nil {
+			return fail("writing input: %v", err)
 		}
 		outputs[op.ID] = data
 		return om, nil
 	}
 
-	prog, err := kernelFor(op.Kind)
+	progs, err := kernelProgs()
 	if err != nil {
 		return om, err
 	}
@@ -255,33 +237,18 @@ func runOp(ctx context.Context, m *sim.Machine, g *Graph, idx int, shapes map[st
 	// The worker count is a kernel parameter (the stride), written after
 	// the count is known.
 	ctrl[ctrlWorkerSlot(op.Kind)] = uint32(len(ws))
-	for i, w := range ctrl {
-		if err := m.WriteGlobal32(pl.Ctrl[op.ID]+uint32(4*i), w); err != nil {
-			return fail("writing ctrl: %v", err)
-		}
+	if err := sim.WriteGlobalWords(m, pl.Ctrl[op.ID], ctrl); err != nil {
+		return fail("writing ctrl: %v", err)
 	}
 
 	c0, r0 := m.Cycle(), m.RemoteRequests
 	lat0 := m.RemoteLatency
 	d0 := m.Degradation()
-
-	for wid, w := range ws {
-		if err := m.LoadProgram(w.Tile, w.Core, prog); err != nil {
-			return om, fmt.Errorf("workload: op %q: %w", op.ID, err)
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, workerParamBase, uint32(wid)); err != nil {
-			return om, fmt.Errorf("workload: op %q: %w", op.ID, err)
-		}
-		if err := m.WritePrivate32(w.Tile, w.Core, workerParamBase+4, pl.Ctrl[op.ID]); err != nil {
-			return om, fmt.Errorf("workload: op %q: %w", op.ID, err)
-		}
-	}
-
-	runErr := m.RunCtx(ctx, opt.OpBudget)
+	runErr := sim.RunKernel(ctx, m, progs[op.Kind], pl.Ctrl[op.ID], ws, opt.OpBudget)
 	var budget *sim.BudgetError
 	timedOut := errors.As(runErr, &budget)
 	if runErr != nil && !timedOut {
-		return om, runErr // cancellation or machine-level failure
+		return om, fmt.Errorf("workload: op %q: %w", op.ID, runErr) // cancellation, or a worker that would not load
 	}
 
 	// Collect metrics before judging success so even failed ops are
@@ -320,13 +287,9 @@ func runOp(ctx context.Context, m *sim.Machine, g *Graph, idx int, shapes map[st
 		return fail("%d worker(s) faulted: %s", len(faults), faults[0])
 	}
 
-	out := make([]int32, sh.Rows*sh.Cols)
-	for i := range out {
-		v, err := m.ReadGlobal32(base + uint32(4*i))
-		if err != nil {
-			return fail("reading output: %v", err)
-		}
-		out[i] = int32(v)
+	out, err := sim.ReadGlobalWords(m, base, sh.Rows*sh.Cols)
+	if err != nil {
+		return fail("reading output: %v", err)
 	}
 	outputs[op.ID] = out
 	return om, nil

@@ -6,11 +6,10 @@ import (
 	"waferscale/internal/sim"
 )
 
-// WS-ISA kernels, one per operator kind. All kernels share the launch
-// convention of internal/sim's graph kernels: the per-core parameter
-// block at private 0xF000 holds (+0) the worker id and (+4) the control
-// block's global address; ctrl parameters are cached into the private
-// spill area at 0xF100. Work is strided: worker w of W owns output
+// WS-ISA kernels, one per operator kind. Every kernel launches through
+// sim.RunKernel and starts with sim.KernelPrelude, which hands it its
+// worker id and control block address; ctrl parameters are cached into
+// the private spill area. Work is strided: worker w of W owns output
 // elements w, w+W, w+2W, ... — every output element has exactly one
 // writer and no kernel needs atomics or barriers, which is what makes
 // the wafer result a pure function of the input data (bit-identical
@@ -26,19 +25,9 @@ import (
 //	broadcast:   +0 P   +4 D   +8 W   +12 &in  +16 &out
 //	copy:        +0 n   +4 W   +8 &in +12 &out             (scatter and gather)
 
-// kernelPrelude loads the worker id into r2, the ctrl address into r3,
-// and parks r1 at the private spill base.
-const kernelPrelude = `
-start:
-    la   r1, 0xF000
-    lw   r2, 0(r1)        ; worker id
-    lw   r3, 4(r1)        ; ctrl block address
-    la   r1, 0xF100       ; private parameter cache
-`
-
 // GEMMKernelSource: C[M x N] = A[M x K] * B[K x N], rows of C strided
 // across workers.
-const GEMMKernelSource = kernelPrelude + `
+const GEMMKernelSource = sim.KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; M
     lw   r4, 4(r3)
@@ -106,7 +95,7 @@ done:
 `
 
 // ElementwiseKernelSource: out[i] = fn(x[i], y[i]) for strided i.
-const ElementwiseKernelSource = kernelPrelude + `
+const ElementwiseKernelSource = sim.KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; n
     lw   r4, 4(r3)
@@ -160,7 +149,7 @@ done:
 `
 
 // AttentionKernelSource: out[i][:] = table[idx[i]][:], rows strided.
-const AttentionKernelSource = kernelPrelude + `
+const AttentionKernelSource = sim.KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; n
     lw   r4, 4(r3)
@@ -213,7 +202,7 @@ done:
 // position, computed by scanning the route array — deterministic (no
 // timing-dependent slot atomics), so it matches the reference executor
 // bit for bit.
-const MoEDispatchKernelSource = kernelPrelude + `
+const MoEDispatchKernelSource = sim.KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; n
     lw   r4, 4(r3)
@@ -282,7 +271,7 @@ done:
 // AllReduceKernelSource: columns strided across workers; each worker
 // sums its columns over the P partial rows, then writes the sum back to
 // every participant row (reduce + broadcast on the NoC).
-const AllReduceKernelSource = kernelPrelude + `
+const AllReduceKernelSource = sim.KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; P
     lw   r4, 4(r3)
@@ -334,7 +323,7 @@ done:
 
 // BroadcastKernelSource: out[p][j] = in[0][j] for all P participants,
 // columns strided across workers.
-const BroadcastKernelSource = kernelPrelude + `
+const BroadcastKernelSource = sim.KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; P
     lw   r4, 4(r3)
@@ -378,7 +367,7 @@ done:
 // core of the scatter and gather collectives (the reshape itself is
 // free; the traffic is reading the root region and writing the
 // scattered/gathered region across the NoC).
-const CopyKernelSource = kernelPrelude + `
+const CopyKernelSource = sim.KernelPrelude + `
     lw   r4, 0(r3)
     sw   r4, 8(r1)        ; n
     lw   r4, 4(r3)
