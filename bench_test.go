@@ -415,6 +415,37 @@ func BenchmarkE1GraphWorkloads(b *testing.B) {
 	b.ReportMetric(float64(cycles), "machineCycles")
 }
 
+// BenchmarkWaferBFS runs BFS at the paper's scale: the full 32×32-tile,
+// 14-core-per-tile machine (14,336 cores) built anew each op, wsim's
+// default 64-vertex random graph and 16 workers, verified against the
+// host reference. Only a few tiles hold a worker, so the op times the
+// machine's cost of a mostly idle wafer: building it and stepping the
+// NoC plus the few live tiles each cycle.
+func BenchmarkWaferBFS(b *testing.B) {
+	cfg, err := arch.DefaultConfig().Square(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := sim.RandomGraph(64, 192, 1, 2021).Unweighted()
+	want := g.ReferenceSSSP(0)
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		m, err := sim.NewMachine(cfg, fault.NewMap(cfg.Grid()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sim.RunSSSP(m, g, 0, sim.AllWorkers(m, 16), 50_000_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := sim.CountMismatches(res.Dist, want); n > 0 {
+			b.Fatalf("%d distances diverge from the host reference", n)
+		}
+		cycles = res.Cycles
+	}
+	b.ReportMetric(float64(cycles), "machineCycles")
+}
+
 // BenchmarkAblationOddEven compares the future-work odd-even adaptive
 // routing against the prototype's dual-DoR scheme (paper footnote 4).
 func BenchmarkAblationOddEven(b *testing.B) {

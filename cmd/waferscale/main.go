@@ -154,7 +154,7 @@ func cmdReport(args []string) error {
 	}
 	d.Workers = *workers
 	fm := fault.Random(d.Cfg.Grid(), *faults, rand.New(rand.NewSource(*seed)))
-	return d.WriteFullReport(os.Stdout, fm, *trials, *seed)
+	return d.WriteFullReport(context.Background(), os.Stdout, fm, *trials, *seed, nil)
 }
 
 func cmdDroop(args []string) error {

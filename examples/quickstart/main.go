@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -27,7 +28,7 @@ func main() {
 	fm := fault.Random(design.Cfg.Grid(), 5, rand.New(rand.NewSource(2021)))
 	fmt.Printf("fault map: %d faulty tiles at %v\n\n", fm.Count(), fm.FaultyCoords())
 
-	if err := design.WriteFullReport(os.Stdout, fm, 8, 2021); err != nil {
+	if err := design.WriteFullReport(context.Background(), os.Stdout, fm, 8, 2021, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}

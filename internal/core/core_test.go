@@ -162,7 +162,7 @@ func TestAnalyzeYield(t *testing.T) {
 func TestAnalyzeNetwork(t *testing.T) {
 	d := NewDesign()
 	d.Cfg.TilesX, d.Cfg.TilesY, d.Cfg.JTAGChains = 16, 16, 16
-	rep, err := d.AnalyzeNetwork([]int{2, 6}, 4, 7)
+	rep, err := d.AnalyzeNetwork(context.Background(), []int{2, 6}, 4, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAnalyzeNetwork(t *testing.T) {
 	if rep.Bandwidth.AggregateBps <= 0 {
 		t.Error("bandwidth not computed")
 	}
-	if _, err := d.AnalyzeNetwork([]int{2}, 0, 7); err == nil {
+	if _, err := d.AnalyzeNetwork(context.Background(), []int{2}, 0, 7, nil); err == nil {
 		t.Error("zero trials accepted")
 	}
 }
@@ -304,7 +304,7 @@ func TestWriteFullReport(t *testing.T) {
 	fm := fault.NewMap(d.Cfg.Grid())
 	fm.MarkFaulty(geom.C(10, 10))
 	var buf bytes.Buffer
-	if err := d.WriteFullReport(&buf, fm, 2, 1); err != nil {
+	if err := d.WriteFullReport(context.Background(), &buf, fm, 2, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -320,13 +320,13 @@ func TestWriteFullReport(t *testing.T) {
 	// Invalid design refuses to report.
 	bad := NewDesign()
 	bad.PillarYield = 0
-	if err := bad.WriteFullReport(&buf, fm, 1, 1); err == nil {
+	if err := bad.WriteFullReport(context.Background(), &buf, fm, 1, 1, nil); err == nil {
 		t.Error("invalid design reported")
 	}
 	// A failing section (here the Monte Carlo) fails the report before
 	// anything is written.
 	buf.Reset()
-	if err := d.WriteFullReport(&buf, fm, 0, 1); err == nil || buf.Len() != 0 {
+	if err := d.WriteFullReport(context.Background(), &buf, fm, 0, 1, nil); err == nil || buf.Len() != 0 {
 		t.Errorf("zero-trial report: err %v, %d bytes written", err, buf.Len())
 	}
 }

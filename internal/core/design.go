@@ -231,8 +231,10 @@ type NetworkReport struct {
 }
 
 // AnalyzeNetwork runs the Fig. 6 Monte Carlo at the given fault counts.
-func (d *Design) AnalyzeNetwork(faultCounts []int, trials int, seed int64) (*NetworkReport, error) {
-	fig6, err := noc.Fig6SweepCtx(context.Background(), d.Cfg.Grid(), faultCounts, trials, seed, noc.Fig6Opts{Workers: d.Workers})
+// The sweep stops at ctx's cancellation; progress, when non-nil, is
+// the sweep's per-trial feed (noc.Fig6Opts.Progress).
+func (d *Design) AnalyzeNetwork(ctx context.Context, faultCounts []int, trials int, seed int64, progress func(done, total int)) (*NetworkReport, error) {
+	fig6, err := noc.Fig6SweepCtx(ctx, d.Cfg.Grid(), faultCounts, trials, seed, noc.Fig6Opts{Workers: d.Workers, Progress: progress})
 	if err != nil {
 		return nil, err
 	}

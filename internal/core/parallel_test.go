@@ -42,13 +42,13 @@ func TestWriteFullReportWorkerInvariance(t *testing.T) {
 	serial.Workers = 1
 	fm := fault.NewMap(serial.Cfg.Grid())
 	var refBuf bytes.Buffer
-	if err := serial.WriteFullReport(&refBuf, fm, 2, 11); err != nil {
+	if err := serial.WriteFullReport(context.Background(), &refBuf, fm, 2, 11, nil); err != nil {
 		t.Fatal(err)
 	}
 	par := NewDesign()
 	par.Workers = 0 // GOMAXPROCS
 	var gotBuf bytes.Buffer
-	if err := par.WriteFullReport(&gotBuf, fm, 2, 11); err != nil {
+	if err := par.WriteFullReport(context.Background(), &gotBuf, fm, 2, 11, nil); err != nil {
 		t.Fatal(err)
 	}
 	if gotBuf.String() != refBuf.String() {

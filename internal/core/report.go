@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -18,7 +19,11 @@ import (
 // bounded pool (d.Workers goroutines, 0 = GOMAXPROCS) and the report
 // is rendered serially afterwards — the output is byte-identical at
 // any worker count.
-func (d *Design) WriteFullReport(w io.Writer, fm *fault.Map, mcTrials int, seed int64) error {
+//
+// The analyses stop at ctx's cancellation. progress, when non-nil, is
+// called after each Fig. 6 Monte Carlo trial, the bulk of the run, with
+// the trials done and the total; it must be safe for concurrent use.
+func (d *Design) WriteFullReport(ctx context.Context, w io.Writer, fm *fault.Map, mcTrials int, seed int64, progress func(done, total int)) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
@@ -36,7 +41,7 @@ func (d *Design) WriteFullReport(w io.Writer, fm *fault.Map, mcTrials int, seed 
 		kgd   *KGDReport
 		iop   *IOPowerReport
 	)
-	err := parallel.Do(nil, d.Workers,
+	err := parallel.Do(ctx, d.Workers,
 		// The transient and frequency closures read the one droop map.
 		func() (e error) {
 			if power, e = d.AnalyzePower(); e != nil {
@@ -50,7 +55,7 @@ func (d *Design) WriteFullReport(w io.Writer, fm *fault.Map, mcTrials int, seed 
 		},
 		func() (e error) { clk, e = d.AnalyzeClock(fm); return },
 		func() (e error) { yld, e = d.AnalyzeYield(); return },
-		func() (e error) { net, e = d.AnalyzeNetwork([]int{1, 5, 10}, mcTrials, seed); return },
+		func() (e error) { net, e = d.AnalyzeNetwork(ctx, []int{1, 5, 10}, mcTrials, seed, progress); return },
 		func() (e error) { tst, e = d.AnalyzeTest(); return },
 		func() (e error) { sub, e = d.AnalyzeSubstrate(); return },
 		func() (e error) { pl, e = d.AnalyzePlacement(fm, 4); return },

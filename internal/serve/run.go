@@ -355,7 +355,10 @@ func runReport(ctx context.Context, sp *ReportSpec, workers int, emit func(Event
 	}
 	fm := fault.Random(d.Cfg.Grid(), faults, rand.New(rand.NewSource(sp.Seed)))
 	var buf bytes.Buffer
-	if err := d.WriteFullReport(&buf, fm, sp.Trials, sp.Seed); err != nil {
+	progress := func(done, total int) {
+		emit(Event{Stage: "trials", Done: int64(done), Total: int64(total)})
+	}
+	if err := d.WriteFullReport(ctx, &buf, fm, sp.Trials, sp.Seed, progress); err != nil {
 		return nil, err
 	}
 	emit(Event{Stage: "sections", Done: 1, Total: 1})

@@ -162,7 +162,14 @@ func TestWorkloadJobStreamsCycles(t *testing.T) {
 	if job < 8*silence {
 		t.Fatalf("job took %v with a silence of %v between progress events: want under 1/8 of the job", job, silence)
 	}
+	requireNoStalls(t, body, job, silence)
+}
 
+// requireNoStalls runs body on a server whose stall timeout is the
+// geometric mean of a job's length and its longest progress silence,
+// and requires the job to finish on its first attempt.
+func requireNoStalls(t *testing.T, body string, job, silence time.Duration) {
+	t.Helper()
 	stall := time.Duration(math.Sqrt(float64(job) * float64(silence)))
 	h := &testHarness{}
 	h.srv = New(Config{Slots: 1, StallTimeout: stall, StallPoll: stall / 4, StallRetries: -1})

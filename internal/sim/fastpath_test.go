@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"waferscale/internal/arch"
@@ -260,6 +262,87 @@ func TestAllHaltedCounterTracksScan(t *testing.T) {
 	}
 	if !m.AllHalted() {
 		t.Fatal("machine did not quiesce after reload")
+	}
+}
+
+// TestActiveTilesTrackScan steps one machine and, every cycle, checks
+// the active-tile set against a scan of every core: a tile whose bit is
+// clear must hold no runnable core, or Step would skip it. The program
+// mix stops cores in every way a core can stop — a quick halter, a
+// longer loop, a fault, a KillTile of a tile with running cores — and
+// then reloads a stopped core on a tile that had gone quiet.
+func TestActiveTilesTrackScan(t *testing.T) {
+	m := newMachine(t, smallConfig(), nil)
+	load := func(tile geom.Coord, core int, src string) {
+		if err := m.LoadProgram(tile, core, mustAssemble(t, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop := func(n int) string {
+		return fmt.Sprintf("li r1, %d\nl:\naddi r1, r1, -1\nbne r1, r0, l\nhalt", n)
+	}
+	isActive := func(i int) bool { return m.active[i>>6]>>uint(i&63)&1 == 1 }
+	check := func() {
+		t.Helper()
+		for i, tl := range m.tiles {
+			if tl == nil || isActive(i) {
+				continue
+			}
+			for _, c := range tl.Cores {
+				if !c.Halted() {
+					t.Fatalf("cycle %d: tile %v core %d is runnable but its tile's bit is clear", m.Cycle(), tl.Coord, c.idx)
+				}
+			}
+		}
+	}
+	activeCount := func() int {
+		n := 0
+		for _, w := range m.active {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+
+	quiet, victim := geom.C(0, 0), geom.C(1, 2)
+	load(quiet, 0, "halt")
+	load(geom.C(1, 1), 1, loop(40))
+	load(geom.C(2, 2), 2, "la r1, 0x20000000\nlw r2, 0(r1)\nhalt") // unmapped: faults
+	load(victim, 0, loop(500))
+	load(victim, 3, loop(500))
+	check()
+
+	for i := 0; i < 400 && !m.AllHalted(); i++ {
+		if i == 20 {
+			if !m.KillTile(victim) {
+				t.Fatal("KillTile refused a live tile")
+			}
+			check()
+		}
+		m.Step()
+		check()
+	}
+	if !m.AllHalted() {
+		t.Fatal("machine did not quiesce in 400 cycles")
+	}
+	if len(m.Faults()) != 3 {
+		t.Errorf("faults = %v, want the planted fault and the two killed cores", m.Faults())
+	}
+	if n := activeCount(); n != 0 {
+		t.Fatalf("quiescent machine still has %d active tiles", n)
+	}
+
+	// Reloading a stopped core on a quiet tile must re-enter the tile
+	// into the active set.
+	load(quiet, 0, loop(5))
+	if !isActive(m.grid.Index(quiet)) {
+		t.Fatal("reloaded core's tile not marked active")
+	}
+	for i := 0; i < 100 && !m.AllHalted(); i++ {
+		m.Step()
+		check()
+	}
+	if !m.AllHalted() || activeCount() != 0 {
+		t.Fatalf("reloaded machine did not quiesce: AllHalted=%v, %d active tiles", m.AllHalted(), activeCount())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"waferscale/internal/arch"
@@ -109,11 +110,11 @@ type Tile struct {
 	dead bool
 
 	// run lists the indices of cores that are not halted or faulted, in
-	// ascending order — the per-tile fast path that lets Step skip
-	// parked cores and entirely quiescent tiles instead of touching all
-	// 14×N cores every cycle. A core that stops mid-cycle only marks
-	// runDirty; the list is compacted at the tile's next step so the
-	// in-flight iteration stays stable.
+	// ascending order, so stepping a tile touches only its runnable
+	// cores (Machine.active lets Step skip quiescent tiles altogether).
+	// A core that stops mid-cycle only marks runDirty; the list is
+	// compacted after the tile's step so the in-flight iteration stays
+	// stable.
 	run      []int
 	runDirty bool
 }
@@ -151,6 +152,11 @@ type Machine struct {
 	kernel *noc.Kernel
 	net    *noc.Sim
 	tiles  []*Tile
+	// active has bit i set when tiles[i] is live and may hold a runnable
+	// core; a clear bit means it holds none. LoadProgram sets a bit and
+	// Step clears it once the tile is dead or its run list is empty, so
+	// a cycle visits only the few tiles a kernel keeps busy.
+	active []uint64
 	// topoName is the normalized NoC topology the machine was built
 	// with (see TopologyName).
 	topoName string
@@ -263,6 +269,7 @@ func NewMachineTopology(cfg arch.Config, fm *fault.Map, topology string) (*Machi
 		kernel:   noc.NewKernel(topo, fm),
 		net:      netSim,
 		tiles:    make([]*Tile, g.Size()),
+		active:   make([]uint64, (g.Size()+63)/64),
 		topoName: name,
 		// Worst-case healthy round trip is ~2*(W+H) hops of a few cycles
 		// each plus queuing; 64x the semi-perimeter leaves generous slack
@@ -345,6 +352,8 @@ func (m *Machine) LoadProgram(tile geom.Coord, core int, words []uint32) error {
 	if wasStopped {
 		m.running++
 		t.addRunnable(core)
+		i := m.grid.Index(tile)
+		m.active[i>>6] |= 1 << uint(i&63)
 	}
 	return nil
 }
@@ -518,11 +527,18 @@ func (m *Machine) Step() {
 		m.stepCoresFullScan()
 		return
 	}
-	for _, t := range m.tiles {
-		if t == nil || t.dead {
-			continue
+	// Walk the active tiles in ascending index, the full scan's order.
+	for w, word := range m.active {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			t := m.tiles[w<<6|b]
+			if !t.dead {
+				m.stepTile(t)
+			}
+			if t.dead || len(t.run) == 0 {
+				m.active[w] &^= 1 << uint(b)
+			}
 		}
-		m.stepTile(t)
 	}
 }
 
@@ -530,14 +546,9 @@ func (m *Machine) Step() {
 // item 1's benchmark revision deletes it together with fig7Shards.
 func (m *Machine) Close() {}
 
-// stepTile advances every runnable core of one tile.
+// stepTile advances every runnable core of one tile, then drops the
+// cores that stopped from its run list.
 func (m *Machine) stepTile(t *Tile) {
-	if t.runDirty {
-		t.compactRun()
-	}
-	if len(t.run) == 0 {
-		return // quiescent tile: every core parked or faulted
-	}
 	// Rotate the stepping order so crossbar-bank arbitration is
 	// fair: with fixed priority, spinning readers on a bank can
 	// starve a later core's write indefinitely (barrier livelock).
@@ -553,6 +564,9 @@ func (m *Machine) stepTile(t *Tile) {
 			j -= nr
 		}
 		m.stepCore(t, t.Cores[t.run[j]])
+	}
+	if t.runDirty {
+		t.compactRun()
 	}
 }
 

@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial}"
+PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkWaferBFS|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial}"
 TIME="${BENCH_TIME:-3s}"
 COUNT="${BENCH_COUNT:-3}"
 OUT="${BENCH_OUT:-BENCH_noc.json}"
