@@ -247,18 +247,15 @@ func (m *Model) SaturationRate() float64 { return m.sat * m.eff }
 func (m *Model) ReachableFraction() float64 { return m.reach }
 
 // routeStep resolves one routing decision toward dst on net: the
-// policy's first candidate port at cur, and the link it crosses.
-// terminal is true at ejection (port == local) or on a
-// contract-violating dead end. buf is caller scratch, hoisted out of
-// the route loops so the policy call allocates nothing per step; by
-// the noc.Topology routing contract the packet's source and arrival
+// policy's preferred port at cur, and the link it crosses. terminal is
+// true at ejection (port == local) or on a contract-violating dead end.
+// By the noc.Topology routing contract the packet's source and arrival
 // port do not matter, so the route is asked as if it started at cur.
-func (m *Model) routeStep(net noc.Network, dst, cur geom.Coord, buf []int) (port int, far geom.Coord, length int, terminal bool) {
-	n := m.topo.Policy().Candidates(net, cur, dst, cur, m.local, buf)
-	if n <= 0 {
+func (m *Model) routeStep(net noc.Network, dst, cur geom.Coord) (port int, far geom.Coord, length int, terminal bool) {
+	port = m.topo.Policy().Route(net, cur, dst, cur, m.local).First()
+	if port < 0 {
 		return 0, cur, 0, true
 	}
-	port = buf[0]
 	if port == m.local {
 		return port, cur, 0, true
 	}

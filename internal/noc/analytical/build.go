@@ -208,7 +208,6 @@ func (m *Model) buildInTree() (lenSum int64, clearPairs [2]int64) {
 	routeLen := make([]int64, size) // -1 = unresolved
 	cnt := make([]int64, size)
 	var stack []int32
-	var buf [noc.MaxPorts]int
 	var byLen [][]int32 // bucket lists, index = remaining length
 
 	for net := 0; net < 2; net++ {
@@ -224,7 +223,7 @@ func (m *Model) buildInTree() (lenSum int64, clearPairs [2]int64) {
 			maxLen := 0
 			for i := 0; i < size; i++ {
 				routeLen[i] = -1
-				port, far, length, terminal := m.routeStep(n, dst, g.Coord(i), buf[:])
+				port, far, length, terminal := m.routeStep(n, dst, g.Coord(i))
 				if terminal {
 					nextIdx[i] = -1
 					routeLen[i] = 0

@@ -111,25 +111,21 @@ func (t cmeshTopology) Policy() RoutingPolicy { return cmeshPolicy{} }
 // checks it).
 type cmeshPolicy struct{}
 
-// Candidates implements RoutingPolicy.
-func (cmeshPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []int) int {
+// Route implements RoutingPolicy.
+func (cmeshPolicy) Route(net Network, _, dst, cur geom.Coord, _ int) Ports {
 	if cur == dst {
-		buf[0] = cmeshPorts - 1 // local
-		return 1
+		return onePort(cmeshPorts - 1) // local
 	}
 	hub := cmeshHubOf(cur)
 	if cur != hub {
-		buf[0] = cmeshUp
-		return 1
+		return onePort(cmeshUp)
 	}
 	dhub := cmeshHubOf(dst)
 	if dhub == cur {
-		buf[0] = cmeshUp + cmeshLeafIndex(dst, dhub)
-		return 1
+		return onePort(cmeshUp + cmeshLeafIndex(dst, dhub))
 	}
 	dx, dy := dhub.X-cur.X, dhub.Y-cur.Y
-	buf[0] = int(cmeshDir(net, dx, dy))
-	return 1
+	return onePort(int(cmeshDir(net, dx, dy)))
 }
 
 // cmeshDir picks the dimension-ordered direction over the hub mesh.

@@ -90,20 +90,17 @@ func (expressTopology) Policy() RoutingPolicy { return expressPolicy{} }
 // checks it).
 type expressPolicy struct{}
 
-// Candidates implements RoutingPolicy.
-func (expressPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []int) int {
+// Route implements RoutingPolicy.
+func (expressPolicy) Route(net Network, _, dst, cur geom.Coord, _ int) Ports {
 	dx, dy := dst.X-cur.X, dst.Y-cur.Y
 	if dx == 0 && dy == 0 {
-		buf[0] = expressPorts - 1 // local
-		return 1
+		return onePort(expressPorts - 1) // local
 	}
 	xFirst := net == XY
 	if (xFirst && dx != 0) || (!xFirst && dy == 0) {
-		buf[0] = expressHop(dx, cur.X, geom.East, geom.West)
-	} else {
-		buf[0] = expressHop(dy, cur.Y, geom.North, geom.South)
+		return onePort(expressHop(dx, cur.X, geom.East, geom.West))
 	}
-	return 1
+	return onePort(expressHop(dy, cur.Y, geom.North, geom.South))
 }
 
 // expressHop picks the port for one dimension: the express link toward

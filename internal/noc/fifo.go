@@ -1,53 +1,58 @@
 package noc
 
-// pktFIFO is a fixed-capacity ring buffer of packet handles — one
-// router input port's buffer. The packets themselves live in the
-// simulator's arena (Sim.pkts); a ring moves 4-byte handles into it.
-// Capacity is SimConfig.FIFODepth; the switch allocator's credit
-// accounting guarantees a push never lands on a full ring, so the
-// buffer never reallocates and the cycle engine stays allocation-free.
-// The backing storage is a slice of the per-network handle slab
-// (meshNet.slab, one allocation for every FIFO of a mesh).
-type pktFIFO struct {
-	buf  []int32
-	head int // index of the oldest handle
-	n    int // handles queued
+// The input FIFOs of one network are fixed-capacity rings over one
+// slab, meshNet.fifo, with FIFODepth entries per input slot
+// tile*np+port, each the handle of a queued packet in the packet
+// store. Each ring's head and length are in meshNet.q. The switch allocator's
+// credit accounting guarantees a push never lands on a full ring, so
+// no ring ever reallocates and the cycle engine stays allocation-free.
+
+// ring is one input FIFO's position in its slot of the slab.
+type ring struct {
+	head int32 // index of the oldest entry
+	n    int32 // entries queued
 }
 
-// len returns the number of queued packets.
-func (f *pktFIFO) len() int { return f.n }
+// front returns the slab index of the FIFO at slot's head entry; the
+// FIFO must be non-empty.
+func (mn *meshNet) front(slot int) int { return slot*mn.depth + int(mn.q[slot].head) }
 
-// push appends handle h at the tail. The caller has already checked
-// space (FIFODepth credit or an explicit len() comparison); overflowing
-// indicates a flow-control bug, so it panics loudly rather than
-// corrupting the ring.
-func (f *pktFIFO) push(h int32) {
-	if f.n == len(f.buf) {
+// enqueue pushes handle h into the FIFO at (tile, port) and marks the
+// port occupied and the tile busy. The caller has checked space and accounted the
+// credit; overflowing indicates a flow-control bug, so it panics
+// loudly rather than corrupting the ring.
+func (mn *meshNet) enqueue(tile, port int, h int32) {
+	slot := tile*mn.np + port
+	q := &mn.q[slot]
+	if int(q.n) == mn.depth {
 		panic("noc: FIFO overflow (credit accounting bug)")
 	}
-	f.buf[f.at(f.n)] = h
-	f.n++
+	i := int(q.head + q.n)
+	if i >= mn.depth {
+		i -= mn.depth
+	}
+	mn.fifo[slot*mn.depth+i] = h
+	q.n++
+	mn.occ[tile] |= 1 << uint(port)
+	mn.busy[tile>>6] |= 1 << uint(tile&63)
 }
 
-// drop removes the head handle; read it through front first.
-func (f *pktFIFO) drop() {
-	f.head++
-	if f.head == len(f.buf) {
-		f.head = 0
+// dequeue pops the head handle of the FIFO at (tile, port), returning
+// its credit and clearing the port's occupancy bit, and the tile's busy
+// bit, when they empty.
+func (mn *meshNet) dequeue(tile, port int) int32 {
+	slot := tile*mn.np + port
+	q := &mn.q[slot]
+	h := mn.fifo[slot*mn.depth+int(q.head)]
+	if q.head++; int(q.head) == mn.depth {
+		q.head = 0
 	}
-	f.n--
-}
-
-// front returns the head packet's handle — for routing,
-// CorruptPayload's head-of-queue bit-error semantics and traversal.
-// The FIFO must be non-empty.
-func (f *pktFIFO) front() int32 { return f.buf[f.head] }
-
-// at returns the ring index of the k-th queued handle (0 = head).
-func (f *pktFIFO) at(k int) int {
-	i := f.head + k
-	if i >= len(f.buf) {
-		i -= len(f.buf)
+	q.n--
+	mn.credit[slot]--
+	if q.n == 0 {
+		if mn.occ[tile] &^= 1 << uint(port); mn.occ[tile] == 0 {
+			mn.busy[tile>>6] &^= 1 << uint(tile&63)
+		}
 	}
-	return i
+	return h
 }

@@ -7,13 +7,13 @@ import (
 	"waferscale/internal/geom"
 )
 
-// TestPolicyConcurrentCandidates is the race canary for the Topology
+// TestPolicyConcurrentRoute is the race canary for the Topology
 // concurrency contract (topology.go): the Fig. 6 sweeps share one
-// topology across parallel.ForEach workers, each with its own buffer,
-// so every shipped policy must be safe for lock-free concurrent use.
+// topology across parallel.ForEach workers, so every shipped policy
+// must be safe for lock-free concurrent use.
 // Run under -race (CI does), a policy smuggling mutable per-call state
 // through its receiver trips the detector here.
-func TestPolicyConcurrentCandidates(t *testing.T) {
+func TestPolicyConcurrentRoute(t *testing.T) {
 	g := geom.NewGrid(12, 12)
 	policies := map[string]RoutingPolicy{"oddeven": OddEvenPolicy{}}
 	for _, name := range TopologyNames() {
@@ -30,14 +30,13 @@ func TestPolicyConcurrentCandidates(t *testing.T) {
 			wg.Add(1)
 			go func(band int) {
 				defer wg.Done()
-				var buf [MaxPorts]int
 				for y := band; y < g.H; y += workers {
 					for x := 0; x < g.W; x++ {
 						cur := geom.C(x, y)
 						g.All(func(dst geom.Coord) {
 							for _, net := range []Network{XY, YX} {
-								if n := pol.Candidates(net, cur, dst, cur, int(geom.North), buf[:]); n <= 0 {
-									t.Errorf("%s: 0 candidates at %v for %v", name, cur, dst)
+								if pol.Route(net, cur, dst, cur, int(geom.North)).First() < 0 {
+									t.Errorf("%s: no port at %v for %v", name, cur, dst)
 									return
 								}
 							}

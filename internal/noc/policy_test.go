@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,19 @@ import (
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
 )
+
+// portList lists a routing decision's ports, the preferred one first
+// and the rest ascending.
+func portList(p Ports) []int {
+	if p.mask == 0 {
+		return nil
+	}
+	out := []int{p.First()}
+	for m := p.mask &^ (1 << p.first); m != 0; m &= m - 1 {
+		out = append(out, bits.TrailingZeros16(m))
+	}
+	return out
+}
 
 func TestDoRPolicyMatchesNextHop(t *testing.T) {
 	f := func(sx, sy, dx, dy uint8, netSel bool) bool {
@@ -17,9 +31,7 @@ func TestDoRPolicyMatchesNextHop(t *testing.T) {
 		if netSel {
 			net = YX
 		}
-		var buf [numPorts]int
-		n := DoRPolicy{}.Candidates(net, geom.Coord{}, dst, cur, portLocal, buf[:])
-		c := buf[:n]
+		c := portList(DoRPolicy{}.Route(net, geom.Coord{}, dst, cur, portLocal))
 		if len(c) != 1 {
 			return false
 		}
@@ -49,9 +61,7 @@ func TestOddEvenCandidatesMinimalAndLegal(t *testing.T) {
 			if hops > src.Manhattan(dst) {
 				return false // non-minimal path taken
 			}
-			var buf [numPorts]int
-			nc := pol.Candidates(XY, src, dst, cur, portLocal, buf[:])
-			cands := buf[:nc]
+			cands := portList(pol.Route(XY, src, dst, cur, portLocal))
 			if len(cands) == 0 {
 				return false // ROUTE must never strand a packet
 			}

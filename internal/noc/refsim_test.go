@@ -245,9 +245,7 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 		return inQueue+inAir+reserved[key] < s.cfg.FIFODepth
 	}
 	candidates := func(p Packet, at geom.Coord, inPort int) []int {
-		buf := make([]int, numPorts)
-		n := s.Policy.Candidates(mn.net, p.Src, p.Dst, at, inPort, buf)
-		return buf[:n]
+		return portList(s.Policy.Route(mn.net, p.Src, p.Dst, at, inPort))
 	}
 	for _, r := range mn.routers {
 		if r == nil {
@@ -655,40 +653,42 @@ func checkDrainedScan(t *testing.T, e engine) {
 	s := e.(*Sim)
 	if s.Drained() != s.drainedScan() {
 		t.Fatalf("cycle %d: Drained()=%v but scan says %v (live=%d)",
-			s.Cycle(), s.Drained(), s.drainedScan(), len(s.pkts)-len(s.free))
+			s.Cycle(), s.Drained(), s.drainedScan(), s.store.live)
 	}
 }
 
 // checkBusySet asserts the allocator's activity bookkeeping against a
-// full scan: per network, a router's busy bit is set exactly when its
-// queued counter is positive, which holds exactly when its FIFOs are
-// non-empty (and queued equals their total); dead routers and bits past
-// the grid are clear; and between cycles, when no grant is pending,
-// every live input slot's credit counter equals its FIFO length plus
-// the flights the wheel holds toward it.
+// full scan: per network, a router's occupancy mask
+// has bit p set exactly when its FIFO p is non-empty and its busy bit
+// is set exactly when the mask is non-zero; dead routers hold nothing
+// and bits past the grid are clear; between cycles, when no grant is
+// pending, every live input slot's credit counter equals its FIFO
+// length plus the flights the wheel holds toward it.
 func checkBusySet(t *testing.T, e engine) {
 	t.Helper()
 	s := e.(*Sim)
 	for _, mn := range s.nets {
-		for i := range mn.busy {
-			for b := 0; b < 64; b++ {
-				ri := i*64 + b
-				bit := mn.busy[i]>>uint(b)&1 == 1
-				if ri >= len(mn.routers) || mn.routers[ri] == nil {
-					if bit {
-						t.Fatalf("cycle %d %v: busy bit %d set on a dead or absent router", s.Cycle(), mn.net, ri)
-					}
-					continue
+		for ti := 0; ti < len(mn.busy)*64; ti++ {
+			bit := mn.busy[ti>>6]>>uint(ti&63)&1 == 1
+			if ti >= len(s.alive) || !s.alive[ti] {
+				if bit {
+					t.Fatalf("cycle %d %v: busy bit %d set on a dead or absent router", s.Cycle(), mn.net, ti)
 				}
-				r := mn.routers[ri]
-				sum := 0
-				for p := range r.in {
-					sum += r.in[p].len()
+				if ti < len(s.alive) && (mn.occ[ti] != 0 || mn.queued(ti) != 0) {
+					t.Fatalf("cycle %d %v: dead router %v holds %d packets (occupancy %b)",
+						s.Cycle(), mn.net, s.at[ti], mn.queued(ti), mn.occ[ti])
 				}
-				if bit != (r.queued > 0) || int(r.queued) != sum {
-					t.Fatalf("cycle %d %v router %v: busy=%v queued=%d, FIFOs hold %d",
-						s.Cycle(), mn.net, r.at, bit, r.queued, sum)
+				continue
+			}
+			var occ uint16
+			for p := 0; p < s.np; p++ {
+				if mn.q[ti*s.np+p].n > 0 {
+					occ |= 1 << uint(p)
 				}
+			}
+			if mn.occ[ti] != occ || bit != (occ != 0) {
+				t.Fatalf("cycle %d %v router %v: busy=%v occupancy %b, FIFOs occupy %b",
+					s.Cycle(), mn.net, s.at[ti], bit, mn.occ[ti], occ)
 			}
 		}
 		perSlot := make([]int32, len(mn.credit))
@@ -698,12 +698,11 @@ func checkBusySet(t *testing.T, e engine) {
 			}
 		}
 		for slot, n := range perSlot {
-			r := mn.routers[slot/s.np]
-			if r == nil {
+			if !s.alive[slot/s.np] {
 				continue
 			}
-			queued := r.in[slot%s.np].len()
-			if want := n + int32(queued); mn.credit[slot] != want {
+			queued := mn.q[slot].n
+			if want := n + queued; mn.credit[slot] != want {
 				t.Fatalf("cycle %d %v slot %d: %d queued + %d flights in the wheel, credit %d",
 					s.Cycle(), mn.net, slot, queued, n, mn.credit[slot])
 			}
@@ -712,25 +711,34 @@ func checkBusySet(t *testing.T, e engine) {
 }
 
 // TestBusySetMatchesScan cross-validates the busy-router set, the
-// per-router queued counters and the flight wheel against full scans on
-// every step of a chaos run: kills and drops are where the incremental
-// bookkeeping could slip, and a stale busy bit would silently skip a
-// router's allocation.
+// per-router occupancy masks, the credit counters and the flight wheel
+// against full scans on every step of chaos runs: kills and drops are
+// where the incremental bookkeeping could slip, and a stale busy bit
+// would silently skip a router's allocation. It runs under DoR and
+// under odd-even, whose heads may request two outputs at once.
 func TestBusySetMatchesScan(t *testing.T) {
-	s := scenario{
-		grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
-		cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3,
-		checkLiveFn: checkBusySet,
-	}
-	fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
-	sim, err := NewSim(fm, DefaultSimConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RetainDelivered = true
-	st, _, _ := runScenario(t, s, sim)
-	if st.RoutersKilled == 0 || st.Forwarded == 0 || st.Delivered == 0 {
-		t.Fatalf("chaos scenario exercised too little: %+v", st)
+	for name, s := range map[string]scenario{
+		"dor": {grid: geom.NewGrid(8, 8), faults: 2, seed: 616,
+			cycles: 600, injectProb: 0.9, chaos: true, forwardMod: 3},
+		"oddeven": {grid: geom.NewGrid(9, 9), faults: 2, seed: 424,
+			cycles: 800, injectProb: 0.9, oddEven: true, chaos: true, forwardMod: 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s.checkLiveFn = checkBusySet
+			fm := fault.Random(s.grid, s.faults, rand.New(rand.NewSource(s.seed)))
+			sim, err := NewSim(fm, DefaultSimConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.oddEven {
+				sim.Policy = OddEvenPolicy{}
+			}
+			sim.RetainDelivered = true
+			st, _, _ := runScenario(t, s, sim)
+			if st.RoutersKilled == 0 || st.Forwarded == 0 || st.Delivered == 0 {
+				t.Fatalf("chaos scenario exercised too little: %+v", st)
+			}
+		})
 	}
 }
 

@@ -26,139 +26,79 @@ const (
 // inFlight is a packet crossing an inter-chiplet link. Its arrival
 // cycle is implied by the flight-wheel bucket holding it.
 type inFlight struct {
-	h    int32 // packet handle in Sim.pkts
+	h    int32 // packet handle in the store
 	tile int32 // destination tile index
 	port int32 // arrival port on that tile
 }
 
-// route is a packet handle's 12-byte routing record, all that switch
-// allocation and traversal touch: Src, Dst and the hop count. int16
-// holds any coordinate, since grid sides are capped at 1<<15.
-type route struct {
-	srcX, srcY, dstX, dstY int16
-	hops                   int32
-}
-
-func (rt *route) src() geom.Coord { return geom.Coord{X: int(rt.srcX), Y: int(rt.srcY)} }
-func (rt *route) dst() geom.Coord { return geom.Coord{X: int(rt.dstX), Y: int(rt.dstY)} }
-
-// body is the rest of a packet but DeliveredAt, which ejection stamps.
-// net is 0 or 1: Inject and Forward index the networks with it first.
-type body struct {
-	id, payload uint64
-	injectedAt  int64
-	kind        Kind
-	tag         uint32
-	net         uint8
-}
-
-// router is one tile's switch on one physical network: input-buffered,
-// round-robin arbitration per output port, credit-checked forwarding.
-// The input FIFOs, their credit counters and the round-robin pointers
-// are slices into per-network slabs sized by the topology's port
-// count. queued counts the packets across all its input FIFOs; it is
-// > 0 exactly when the router's bit in meshNet.busy is set.
-type router struct {
-	at     geom.Coord
-	idx    int32     // grid index, for O(1) neighbor-table lookups
-	queued int32     // packets across all input FIFOs
-	in     []pktFIFO // input FIFOs (ring buffers, FIFODepth each), one per port
-	credit []int32   // this router's slots of meshNet.credit, one per port
-	rrAt   []int     // round-robin pointer per output port
-}
-
 // grant is one switch-allocation decision: move the head packet of
-// (r, inPort) to outPort.
-type grant struct {
-	r       *router
-	inPort  int
-	outPort int
-}
+// tile's input port in to output port out.
+type grant struct{ tile, in, out int32 }
 
-// meshNet is one of the two physical networks. Beyond the routers it
-// carries the in-flight link population, the per-slot credit counters
-// and the reusable grant list that make stepNet allocation-free:
+// meshNet is one of the two physical networks: every router's state
+// as flat arrays, per input slot tile*np+port or per tile, and the
+// in-flight link population. Each tile's router is input-buffered,
+// arbitrates round-robin per output port and forwards only with
+// credit. KillRouter empties a dead tile's FIFOs; no other state of a
+// dead tile matters again.
 //
+//   - fifo and q are the input FIFO rings (fifo.go);
+//   - credit[slot] counts that input FIFO's packets queued, in flight
+//     toward it and granted toward it this cycle: a grant or
+//     injection increments it, a dequeue decrements it, and a landing
+//     leaves it unchanged. A dead tile's slots are not kept: a grant
+//     toward a dead tile always goes ahead;
+//   - rr[tile*np+out] is the input last granted output out, where
+//     round-robin arbitration resumes;
+//   - occ[tile] has bit p set exactly when the tile's FIFO p holds a
+//     packet, and busy has bit tile set exactly when occ[tile] != 0, so
+//     switch allocation visits only occupied routers and inputs.
+//     Injection, landing, traversal and kills write them; allocation
+//     only reads them;
 //   - wheel is a timing wheel of flights: bucket c % len(wheel) holds
 //     the flights landing at cycle c, in launch order. It has
 //     max(link latency) buckets: a cycle drains its own bucket before
 //     it launches anything, so a flight of the longest latency can
 //     reuse the bucket just drained, and every shorter one lands in a
 //     bucket due earlier;
-//   - busy has bit i set exactly when routers[i] holds a queued packet
-//     (router.queued > 0), so switch allocation visits only occupied
-//     routers. Injection, landing, traversal and kills write it;
-//     allocation only reads it;
-//   - credit[tile*np+port] counts that input FIFO's packets queued,
-//     in flight toward it and granted toward it this cycle: a grant or
-//     injection increments it, a dequeue decrements it, and a landing
-//     leaves it unchanged. A dead tile's slots are not kept: a grant
-//     toward a dead tile always goes ahead;
-//   - grants is the reusable grant list;
-//   - slab backs every input FIFO ring, FIFODepth handles per
-//     (tile, port).
+//   - grants is the reusable grant list.
 type meshNet struct {
-	net     Network
-	routers []*router
-	slab    []int32
-	wheel   [][]inFlight
-	busy    []uint64
-	credit  []int32
-	grants  []grant
+	net       Network
+	np, depth int
+	fifo      []int32
+	q         []ring
+	credit    []int32
+	rr        []uint8
+	occ       []uint16
+	busy      []uint64
+	wheel     [][]inFlight
+	grants    []grant
 }
 
-// enqueue pushes handle h into r's input FIFO at port and marks r
-// busy. The caller has checked space and accounted the credit.
-func (mn *meshNet) enqueue(r *router, port int, h int32) {
-	r.in[port].push(h)
-	r.queued++
-	mn.busy[r.idx>>6] |= 1 << uint(r.idx&63)
-}
-
-// dequeue drops the head packet of r's input FIFO at port, returning
-// its credit and clearing r's busy bit when it empties.
-func (mn *meshNet) dequeue(r *router, port int) {
-	r.in[port].drop()
-	r.credit[port]--
-	r.queued--
-	if r.queued == 0 {
-		mn.busy[r.idx>>6] &^= 1 << uint(r.idx&63)
-	}
-}
-
-// addRouters instantiates the router of every tile i for which alive(i)
-// holds, carving its FIFO rings out of mn.slab (which must hold
-// FIFODepth handles per (tile, port)), its credit counters out of
-// mn.credit, and its headers and round-robin pointers out of two more
-// slabs — a handful of allocations per network keeps NewSim cheap
+// newMeshNet allocates one network's router state for size tiles of np
+// ports each, with depth-deep FIFOs and a wheelLen-bucket flight
+// wheel: a handful of allocations per network keeps NewSim cheap
 // inside Monte Carlo loops.
-func (mn *meshNet) addRouters(g geom.Grid, np, depth int, alive func(i int) bool) {
-	routers := make([]router, g.Size())
-	fifos := make([]pktFIFO, g.Size()*np)
-	rr := make([]int, g.Size()*np)
-	for i := range routers {
-		if !alive(i) {
-			continue
-		}
-		r := &routers[i]
-		*r = router{at: g.Coord(i), idx: int32(i), in: fifos[i*np : (i+1)*np],
-			credit: mn.credit[i*np : (i+1)*np], rrAt: rr[i*np : (i+1)*np]}
-		for p := range r.in {
-			k := i*np + p
-			r.in[p].buf = mn.slab[k*depth : (k+1)*depth]
-		}
-		mn.routers[i] = r
+func newMeshNet(net Network, size, np, depth, wheelLen int) *meshNet {
+	return &meshNet{
+		net: net, np: np, depth: depth,
+		fifo:   make([]int32, size*np*depth),
+		q:      make([]ring, size*np),
+		credit: make([]int32, size*np),
+		rr:     make([]uint8, size*np),
+		occ:    make([]uint16, size),
+		busy:   make([]uint64, (size+63)/64),
+		wheel:  make([][]inFlight, wheelLen),
 	}
 }
 
-// idle reports whether no router of the network holds a queued packet.
-func (mn *meshNet) idle() bool {
-	for _, w := range mn.busy {
-		if w != 0 {
-			return false
-		}
+// queued returns the packets held in tile's input FIFOs.
+func (mn *meshNet) queued(tile int) int {
+	n := 0
+	for _, q := range mn.q[tile*mn.np : (tile+1)*mn.np] {
+		n += int(q.n)
 	}
-	return true
+	return n
 }
 
 // flightCount returns the number of packets crossing links.
@@ -210,19 +150,15 @@ type Sim struct {
 	// wait; they are not lost.
 	linkDown []bool
 
-	// pkts and route are the packet arena: every packet in the system
-	// (queued or in flight, both networks) is stored once, as a body and
-	// a routing record under one int32 handle that FIFOs and flights
-	// carry. free is the LIFO of released handles, so len(pkts)-len(free)
-	// counts the live packets and Drained is O(1).
-	pkts  []body
-	route []route
-	free  []int32
+	// alive[tile] holds while the tile has a router: it is healthy in
+	// the fault map and KillRouter has not removed it. at[tile] is its
+	// coordinate, for routing. portMask has a bit per router port.
+	alive    []bool
+	at       []geom.Coord
+	portMask uint16
 
-	// candBuf is the scratch buffer RoutingPolicy.Candidates writes
-	// into (stepNet runs the two networks sequentially, so one buffer
-	// serves both).
-	candBuf [MaxPorts]int
+	// store holds every packet in the system (store.go).
+	store packetStore
 
 	// OnDeliver, when set, observes every delivered packet (after stats
 	// are updated). Used by the functional simulator to implement the
@@ -279,7 +215,8 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 	if np < 2 || np > MaxPorts {
 		return nil, fmt.Errorf("noc: topology %q has %d ports per router, want 2..%d", topo.Name(), np, MaxPorts)
 	}
-	s := &Sim{grid: g, fm: fm, cfg: cfg, topo: topo, np: np, local: np - 1, Policy: topo.Policy()}
+	s := &Sim{grid: g, fm: fm, cfg: cfg, topo: topo, np: np, local: np - 1, Policy: topo.Policy(),
+		portMask: uint16(1<<np - 1), store: packetStore{free: -1}}
 	if err := s.buildLinkTables(); err != nil {
 		return nil, err
 	}
@@ -292,16 +229,13 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 		wheelLen = max(wheelLen, lat)
 	}
 	for n := range s.nets {
-		mn := &meshNet{
-			net:     Network(n),
-			routers: make([]*router, g.Size()),
-			slab:    make([]int32, g.Size()*np*cfg.FIFODepth),
-			wheel:   make([][]inFlight, wheelLen),
-			busy:    make([]uint64, (g.Size()+63)/64),
-			credit:  make([]int32, g.Size()*np),
-		}
-		mn.addRouters(g, np, cfg.FIFODepth, func(i int) bool { return fm.Healthy(g.Coord(i)) })
-		s.nets[n] = mn
+		s.nets[n] = newMeshNet(Network(n), g.Size(), np, cfg.FIFODepth, wheelLen)
+	}
+	s.alive = make([]bool, g.Size())
+	s.at = make([]geom.Coord, g.Size())
+	for i := range s.at {
+		s.at[i] = g.Coord(i)
+		s.alive[i] = fm.Healthy(s.at[i])
 	}
 	return s, nil
 }
@@ -392,36 +326,34 @@ func (s *Sim) Inject(net Network, src, dst geom.Coord, kind Kind, tag uint32, pa
 	if s.fm.Faulty(src) {
 		return 0, fmt.Errorf("noc: cannot inject from faulty tile %v", src)
 	}
-	r := s.nets[net].routers[s.grid.Index(src)]
-	if r == nil {
+	i := s.grid.Index(src)
+	if !s.alive[i] {
 		return 0, fmt.Errorf("noc: no router at source tile %v (killed at runtime)", src)
 	}
-	if r.in[s.local].len() >= s.cfg.FIFODepth {
+	if !s.localRoom(net, i) {
 		return 0, ErrBackpressure
 	}
 	s.nextID++
-	s.nets[net].enqueue(r, s.local, s.take(Packet{
+	s.queueLocal(net, i, Packet{
 		ID: s.nextID, Kind: kind, Net: net, Src: src, Dst: dst,
 		Tag: tag, Payload: payload, InjectedAt: s.cycle,
-	}))
-	r.credit[s.local]++ // a landing packet's credit was taken by its grant
+	})
 	s.stats.Injected++
 	return s.nextID, nil
 }
 
-// take stores p's body and route under the most recently freed handle.
-func (s *Sim) take(p Packet) int32 {
-	b := body{p.ID, p.Payload, p.InjectedAt, p.Kind, p.Tag, uint8(p.Net)}
-	rt := route{int16(p.Src.X), int16(p.Src.Y), int16(p.Dst.X), int16(p.Dst.Y), int32(p.Hops)}
-	if n := len(s.free); n > 0 {
-		h := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.pkts[h], s.route[h] = b, rt
-		return h
-	}
-	s.pkts = append(s.pkts, b)
-	s.route = append(s.route, rt)
-	return int32(len(s.pkts) - 1)
+// localRoom reports whether tile's local input FIFO on net has space.
+func (s *Sim) localRoom(net Network, tile int) bool {
+	return int(s.nets[net].q[tile*s.np+s.local].n) < s.cfg.FIFODepth
+}
+
+// queueLocal stores p and queues it at tile's local input port on net,
+// taking the slot's credit (a landing packet's credit was taken by its
+// grant instead).
+func (s *Sim) queueLocal(net Network, tile int, p Packet) {
+	mn := s.nets[net]
+	mn.enqueue(tile, s.local, s.store.take(p))
+	mn.credit[tile*s.np+s.local]++
 }
 
 // ErrBackpressure reports a full injection FIFO.
@@ -444,17 +376,16 @@ func (s *Sim) Forward(net Network, at, newDst geom.Coord, p Packet) error {
 	if s.fm.Faulty(at) {
 		return fmt.Errorf("noc: cannot forward from faulty tile %v", at)
 	}
-	r := s.nets[net].routers[s.grid.Index(at)]
-	if r == nil {
+	i := s.grid.Index(at)
+	if !s.alive[i] {
 		return fmt.Errorf("noc: no router at relay tile %v", at)
 	}
-	if r.in[s.local].len() >= s.cfg.FIFODepth {
+	if !s.localRoom(net, i) {
 		return ErrBackpressure
 	}
 	p.Net = net
 	p.Dst = newDst
-	s.nets[net].enqueue(r, s.local, s.take(p))
-	r.credit[s.local]++
+	s.queueLocal(net, i, p)
 	s.stats.Forwarded++
 	return nil
 }
@@ -472,28 +403,21 @@ func (s *Sim) KillRouter(c geom.Coord) int {
 		return 0
 	}
 	i := s.grid.Index(c)
+	if !s.alive[i] {
+		return 0
+	}
+	s.alive[i] = false
 	dropped := 0
-	killed := false
 	for _, mn := range s.nets {
-		r := mn.routers[i]
-		if r == nil {
-			continue
-		}
-		killed = true
-		dropped += int(r.queued)
-		for p := range r.in {
-			for q := &r.in[p]; q.len() > 0; q.drop() {
-				s.free = append(s.free, q.front())
+		for p := 0; p < s.np; p++ {
+			for ; mn.q[i*s.np+p].n > 0; dropped++ {
+				s.store.release(mn.dequeue(i, p))
 			}
 		}
-		mn.routers[i] = nil
-		mn.busy[i>>6] &^= 1 << uint(i&63)
 	}
-	if killed {
-		s.stats.RoutersKilled++
-		s.stats.Dropped += dropped
-		s.stats.DroppedQueued += dropped
-	}
+	s.stats.RoutersKilled++
+	s.stats.Dropped += dropped
+	s.stats.DroppedQueued += dropped
 	return dropped
 }
 
@@ -534,14 +458,13 @@ func (s *Sim) CorruptPayload(c geom.Coord, mask uint64) bool {
 		return false
 	}
 	i := s.grid.Index(c)
+	if !s.alive[i] {
+		return false
+	}
 	for _, mn := range s.nets {
-		r := mn.routers[i]
-		if r == nil {
-			continue
-		}
 		for p := 0; p < s.np; p++ {
-			if r.in[p].len() > 0 {
-				s.pkts[r.in[p].front()].payload ^= mask
+			if slot := i*s.np + p; mn.q[slot].n > 0 {
+				s.store.body(mn.fifo[mn.front(slot)]).payload ^= mask
 				s.stats.BitErrors++
 				return true
 			}
@@ -578,62 +501,52 @@ func (s *Sim) stepNet(mn *meshNet) {
 // packet keeps the credit its grant took.
 func (s *Sim) landFlights(mn *meshNet) {
 	b := &mn.wheel[s.cycle%int64(len(mn.wheel))]
-	for i := range *b {
-		f := &(*b)[i]
-		r := mn.routers[f.tile]
-		if r == nil {
+	for _, f := range *b {
+		if !s.alive[f.tile] {
 			// Link into a faulty tile: the packet is lost. The kernel's
 			// fault-map routing must make this unreachable.
 			s.stats.Dropped++
 			s.stats.DroppedInFlight++
-			s.free = append(s.free, f.h)
+			s.store.release(f.h)
 			continue
 		}
-		mn.enqueue(r, int(f.port), f.h)
+		mn.enqueue(int(f.tile), int(f.port), f.h)
 	}
 	*b = (*b)[:0]
 }
 
 // allocate runs switch allocation for the busy routers in ascending
-// index order: per router, per requested output port in ascending
+// tile order: per router, per requested output port in ascending
 // order, grant one input whose head packet requests that port,
-// round-robin over inputs. Each head is routed once — Candidates is
-// pure by the Topology contract and the allocator treats its result as
-// a set — and folded into per-output input masks; only outputs some
-// head requests are visited. A grant takes a credit of the downstream
-// slot before movement so a FIFO never overfills within a cycle. The
-// grant list is reused scratch, so this loop allocates nothing in
-// steady state.
+// round-robin over inputs. Each head is routed once per cycle from its
+// routing record alone, and only outputs some head requests are
+// visited. A grant takes a credit of the
+// downstream slot before movement so a FIFO never overfills within a
+// cycle. The grant list is reused scratch, so this loop allocates
+// nothing in steady state.
 func (s *Sim) allocate(mn *meshNet, grants []grant) []grant {
 	np, local, depth := s.np, s.local, int32(s.cfg.FIFODepth)
-	cand := s.candBuf[:]
 	for w, word := range mn.busy {
 		for ; word != 0; word &= word - 1 {
-			ri := w<<6 | bits.TrailingZeros64(word)
-			r := mn.routers[ri]
+			ti := w<<6 | bits.TrailingZeros64(word)
+			base := ti * np
 			// Route every head once: req[out] is the set of inputs whose
 			// head may take output out; outs is the union of requested
-			// outputs.
-			var req [MaxPorts]uint32
-			var outs uint32
-			for in := 0; in < np; in++ {
-				q := &r.in[in]
-				if q.len() == 0 {
-					continue
-				}
-				rt := &s.route[q.front()]
-				nc := s.Policy.Candidates(mn.net, rt.src(), rt.dst(), r.at, in, cand)
-				for _, c := range cand[:nc] {
-					if uint(c) < uint(np) {
-						req[c] |= 1 << uint(in)
-						outs |= 1 << uint(c)
-					}
+			// outputs. Ports the topology lacks are dropped.
+			var req [MaxPorts]uint16
+			var outs uint16
+			for occ := mn.occ[ti]; occ != 0; occ &= occ - 1 {
+				in := bits.TrailingZeros16(occ)
+				rt := s.store.rt(mn.fifo[mn.front(base+in)])
+				ports := s.Policy.Route(mn.net, rt.src(), rt.dst(), s.at[ti], in).mask & s.portMask
+				outs |= ports
+				for ; ports != 0; ports &= ports - 1 {
+					req[bits.TrailingZeros16(ports)] |= 1 << uint(in)
 				}
 			}
-			var taken uint32 // inputs already granted this cycle
-			base := ri * np
+			var taken uint16 // inputs already granted this cycle
 			for ; outs != 0; outs &= outs - 1 {
-				out := bits.TrailingZeros32(outs)
+				out := bits.TrailingZeros16(outs)
 				if out != local && s.linkDown[base+out] {
 					continue // link out of service: packets wait upstream
 				}
@@ -650,7 +563,7 @@ func (s *Sim) allocate(mn *meshNet, grants []grant) []grant {
 				if out != local {
 					if ni := s.nbrTile[base+out]; ni >= 0 {
 						slot := int(ni)*np + int(s.nbrPort[base+out])
-						if mn.credit[slot] >= depth && mn.routers[ni] != nil {
+						if mn.credit[slot] >= depth && s.alive[ni] {
 							continue
 						}
 						mn.credit[slot]++
@@ -658,13 +571,13 @@ func (s *Sim) allocate(mn *meshNet, grants []grant) []grant {
 				}
 				// Round-robin: the first requesting input after the last
 				// granted one, wrapping around.
-				after := ins &^ (uint32(2)<<uint(r.rrAt[out]) - 1)
+				after := ins &^ (uint16(2)<<mn.rr[base+out] - 1)
 				if after == 0 {
 					after = ins
 				}
-				in := bits.TrailingZeros32(after)
-				grants = append(grants, grant{r, in, out})
-				r.rrAt[out] = in
+				in := bits.TrailingZeros16(after)
+				grants = append(grants, grant{int32(ti), int32(in), int32(out)})
+				mn.rr[base+out] = uint8(in)
 				taken |= 1 << uint(in)
 			}
 		}
@@ -674,21 +587,20 @@ func (s *Sim) allocate(mn *meshNet, grants []grant) []grant {
 
 // traverse applies the grants in list order: ejections update stats and
 // fire OnDeliver, link crossings launch flights into the wheel bucket of
-// their arrival cycle. List order is the delivery order, and appending
-// to a bucket in launch order is the landing order. An ejected packet is
-// assembled from its body and route, and its handle freed, before
-// OnDeliver runs: the callback may inject, which can reuse the handle
-// or grow the arena.
+// their arrival cycle. List order
+// is the delivery order, and appending to a bucket in launch order is
+// the landing order. An ejected packet is assembled from its body and
+// route, and its handle freed, before OnDeliver runs: the callback may
+// inject, which can reuse the handle or grow the store.
 func (s *Sim) traverse(mn *meshNet, grants []grant) {
 	now := int(s.cycle % int64(len(mn.wheel))) // this cycle's bucket
 	for _, gr := range grants {
-		h := gr.r.in[gr.inPort].front()
-		mn.dequeue(gr.r, gr.inPort)
-		if gr.outPort == s.local {
-			b, rt := &s.pkts[h], &s.route[h]
+		h := mn.dequeue(int(gr.tile), int(gr.in))
+		if int(gr.out) == s.local {
+			b, rt := s.store.body(h), s.store.rt(h)
 			pkt := Packet{ID: b.id, Kind: b.kind, Net: Network(b.net), Src: rt.src(), Dst: rt.dst(),
 				Tag: b.tag, Payload: b.payload, InjectedAt: b.injectedAt, DeliveredAt: s.cycle, Hops: int(rt.hops)}
-			s.free = append(s.free, h)
+			s.store.release(h)
 			s.stats.Delivered++
 			s.stats.TotalLatency += pkt.Latency()
 			s.stats.TotalHops += pkt.Hops
@@ -703,12 +615,12 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 			}
 			continue
 		}
-		lslot := int(gr.r.idx)*s.np + gr.outPort
+		lslot := int(gr.tile)*s.np + int(gr.out)
 		ni := s.nbrTile[lslot]
 		if ni < 0 {
 			s.stats.Dropped++
 			s.stats.DroppedInFlight++ // left its router, lost in traversal
-			s.free = append(s.free, h)
+			s.store.release(h)
 			continue
 		}
 		s.linkUse[mn.net][lslot]++
@@ -718,29 +630,24 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 		}
 		b := &mn.wheel[at]
 		*b = append(*b, inFlight{h: h, tile: ni, port: int32(s.nbrPort[lslot])})
-		s.route[h].hops++
+		s.store.rt(h).hops++
 	}
 }
 
 // Drained reports whether no packet remains anywhere in the network:
-// every arena handle is free. RunUntilDrained calls it every cycle.
-func (s *Sim) Drained() bool { return len(s.free) == len(s.pkts) }
+// the store holds no live handle. RunUntilDrained calls it every cycle.
+func (s *Sim) Drained() bool { return s.store.live == 0 }
 
-// drainedScan is the reference O(routers) drain check the arena count
+// drainedScan is the reference O(routers) drain check the live count
 // replaced; tests cross-validate the two on every step of chaos runs.
 func (s *Sim) drainedScan() bool {
 	for _, mn := range s.nets {
 		if mn.flightCount() > 0 {
 			return false
 		}
-		for _, r := range mn.routers {
-			if r == nil {
-				continue
-			}
-			for p := 0; p < s.np; p++ {
-				if r.in[p].len() > 0 {
-					return false
-				}
+		for i, ok := range s.alive {
+			if ok && mn.queued(i) > 0 {
+				return false
 			}
 		}
 	}
@@ -784,13 +691,10 @@ func (s *Sim) CongestionReport(topK int) string {
 		}
 		var worst []stuck
 		queued := 0
-		for _, r := range mn.routers {
-			if r == nil {
-				continue
-			}
-			if n := int(r.queued); n > 0 {
+		for i, ok := range s.alive {
+			if n := mn.queued(i); ok && n > 0 {
 				queued += n
-				worst = append(worst, stuck{r.at, n})
+				worst = append(worst, stuck{s.at[i], n})
 			}
 		}
 		sort.Slice(worst, func(i, j int) bool {

@@ -322,14 +322,9 @@ func TestSimFIFONeverOverflows(t *testing.T) {
 		s.Inject(XY, src, hot, Request, uint32(i), 0) // backpressure errors are fine
 		s.Step()
 		for _, mn := range s.nets {
-			for _, r := range mn.routers {
-				if r == nil {
-					continue
-				}
-				for p := 0; p < numPorts; p++ {
-					if r.in[p].len() > 1 {
-						t.Fatalf("FIFO at %v port %d holds %d > depth 1", r.at, p, r.in[p].len())
-					}
+			for slot, q := range mn.q {
+				if q.n > 1 {
+					t.Fatalf("FIFO at %v port %d holds %d > depth 1", s.at[slot/s.np], slot%s.np, q.n)
 				}
 			}
 		}

@@ -61,9 +61,6 @@ type TopoAnalyzer struct {
 	stamp        []uint32 // stamp[i] == epoch: i already blocked
 	epoch        uint32
 	stack        []int32
-	// buf is the policy's candidate scratch; as a field it does not
-	// escape to the heap on every Reset.
-	buf [MaxPorts]int
 }
 
 // NewTopoAnalyzer builds the route-clear relation for a topology over a
@@ -140,7 +137,7 @@ func (a *TopoAnalyzer) reset(topo Topology, fm *fault.Map, blocked []uint16) {
 			}
 			for _, v := range a.masked {
 				at := a.coords[v]
-				if a.pol.Candidates(net, at, dst, at, local, a.buf[:]) > 0 && blocked[v]>>uint(a.buf[0])&1 != 0 {
+				if p := a.pol.Route(net, at, dst, at, local).First(); p >= 0 && blocked[v]>>uint(p)&1 != 0 {
 					a.stamp[v] = a.epoch
 					row[v>>6] &^= 1 << uint(v&63)
 					a.stack = append(a.stack, v)
@@ -154,8 +151,8 @@ func (a *TopoAnalyzer) reset(topo Topology, fm *fault.Map, blocked []uint16) {
 						continue
 					}
 					at := a.coords[v]
-					if a.pol.Candidates(net, at, dst, at, local, a.buf[:]) <= 0 ||
-						a.buf[0] == local || a.nbr[int(v)*a.ports+a.buf[0]] != u {
+					if p := a.pol.Route(net, at, dst, at, local).First(); p < 0 ||
+						p == local || a.nbr[int(v)*a.ports+p] != u {
 						continue
 					}
 					a.stamp[v] = a.epoch

@@ -133,7 +133,6 @@ func routeWalkClear(topo Topology, fm *fault.Map) [2][]uint64 {
 	g.All(func(c geom.Coord) { alive[g.Index(c)] = fm.Healthy(c) })
 	pol := topo.Policy()
 	local := topo.Ports() - 1
-	var buf [MaxPorts]int
 	var rel [2][]uint64
 	for net := 0; net < 2; net++ {
 		n := Network(net)
@@ -144,12 +143,12 @@ func routeWalkClear(topo Topology, fm *fault.Map) [2][]uint64 {
 			for i := 0; i < size; i++ {
 				state[i] = 0
 				cur := g.Coord(i)
-				nc := pol.Candidates(n, cur, dst, cur, local, buf[:])
-				if nc <= 0 || buf[0] == local {
+				p := pol.Route(n, cur, dst, cur, local).First()
+				if p < 0 || p == local {
 					nextIdx[i] = -1
 					continue
 				}
-				far, _, _, ok := topo.Link(cur, buf[0])
+				far, _, _, ok := topo.Link(cur, p)
 				if !ok {
 					nextIdx[i] = -1
 					continue

@@ -19,7 +19,7 @@ import (
 //
 //   - Implementations are immutable after construction. The Fig. 6
 //     sweeps share one topology value across parallel.ForEach workers,
-//     so Link and Policy().Candidates must be safe for lock-free
+//     so Link and Policy().Route must be safe for lock-free
 //     concurrent use — in practice, pure functions of the receiver's
 //     construction-time fields. This binds every policy a Topology
 //     returns.
@@ -31,13 +31,13 @@ import (
 //     NewSimTopology validates this at construction.
 //   - The local inject/eject port is always Ports()-1 and carries no
 //     link.
-//   - Routing is destination-driven: the policy's first candidate
-//     depends only on (network, current tile, destination) — never on
-//     the packet's source or arrival port — and it is the local port
-//     at the destination and nowhere else. The routes toward one
-//     destination then form an in-tree, which TopoAnalyzer walks
-//     backwards from the faulty tiles and the analytical model's
-//     in-tree build aggregates over.
+//   - Routing is destination-driven: the policy's preferred port
+//     (Ports.First) depends only on (network, current tile,
+//     destination) — never on the packet's source or arrival port —
+//     and it is the local port at the destination and nowhere else.
+//     The routes toward one destination then form an in-tree, which
+//     TopoAnalyzer walks backwards from the faulty tiles and the
+//     analytical model's in-tree build aggregates over.
 //
 // These invariants are exercised for every shipped topology by the
 // invariant and fuzz tests in topology_invariants_test.go
@@ -59,14 +59,15 @@ type Topology interface {
 	// port the tile does not populate).
 	Link(c geom.Coord, p int) (dst geom.Coord, arrivalPort int, length int, ok bool)
 	// Policy returns the topology's deterministic routing policy. It
-	// must never return 0 candidates for an in-grid destination, and
-	// every candidate port other than the local port must carry a link
-	// wherever the policy emits it.
+	// must never return an empty port set for an in-grid destination,
+	// and every candidate port other than the local port must carry a
+	// link wherever the policy emits it.
 	Policy() RoutingPolicy
 }
 
-// MaxPorts bounds Ports() for any topology, letting the switch
-// allocator keep its per-router scratch on the stack.
+// MaxPorts bounds Ports() for any topology, letting a port set fit in
+// 16 bits and the switch allocator keep its per-router scratch on the
+// stack.
 const MaxPorts = 16
 
 // The normalized topology names.

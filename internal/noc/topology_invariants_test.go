@@ -14,7 +14,7 @@ import (
 // Invariant and fuzz coverage for the Topology contract (topology.go):
 // every link bidirectional with consistent endpoints, unique arrival
 // slots, full connectivity on a healthy grid, and the wedge guard —
-// Candidates never returns 0 for an in-grid destination and every
+// Route never returns an empty set for an in-grid destination and every
 // route terminates at its destination over existing links.
 
 // topoGrids are the grids the invariants are checked on: square,
@@ -89,7 +89,6 @@ func walkRoute(t *testing.T, topo Topology, net Network, src, dst geom.Coord) in
 	g := topo.Grid()
 	pol := topo.Policy()
 	local := topo.Ports() - 1
-	var buf [MaxPorts]int
 	cur := src
 	arrival := local
 	maxHops := 4 * (g.W + g.H)
@@ -97,11 +96,10 @@ func walkRoute(t *testing.T, topo Topology, net Network, src, dst geom.Coord) in
 		if hop > maxHops {
 			t.Fatalf("%s %v->%v net %v: route exceeds %d hops (stuck at %v)", topo.Name(), src, dst, net, maxHops, cur)
 		}
-		n := pol.Candidates(net, src, dst, cur, arrival, buf[:])
-		if n <= 0 {
-			t.Fatalf("%s %v->%v net %v: Candidates returned %d at %v (wedge)", topo.Name(), src, dst, net, n, cur)
+		p := pol.Route(net, src, dst, cur, arrival).First()
+		if p < 0 {
+			t.Fatalf("%s %v->%v net %v: Route returned no port at %v (wedge)", topo.Name(), src, dst, net, cur)
 		}
-		p := buf[0]
 		if p == local {
 			if cur != dst {
 				t.Fatalf("%s %v->%v net %v: ejected at %v", topo.Name(), src, dst, net, cur)
@@ -155,12 +153,12 @@ func TestTopologyNextHopSourceFree(t *testing.T) {
 			}
 			pol := topo.Policy()
 			local := topo.Ports() - 1
-			var buf [MaxPorts]int
 			next := func(net Network, src, cur, dst geom.Coord, arrival int) int {
-				if n := pol.Candidates(net, src, dst, cur, arrival, buf[:]); n <= 0 {
-					t.Fatalf("%s %v: Candidates returned %d at %v for %v", name, g, n, cur, dst)
+				p := pol.Route(net, src, dst, cur, arrival).First()
+				if p < 0 {
+					t.Fatalf("%s %v: Route returned no port at %v for %v", name, g, cur, dst)
 				}
-				return buf[0]
+				return p
 			}
 			for _, net := range []Network{XY, YX} {
 				g.All(func(cur geom.Coord) {
@@ -379,7 +377,6 @@ func cdgCycle(t *testing.T, topo Topology, pol RoutingPolicy, net Network) []int
 	succ := make([]uint32, n*np)
 	seen := make([]int32, n*np*n)
 	var stack []int
-	var buf [MaxPorts]int
 	for d := 0; d < n; d++ {
 		dst, stamp := g.Coord(d), int32(d+1)
 		for s := 0; s < n; s++ {
@@ -392,8 +389,7 @@ func cdgCycle(t *testing.T, topo Topology, pol RoutingPolicy, net Network) []int
 			stack = stack[:len(stack)-1]
 			b, s := st/n, st%n
 			tile := b - b%np
-			k := pol.Candidates(net, g.Coord(s), dst, g.Coord(b/np), b%np, buf[:])
-			for _, p := range buf[:k] {
+			for _, p := range portList(pol.Route(net, g.Coord(s), dst, g.Coord(b/np), b%np)) {
 				if p == local {
 					continue
 				}
@@ -447,12 +443,12 @@ func cdgCycle(t *testing.T, topo Topology, pol RoutingPolicy, net Network) []int
 // on each other in a ring.
 type mixedDoRPolicy struct{}
 
-func (mixedDoRPolicy) Candidates(_ Network, src, dst, cur geom.Coord, in int, buf []int) int {
+func (mixedDoRPolicy) Route(_ Network, src, dst, cur geom.Coord, in int) Ports {
 	net := XY
 	if (dst.X+dst.Y)%2 == 1 {
 		net = YX
 	}
-	return DoRPolicy{}.Candidates(net, src, dst, cur, in, buf)
+	return DoRPolicy{}.Route(net, src, dst, cur, in)
 }
 
 // deadlockGrids are the grids TestRoutingDeadlockFree checks and

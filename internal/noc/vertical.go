@@ -83,33 +83,27 @@ func (t verticalTopology) Policy() RoutingPolicy { return verticalPolicy{layerH:
 // the scheme is deadlock-free (TestRoutingDeadlockFree checks it).
 type verticalPolicy struct{ layerH int }
 
-// Candidates implements RoutingPolicy.
-func (v verticalPolicy) Candidates(net Network, _, dst, cur geom.Coord, _ int, buf []int) int {
+// Route implements RoutingPolicy.
+func (v verticalPolicy) Route(net Network, _, dst, cur geom.Coord, _ int) Ports {
 	if cur == dst {
-		buf[0] = verticalPorts - 1 // local
-		return 1
+		return onePort(verticalPorts - 1) // local
 	}
 	// Target row within cur's layer: the destination itself when it is
 	// on this wafer, else its vertical partner.
 	ty := dst.Y%v.layerH + cur.Y/v.layerH*v.layerH
 	dx, dy := dst.X-cur.X, ty-cur.Y
 	if dx == 0 && dy == 0 {
-		buf[0] = verticalPortZ // aligned under/over the destination
-		return 1
+		return onePort(verticalPortZ) // aligned under/over the destination
 	}
 	xFirst := net == XY
 	if (xFirst && dx != 0) || (!xFirst && dy == 0) {
 		if dx > 0 {
-			buf[0] = int(geom.East)
-		} else {
-			buf[0] = int(geom.West)
+			return onePort(int(geom.East))
 		}
-	} else {
-		if dy > 0 {
-			buf[0] = int(geom.North)
-		} else {
-			buf[0] = int(geom.South)
-		}
+		return onePort(int(geom.West))
 	}
-	return 1
+	if dy > 0 {
+		return onePort(int(geom.North))
+	}
+	return onePort(int(geom.South))
 }

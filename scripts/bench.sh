@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs the cycle-engine benchmarks (NoC packet simulation, throughput
-# sweep, graph workloads, chaos survival) and the per-trial Fig. 6
+# Runs the cycle-engine benchmarks (NoC packet simulation, the NoC
+# engine's idle and loaded step cost per topology, throughput sweep,
+# graph workloads, chaos survival) and the per-trial Fig. 6
 # connectivity analyzers, and records the results as JSON in
 # BENCH_noc.json so CI and successive optimization PRs can track ns/op
 # and allocs/op over time.
@@ -18,12 +19,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkWaferBFS|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial}"
+PATTERN="${BENCH_PATTERN:-BenchmarkSimStep|BenchmarkFig7PacketSim|BenchmarkAnalyticalThroughput|BenchmarkNoCThroughput|BenchmarkE1GraphWorkloads|BenchmarkWaferBFS|BenchmarkChaosBFSSurvival|BenchmarkParetoTwoTier|BenchmarkWorkloadTransformerBlock|BenchmarkFig6Trial}"
 TIME="${BENCH_TIME:-3s}"
 COUNT="${BENCH_COUNT:-3}"
 OUT="${BENCH_OUT:-BENCH_noc.json}"
 
-raw=$(go test -run='^$' -bench="$PATTERN" -benchtime="$TIME" -benchmem -count="$COUNT" .)
+raw=$(go test -run='^$' -bench="$PATTERN" -benchtime="$TIME" -benchmem -count="$COUNT" . ./internal/noc/)
 echo "$raw"
 
 # Host metadata makes the recorded numbers comparable across machines:
