@@ -25,8 +25,8 @@ import (
 // code in the repository (cmd/, examples/, bench/ and internal/ itself)
 // references. Each stays exported only because a test or benchmark that
 // EXPERIMENTS.md cites regenerates a paper figure or table through it;
-// the value names that test. "ROADMAP item 4" marks the tracing and
-// link-statistics hooks whose fate that open item decides.
+// the value names that test. "ROADMAP item 4" marks an observability
+// hook whose fate that open item decides.
 var testOnlyExports = map[string]string{
 	"arch.Config.ArrayAreaMM2":                 "TestTable1Derivations",
 	"arch.ChipletSpec.AreaMM2":                 "TestTable1Derivations",
@@ -57,11 +57,6 @@ var testOnlyExports = map[string]string{
 	"noc.OddEvenReachable":                     "TestOddEvenMatchesConnectivityOracle",
 	"noc.OddEvenStats.Pct":                     "BenchmarkAblationOddEven",
 	"noc.SaturationRate":                       "TestSaturationNearTheory",
-	"noc.Sim.Delivered":                        "TestEngineDifferentialRespond",
-	"noc.Sim.LinkSkew":                         roadmapItem4,
-	"noc.Sim.LinkStats":                        roadmapItem4,
-	"noc.Sim.LinkUse":                          roadmapItem4,
-	"noc.Sim.WriteHeatmap":                     roadmapItem4,
 	"pdn.CalibrateSheetResistance":             "TestCalibrateSheetResistance",
 	"pdn.DefaultConfig":                        "BenchmarkFig2DroopMap",
 	"pdn.DefaultContactOhmPerSq":               "TestPlaneDecompositionMatchesCalibration",
@@ -69,9 +64,7 @@ var testOnlyExports = map[string]string{
 	"pdn.Solution.MaxVolt":                     "TestFig2CenterDroop",
 	"pdn.StackSheetOhm":                        "TestPlaneDecompositionMatchesCalibration",
 	"pdn.TransientDroop":                       "TestDecapDerivation",
-	"sim.Machine.SetTrace":                     roadmapItem4,
 	"sim.Machine.Net":                          "TestMachineFastPathDifferentialBFS",
-	"sim.TraceCore":                            roadmapItem4,
 	"store.Journal.SetFsync":                   "TestJournalRecoveryReruns",
 	"store.Store.SetFsync":                     "TestDiskStoreServesAcrossRestart",
 	"substrate.FanoutSpec":                     "TestFanoutBudget",

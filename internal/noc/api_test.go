@@ -9,36 +9,6 @@ import (
 	"waferscale/internal/geom"
 )
 
-// TestDeliveredReturnsCopy pins the accessor contract: mutating the
-// returned slice must not corrupt the simulator's retained history.
-func TestDeliveredReturnsCopy(t *testing.T) {
-	g := geom.NewGrid(4, 4)
-	s, err := NewSim(fault.NewMap(g), DefaultSimConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RetainDelivered = true
-	if _, err := s.Inject(XY, geom.Coord{X: 0, Y: 0}, geom.Coord{X: 3, Y: 3}, Request, 7, 1234); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunUntilDrained(1000); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Delivered()
-	if len(got) != 1 || got[0].Payload != 1234 {
-		t.Fatalf("delivered = %+v", got)
-	}
-	got[0].Payload = 9999
-	got[0].Tag = 0
-	again := s.Delivered()
-	if again[0].Payload != 1234 || again[0].Tag != 7 {
-		t.Fatalf("internal history corrupted through Delivered(): %+v", again[0])
-	}
-	if &got[0] == &again[0] {
-		t.Fatal("Delivered() returned the same backing array twice")
-	}
-}
-
 // congestedSim builds a sim with traffic parked behind a down link so
 // CongestionReport has routers to describe.
 func congestedSim(t *testing.T) *Sim {

@@ -82,7 +82,6 @@ func runArenaScenario(t *testing.T, s scenario) (SimStats, []Packet, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RetainDelivered = true
 	inner := s.checkLiveFn
 	s.checkLiveFn = func(t *testing.T, e engine) {
 		if inner != nil {

@@ -187,9 +187,9 @@ func TestOddEvenMatchesConnectivityOracle(t *testing.T) {
 				s.Step()
 			}
 		}
-		s.RetainDelivered = true
+		delivered := recordDeliveries(s, false)
 		_ = s.RunUntilDrained(20000)
-		for _, p := range s.Delivered() {
+		for _, p := range *delivered {
 			if !OddEvenReachable(fm, p.Src, p.Dst) {
 				t.Fatalf("delivered %v->%v but oracle says unreachable", p.Src, p.Dst)
 			}

@@ -69,15 +69,20 @@ type refSim struct {
 	nextID   uint64
 	stats    SimStats
 	linkDown []bool
+	// linkUse counts, per network, the packets that crossed each
+	// (tile, direction) link.
+	linkUse [2][]int64
 
 	OnDeliver func(Packet)
-	delivered []Packet
 }
 
 func newRefSim(fm *fault.Map, cfg SimConfig) *refSim {
 	g := fm.Grid()
 	s := &refSim{grid: g, fm: fm, cfg: cfg, Policy: DoRPolicy{}}
 	s.linkDown = make([]bool, g.Size()*geom.NumDirs)
+	for n := range s.linkUse {
+		s.linkUse[n] = make([]int64, g.Size()*geom.NumDirs)
+	}
 	for n := range s.nets {
 		mn := &refMeshNet{net: Network(n), routers: make([]*refRouter, g.Size())}
 		g.All(func(c geom.Coord) {
@@ -90,9 +95,8 @@ func newRefSim(fm *fault.Map, cfg SimConfig) *refSim {
 	return s
 }
 
-func (s *refSim) Cycle() int64        { return s.cycle }
-func (s *refSim) Stats() SimStats     { return s.stats }
-func (s *refSim) Delivered() []Packet { return s.delivered }
+func (s *refSim) Cycle() int64    { return s.cycle }
+func (s *refSim) Stats() SimStats { return s.stats }
 
 func (s *refSim) Inject(net Network, src, dst geom.Coord, kind Kind, tag uint32, payload uint64) (uint64, error) {
 	if err := validatePair(s.grid, src, dst); err != nil {
@@ -306,7 +310,6 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 			if pkt.Latency() > s.stats.MaxLatency {
 				s.stats.MaxLatency = pkt.Latency()
 			}
-			s.delivered = append(s.delivered, pkt)
 			if s.OnDeliver != nil {
 				s.OnDeliver(pkt)
 			}
@@ -319,6 +322,7 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 			continue
 		}
 		pkt.Hops++
+		s.linkUse[mn.net][g.Index(gr.r.at)*geom.NumDirs+gr.outPort]++
 		mn.flights = append(mn.flights, refFlight{
 			pkt:     pkt,
 			arrive:  s.cycle + int64(s.cfg.LinkLatency),
@@ -358,7 +362,6 @@ type engine interface {
 	Drained() bool
 	Cycle() int64
 	Stats() SimStats
-	Delivered() []Packet
 }
 
 // scenario parametrizes one lockstep run.
@@ -389,10 +392,14 @@ type scenario struct {
 	respond bool
 }
 
-// wireResponder installs the respond scenario's OnDeliver on e.
-func wireResponder(e engine) {
-	respond := func(p Packet) {
-		if p.Kind != Request {
+// recordDeliveries installs e's one OnDeliver hook. The hook appends
+// every delivered packet to the returned log and, when respond is set,
+// answers each delivered request as the respond scenario does.
+func recordDeliveries(e engine, respond bool) *[]Packet {
+	var pkts []Packet
+	hook := func(p Packet) {
+		pkts = append(pkts, p)
+		if !respond || p.Kind != Request {
 			return
 		}
 		e.Inject(p.Net.Complement(), p.Dst, p.Src, Response, p.Tag, p.Payload^1)
@@ -400,10 +407,11 @@ func wireResponder(e engine) {
 	}
 	switch x := e.(type) {
 	case *Sim:
-		x.OnDeliver = respond
+		x.OnDeliver = hook
 	case *refSim:
-		x.OnDeliver = respond
+		x.OnDeliver = hook
 	}
+	return &pkts
 }
 
 // runScenario drives one engine through the scenario and returns its
@@ -424,9 +432,8 @@ func runScenario(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64)
 	var pendingFwd []Packet
 	injected := 0
 	hot := healthy[len(healthy)/2]
-	if s.respond {
-		wireResponder(e)
-	}
+	delivered := recordDeliveries(e, s.respond)
+	scanned := 0 // deliveries already considered for relay
 	for cyc := 0; cyc < s.cycles; cyc++ {
 		if s.hotKillAt > 0 && cyc == s.hotKillAt {
 			killed[hot] = true
@@ -485,12 +492,13 @@ func runScenario(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64)
 		pendingFwd = retryFwd
 		e.Step()
 		if s.forwardMod > 0 {
-			for _, p := range e.Delivered() {
+			for _, p := range (*delivered)[scanned:] {
 				if p.Kind == Request && p.Tag%s.forwardMod == 0 && !forwarded[p.ID] {
 					forwarded[p.ID] = true
 					pendingFwd = append(pendingFwd, p)
 				}
 			}
+			scanned = len(*delivered)
 		}
 		if s.checkLiveFn != nil {
 			s.checkLiveFn(t, e)
@@ -515,7 +523,7 @@ func runScenario(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64)
 	if !e.Drained() {
 		t.Fatalf("engine %T did not drain", e)
 	}
-	return e.Stats(), e.Delivered(), e.Cycle()
+	return e.Stats(), *delivered, e.Cycle()
 }
 
 func (s scenario) fmFaulty(fm *fault.Map, c geom.Coord) bool { return fm.Faulty(c) }
@@ -543,7 +551,6 @@ func diffEngines(t *testing.T, s scenario) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.RetainDelivered = true
 	if s.oddEven {
 		opt.Policy = OddEvenPolicy{}
 	}
@@ -603,6 +610,65 @@ func TestEngineDifferentialOddEven(t *testing.T) {
 	})
 }
 
+// TestAdaptiveRoutingBalancesLinks: under transpose traffic the
+// odd-even policy spreads load over more links and lowers the hottest
+// link's traversal count relative to strict DoR. It counts traversals
+// on the reference engine, which TestEngineDifferentialOddEven holds
+// lockstep-equal to Sim.
+func TestAdaptiveRoutingBalancesLinks(t *testing.T) {
+	type result struct {
+		maxLink   int64
+		linksUsed int
+	}
+	run := func(policy RoutingPolicy) result {
+		fm := fault.NewMap(geom.NewGrid(8, 8))
+		s := newRefSim(fm, DefaultSimConfig())
+		s.Policy = policy
+		tag := uint32(0)
+		for round := 0; round < 10; round++ {
+			fm.Grid().All(func(src geom.Coord) {
+				dst := geom.C(src.Y, src.X)
+				if src == dst {
+					return
+				}
+				tag++
+				s.Inject(XY, src, dst, Request, tag, 0)
+			})
+			for range 2 {
+				s.Step()
+			}
+		}
+		for i := 0; i < 60000 && !s.Drained(); i++ {
+			s.Step()
+		}
+		if !s.Drained() {
+			t.Fatal("transpose traffic did not drain")
+		}
+		var r result
+		for _, use := range s.linkUse {
+			for _, n := range use {
+				if n > 0 {
+					r.linksUsed++
+					r.maxLink = max(r.maxLink, n)
+				}
+			}
+		}
+		if r.linksUsed == 0 {
+			t.Fatal("no link traffic recorded")
+		}
+		return r
+	}
+	dor := run(DoRPolicy{})
+	oe := run(OddEvenPolicy{})
+	if oe.maxLink >= dor.maxLink {
+		t.Errorf("odd-even hottest link %d not below DoR %d", oe.maxLink, dor.maxLink)
+	}
+	if oe.linksUsed <= dor.linksUsed {
+		t.Errorf("odd-even used %d links, DoR %d — adaptivity should spread", oe.linksUsed, dor.linksUsed)
+	}
+	t.Logf("hottest link %d -> %d traversals, links used %d -> %d", dor.maxLink, oe.maxLink, dor.linksUsed, oe.linksUsed)
+}
+
 func TestEngineDifferentialBackpressure(t *testing.T) {
 	// Depth-1 FIFOs under near-saturating load: the credit path and
 	// ErrBackpressure decisions must agree exactly.
@@ -642,7 +708,6 @@ func TestDrainedCounterMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RetainDelivered = true
 	runScenario(t, s, sim)
 }
 
@@ -733,7 +798,6 @@ func TestBusySetMatchesScan(t *testing.T) {
 			if s.oddEven {
 				sim.Policy = OddEvenPolicy{}
 			}
-			sim.RetainDelivered = true
 			st, _, _ := runScenario(t, s, sim)
 			if st.RoutersKilled == 0 || st.Forwarded == 0 || st.Delivered == 0 {
 				t.Fatalf("chaos scenario exercised too little: %+v", st)

@@ -84,11 +84,11 @@ func TestCorruptPayloadHitsRingHead(t *testing.T) {
 		t.Fatal("expected to hit a parked packet")
 	}
 	s.SetLinkDown(geom.C(2, 0), geom.East, false)
-	s.RetainDelivered = true
+	delivered := recordDeliveries(s, false)
 	if err := s.RunUntilDrained(2000); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Delivered()
+	got := *delivered
 	if len(got) != 3 {
 		t.Fatalf("delivered %d of 3", len(got))
 	}

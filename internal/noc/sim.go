@@ -140,10 +140,9 @@ type Sim struct {
 	// scheme (paper footnote 4) — mesh topology only.
 	Policy RoutingPolicy
 
-	cycle   int64
-	nextID  uint64
-	stats   SimStats
-	linkUse [2][]int64 // per network: traversals of (tile, port) links
+	cycle  int64
+	nextID uint64
+	stats  SimStats
 	// linkDown marks out-of-service (tile, port) links, shared by
 	// both physical networks (a flapped inter-chiplet channel takes the
 	// buses of both meshes with it). Packets queued behind a down link
@@ -164,10 +163,6 @@ type Sim struct {
 	// are updated). Used by the functional simulator to implement the
 	// remote-memory protocol.
 	OnDeliver func(Packet)
-
-	delivered []Packet // retained when RetainDelivered is true
-	// RetainDelivered keeps every delivered packet for inspection.
-	RetainDelivered bool
 
 	// Shards is ignored; kept only because bench/ references it. ROADMAP
 	// item 1's benchmark revision deletes it together with fig7Shards.
@@ -221,9 +216,6 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 		return nil, err
 	}
 	s.linkDown = make([]bool, g.Size()*np)
-	for n := range s.linkUse {
-		s.linkUse[n] = make([]int64, g.Size()*np)
-	}
 	wheelLen := 1
 	for _, lat := range s.nbrLat {
 		wheelLen = max(wheelLen, lat)
@@ -304,16 +296,6 @@ func (s *Sim) Cycle() int64 { return s.cycle }
 
 // Stats returns a copy of the running statistics.
 func (s *Sim) Stats() SimStats { return s.stats }
-
-// Delivered returns a copy of the retained packets (RetainDelivered
-// must be set). Callers get their own slice, so the simulator's
-// delivered-packet history cannot be corrupted through the return
-// value.
-func (s *Sim) Delivered() []Packet {
-	out := make([]Packet, len(s.delivered))
-	copy(out, s.delivered)
-	return out
-}
 
 // Inject queues a packet at its source tile's local port on the given
 // network. It fails if the source is faulty (at construction or killed
@@ -607,9 +589,6 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 			if pkt.Latency() > s.stats.MaxLatency {
 				s.stats.MaxLatency = pkt.Latency()
 			}
-			if s.RetainDelivered {
-				s.delivered = append(s.delivered, pkt)
-			}
 			if s.OnDeliver != nil {
 				s.OnDeliver(pkt)
 			}
@@ -623,7 +602,6 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 			s.store.release(h)
 			continue
 		}
-		s.linkUse[mn.net][lslot]++
 		at := now + s.nbrLat[lslot]
 		if at >= len(mn.wheel) {
 			at -= len(mn.wheel)

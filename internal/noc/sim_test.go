@@ -21,7 +21,7 @@ func newSim(t *testing.T, fm *fault.Map) *Sim {
 func TestSimSinglePacket(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	s := newSim(t, fm)
-	s.RetainDelivered = true
+	delivered := recordDeliveries(s, false)
 	src, dst := geom.C(0, 0), geom.C(3, 2)
 	id, err := s.Inject(XY, src, dst, Request, 1, 0xdead)
 	if err != nil {
@@ -30,7 +30,7 @@ func TestSimSinglePacket(t *testing.T) {
 	if err := s.RunUntilDrained(1000); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Delivered()
+	got := *delivered
 	if len(got) != 1 {
 		t.Fatalf("delivered %d packets", len(got))
 	}
@@ -53,15 +53,15 @@ func TestSimSinglePacket(t *testing.T) {
 func TestSimSelfDelivery(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(4, 4))
 	s := newSim(t, fm)
-	s.RetainDelivered = true
+	delivered := recordDeliveries(s, false)
 	if _, err := s.Inject(XY, geom.C(1, 1), geom.C(1, 1), Request, 0, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunUntilDrained(100); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Delivered()) != 1 || s.Delivered()[0].Hops != 0 {
-		t.Errorf("self delivery = %+v", s.Delivered())
+	if got := *delivered; len(got) != 1 || got[0].Hops != 0 {
+		t.Errorf("self delivery = %+v", got)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestSimGridSideCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RetainDelivered = true
+	delivered := recordDeliveries(s, false)
 	src, dst := geom.C(0, 1<<15-1), geom.C(0, 1<<15-3)
 	if _, err := s.Inject(YX, src, dst, Request, 0, 0); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSimGridSideCap(t *testing.T) {
 	if err := s.RunUntilDrained(100); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Delivered(); len(got) != 1 || got[0].Src != src || got[0].Dst != dst || got[0].Hops != 2 {
+	if got := *delivered; len(got) != 1 || got[0].Src != src || got[0].Dst != dst || got[0].Hops != 2 {
 		t.Fatalf("delivered %+v", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestSimGridSideCap(t *testing.T) {
 func TestSimInOrderPerPair(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	s := newSim(t, fm)
-	s.RetainDelivered = true
+	delivered := recordDeliveries(s, false)
 	src, dst := geom.C(0, 0), geom.C(7, 7)
 	sent := 0
 	for sent < 50 {
@@ -153,7 +153,7 @@ func TestSimInOrderPerPair(t *testing.T) {
 	if err := s.RunUntilDrained(5000); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Delivered()
+	got := *delivered
 	if len(got) != 50 {
 		t.Fatalf("delivered %d of 50", len(got))
 	}
@@ -201,9 +201,10 @@ func TestSimRandomTrafficDrains(t *testing.T) {
 func TestSimRequestResponse(t *testing.T) {
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	s := newSim(t, fm)
-	s.RetainDelivered = true
+	var delivered []Packet
 	responded := 0
 	s.OnDeliver = func(p Packet) {
+		delivered = append(delivered, p)
 		if p.Kind == Request {
 			// The destination tile answers on the complementary network.
 			if _, err := s.Inject(p.Net.Complement(), p.Dst, p.Src, Response, p.Tag, p.Payload+1); err != nil {
@@ -224,8 +225,8 @@ func TestSimRequestResponse(t *testing.T) {
 		t.Fatalf("responses delivered = %d", responded)
 	}
 	var req, resp *Packet
-	for i := range s.Delivered() {
-		p := &s.Delivered()[i]
+	for i := range delivered {
+		p := &delivered[i]
 		if p.Kind == Request {
 			req = p
 		} else {
@@ -456,11 +457,10 @@ func TestSimNoStarvationUnderCrossTraffic(t *testing.T) {
 	const victimTag = 0xF0
 	fm := fault.NewMap(geom.NewGrid(8, 8))
 	s := newSim(t, fm)
-	s.RetainDelivered = true
-	victimDelivered := 0
+	var victims []Packet
 	s.OnDeliver = func(p Packet) {
 		if p.Tag == victimTag {
-			victimDelivered++
+			victims = append(victims, p)
 		}
 	}
 	const cycles = 2000
@@ -474,7 +474,7 @@ func TestSimNoStarvationUnderCrossTraffic(t *testing.T) {
 		}
 		s.Step()
 	}
-	if victimDelivered == 0 {
+	if len(victims) == 0 {
 		t.Fatal("victim flow starved under cross traffic")
 	}
 	if err := s.RunUntilDrained(100000); err != nil {
@@ -482,17 +482,11 @@ func TestSimNoStarvationUnderCrossTraffic(t *testing.T) {
 	}
 	// Every victim packet eventually delivers with bounded latency.
 	var worst int64
-	count := 0
-	for _, p := range s.Delivered() {
-		if p.Tag == victimTag {
-			count++
-			if p.Latency() > worst {
-				worst = p.Latency()
-			}
-		}
+	for _, p := range victims {
+		worst = max(worst, p.Latency())
 	}
-	if count != cycles/8 {
-		t.Errorf("victim delivered %d of %d", count, cycles/8)
+	if len(victims) != cycles/8 {
+		t.Errorf("victim delivered %d of %d", len(victims), cycles/8)
 	}
 	if worst > 500 {
 		t.Errorf("worst victim latency %d cycles — effective starvation", worst)

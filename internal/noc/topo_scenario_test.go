@@ -30,7 +30,6 @@ func newTopoSim(t *testing.T, name string, s scenario, cfg SimConfig) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RetainDelivered = true
 	return sim
 }
 
@@ -139,6 +138,7 @@ func TestTopoPortDownDifferential(t *testing.T) {
 	g := geom.NewGrid(12, 12)
 	portDown := func(t *testing.T, s scenario, e engine) (SimStats, []Packet, int64) {
 		sim := e.(*Sim)
+		delivered := recordDeliveries(sim, false)
 		rng := rand.New(rand.NewSource(s.seed))
 		step := func() {
 			sim.Step()
@@ -181,7 +181,7 @@ func TestTopoPortDownDifferential(t *testing.T) {
 		if !sim.Drained() {
 			t.Fatalf("%s: port-down scenario did not drain", sim.topo.Name())
 		}
-		return sim.Stats(), sim.Delivered(), sim.Cycle()
+		return sim.Stats(), *delivered, sim.Cycle()
 	}
 	for _, name := range newTopologies {
 		pkts, topo := runTopoScenario(t, name, scenario{grid: g, seed: 1707, cycles: 500}, portDown)

@@ -70,16 +70,18 @@ type Config struct {
 	// bit-identical at every worker count.
 	Workers int
 
-	// Progress, when non-nil, is invoked every ProgressEvery sweeps
+	// Progress, when non-nil, is invoked every progressEvery sweeps
 	// with the sweep count so far and the scaled residual of the last
 	// sweep (in volts) — the convergence signal the serve layer streams
-	// to clients. It is called from the goroutine driving the solve,
-	// never concurrently. It does not affect the solution.
+	// to clients — and once more when the solve converges or gives up
+	// between two ticks. It is called from the goroutine driving the
+	// solve, never concurrently. It does not affect the solution.
 	Progress func(sweeps int, residualV float64)
-	// ProgressEvery is the sweep interval between Progress calls (and
-	// between cancellation checks in SolveCtx); 0 means 200.
-	ProgressEvery int
 }
+
+// progressEvery is the sweep interval between Progress calls and
+// between SolveCtx's cancellation checks.
+const progressEvery = 200
 
 // DefaultConfig returns the prototype PDN operating point for the grid.
 func DefaultConfig(grid geom.Grid, tileCurrentA float64) Config {
@@ -110,7 +112,7 @@ func Solve(cfg Config) (*Solution, error) {
 }
 
 // SolveCtx is Solve with cancellation: ctx is checked every
-// cfg.ProgressEvery sweeps (so cancellation lands within a bounded
+// progressEvery (200) sweeps (so cancellation lands within a bounded
 // amount of work) and on cancellation (nil, ctx.Err()) is returned —
 // a half-converged voltage map is never exposed. The solution is
 // bit-identical to Solve's for any ctx that is not cancelled.
@@ -260,23 +262,20 @@ func SolveCtx(ctx context.Context, cfg Config) (*Solution, error) {
 		}
 	}
 
-	every := cfg.ProgressEvery
-	if every <= 0 {
-		every = 200
-	}
 	lastResid := math.Inf(1)
 	for sweeps := 0; sweeps < maxSweeps; sweeps++ {
 		r := sweep()
 		lastResid = r
 		if r < tol {
 			// Terminal progress tick: without it a stream ends at the
-			// last ProgressEvery boundary, up to every-1 sweeps stale.
+			// last progressEvery boundary, up to progressEvery-1 sweeps
+			// stale.
 			if cfg.Progress != nil {
 				cfg.Progress(sweeps+1, r)
 			}
 			return &Solution{Grid: g, Volts: v, Sweeps: sweeps + 1, Residual: r, cfg: cfg}, nil
 		}
-		if (sweeps+1)%every == 0 {
+		if (sweeps+1)%progressEvery == 0 {
 			if cfg.Progress != nil {
 				cfg.Progress(sweeps+1, r)
 			}
@@ -287,7 +286,7 @@ func SolveCtx(ctx context.Context, cfg Config) (*Solution, error) {
 	}
 	// Non-convergence is terminal too: report the final residual so the
 	// stream's last value reflects where the solve actually gave up.
-	if cfg.Progress != nil && maxSweeps%every != 0 {
+	if cfg.Progress != nil && maxSweeps%progressEvery != 0 {
 		cfg.Progress(maxSweeps, lastResid)
 	}
 	return nil, fmt.Errorf("%w after %d sweeps", ErrNoConvergence, maxSweeps)

@@ -500,18 +500,20 @@ func TestSolveScalesQuick(t *testing.T) {
 // TestSolveTerminalProgress: both terminal paths — convergence and
 // sweep exhaustion — must close the progress stream with the final
 // sweep count and residual instead of leaving it stale at the last
-// ProgressEvery boundary.
+// progressEvery boundary.
 func TestSolveTerminalProgress(t *testing.T) {
 	// Converged solve: the last tick reports exactly Solution.Sweeps and
 	// Solution.Residual, even though convergence lands mid-interval.
 	cfg := DefaultConfig(geom.NewGrid(16, 16), tileCurrent)
-	cfg.ProgressEvery = 10_000 // far coarser than convergence needs
 	var sweeps []int
 	var resids []float64
 	cfg.Progress = func(s int, r float64) { sweeps = append(sweeps, s); resids = append(resids, r) }
 	sol, err := Solve(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sol.Sweeps%progressEvery == 0 {
+		t.Fatalf("solve converged at %d sweeps, on a progress tick; the check needs a mid-interval convergence", sol.Sweeps)
 	}
 	if len(sweeps) == 0 {
 		t.Fatal("no Progress call on a converging solve")
@@ -523,17 +525,17 @@ func TestSolveTerminalProgress(t *testing.T) {
 		t.Errorf("last progress residual = %g, solution residual %g", got, sol.Residual)
 	}
 
-	// Non-convergence: MaxSweeps off the ProgressEvery grid still ends
-	// the stream at exactly MaxSweeps.
+	// Non-convergence: MaxSweeps off the progressEvery grid still ends
+	// the stream at exactly MaxSweeps. No residual reaches 1e-300 V.
 	cfg2 := DefaultConfig(geom.NewGrid(32, 32), tileCurrent)
-	cfg2.MaxSweeps = 7
-	cfg2.ProgressEvery = 5
+	cfg2.Tolerance = 1e-300
+	cfg2.MaxSweeps = progressEvery + 7
 	sweeps = nil
 	cfg2.Progress = func(s int, r float64) { sweeps = append(sweeps, s) }
 	if _, err := Solve(cfg2); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
-	if want := []int{5, 7}; len(sweeps) != 2 || sweeps[0] != want[0] || sweeps[1] != want[1] {
+	if want := []int{progressEvery, progressEvery + 7}; len(sweeps) != 2 || sweeps[0] != want[0] || sweeps[1] != want[1] {
 		t.Errorf("progress sweeps = %v, want %v", sweeps, want)
 	}
 }

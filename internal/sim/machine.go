@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 
@@ -164,9 +163,6 @@ type Machine struct {
 	cycle   int64
 	pending []responseToSend
 	tagSeq  uint32
-
-	traceW      io.Writer
-	traceFilter TraceFilter
 
 	// Remote-op robustness knobs. A remote access outstanding past
 	// RemoteTimeout cycles is declared lost and reissued along a freshly
@@ -823,7 +819,6 @@ func (m *Machine) execute(t *Tile, c *Core) {
 		return
 	}
 	in := Decode(c.priv.load32(c.PC))
-	m.trace(c, in)
 	next := c.PC + 4
 	r := &c.Regs
 	switch in.Op {
