@@ -147,6 +147,9 @@ var kernelGoldens = []struct {
 	{"transformer", []string{"-workload", "transformer", "-side", "4"}},
 	{"bfs_faults", []string{"-workload", "bfs", "-side", "8", "-faults", "3", "-fault-seed", "7"}},
 	{"bfs_trials", []string{"-workload", "bfs", "-side", "8", "-faults", "3", "-trials", "4", "-max-cycles", "200000"}},
+	// The default 50M-cycle budget: two of the trials never pass the
+	// barrier and spin until it expires.
+	{"bfs_trials_default", []string{"-workload", "bfs", "-side", "8", "-faults", "3", "-trials", "4"}},
 }
 
 func TestKernelGoldens(t *testing.T) {

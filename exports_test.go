@@ -25,8 +25,7 @@ import (
 // code in the repository (cmd/, examples/, bench/ and internal/ itself)
 // references. Each stays exported only because a test or benchmark that
 // EXPERIMENTS.md cites regenerates a paper figure or table through it;
-// the value names that test. "ROADMAP item 4" marks an observability
-// hook whose fate that open item decides.
+// the value names that test.
 var testOnlyExports = map[string]string{
 	"arch.Config.ArrayAreaMM2":                 "TestTable1Derivations",
 	"arch.ChipletSpec.AreaMM2":                 "TestTable1Derivations",
@@ -80,8 +79,6 @@ var interfaceMethods = map[string]bool{
 	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true,
 }
 
-const roadmapItem4 = "ROADMAP item 4"
-
 // TestInternalExportsHaveCallers keeps internal/'s exported API down to
 // what the program uses: every exported name declared in a non-test
 // file under internal/ must be referenced from some non-test file of
@@ -116,8 +113,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 
 	experiments := readFile(t, "EXPERIMENTS.md")
-	item4 := roadmapItem(readFile(t, "ROADMAP.md"), 4)
-	item4Names := 0
 	keys := make([]string, 0, len(testOnlyExports))
 	for key := range testOnlyExports {
 		keys = append(keys, key)
@@ -132,11 +127,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Errorf("stale allowlist entry %s: no such exported name in internal/", key)
 		case !slices.Contains(unref, key):
 			t.Errorf("stale allowlist entry %s: it now has a non-test caller", key)
-		case cite == roadmapItem4:
-			item4Names++
-			if !mentions(item4, name) {
-				t.Errorf("%s cites %s, which does not name %s", key, roadmapItem4, name)
-			}
 		case !isFunc:
 			t.Errorf("%s cites %s, which is not a test or benchmark function", key, cite)
 		case !mentions(experiments, cite):
@@ -145,8 +135,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Errorf("%s cites %s, which does not use %s", key, cite, name)
 		}
 	}
-	t.Logf("%d exported internal/ names have no non-test caller, %d of them awaiting %s",
-		len(unref), item4Names, roadmapItem4)
+	t.Logf("%d exported internal/ names have no non-test caller", len(unref))
 }
 
 // moduleScan holds what the test needs from the parsed repository. A
@@ -494,12 +483,6 @@ func recvType(fn *ast.FuncDecl) string {
 		return id.Name
 	}
 	return ""
-}
-
-// roadmapItem returns the text of ROADMAP.md's numbered item n, up to
-// the next numbered item or section.
-func roadmapItem(roadmap string, n int) string {
-	return regexp.MustCompile(`(?ms)^` + strconv.Itoa(n) + `\. \*\*.*?(^\d+\. \*\*|^## |\z)`).FindString(roadmap)
 }
 
 // mentions reports whether text contains name as a whole word.

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -610,6 +611,97 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 		*b = append(*b, inFlight{h: h, tile: ni, port: int32(s.nbrPort[lslot])})
 		s.store.rt(h).hops++
 	}
+}
+
+// AppendSpinState appends a canonical encoding of the network's
+// dynamic state to w, as 32-bit words: per network the round-robin
+// pointers, every queued packet by router and port in FIFO order, and
+// every flight by the cycles left until it lands. Times are relative
+// to the current cycle and tags to tagBase (subtracted mod 2^32), so
+// two states one period of a steady spin apart encode equal. Packet IDs
+// are left out, since nothing the network or its callers decide reads
+// them, and so are credits: a live slot's credit is its queued packets
+// plus the flights bound for it, both encoded. Link and router liveness
+// are left out too: only the fault events a spin has outlived change
+// them.
+func (s *Sim) AppendSpinState(w []uint32, tagBase uint32) []uint32 {
+	for _, mn := range s.nets {
+		rr := mn.rr
+		for ; len(rr) >= 4; rr = rr[4:] {
+			w = append(w, binary.LittleEndian.Uint32(rr))
+		}
+		for _, r := range rr {
+			w = append(w, uint32(r))
+		}
+		for b, word := range mn.busy {
+			for ; word != 0; word &= word - 1 {
+				ti := b<<6 | bits.TrailingZeros64(word)
+				w = append(w, uint32(ti), uint32(mn.occ[ti]))
+				for occ := mn.occ[ti]; occ != 0; occ &= occ - 1 {
+					slot := ti*s.np + bits.TrailingZeros16(occ)
+					q := mn.q[slot]
+					w = append(w, uint32(q.n))
+					for j := q.head; j < q.head+q.n; j++ {
+						w = s.appendPacket(w, mn.fifo[slot*mn.depth+int(j)%mn.depth], tagBase)
+					}
+				}
+			}
+		}
+		for d := int64(1); d <= int64(len(mn.wheel)); d++ {
+			bucket := mn.wheel[(s.cycle+d)%int64(len(mn.wheel))]
+			w = append(w, uint32(len(bucket)))
+			for _, f := range bucket {
+				w = append(w, uint32(f.tile), uint32(f.port))
+				w = s.appendPacket(w, f.h, tagBase)
+			}
+		}
+	}
+	return w
+}
+
+// appendPacket appends the spin encoding of the packet under handle h.
+func (s *Sim) appendPacket(w []uint32, h int32, tagBase uint32) []uint32 {
+	p, rt := s.store.body(h), s.store.rt(h)
+	age := uint64(s.cycle - p.injectedAt)
+	return append(w, uint32(p.kind)|uint32(p.net)<<8, p.tag-tagBase,
+		uint32(p.payload), uint32(p.payload>>32), uint32(age), uint32(age>>32),
+		uint32(uint16(rt.srcX))|uint32(uint16(rt.srcY))<<16,
+		uint32(uint16(rt.dstX))|uint32(uint16(rt.dstY))<<16, uint32(rt.hops))
+}
+
+// FastForward advances the network span cycles along a spin whose
+// state recurs (see AppendSpinState), as stepping would have left it:
+// every live packet keeps its place, its InjectedAt moves by span, its
+// tag by tagShift and its ID by the IDs the skipped cycles issued, and
+// every flight keeps its cycles left to land. stats replaces the
+// running statistics; the caller extrapolates them, and the IDs issued
+// are stats.Injected minus the current count.
+func (s *Sim) FastForward(span int64, tagShift uint32, stats SimStats) {
+	ids := uint64(stats.Injected - s.stats.Injected)
+	shift := func(h int32) {
+		p := s.store.body(h)
+		p.id += ids
+		p.injectedAt += span
+		p.tag += tagShift
+	}
+	for _, mn := range s.nets {
+		for slot, q := range mn.q {
+			for j := q.head; j < q.head+q.n; j++ {
+				shift(mn.fifo[slot*mn.depth+int(j)%mn.depth])
+			}
+		}
+		// Bucket c % len(wheel) holds the flights landing at cycle c.
+		old := append([][]inFlight(nil), mn.wheel...)
+		for i, bucket := range old {
+			for _, f := range bucket {
+				shift(f.h)
+			}
+			mn.wheel[(int64(i)+span)%int64(len(old))] = bucket
+		}
+	}
+	s.cycle += span
+	s.nextID += ids
+	s.stats = stats
 }
 
 // Drained reports whether no packet remains anywhere in the network:

@@ -184,10 +184,17 @@ type Machine struct {
 	degr   DegradationReport
 
 	// Progress, when non-nil, is invoked by RunCtx every
-	// runProgressStride cycles with the current machine cycle — the
-	// cycles-stepped feed the serve layer streams to clients. It runs
-	// on the goroutine driving the machine, never concurrently.
+	// runProgressStride cycles with the cycle reached — the
+	// cycles-stepped feed the serve layer streams to clients. The
+	// strides a spin fast-forward skips are reported before the machine
+	// lands past them, so it must observe the machine, never change it.
+	// It runs on the goroutine driving the machine, never concurrently.
 	Progress func(cycle int64)
+
+	// lastWrite is the last cycle a write changed memory, and spin the
+	// fast-forward it arms (spin.go).
+	lastWrite int64
+	spin      spinDetector
 
 	// Stats.
 	RemoteRequests int64
@@ -345,6 +352,7 @@ func (m *Machine) LoadProgram(tile geom.Coord, core int, words []uint32) error {
 	c.state = coreRunning
 	c.Err = nil
 	c.Instret = 0
+	m.lastWrite = m.cycle
 	if wasStopped {
 		m.running++
 		t.addRunnable(core)
@@ -374,7 +382,17 @@ func (m *Machine) applyPrivate(tile geom.Coord, core int, addr uint32, op uint32
 	if int(addr)+4 > t.Cores[core].priv.size || addr%4 != 0 {
 		return 0, fmt.Errorf("sim: bad private address %#x", addr)
 	}
-	return t.Cores[core].priv.apply(addr, op, data), nil
+	return m.apply(&t.Cores[core].priv, addr, op, data), nil
+}
+
+// apply performs a memory operation on mem and returns the word's old
+// value, noting the cycle when it changed memory.
+func (m *Machine) apply(mem *pagedMem, off uint32, op uint32, data uint32) uint32 {
+	old, changed := mem.apply(off, op, data)
+	if changed {
+		m.lastWrite = m.cycle
+	}
+	return old
 }
 
 // globalID returns a core's global id: tileIndex*coresPerTile + idx.
@@ -400,7 +418,7 @@ func (m *Machine) applyGlobal(addr uint32, op uint32, data uint32) (uint32, erro
 	} else if mem = m.shadow[i]; mem == nil {
 		return 0, fmt.Errorf("sim: global address %#x lives on faulty tile %v", addr, tile)
 	}
-	return mem.apply(uint32(bank)*uint32(m.Cfg.BankBytes)+off, op, data), nil
+	return m.apply(mem, uint32(bank)*uint32(m.Cfg.BankBytes)+off, op, data), nil
 }
 
 // routeTarget returns the tile that currently serves a global address:
@@ -672,22 +690,39 @@ func (m *Machine) flushForwards() {
 // set, with the current cycle count. On every exit path — halt, budget
 // expiry, cancellation — one final Progress call reports the terminal
 // cycle count, so progress streams never end with a stale
-// mid-interval value. The execution itself is bit-identical for any ctx
-// that is never cancelled.
+// mid-interval value.
+//
+// A machine whose spin has become periodic (every surviving core
+// waiting on a barrier a dead worker never reaches) is fast-forwarded
+// by whole periods toward the budget (spin.go). Its state, counters,
+// cycle count and Progress calls come out as stepping every cycle would
+// leave them, but the Progress calls of the skipped cycles are made
+// before the machine lands on them. The execution is bit-identical for
+// any ctx that is never cancelled, and a cancelled run pauses on the
+// stride cycle where the cancellation was seen, as it would stepping.
 func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) error {
-	target := m.cycle + maxCycles
-	for i := int64(0); m.cycle < target && !m.AllHalted(); i++ {
-		if i%runProgressStride == 0 && i > 0 {
-			if m.Progress != nil {
-				m.Progress(m.cycle)
-			}
-			// The stride call above already reported this cycle, so a
-			// cancelled run's last Progress value is its pause cycle.
-			if err := ctx.Err(); err != nil {
+	start := m.cycle
+	target := start + maxCycles
+	m.spin.reset(m, target)
+	for m.cycle < target && !m.AllHalted() {
+		if i := m.cycle - start; i%runProgressStride == 0 && i > 0 {
+			// The stride call already reports this cycle, so a cancelled
+			// run's last Progress value is its pause cycle.
+			if err := m.strideCheck(ctx, m.cycle); err != nil {
 				return err
 			}
 		}
 		m.Step()
+		m.spin.stepped++
+		quiet := m.cycle-m.lastWrite >= m.spin.quiet && m.schedAt == len(m.schedEvents)
+		if !quiet && !m.spin.armed {
+			continue
+		}
+		if period := m.spinPeriod(quiet); period > 0 {
+			if err := m.fastForward(ctx, start, target, period); err != nil {
+				return err
+			}
+		}
 	}
 	if m.Progress != nil {
 		m.Progress(m.cycle)
@@ -696,6 +731,15 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) error {
 		return nil
 	}
 	return &BudgetError{Cycles: maxCycles}
+}
+
+// strideCheck is RunCtx's check at a stride cycle: report the cycle to
+// Progress, then poll ctx.
+func (m *Machine) strideCheck(ctx context.Context, cycle int64) error {
+	if m.Progress != nil {
+		m.Progress(cycle)
+	}
+	return ctx.Err()
 }
 
 // BudgetError reports a run that did not quiesce within its cycle
@@ -954,7 +998,7 @@ func (m *Machine) bankAccess(t *Tile, c *Core, in Instr, bank int, off uint32, l
 // in its destination register when the stall ends.
 func (m *Machine) access(c *Core, in Instr, mem *pagedMem, off uint32, lat int64) {
 	op, reg, data := memArgs(c, in)
-	c.loadVal, c.loadReg = mem.apply(off, op, data), reg
+	c.loadVal, c.loadReg = m.apply(mem, off, op, data), reg
 	c.state, c.stallUntil = coreStalled, m.cycle+lat
 }
 

@@ -62,18 +62,22 @@ func (p *pagedMem) page(off uint32) *[pageBytes]byte {
 }
 
 // apply performs one memory operation (memLoad, memStore, memAmoAdd or
-// memAmoMin) on the word at off and returns the word's old value.
-func (p *pagedMem) apply(off uint32, op uint32, data uint32) uint32 {
+// memAmoMin) on the word at off and returns the word's old value and
+// whether the word changed.
+func (p *pagedMem) apply(off uint32, op uint32, data uint32) (uint32, bool) {
 	old := p.load32(off)
 	switch op {
 	case memStore:
 		p.store32(off, data)
+		return old, data != old
 	case memAmoAdd:
 		p.store32(off, old+data)
+		return old, data != 0
 	case memAmoMin:
 		if int32(data) < int32(old) {
 			p.store32(off, data)
+			return old, true
 		}
 	}
-	return old
+	return old, false
 }

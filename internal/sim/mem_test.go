@@ -110,16 +110,19 @@ func TestPagedMemApply(t *testing.T) {
 	p := newPagedMem(pageBytes)
 	steps := []struct {
 		op, data, old, after uint32
+		changed              bool
 	}{
-		{memStore, 10, 0, 10},
-		{memLoad, 99, 10, 10},
-		{memAmoAdd, 5, 10, 15},
-		{memAmoMin, 20, 15, 15},
-		{memAmoMin, 0xFFFFFFFF, 15, 0xFFFFFFFF}, // -1 is smaller as int32
+		{memStore, 10, 0, 10, true},
+		{memStore, 10, 10, 10, false},
+		{memLoad, 99, 10, 10, false},
+		{memAmoAdd, 5, 10, 15, true},
+		{memAmoAdd, 0, 15, 15, false},
+		{memAmoMin, 20, 15, 15, false},
+		{memAmoMin, 0xFFFFFFFF, 15, 0xFFFFFFFF, true}, // -1 is smaller as int32
 	}
 	for i, s := range steps {
-		if old := p.apply(40, s.op, s.data); old != s.old {
-			t.Errorf("step %d: old %#x, want %#x", i, old, s.old)
+		if old, changed := p.apply(40, s.op, s.data); old != s.old || changed != s.changed {
+			t.Errorf("step %d: old %#x changed %v, want %#x %v", i, old, changed, s.old, s.changed)
 		}
 		if v := p.load32(40); v != s.after {
 			t.Errorf("step %d: word %#x, want %#x", i, v, s.after)
