@@ -313,7 +313,7 @@ func (m *Machine) fastForward(ctx context.Context, start, target, period int64) 
 }
 
 // skipPeriods advances the machine k periods of period cycles, the
-// first of which began at d.match, as stepping would have left it.
+// first of which began at m.spin.match, as stepping would have left it.
 func (m *Machine) skipPeriods(k, period int64) {
 	if k == 0 {
 		return
